@@ -2,13 +2,18 @@
 
 Parameter and buffer arrays are serialized as base64-wrapped little-endian
 64-bit floats, so a load reproduces every weight bit-exactly and probe-batch
-logits round-trip without drift. Writes go to a temp file in the target
-directory and are renamed into place.
+logits round-trip without drift. Loads are strict: a checkpoint must hold
+exactly the network's parameters and buffers, with its shapes and finite
+values, or loading raises CheckpointFormatError.
+
+Every file the package writes goes through ``atomic_writer``: a temp file in
+the target directory, renamed into place once it is complete.
 """
 
 from __future__ import annotations
 
 import base64
+import contextlib
 import json
 import os
 
@@ -29,84 +34,96 @@ def _encode_array(a: np.ndarray) -> dict:
     }
 
 
-def _decode_array(obj: dict) -> np.ndarray:
-    raw = base64.b64decode(obj["data"])
-    a = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    return a.reshape(obj["shape"])
+def _decode_array(section: dict, name: str) -> np.ndarray:
+    """Decode ``section[name]``; a missing or malformed entry is a format error."""
+    try:
+        enc = section[name]
+        raw = base64.b64decode(enc["data"], validate=True)
+        return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(enc["shape"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise CheckpointFormatError(f"array {name!r} cannot be decoded: {e!r}") from None
+
+
+@contextlib.contextmanager
+def atomic_writer(path):
+    """Yield a text handle on a temp file beside ``path``. On success the temp
+    file replaces ``path``; on failure it is removed and ``path`` is left as
+    it was. Lines end as written (``newline=""``), so CSV rows keep their
+    ``\r\n`` terminators."""
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def atomic_write_text(path, text: str) -> None:
-    path = os.fspath(path)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
+    with atomic_writer(path) as fh:
         fh.write(text)
-    os.replace(tmp, path)
 
 
-def _state_payload(net) -> dict:
-    return {
+def _load_state(net, doc: dict, path) -> None:
+    """Copy the checkpoint's arrays into ``net``. The names must be exactly the
+    network's parameters and buffers, with the network's shapes and finite
+    values."""
+    params = {k: p.data for k, p in net.named_parameters().items()}
+    for section, targets in (("params", params), ("buffers", net.named_buffers())):
+        payload = doc.get(section)
+        if not isinstance(payload, dict):
+            raise CheckpointFormatError(f"{path}: missing {section} section")
+        missing, unknown = targets.keys() - payload.keys(), payload.keys() - targets.keys()
+        if missing or unknown:
+            raise CheckpointFormatError(f"{path}: {section} do not match the architecture "
+                                        f"(missing {sorted(missing)}, unknown {sorted(unknown)})")
+        for name, target in targets.items():
+            value = _decode_array(payload, name)
+            if value.shape != target.shape:
+                raise CheckpointFormatError(
+                    f"{path}: {name!r} has shape {value.shape}, want {target.shape}")
+            if not np.all(np.isfinite(value)):
+                raise CheckpointFormatError(f"{path}: {name!r} holds non-finite values")
+            target[...] = value
+
+
+def _save(path, kind: str, net, hidden, norm_stats, metadata, **sections) -> None:
+    """Write the document both checkpoint kinds share, plus ``sections``."""
+    doc = {
+        "version": FORMAT_VERSION,
+        "kind": kind,
+        "architecture": {
+            "input_dim": net.input_dim,
+            "hidden": list(hidden),
+            "num_classes": net.output_dim,
+        },
         "params": {k: _encode_array(v.data) for k, v in net.named_parameters().items()},
         "buffers": {k: _encode_array(v) for k, v in net.named_buffers().items()},
+        "metadata": metadata or {},
+        **sections,
     }
-
-
-def _load_state(net, payload: dict) -> None:
-    params = net.named_parameters()
-    for name, enc in payload["params"].items():
-        if name not in params:
-            raise CheckpointFormatError(f"unknown parameter {name!r} in checkpoint")
-        params[name].data = _decode_array(enc)
-    buffers = net.named_buffers()
-    for name, enc in payload["buffers"].items():
-        if name not in buffers:
-            raise CheckpointFormatError(f"unknown buffer {name!r} in checkpoint")
-        buffers[name][...] = _decode_array(enc)
+    if norm_stats is not None:
+        mean, std = norm_stats
+        doc["norm_stats"] = {"mean": _encode_array(mean), "std": _encode_array(std)}
+    atomic_write_text(path, json.dumps(doc, sort_keys=True))
 
 
 def save_teacher(path, net: MlpNetwork, hidden: tuple[int, ...],
                  norm_stats=None, metadata: dict | None = None) -> None:
-    doc = {
-        "version": FORMAT_VERSION,
-        "kind": "teacher",
-        "architecture": {
-            "input_dim": net.input_dim,
-            "hidden": list(hidden),
-            "num_classes": net.output_dim,
-        },
-        **_state_payload(net),
-        "metadata": metadata or {},
-    }
-    if norm_stats is not None:
-        mean, std = norm_stats
-        doc["norm_stats"] = {"mean": _encode_array(mean), "std": _encode_array(std)}
-    atomic_write_text(path, json.dumps(doc, sort_keys=True))
+    _save(path, "teacher", net, hidden, norm_stats, metadata)
 
 
 def save_student(path, net: QuantizedMlp, hidden: tuple[int, ...],
                  norm_stats=None, metadata: dict | None = None) -> None:
-    doc = {
-        "version": FORMAT_VERSION,
-        "kind": "student",
-        "architecture": {
-            "input_dim": net.input_dim,
-            "hidden": list(hidden),
-            "num_classes": net.output_dim,
-        },
-        **_state_payload(net),
-        "quant": {
-            "bits": net.spec.bits,
-            "act_ema_decay": net.spec.act_ema_decay,
-            "act_ranges": [
-                {"min": st.observed_min, "max": st.observed_max}
-                for st in net.act_states()
-            ],
-        },
-        "metadata": metadata or {},
+    quant = {
+        "bits": net.spec.bits,
+        "act_ema_decay": net.spec.act_ema_decay,
+        "act_ranges": [{"min": st.observed_min, "max": st.observed_max}
+                       for st in net.act_states()],
     }
-    if norm_stats is not None:
-        mean, std = norm_stats
-        doc["norm_stats"] = {"mean": _encode_array(mean), "std": _encode_array(std)}
-    atomic_write_text(path, json.dumps(doc, sort_keys=True))
+    _save(path, "student", net, hidden, norm_stats, metadata, quant=quant)
 
 
 def _read(path) -> dict:
@@ -136,32 +153,25 @@ def load_checkpoint(path):
     if arch is None or doc.get("kind") not in ("teacher", "student"):
         raise CheckpointFormatError(f"{path}: unsupported checkpoint kind {doc.get('kind')!r}")
     rng = np.random.default_rng(0)  # shapes only; weights are overwritten below
-    teacher = make_mlp(arch["input_dim"], tuple(arch["hidden"]), arch["num_classes"], rng)
-    if doc["kind"] == "teacher":
-        _load_state(teacher, doc)
-        teacher.eval()
-        return teacher, doc
-
-    quant = doc.get("quant")
-    if quant is None:
-        raise CheckpointFormatError(f"{path}: student checkpoint without quant section")
-    spec = QuantSpec(bits=quant["bits"], act_ema_decay=quant["act_ema_decay"])
-    student = build_quantized_student(teacher, spec)
-    _load_state(student, doc)
-    ranges = quant.get("act_ranges", [])
-    states = student.act_states()
-    if len(ranges) != len(states):
-        raise CheckpointFormatError(f"{path}: activation range count mismatch")
-    for st, rg in zip(states, ranges):
-        st.observed_min = rg["min"]
-        st.observed_max = rg["max"]
-        st.frozen = True
-    student.eval()
-    return student, doc
+    net = make_mlp(arch["input_dim"], tuple(arch["hidden"]), arch["num_classes"], rng)
+    if doc["kind"] == "student":
+        quant = doc.get("quant")
+        if quant is None:
+            raise CheckpointFormatError(f"{path}: student checkpoint without quant section")
+        spec = QuantSpec(bits=quant["bits"], act_ema_decay=quant["act_ema_decay"])
+        net = build_quantized_student(net, spec)
+        ranges = quant.get("act_ranges", [])
+        states = net.act_states()
+        if len(ranges) != len(states):
+            raise CheckpointFormatError(f"{path}: activation range count mismatch")
+        for st, rg in zip(states, ranges):
+            st.observed_min, st.observed_max = rg["min"], rg["max"]
+    _load_state(net, doc, path)
+    return net.eval(), doc
 
 
 def norm_stats_from(doc: dict):
     ns = doc.get("norm_stats")
     if ns is None:
         return None
-    return _decode_array(ns["mean"]), _decode_array(ns["std"])
+    return _decode_array(ns, "mean"), _decode_array(ns, "std")

@@ -34,8 +34,9 @@ from .data import (
     sample_noise_and_labels,
     save_csv,
     standardize,
+    stratified_split,
 )
-from .errors import AdadfqError, CheckpointFormatError, ConfigError, ContractError
+from .errors import AdadfqError, CheckpointFormatError, ConfigError, ContractError, DataError
 from .game import TRACE_FIELDS, GameConfig, equilibrium_report, run_game
 from .nn import AdamOptimizer, ConditionalGenerator, make_mlp
 from .quant import QuantSpec, build_quantized_student
@@ -158,9 +159,7 @@ def _build_dataset(cfg: RunConfig) -> tuple[Dataset, Dataset]:
         full = load_csv(cfg.csv_path, cfg.label_column)
         # deterministic stratified split on the standardized rows
         rng = SeededRng(cfg.seed).substream("data")
-        from .data import _stratified_split
-
-        train, test = _stratified_split(full.features, full.labels, full.provenance, rng)
+        train, test = stratified_split(full.features, full.labels, full.provenance, rng)
         train.norm_stats = full.norm_stats
         return train, test
     raise ConfigError(f"unknown dataset kind {cfg.dataset!r}")
@@ -277,18 +276,21 @@ def _load_eval_dataset(path: str, label_column: str, doc: dict) -> Dataset:
     return load_csv(path, label_column, stats=stats)
 
 
-def cmd_quantize(args) -> int:
-    teacher, doc = ckpt.load_checkpoint(args.ckpt)
+def _load_teacher(path: str):
+    teacher, doc = ckpt.load_checkpoint(path)
     if doc["kind"] != "teacher":
-        raise CheckpointFormatError(f"{args.ckpt}: expected a teacher checkpoint")
+        raise CheckpointFormatError(f"{path}: expected a teacher checkpoint")
+    return teacher, doc
+
+
+def cmd_quantize(args) -> int:
+    teacher, doc = _load_teacher(args.ckpt)
     spec = QuantSpec(bits=args.bits)
     student = build_quantized_student(teacher, spec)
 
     ds = _load_eval_dataset(args.dataset, args.label_column, doc)
-    # Observe activation ranges over the provided data, then freeze and score.
-    student.train()
-    for start in range(0, ds.num_samples, 256):
-        student.forward(Tensor(ds.features[start : start + 256]))
+    # Observe activation ranges over the provided data, then score in eval mode.
+    _forward_batched(student.train(), ds.features)
     student.eval()
     report = {
         "bits": args.bits,
@@ -311,8 +313,7 @@ def cmd_quantize(args) -> int:
 
 
 def _write_trace_csv(path, rows) -> None:
-    tmp = os.fspath(path) + ".tmp"
-    with open(tmp, "w", newline="") as fh:
+    with ckpt.atomic_writer(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_FIELDS)
         for r in rows:
@@ -320,7 +321,6 @@ def _write_trace_csv(path, rows) -> None:
             writer.writerow([
                 d[k] if isinstance(d[k], int) else _dump_float(d[k]) for k in TRACE_FIELDS
             ])
-    os.replace(tmp, path)
 
 
 def _pds_matrix(teacher, student, features: np.ndarray) -> np.ndarray:
@@ -334,12 +334,10 @@ def _l1_similarity(pds: np.ndarray) -> np.ndarray:
 
 
 def _write_matrix_csv(path, matrix: np.ndarray) -> None:
-    tmp = os.fspath(path) + ".tmp"
-    with open(tmp, "w", newline="") as fh:
+    with ckpt.atomic_writer(path) as fh:
         writer = csv.writer(fh)
         for row in matrix:
             writer.writerow([_dump_float(v) for v in row])
-    os.replace(tmp, path)
 
 
 def cmd_dfq(args) -> int:
@@ -348,9 +346,7 @@ def cmd_dfq(args) -> int:
         cfg.seed = args.seed
     if args.bits is not None:
         cfg.bits = args.bits
-    teacher, doc = ckpt.load_checkpoint(args.ckpt)
-    if doc["kind"] != "teacher":
-        raise CheckpointFormatError(f"{args.ckpt}: expected a teacher checkpoint")
+    teacher, doc = _load_teacher(args.ckpt)
     arch = doc["architecture"]
     num_classes = arch["num_classes"]
     input_dim = arch["input_dim"]
@@ -385,14 +381,11 @@ def cmd_dfq(args) -> int:
     dump_rng = SeededRng(cfg.seed ^ 0x5A5A5A5A)
     z, y = sample_noise_and_labels(dump_rng, cfg.sample_dump, cfg.noise_dim, num_classes)
     samples = generator.forward(z, y).data
-    dump_path = os.path.join(args.out_dir, "samples.csv")
-    tmp = dump_path + ".tmp"
-    with open(tmp, "w", newline="") as fh:
+    with ckpt.atomic_writer(os.path.join(args.out_dir, "samples.csv")) as fh:
         writer = csv.writer(fh)
         writer.writerow(["sample_index", "label"] + [f"x{i}" for i in range(input_dim)])
         for i, (row, label) in enumerate(zip(samples, np.argmax(y.data, axis=1))):
             writer.writerow([i, int(label)] + [_dump_float(v) for v in row])
-    os.replace(tmp, dump_path)
 
     pds = _pds_matrix(teacher, student, samples)
     _write_matrix_csv(os.path.join(args.out_dir, "similarity.csv"), _l1_similarity(pds))
@@ -422,9 +415,14 @@ def cmd_report_similarity(args) -> int:
         raise FileNotFoundError(f"sample dump not found: {args.samples}")
     with open(args.samples, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(v) for v in row[2:]] for row in reader]
-    features = np.asarray(rows)
+        if next(reader, None) is None:
+            raise DataError(f"{args.samples}: empty sample dump")
+        try:
+            features = np.asarray([[float(v) for v in row[2:]] for row in reader])
+        except ValueError:
+            raise DataError(f"{args.samples}: non-numeric or ragged sample rows") from None
+    if features.ndim != 2:
+        raise DataError(f"{args.samples}: no sample rows after the header")
     if features.shape[1] != teacher.input_dim:
         raise ContractError(
             f"sample dump width {features.shape[1]} does not match network input {teacher.input_dim}"

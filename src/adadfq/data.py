@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint import atomic_writer
 from .errors import ConfigError, DataError
 from .tensor import Tensor
 
@@ -73,8 +74,8 @@ class Dataset:
         return int(self.labels.max()) + 1
 
 
-def _stratified_split(features: np.ndarray, labels: np.ndarray, provenance: str,
-                      gen: np.random.Generator, test_fraction: float = 0.2):
+def stratified_split(features: np.ndarray, labels: np.ndarray, provenance: str,
+                     gen: np.random.Generator, test_fraction: float = 0.2):
     """80/20 split with every class represented in both halves."""
     train_idx, test_idx = [], []
     for c in np.unique(labels):
@@ -112,7 +113,7 @@ def make_blobs(num_classes: int, per_class: int, dim: int, spread: float,
     )
     labels = np.repeat(np.arange(num_classes), per_class)
     provenance = f"blobs(C={num_classes},per_class={per_class},d={dim},spread={spread},seed={seed})"
-    return _stratified_split(features, labels, provenance, gen)
+    return stratified_split(features, labels, provenance, gen)
 
 
 def make_rings(num_classes: int, per_class: int, seed: int,
@@ -133,7 +134,7 @@ def make_rings(num_classes: int, per_class: int, seed: int,
     features = np.concatenate(rows)
     labels = np.repeat(np.arange(num_classes), per_class)
     provenance = f"rings(C={num_classes},per_class={per_class},seed={seed},noise={noise})"
-    return _stratified_split(features, labels, provenance, gen)
+    return stratified_split(features, labels, provenance, gen)
 
 
 def standardize(ds: Dataset) -> tuple[Dataset, tuple[np.ndarray, np.ndarray]]:
@@ -157,7 +158,7 @@ def apply_standardization(ds: Dataset, stats: tuple[np.ndarray, np.ndarray]) -> 
 
 
 def save_csv(ds: Dataset, path, label_column: str = "label") -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_writer(path) as fh:
         writer = csv.writer(fh)
         writer.writerow([f"x{i}" for i in range(ds.dim)] + [label_column])
         for row, label in zip(ds.features, ds.labels):

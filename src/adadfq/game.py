@@ -20,7 +20,7 @@ learning rate yields a delta of exactly zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -39,14 +39,6 @@ from .errors import ContractError, NumericError
 from .nn import AdamOptimizer, ConditionalGenerator, MlpNetwork, SgdMomentum
 from .quant import QuantizedMlp
 from .tensor import Tensor, backward, zero_grads
-
-TRACE_FIELDS = [
-    "iter", "epoch", "loss_gen", "loss_cal",
-    "h_info_pre_g", "h_info_post_g", "delta_g",
-    "h_info_pre_q", "h_info_post_q", "delta_q",
-    "n_disagree", "n_agree", "n_teacher_wrong",
-    "hprime_min", "hprime_mean", "hprime_max", "hprime_frac_in",
-]
 
 
 @dataclass
@@ -92,6 +84,9 @@ class TraceRow:
 
     def as_dict(self):
         return asdict(self)
+
+
+TRACE_FIELDS = [f.name for f in fields(TraceRow)]
 
 
 def _mean_disagreement_entropy(g: ConditionalGenerator, p: MlpNetwork,
@@ -242,9 +237,10 @@ def equilibrium_report(trace: list[TraceRow], window: int,
     The equilibrium flag checks that the generator's and student's entropy
     gains cancel: |mean(delta_g + delta_q)| < 0.25 * mean(|delta_g|).
     Underfit: the calibration loss stays high (> 0.5) and flat across the
-    window. Overfit: the generator loss has collapsed toward its floor while
-    a supplied held-out accuracy series degrades; without that series the
-    flag stays off.
+    window (the means of its two halves differ by < 0.05; a one-row window
+    has no halves and is never flat). Overfit: the generator loss has
+    collapsed toward its floor while a supplied held-out accuracy series
+    degrades; without that series the flag stays off.
     """
     if not trace:
         raise ContractError("equilibrium_report needs a non-empty trace")
@@ -262,8 +258,8 @@ def equilibrium_report(trace: list[TraceRow], window: int,
     mean_sum = float((dg + dq).mean())
     equilibrium = abs(mean_sum) < 0.25 * mean_abs_dg if mean_abs_dg > 0 else True
 
-    half = max(1, window // 2)
-    flat = abs(float(cal[:half].mean()) - float(cal[half:].mean())) < 0.05
+    half = window // 2
+    flat = window >= 2 and abs(float(cal[:half].mean()) - float(cal[half:].mean())) < 0.05
     underfit = bool(float(cal.mean()) > 0.5 and flat)
 
     overfit = False

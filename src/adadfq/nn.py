@@ -1,8 +1,14 @@
 """MLP networks, batch normalization with running statistics, and optimizers.
 
-The teacher and student share one architecture; the generator is a separate
-conditional network that maps (noise, one-hot label) to sample space. All
-parameters are plain :class:`~adadfq.tensor.Tensor` leaves.
+The teacher and student share one architecture; the generator puts a label
+embedding in front of the same MLP body to map (noise, one-hot label) to
+sample space. All parameters are plain :class:`~adadfq.tensor.Tensor` leaves.
+
+Layer protocol: every layer has ``forward`` and ``named_parameters()`` (its
+own, unprefixed names); batch norm also has ``named_buffers()``.
+:class:`MlpNetwork` is the one place that walks the layers: it prefixes the
+names with ``layers.{i}.``, lists the parameters in that order and holds the
+train/eval flag. The quantized student subclasses it (see ``quant.py``).
 
 Batch-norm conventions, fixed here so downstream statistics losses are
 well-defined:
@@ -29,8 +35,8 @@ class LinearLayer:
     def forward(self, x: Tensor) -> Tensor:
         return x.matmul(self.weight.T) + self.bias
 
-    def parameters(self):
-        return [self.weight, self.bias]
+    def named_parameters(self) -> dict[str, Tensor]:
+        return {"weight": self.weight, "bias": self.bias}
 
 
 class BatchNormLayer:
@@ -44,29 +50,31 @@ class BatchNormLayer:
         self.momentum = momentum
         self.eps = eps
 
-    def forward(self, x: Tensor, training: bool, update_running: bool = True) -> Tensor:
+    def forward(self, x: Tensor, training: bool) -> Tensor:
         if training:
             mu = x.mean(axis=0)
             var = ((x - mu) ** 2).mean(axis=0)
-            if update_running:
-                m = self.momentum
-                self.running_mean = (1.0 - m) * self.running_mean + m * mu.data
-                self.running_var = (1.0 - m) * self.running_var + m * var.data
+            m = self.momentum
+            self.running_mean = (1.0 - m) * self.running_mean + m * mu.data
+            self.running_var = (1.0 - m) * self.running_var + m * var.data
         else:
             mu = Tensor(self.running_mean)
             var = Tensor(self.running_var)
         return (x - mu) / (var + self.eps).sqrt() * self.gamma + self.beta
 
-    def parameters(self):
-        return [self.gamma, self.beta]
+    def named_parameters(self) -> dict[str, Tensor]:
+        return {"gamma": self.gamma, "beta": self.beta}
+
+    def named_buffers(self) -> dict[str, np.ndarray]:
+        return {"running_mean": self.running_mean, "running_var": self.running_var}
 
 
 class Relu:
     def forward(self, x: Tensor) -> Tensor:
         return x.relu()
 
-    def parameters(self):
-        return []
+    def named_parameters(self) -> dict[str, Tensor]:
+        return {}
 
 
 class MlpNetwork:
@@ -110,26 +118,15 @@ class MlpNetwork:
         return [l for l in self.layers if isinstance(l, BatchNormLayer)]
 
     def parameters(self) -> list[Tensor]:
-        return [p for layer in self.layers for p in layer.parameters()]
+        return [p for layer in self.layers for p in layer.named_parameters().values()]
 
     def named_parameters(self) -> dict[str, Tensor]:
-        out = {}
-        for i, layer in enumerate(self.layers):
-            if isinstance(layer, LinearLayer):
-                out[f"layers.{i}.weight"] = layer.weight
-                out[f"layers.{i}.bias"] = layer.bias
-            elif isinstance(layer, BatchNormLayer):
-                out[f"layers.{i}.gamma"] = layer.gamma
-                out[f"layers.{i}.beta"] = layer.beta
-        return out
+        return {f"layers.{i}.{k}": p for i, layer in enumerate(self.layers)
+                for k, p in layer.named_parameters().items()}
 
     def named_buffers(self) -> dict[str, np.ndarray]:
-        out = {}
-        for i, layer in enumerate(self.layers):
-            if isinstance(layer, BatchNormLayer):
-                out[f"layers.{i}.running_mean"] = layer.running_mean
-                out[f"layers.{i}.running_var"] = layer.running_var
-        return out
+        return {f"layers.{i}.{k}": b for i, layer in enumerate(self.layers)
+                if isinstance(layer, BatchNormLayer) for k, b in layer.named_buffers().items()}
 
 
 def make_mlp(input_dim: int, hidden: tuple[int, ...], output_dim: int,
@@ -177,10 +174,6 @@ class ConditionalGenerator:
         self.body.eval()
         return self
 
-    @property
-    def training(self):
-        return self.body.training
-
     def forward(self, z: Tensor, y: Tensor) -> Tensor:
         validate_one_hot(y)
         if z.data.shape[1] != self.noise_dim:
@@ -192,15 +185,6 @@ class ConditionalGenerator:
 
     def parameters(self) -> list[Tensor]:
         return [self.embedding] + self.body.parameters()
-
-    def named_parameters(self) -> dict[str, Tensor]:
-        out = {"embedding": self.embedding}
-        for name, p in self.body.named_parameters().items():
-            out[f"body.{name}"] = p
-        return out
-
-    def named_buffers(self) -> dict[str, np.ndarray]:
-        return {f"body.{k}": v for k, v in self.body.named_buffers().items()}
 
 
 class SgdMomentum:

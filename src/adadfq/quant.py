@@ -11,14 +11,21 @@ the training-time gradient is the clipping straight-through estimator: 1
 inside the range, 0 outside.
 
 Weight ranges are recomputed from the latent weights on every forward
-(dynamic per-tensor min/max); activation ranges are tracked by an exponential
-moving average while calibrating and frozen at eval time. A degenerate range
-(min == max, e.g. a constant tensor) passes through unquantized.
+(dynamic per-tensor min/max). A degenerate range (min == max, e.g. a constant
+tensor) passes through unquantized.
+
+The student is the teacher's MlpNetwork with each LinearLayer swapped for a
+QuantLinear by ``build_quantized_student``; it shares the network's layer
+protocol, parameter names and train/eval flag. Two rules differ from the
+teacher: a QuantLinear observes its output into the activation range's
+exponential moving average only while the student is training (eval leaves
+every range as it is), and batch norm always normalizes with the running
+statistics copied from the teacher, never with batch statistics.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,11 +109,8 @@ class FakeQuantState:
 
     observed_min: float | None = None
     observed_max: float | None = None
-    frozen: bool = False
 
     def observe(self, batch: np.ndarray, decay: float) -> None:
-        if self.frozen:
-            return
         lo = float(batch.min())
         hi = float(batch.max())
         if self.observed_min is None:
@@ -150,37 +154,23 @@ class QuantLinear:
                              self.act_state.observed_max, self.spec.bits)
         return out
 
-    def parameters(self):
-        return [self.weight, self.bias]
+    def named_parameters(self) -> dict[str, Tensor]:
+        return {"weight": self.weight, "bias": self.bias}
 
 
-class QuantizedMlp:
+class QuantizedMlp(MlpNetwork):
     """Student network: teacher architecture with fake-quantized linears.
 
-    Batch-norm layers always normalize with the copied running statistics and
-    never update them; the train/eval flag only controls whether activation
-    ranges keep observing. Trainable state is the latent linear weights plus
+    ``forward`` follows the two student rules in the module docstring, so
+    batch norm never updates its copied running statistics. A new student
+    starts in eval mode. Trainable state is the latent linear weights plus
     the batch-norm affine parameters.
     """
 
     def __init__(self, layers: list, input_dim: int, output_dim: int, spec: QuantSpec):
-        self.layers = layers
-        self.input_dim = input_dim
-        self.output_dim = output_dim
+        super().__init__(layers, input_dim, output_dim)
         self.spec = spec
         self.training = False
-
-    def train(self):
-        self.training = True
-        for st in self.act_states():
-            st.frozen = False
-        return self
-
-    def eval(self):
-        self.training = False
-        for st in self.act_states():
-            st.frozen = True
-        return self
 
     def forward(self, x: Tensor) -> Tensor:
         out = x
@@ -198,28 +188,6 @@ class QuantizedMlp:
 
     def act_states(self) -> list[FakeQuantState]:
         return [l.act_state for l in self.quant_linears()]
-
-    def parameters(self) -> list[Tensor]:
-        return [p for layer in self.layers for p in layer.parameters()]
-
-    def named_parameters(self) -> dict[str, Tensor]:
-        out = {}
-        for i, layer in enumerate(self.layers):
-            if isinstance(layer, QuantLinear):
-                out[f"layers.{i}.weight"] = layer.weight
-                out[f"layers.{i}.bias"] = layer.bias
-            elif isinstance(layer, BatchNormLayer):
-                out[f"layers.{i}.gamma"] = layer.gamma
-                out[f"layers.{i}.beta"] = layer.beta
-        return out
-
-    def named_buffers(self) -> dict[str, np.ndarray]:
-        out = {}
-        for i, layer in enumerate(self.layers):
-            if isinstance(layer, BatchNormLayer):
-                out[f"layers.{i}.running_mean"] = layer.running_mean
-                out[f"layers.{i}.running_var"] = layer.running_var
-        return out
 
 
 def build_quantized_student(teacher: MlpNetwork, spec: QuantSpec) -> QuantizedMlp:

@@ -10,6 +10,7 @@ import hashlib
 import json
 import os
 import sys
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -101,27 +102,50 @@ def _play(teacher, seed, hyper=None, **kw):
     return trace, q
 
 
+DESK_VARIANTS = {
+    "full": GameHyperparams(),
+    "no_lambda": GameHyperparams(lambda_l=0.0, lambda_u=1.0),
+    "no_ds": GameHyperparams(alpha_ds=0.0),
+    "no_as": GameHyperparams(alpha_as=0.0),
+}
+
+
+def _desk_game(seed, name):
+    """One game of the desk experiment, as a dict of its results: the
+    calibrated accuracy, and for the full variant also the trace and the
+    seed's teacher and naive accuracies. Trains its own copy of the seed's
+    teacher, which is deterministic, so the games can run in separate
+    processes."""
+    teacher, _, test = _train_desk_teacher(seed)
+    res = {}
+    if name == "full":
+        res["teacher_acc"] = evaluate_network(teacher, test)["accuracy"]
+        res["naive_acc"] = evaluate_network(_naive_student(teacher, test),
+                                            test)["accuracy"]
+    trace, student = _play(teacher, seed, hyper=DESK_VARIANTS[name])
+    res["acc"] = evaluate_network(student, test)["accuracy"]
+    if name == "full":
+        res["trace"] = trace
+    return res
+
+
 @pytest.fixture(scope="module")
 def desk():
-    """Per-seed teacher/naive/calibrated accuracies plus ablation variants."""
-    variants = {
-        "full": GameHyperparams(),
-        "no_lambda": GameHyperparams(lambda_l=0.0, lambda_u=1.0),
-        "no_ds": GameHyperparams(alpha_ds=0.0),
-        "no_as": GameHyperparams(alpha_as=0.0),
-    }
-    out = {"teacher_acc": {}, "naive_acc": {}, "acc": {k: {} for k in variants},
-           "trace": {}}
-    for seed in SEEDS:
-        teacher, _, test = _train_desk_teacher(seed)
-        out["teacher_acc"][seed] = evaluate_network(teacher, test)["accuracy"]
-        out["naive_acc"][seed] = evaluate_network(_naive_student(teacher, test),
-                                                  test)["accuracy"]
-        for name, hyper in variants.items():
-            trace, student = _play(teacher, seed, hyper=hyper)
-            out["acc"][name][seed] = evaluate_network(student, test)["accuracy"]
-            if name == "full":
-                out["trace"][seed] = trace
+    """Per-seed teacher/naive/calibrated accuracies plus ablation variants.
+
+    The twelve games are independent and take nearly all of this suite's
+    time, so two worker processes share them.
+    """
+    out = {"teacher_acc": {}, "naive_acc": {},
+           "acc": {k: {} for k in DESK_VARIANTS}, "trace": {}}
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        games = {(seed, name): pool.submit(_desk_game, seed, name)
+                 for seed in SEEDS for name in DESK_VARIANTS}
+        for (seed, name), game in games.items():
+            res = game.result()
+            out["acc"][name][seed] = res.pop("acc")
+            for key, value in res.items():
+                out[key][seed] = value
     return out
 
 

@@ -1,3 +1,4 @@
+import base64
 import json
 
 import numpy as np
@@ -10,7 +11,7 @@ from adadfq.checkpoint import (
     save_student,
     save_teacher,
 )
-from adadfq.cli import RunConfig, train_teacher_network
+from adadfq.cli import RunConfig, main, train_teacher_network
 from adadfq.data import make_blobs, standardize
 from adadfq.errors import CheckpointFormatError
 from adadfq.quant import QuantSpec, build_quantized_student
@@ -77,10 +78,12 @@ class TestStudentRoundTrip:
         assert doc["kind"] == "student"
         assert loaded.spec.bits == 3
         for a, b in zip(loaded.act_states(), student.act_states()):
-            assert a.frozen
             assert (a.observed_min, a.observed_max) == (b.observed_min, b.observed_max)
-        x = Tensor(train.features[:16])
+        ranges = [(st.observed_min, st.observed_max) for st in student.act_states()]
+        x = Tensor(train.features[64:128] * 10.0)  # far outside the observed ranges
         np.testing.assert_array_equal(loaded.forward(x).data, student.forward(x).data)
+        for net in (student, loaded):
+            assert [(st.observed_min, st.observed_max) for st in net.act_states()] == ranges
 
 
 class TestFormatErrors:
@@ -118,3 +121,37 @@ class TestFormatErrors:
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointFormatError, match="quant"):
             load_checkpoint(path)
+
+
+# Mutations of a saved teacher (hidden=(16,): layers 0 linear, 1 BN, 3 linear).
+STATE_MUTATIONS = {
+    "deleted_parameter": lambda d: d["params"].pop("layers.0.weight"),
+    "unknown_parameter": lambda d: d["params"].update(
+        {"layers.9.bias": d["params"]["layers.3.bias"]}),
+    "deleted_buffer": lambda d: d["buffers"].pop("layers.1.running_var"),
+    "missing_params_section": lambda d: d.pop("params"),
+    "missing_data_key": lambda d: d["params"]["layers.0.bias"].pop("data"),
+    "bad_base64": lambda d: d["params"]["layers.0.bias"].update(data="not*base64"),
+    "wrong_byte_count": lambda d: d["params"]["layers.0.bias"].update(
+        data=base64.b64encode(bytes(12)).decode("ascii")),
+    "wrong_shape": lambda d: d["params"]["layers.0.weight"].update(shape=[4, 16]),
+    "non_finite_value": lambda d: d["buffers"]["layers.1.running_var"].update(
+        data=base64.b64encode(np.full(16, np.nan).astype("<f8").tobytes()).decode("ascii")),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(STATE_MUTATIONS))
+def test_malformed_state_is_a_format_error(teacher, tmp_path, capsys, mutation):
+    net, hidden, stats, _ = teacher
+    path = tmp_path / "t.json"
+    save_teacher(path, net, hidden, norm_stats=stats)
+    doc = json.loads(path.read_text())
+    STATE_MUTATIONS[mutation](doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointFormatError):
+        load_checkpoint(path)
+    # the checkpoint is read before the (absent) dataset, so exit 3 is the load
+    rc = main(["eval", "--ckpt", str(path), "--dataset", str(tmp_path / "absent.csv")])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == 3
+    assert len(err) == 1 and err[0].startswith("error: ")

@@ -287,6 +287,21 @@ class TestReportSimilarity:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("dump", ["", "sample_index,label,x0\n",
+                                      "sample_index,label,x0\n0,1,abc\n"],
+                             ids=["empty", "header_only", "non_numeric"])
+    def test_malformed_sample_dump_is_runtime_error(self, workdir, dfq_out, tmp_path,
+                                                    capsys, dump):
+        _, _, out = workdir
+        samples = tmp_path / "samples.csv"
+        samples.write_text(dump)
+        rc = main(["report-similarity", "--samples", str(samples),
+                   "--ckpt", str(out / "teacher.json"),
+                   "--student-ckpt", str(dfq_out / "student_dfq_3bit.json"),
+                   "--out", str(tmp_path / "sim.csv")])
+        assert rc == 3
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+
     def test_missing_config_file_is_usage_error(self, tmp_path):
         rc = main(["train-teacher", "--config", "/does/not/exist.cfg",
                    "--out-dir", str(tmp_path)])

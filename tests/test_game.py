@@ -1,4 +1,5 @@
 import copy
+import warnings
 
 import numpy as np
 import pytest
@@ -189,6 +190,13 @@ class TestEquilibriumReport:
     def test_no_underfit_when_loss_drops(self):
         trace = [fake_row(i, loss_cal=0.9 - 0.1 * i) for i in range(8)]
         assert not equilibrium_report(trace, 8).underfit
+
+    def test_one_row_window_is_never_flat(self):
+        trace = [fake_row(i, loss_cal=0.9) for i in range(4)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = equilibrium_report(trace, 1)
+        assert not rep.underfit
 
     def test_overfit_needs_heldout_series(self):
         trace = [fake_row(i, loss_gen=0.0) for i in range(8)]

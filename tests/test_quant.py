@@ -114,11 +114,6 @@ class TestFakeQuantState:
         assert st_.observed_min == pytest.approx(0.9 * 0.0 + 0.1 * -1.0)
         assert st_.observed_max == pytest.approx(0.9 * 1.0 + 0.1 * 2.0)
 
-    def test_frozen_ignores_observations(self):
-        st_ = FakeQuantState(observed_min=0.0, observed_max=1.0, frozen=True)
-        st_.observe(np.array([-5.0, 5.0]), decay=0.9)
-        assert (st_.observed_min, st_.observed_max) == (0.0, 1.0)
-
 
 class TestQuantSpec:
     def test_rejects_one_bit(self):
