@@ -4,7 +4,8 @@ Parameter and buffer arrays are serialized as base64-wrapped little-endian
 64-bit floats, so a load reproduces every weight bit-exactly and probe-batch
 logits round-trip without drift. Loads are strict: a checkpoint must hold
 exactly the network's parameters and buffers, with its shapes and finite
-values, or loading raises CheckpointFormatError.
+values, and well-formed architecture, quant and norm_stats sections, or
+loading raises CheckpointFormatError.
 
 Every file the package writes goes through ``atomic_writer``: a temp file in
 the target directory, renamed into place once it is complete.
@@ -15,6 +16,7 @@ from __future__ import annotations
 import base64
 import contextlib
 import json
+import math
 import os
 
 import numpy as np
@@ -141,6 +143,35 @@ def _read(path) -> dict:
     return doc
 
 
+def _count(v, least: int = 1) -> bool:
+    return type(v) is int and v >= least
+
+
+def _act_range(rg) -> bool:
+    """Finite numbers, or both None for a site that never observed a batch."""
+    if not isinstance(rg, dict):
+        return False
+    pair = [rg.get("min"), rg.get("max")]
+    return pair == [None, None] or all(type(v) in (int, float) and math.isfinite(v) for v in pair)
+
+
+def _check_sections(doc: dict, path) -> None:
+    arch, quant = doc.get("architecture"), doc.get("quant")
+    if not (isinstance(arch, dict) and _count(arch.get("input_dim"))
+            and _count(arch.get("num_classes")) and isinstance(arch.get("hidden"), list)
+            and all(map(_count, arch["hidden"]))):
+        raise CheckpointFormatError(f"{path}: architecture needs positive integers "
+                                    "input_dim and num_classes and a list of them, hidden")
+    if doc["kind"] == "student" and not (
+            isinstance(quant, dict) and _count(quant.get("bits"), least=2)
+            and type(quant.get("act_ema_decay")) in (int, float)
+            and 0.0 <= quant["act_ema_decay"] < 1.0
+            and isinstance(quant.get("act_ranges"), list)
+            and all(map(_act_range, quant["act_ranges"]))):
+        raise CheckpointFormatError(f"{path}: student checkpoint without a valid quant section "
+                                    "(bits >= 2, act_ema_decay in [0, 1), act_ranges)")
+
+
 def load_checkpoint(path):
     """Load any checkpoint; returns (network, document).
 
@@ -149,18 +180,18 @@ def load_checkpoint(path):
     for students.
     """
     doc = _read(path)
-    arch = doc.get("architecture")
-    if arch is None or doc.get("kind") not in ("teacher", "student"):
+    if doc.get("kind") not in ("teacher", "student"):
         raise CheckpointFormatError(f"{path}: unsupported checkpoint kind {doc.get('kind')!r}")
+    _check_sections(doc, path)
+    norm_stats_from(doc)  # checked here, so no command fails on it after its work
+    arch = doc["architecture"]
     rng = np.random.default_rng(0)  # shapes only; weights are overwritten below
     net = make_mlp(arch["input_dim"], tuple(arch["hidden"]), arch["num_classes"], rng)
     if doc["kind"] == "student":
-        quant = doc.get("quant")
-        if quant is None:
-            raise CheckpointFormatError(f"{path}: student checkpoint without quant section")
+        quant = doc["quant"]
         spec = QuantSpec(bits=quant["bits"], act_ema_decay=quant["act_ema_decay"])
         net = build_quantized_student(net, spec)
-        ranges = quant.get("act_ranges", [])
+        ranges = quant["act_ranges"]
         states = net.act_states()
         if len(ranges) != len(states):
             raise CheckpointFormatError(f"{path}: activation range count mismatch")
@@ -171,7 +202,14 @@ def load_checkpoint(path):
 
 
 def norm_stats_from(doc: dict):
+    """The checkpoint's (mean, std) standardization, or None."""
     ns = doc.get("norm_stats")
     if ns is None:
         return None
-    return _decode_array(ns, "mean"), _decode_array(ns, "std")
+    mean, std = _decode_array(ns, "mean"), _decode_array(ns, "std")
+    want = (doc["architecture"]["input_dim"],)
+    if not (mean.shape == std.shape == want and np.isfinite(mean).all()
+            and np.isfinite(std).all() and (std > 0.0).all()):
+        raise CheckpointFormatError(f"norm_stats need finite mean and positive finite std "
+                                    f"of shape {want}, got {mean.shape} and {std.shape}")
+    return mean, std

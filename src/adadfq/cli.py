@@ -40,7 +40,7 @@ from .errors import AdadfqError, CheckpointFormatError, ConfigError, ContractErr
 from .game import TRACE_FIELDS, GameConfig, equilibrium_report, run_game
 from .nn import AdamOptimizer, ConditionalGenerator, make_mlp
 from .quant import QuantSpec, build_quantized_student
-from .tensor import Tensor, backward, log_softmax, zero_grads
+from .tensor import Tensor, backward, log_softmax, no_grad, zero_grads
 
 log = logging.getLogger("adadfq")
 
@@ -84,9 +84,12 @@ class RunConfig:
 
     def hidden_widths(self, raw: str) -> tuple[int, ...]:
         try:
-            return tuple(int(w) for w in raw.split(",") if w.strip())
+            widths = tuple(int(w) for w in raw.split(",") if w.strip())
         except ValueError:
             raise ConfigError(f"bad hidden-width list {raw!r}") from None
+        if any(w < 1 for w in widths):
+            raise ConfigError(f"hidden widths must be positive, got {raw!r}")
+        return widths
 
     def config_hash(self) -> str:
         canon = "\n".join(f"{f.name}={getattr(self, f.name)}" for f in fields(self))
@@ -142,7 +145,14 @@ def parse_config(path: str | None) -> RunConfig:
                 raise ConfigError(
                     f"{path}:{line_no}: cannot parse {value!r} as {types[key].__name__}"
                 ) from None
-    cfg.game_config()  # validate hyperparameter combinations up front
+    # validate ranges and hyperparameter combinations before any compute
+    cfg.hidden_widths(cfg.teacher_hidden)
+    cfg.hidden_widths(cfg.gen_hidden)
+    try:
+        QuantSpec(bits=cfg.bits)
+        cfg.game_config()
+    except ContractError as e:
+        raise ConfigError(f"{path}: {e}") from None
     return cfg
 
 
@@ -167,8 +177,9 @@ def _build_dataset(cfg: RunConfig) -> tuple[Dataset, Dataset]:
 
 def _forward_batched(net, features: np.ndarray, batch: int = 256) -> np.ndarray:
     outs = []
-    for start in range(0, features.shape[0], batch):
-        outs.append(net.forward(Tensor(features[start : start + batch])).data)
+    with no_grad():
+        for start in range(0, features.shape[0], batch):
+            outs.append(net.forward(Tensor(features[start : start + batch])).data)
     return np.concatenate(outs)
 
 
@@ -380,7 +391,8 @@ def cmd_dfq(args) -> int:
     student.eval()
     dump_rng = SeededRng(cfg.seed ^ 0x5A5A5A5A)
     z, y = sample_noise_and_labels(dump_rng, cfg.sample_dump, cfg.noise_dim, num_classes)
-    samples = generator.forward(z, y).data
+    with no_grad():
+        samples = generator.forward(z, y).data
     with ckpt.atomic_writer(os.path.join(args.out_dir, "samples.csv")) as fh:
         writer = csv.writer(fh)
         writer.writerow(["sample_index", "label"] + [f"x{i}" for i in range(input_dim)])

@@ -5,17 +5,22 @@ generator takes one ascent step on its objective over a fresh (noise, label)
 batch. (b) With the updated generator frozen, the student takes one descent
 step on the calibration loss over a second fresh batch; reusing the
 generator's batch would couple the two objectives' expectations, so each
-player gets its own draw. The teacher is never touched.
+player gets its own draw. The teacher is never touched: ``run_game`` freezes
+its parameters, so gradients flow through it to the samples but no teacher
+weight gradient is computed.
 
 The trajectory gains are measured on unnormalized disagreement entropy
 H_info(p_ds): delta_g is the change in the batch mean across the generator's
 parameter update (re-evaluated on the same batch (a)), delta_q the change
 across the student's update on batch (b). Near equilibrium the two roughly
-cancel. Measurement forwards run in eval mode and mutate nothing; each pre
-measurement is taken after the training forward (which folds the batch into
-BN running statistics or activation-range EMAs) and immediately before the
-optimizer step, so a delta reflects the parameter update alone and a zero
-learning rate yields a delta of exactly zero.
+cancel. Measurement forwards run in eval mode under ``no_grad`` and mutate
+nothing; each pre measurement is taken after the training forward (which
+folds the batch into BN running statistics or activation-range EMAs) and
+immediately before the optimizer step, so a delta reflects the parameter
+update alone and a zero learning rate yields a delta of exactly zero. The
+student's pair reuses step (b)'s eval-mode sample and teacher logits, which
+the student's update leaves as they are, so an iteration runs four generator
+and four teacher forwards.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from .data import SeededRng, sample_noise_and_labels
 from .errors import ContractError, NumericError
 from .nn import AdamOptimizer, ConditionalGenerator, MlpNetwork, SgdMomentum
 from .quant import QuantizedMlp
-from .tensor import Tensor, backward, zero_grads
+from .tensor import Tensor, backward, no_grad, zero_grads
 
 
 @dataclass
@@ -89,13 +94,19 @@ class TraceRow:
 TRACE_FIELDS = [f.name for f in fields(TraceRow)]
 
 
-def _mean_disagreement_entropy(g: ConditionalGenerator, p: MlpNetwork,
-                               q: QuantizedMlp, z: Tensor, y: Tensor) -> float:
-    """Batch-mean H_info(p_ds) with every network in eval mode; mutates nothing."""
-    x = Tensor(g.forward(z, y).data)
-    z_p = p.forward(x)
-    z_q = q.forward(x)
-    h = info_entropy(disagreement_vector(z_p, z_q))
+def _eval_sample(g: ConditionalGenerator, p: MlpNetwork,
+                 z: Tensor, y: Tensor) -> tuple[Tensor, Tensor]:
+    """Samples for (z, y) and the teacher's logits on them, as constants."""
+    with no_grad():
+        x = g.forward(z, y)
+        return x, p.forward(x)
+
+
+def _mean_disagreement_entropy(x: Tensor, z_p: Tensor, q: QuantizedMlp) -> float:
+    """Batch-mean H_info(p_ds) of the eval-mode student on ``x`` against the
+    teacher's logits ``z_p``; records no graph and mutates nothing."""
+    with no_grad():
+        h = info_entropy(disagreement_vector(z_p, q.forward(x)))
     return float(h.data.mean())
 
 
@@ -129,24 +140,24 @@ def game_iteration(g: ConditionalGenerator, p: MlpNetwork, q: QuantizedMlp,
     # statistics, so the difference below is purely the parameter update (and
     # is exactly zero at a zero learning rate).
     g.eval()
-    h_pre_g = _mean_disagreement_entropy(g, p, q, z1, y1)
+    h_pre_g = _mean_disagreement_entropy(*_eval_sample(g, p, z1, y1), q)
     zero_grads(g.parameters())
     backward(gen_loss)
     gen_opt.step()
-    h_post_g = _mean_disagreement_entropy(g, p, q, z1, y1)
+    h_post_g = _mean_disagreement_entropy(*_eval_sample(g, p, z1, y1), q)
 
     # per-sample diagnostics from the training batch, before the student moves
-    h_prime = normalize_entropy(info_entropy(disagreement_vector(z_p, z_q)), num_classes)
+    with no_grad():
+        h_prime = normalize_entropy(info_entropy(disagreement_vector(z_p, z_q)), num_classes)
     kinds = classify_samples(z_p.data, z_q.data, y1.data)
 
     # ---- (b) student calibration step --------------------------------------
     z2, y2 = sample_noise_and_labels(rng, config.batch_size, config.noise_dim, num_classes)
-    x2 = Tensor(g.forward(z2, y2).data)  # generator frozen: sample is a constant
+    x2, z_p2 = _eval_sample(g, p, z2, y2)  # shared with the measurement pair
     if not np.all(np.isfinite(x2.data)):
         raise NumericError(f"non-finite generated samples at iteration {iteration}")
 
     q.train()
-    z_p2 = p.forward(x2)
     z_q2 = q.forward(x2)  # observes this batch into the activation-range EMAs
     cal_loss = calibration_objective(z_p2, z_q2, num_classes)
     if config.aux_ce_weight != 0.0:
@@ -159,11 +170,11 @@ def game_iteration(g: ConditionalGenerator, p: MlpNetwork, q: QuantizedMlp,
     # As above: ranges are already observed, so the pair isolates the descent
     # step on the latent weights.
     q.eval()
-    h_pre_q = _mean_disagreement_entropy(g, p, q, z2, y2)
+    h_pre_q = _mean_disagreement_entropy(x2, z_p2, q)
     zero_grads(q.parameters())
     backward(cal_loss)
     cal_opt.step()
-    h_post_q = _mean_disagreement_entropy(g, p, q, z2, y2)
+    h_post_q = _mean_disagreement_entropy(x2, z_p2, q)
 
     return TraceRow(
         iter=iteration,
@@ -192,8 +203,9 @@ def run_game(g: ConditionalGenerator, p: MlpNetwork, q: QuantizedMlp,
              config: GameConfig, row_callback=None) -> list[TraceRow]:
     """Run the full alternation; deterministic given the config seed.
 
-    ``row_callback``, when given, receives each TraceRow as it is produced so
-    long runs can stream their trace to disk.
+    Freezes the teacher's parameters for good. ``row_callback``, when
+    given, receives each TraceRow as it is produced so long runs can stream
+    their trace to disk.
     """
     rng = SeededRng(config.seed)
     gen_opt = AdamOptimizer(g.parameters(), lr=config.gen_lr, betas=config.gen_betas)
@@ -201,6 +213,9 @@ def run_game(g: ConditionalGenerator, p: MlpNetwork, q: QuantizedMlp,
                           momentum=config.cal_momentum,
                           weight_decay=config.cal_weight_decay, nesterov=True)
     p.eval()
+    for param in p.parameters():
+        param.requires_grad = False
+        param.zero_grad()
     trace: list[TraceRow] = []
     total = config.epochs * config.iterations_per_epoch
     for i in range(total):

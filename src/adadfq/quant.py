@@ -10,8 +10,11 @@ expected value in the tests was computed under this rule). Codes live in
 the training-time gradient is the clipping straight-through estimator: 1
 inside the range, 0 outside.
 
-Weight ranges are recomputed from the latent weights on every forward
-(dynamic per-tensor min/max). A degenerate range (min == max, e.g. a constant
+Weight ranges are the latent weights' dynamic per-tensor min/max. A
+QuantLinear memoizes its fake-quantized weight and STE mask against a copy
+of the latent weight and recomputes them only when the weight's bits change:
+once per optimizer step, with no invalidation call after a checkpoint load
+or an in-place write. A degenerate range (min == max, e.g. a constant
 tensor) passes through unquantized.
 
 The student is the teacher's MlpNetwork with each LinearLayer swapped for a
@@ -69,6 +72,10 @@ def quantize_array(x: np.ndarray, lo: float, hi: float, bits: int) -> np.ndarray
     return np.clip(codes, -half, half - 1.0)
 
 
+def _dequantize_unchecked(codes: np.ndarray, lo: float, hi: float, bits: int) -> np.ndarray:
+    return (codes + 2 ** (bits - 1)) * (hi - lo) / float(2 ** bits - 1) + lo
+
+
 def dequantize_array(codes: np.ndarray, lo: float, hi: float, bits: int) -> np.ndarray:
     if lo >= hi:
         raise DegenerateRangeError(f"quantization range [{lo}, {hi}] is degenerate")
@@ -76,7 +83,7 @@ def dequantize_array(codes: np.ndarray, lo: float, hi: float, bits: int) -> np.n
     codes = np.asarray(codes, dtype=np.float64)
     if np.any(codes < -half) or np.any(codes > half - 1):
         raise ContractError(f"code outside [{-half}, {half - 1}] for {bits}-bit grid")
-    return (codes + half) * (hi - lo) / float(2 ** bits - 1) + lo
+    return _dequantize_unchecked(codes, lo, hi, bits)
 
 
 def quantize_value(x: float, lo: float, hi: float, bits: int) -> int:
@@ -87,6 +94,20 @@ def dequantize_value(code: int, lo: float, hi: float, bits: int) -> float:
     return float(dequantize_array(np.float64(code), lo, hi, bits))
 
 
+def _fake_quant_arrays(x: np.ndarray, lo: float, hi: float, bits: int):
+    """Quantize-dequantize of ``x`` and its STE mask; needs ``lo < hi``.
+    quantize_array clips the codes, so no range check is needed."""
+    out = _dequantize_unchecked(quantize_array(x, lo, hi, bits), lo, hi, bits)
+    return out, (x >= lo) & (x <= hi)
+
+
+def _ste(x: Tensor, out_data: np.ndarray, mask: np.ndarray) -> Tensor:
+    def bw(g):
+        x._accum(g * mask)
+
+    return Tensor._op(out_data, (x,), bw)
+
+
 def fake_quant(x: Tensor, lo: float, hi: float, bits: int) -> Tensor:
     """quantize-dequantize forward with a clipping STE backward.
 
@@ -94,13 +115,7 @@ def fake_quant(x: Tensor, lo: float, hi: float, bits: int) -> Tensor:
     """
     if lo >= hi:
         return x
-    out_data = dequantize_array(quantize_array(x.data, lo, hi, bits), lo, hi, bits)
-    mask = (x.data >= lo) & (x.data <= hi)
-
-    def bw(g):
-        x._accum(g * mask)
-
-    return Tensor._op(out_data, (x,), bw)
+    return _ste(x, *_fake_quant_arrays(x.data, lo, hi, bits))
 
 
 @dataclass
@@ -128,6 +143,10 @@ class FakeQuantState:
         )
 
 
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 class QuantLinear:
     """Linear layer holding latent full-precision weights.
 
@@ -141,12 +160,23 @@ class QuantLinear:
         self.bias = Tensor(source.bias.data.copy(), requires_grad=True)
         self.spec = spec
         self.act_state = FakeQuantState()
+        self._memo: tuple | None = None  # (latent copy, weight data, STE mask)
+
+    def _quantized_weight(self) -> Tensor:
+        w = self.weight.data
+        if self._memo is None or not _same_bits(w, self._memo[0]):
+            lo, hi = float(w.min()), float(w.max())
+            if lo >= hi:
+                self._memo = (w.copy(), None, None)
+            else:
+                self._memo = (w.copy(), *_fake_quant_arrays(w, lo, hi, self.spec.bits))
+        _, out_data, mask = self._memo
+        if out_data is None:
+            return self.weight
+        return _ste(self.weight, out_data, mask)
 
     def forward(self, x: Tensor, observe: bool) -> Tensor:
-        lo = float(self.weight.data.min())
-        hi = float(self.weight.data.max())
-        wq = fake_quant(self.weight, lo, hi, self.spec.bits)
-        out = x.matmul(wq.T) + self.bias
+        out = x.matmul(self._quantized_weight().T) + self.bias
         if observe:
             self.act_state.observe(out.data, self.spec.act_ema_decay)
         if self.act_state.has_range:

@@ -9,13 +9,32 @@ and ``backward`` replays those closures in reverse topological order.
 Gradients accumulate: calling ``backward`` twice without ``zero_grad`` doubles
 them. This is deliberate (it is what makes shared subexpressions work) and is
 relied on by the optimizers, which always zero before a step.
+
+Inside ``with no_grad():`` operations record nothing: every result is a
+constant, with the same bits. Forwards that are only read run there.
 """
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
 from .errors import ContractError, DimensionError, NumericError
+
+
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no graph inside the block; nests, and restores on any exit."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -44,9 +63,10 @@ class Tensor:
 
     @staticmethod
     def _op(data: np.ndarray, parents, backward_fn) -> "Tensor":
-        """Build a graph node; collapses to a constant if no parent needs grad."""
+        """Build a graph node; collapses to a constant if no parent needs grad
+        or recording is off (``no_grad``)."""
         out = Tensor(data)
-        if any(p.requires_grad for p in parents):
+        if _grad_enabled and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward_fn = backward_fn
@@ -55,8 +75,9 @@ class Tensor:
     def _accum(self, g) -> None:
         if not self.requires_grad:
             return
-        g = _unbroadcast(np.asarray(g, dtype=np.float64), self.data.shape)
-        g = np.broadcast_to(g, self.data.shape)
+        g = np.asarray(g, dtype=np.float64)
+        if g.shape != self.data.shape:
+            g = np.broadcast_to(_unbroadcast(g, self.data.shape), self.data.shape)
         if self.grad is None:
             self.grad = np.array(g)
         else:
@@ -196,8 +217,10 @@ class Tensor:
             )
 
         def bw(g):
-            self._accum(g @ other.data.T)
-            other._accum(self.data.T @ g)
+            if self.requires_grad:
+                self._accum(g @ other.data.T)
+            if other.requires_grad:
+                other._accum(self.data.T @ g)
 
         return Tensor._op(self.data @ other.data, (self, other), bw)
 

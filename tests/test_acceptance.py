@@ -431,34 +431,66 @@ def test_criterion_8_data_free(tmp_path):
 # ---------------------------------------------------------------------------
 
 
+def _pipeline(base, cfg):
+    """All five commands at seed 1; returns the sha256 of the 13 files they
+    write."""
+    t = base / "teacher"
+    _run_cli(["train-teacher", "--config", str(cfg), "--seed", "1",
+              "--out-dir", str(t)])
+    _run_cli(["quantize", "--ckpt", str(t / "teacher.json"), "--bits", "3",
+              "--dataset", str(t / "test.csv"), "--out-dir", str(base / "q")])
+    _run_cli(["dfq", "--ckpt", str(t / "teacher.json"), "--config", str(cfg),
+              "--seed", "1", "--out-dir", str(base / "dfq")])
+    _run_cli(["eval", "--ckpt", str(base / "dfq" / "student_dfq_3bit.json"),
+              "--dataset", str(t / "test.csv"),
+              "--out", str(base / "eval.json")])
+    _run_cli(["report-similarity", "--samples", str(base / "dfq" / "samples.csv"),
+              "--ckpt", str(t / "teacher.json"),
+              "--student-ckpt", str(base / "dfq" / "student_dfq_3bit.json"),
+              "--out", str(base / "sim.csv")])
+    hashes = {}
+    for sub in ("teacher", "q", "dfq"):
+        for name, digest in _hash_dir(base / sub).items():
+            hashes[f"{sub}/{name}"] = digest
+    for name in ("eval.json", "sim.csv"):
+        hashes[name] = hashlib.sha256((base / name).read_bytes()).hexdigest()
+    return hashes
+
+
 def test_criterion_9_determinism(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(SHORT_CONFIG)
-
-    def pipeline(tag):
-        base = tmp_path / tag
-        t = base / "teacher"
-        _run_cli(["train-teacher", "--config", str(cfg), "--seed", "1",
-                  "--out-dir", str(t)])
-        _run_cli(["quantize", "--ckpt", str(t / "teacher.json"), "--bits", "3",
-                  "--dataset", str(t / "test.csv"), "--out-dir", str(base / "q")])
-        _run_cli(["dfq", "--ckpt", str(t / "teacher.json"), "--config", str(cfg),
-                  "--seed", "1", "--out-dir", str(base / "dfq")])
-        _run_cli(["eval", "--ckpt", str(base / "dfq" / "student_dfq_3bit.json"),
-                  "--dataset", str(t / "test.csv"),
-                  "--out", str(base / "eval.json")])
-        _run_cli(["report-similarity", "--samples", str(base / "dfq" / "samples.csv"),
-                  "--ckpt", str(t / "teacher.json"),
-                  "--student-ckpt", str(base / "dfq" / "student_dfq_3bit.json"),
-                  "--out", str(base / "sim.csv")])
-        hashes = {}
-        for sub in ("teacher", "q", "dfq"):
-            for name, digest in _hash_dir(base / sub).items():
-                hashes[f"{sub}/{name}"] = digest
-        for name in ("eval.json", "sim.csv"):
-            hashes[name] = hashlib.sha256((base / name).read_bytes()).hexdigest()
-        return hashes
-
-    ok = pipeline("a") == pipeline("b")
+    ok = _pipeline(tmp_path / "a", cfg) == _pipeline(tmp_path / "b", cfg)
     emit(9, "determinism", ok,
          "all five commands hash-identical across two runs")
+
+
+# The pipeline's bytes, recorded before the game's hot path was optimized.
+# Every later change meant to be bit-exact must reproduce them. Float results
+# may differ in the last bits under another numpy (and its bundled BLAS), so
+# the check runs only under the version they were recorded with.
+GOLDEN_NUMPY = "2.4.6"
+GOLDEN_SHA256 = {
+    "dfq/equilibrium.json": "461885dc62aa945a5211143fb53d622fdc65a666e714336ae2f3b31583310832",
+    "dfq/samples.csv": "3f16a0fb99147352ef8308aebb4ef01fe513b6295372cfd611cacf6429783d97",
+    "dfq/similarity.csv": "162700c1fca1eda8b31da70105e1289c3a50adde5e5415fadf3e9e65760bf6e9",
+    "dfq/student_dfq_3bit.json": "a13be1be8f888c1bbfc817dcea63450f49da08f94b8016c94a7e131d934f8d66",
+    "dfq/trace.csv": "fc8740cc4d4df490140b4f8ce3deb317c693985447ef9355590e8179578726d6",
+    "eval.json": "c39f06688fbdad6160e30fcd356d77f57ac83770f66cbd11104a50a13e8046a0",
+    "q/quantize_report.json": "56cc896b4ec67c9b7661d04ec4f5a5b44b462dead8e609639d8c16455b9da695",
+    "q/student_naive_3bit.json": "c400232b2f9c1ff9cc081e42521224733eb4d71bc97fbad6fc9cc50565f94dfb",
+    "sim.csv": "162700c1fca1eda8b31da70105e1289c3a50adde5e5415fadf3e9e65760bf6e9",
+    "teacher/teacher.json": "a2c06798e822594d4570f2166dc68050afa7ce6cfe93f509dac15efdc7ccddce",
+    "teacher/teacher_metrics.json": "3044788fce9c6708af885f8b5b1d14ab2e6fe2c32df80c816fc691c6111c9a0d",
+    "teacher/test.csv": "8416ccb853ff7c649d7ba3d07381d0a598eab111cc4930fae56fbc55733c2d29",
+    "teacher/train.csv": "e5fe62179f332e2f89b47d40f33023d72255ce23afec3b04a5bb9d39fe3b26dc",
+}
+
+
+@pytest.mark.skipif(np.__version__ != GOLDEN_NUMPY,
+                    reason=f"golden hashes were recorded with numpy {GOLDEN_NUMPY}, "
+                           f"this is numpy {np.__version__}")
+def test_pipeline_bytes_match_golden(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(SHORT_CONFIG)
+    assert _pipeline(tmp_path / "p", cfg) == GOLDEN_SHA256

@@ -123,7 +123,15 @@ class TestFormatErrors:
             load_checkpoint(path)
 
 
-# Mutations of a saved teacher (hidden=(16,): layers 0 linear, 1 BN, 3 linear).
+def _encoded(values) -> dict:
+    a = np.asarray(values, dtype=np.float64)
+    return {"shape": list(a.shape),
+            "data": base64.b64encode(a.astype("<f8").tobytes()).decode("ascii")}
+
+
+# Mutations of a saved checkpoint (hidden=(16,): layers 0 linear, 1 BN, 3
+# linear; input_dim 4). Those in STUDENT_MUTATIONS apply to a 3-bit student
+# with observed activation ranges, the rest to the teacher.
 STATE_MUTATIONS = {
     "deleted_parameter": lambda d: d["params"].pop("layers.0.weight"),
     "unknown_parameter": lambda d: d["params"].update(
@@ -136,15 +144,27 @@ STATE_MUTATIONS = {
         data=base64.b64encode(bytes(12)).decode("ascii")),
     "wrong_shape": lambda d: d["params"]["layers.0.weight"].update(shape=[4, 16]),
     "non_finite_value": lambda d: d["buffers"]["layers.1.running_var"].update(
-        data=base64.b64encode(np.full(16, np.nan).astype("<f8").tobytes()).decode("ascii")),
+        _encoded(np.full(16, np.nan))),
+    "missing_input_dim": lambda d: d["architecture"].pop("input_dim"),
+    "non_list_hidden": lambda d: d["architecture"].update(hidden="16"),
+    "short_norm_stats_mean": lambda d: d["norm_stats"].update(mean=_encoded([0.0, 0.0])),
+    "zero_norm_stats_std": lambda d: d["norm_stats"].update(std=_encoded(np.zeros(4))),
+    "missing_quant_bits": lambda d: d["quant"].pop("bits"),
+    "non_dict_act_range": lambda d: d["quant"]["act_ranges"].__setitem__(0, [0.0, 1.0]),
 }
+STUDENT_MUTATIONS = {"missing_quant_bits", "non_dict_act_range"}
 
 
 @pytest.mark.parametrize("mutation", sorted(STATE_MUTATIONS))
 def test_malformed_state_is_a_format_error(teacher, tmp_path, capsys, mutation):
-    net, hidden, stats, _ = teacher
+    net, hidden, stats, train = teacher
     path = tmp_path / "t.json"
-    save_teacher(path, net, hidden, norm_stats=stats)
+    if mutation in STUDENT_MUTATIONS:
+        student = build_quantized_student(net, QuantSpec(bits=3)).train()
+        student.forward(Tensor(train.features[:32]))
+        save_student(path, student.eval(), hidden, norm_stats=stats)
+    else:
+        save_teacher(path, net, hidden, norm_stats=stats)
     doc = json.loads(path.read_text())
     STATE_MUTATIONS[mutation](doc)
     path.write_text(json.dumps(doc))

@@ -302,6 +302,24 @@ class TestExitCodes:
         assert rc == 3
         assert len(capsys.readouterr().err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("command", ["train-teacher", "dfq"])
+    @pytest.mark.parametrize("line", ["teacher_hidden = 0,8", "gen_hidden = 16,-4",
+                                      "bits = 1", "batch_size = 1"],
+                             ids=["teacher_hidden", "gen_hidden", "bits", "batch_size"])
+    def test_out_of_range_config_is_usage_error(self, workdir, tmp_path, capsys,
+                                                command, line):
+        _, _, out = workdir
+        p = tmp_path / "c.cfg"
+        p.write_text(SMALL_CONFIG + line + "\n")
+        args = ["--config", str(p), "--out-dir", str(tmp_path / "out")]
+        if command == "dfq":
+            args += ["--ckpt", str(out / "teacher.json")]
+        rc = main([command] + args)
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_file_is_usage_error(self, tmp_path):
         rc = main(["train-teacher", "--config", "/does/not/exist.cfg",
                    "--out-dir", str(tmp_path)])

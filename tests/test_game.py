@@ -91,6 +91,12 @@ class TestRunGame:
         for k, v in teacher.named_buffers().items():
             np.testing.assert_array_equal(v, buf_before[k])
 
+    def test_teacher_frozen_without_gradients(self, teacher):
+        play(teacher, small_game_config())
+        for name, param in teacher.named_parameters().items():
+            assert not param.requires_grad, name
+            assert param.grad is None, name
+
     def test_both_players_move(self, teacher):
         config = small_game_config()
         rng = SeededRng(config.seed)

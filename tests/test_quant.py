@@ -1,13 +1,19 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adadfq import quant
+from adadfq.checkpoint import _load_state, save_student
 from adadfq.cli import RunConfig, evaluate_network, train_teacher_network
 from adadfq.data import apply_standardization, make_blobs, standardize
 from adadfq.errors import ContractError, DegenerateRangeError
+from adadfq.nn import LinearLayer, SgdMomentum
 from adadfq.quant import (
     FakeQuantState,
+    QuantLinear,
     QuantSpec,
     build_quantized_student,
     dequantize_array,
@@ -16,7 +22,7 @@ from adadfq.quant import (
     quantize_array,
     quantize_value,
 )
-from adadfq.tensor import Tensor, backward
+from adadfq.tensor import Tensor, backward, zero_grads
 
 
 class TestQuantizeValue:
@@ -171,3 +177,73 @@ class TestBuildQuantizedStudent:
         for name, buf in net.named_buffers().items():
             np.testing.assert_array_equal(s_buffers[name], buf)
             assert s_buffers[name] is not buf
+
+
+class TestWeightMemo:
+    """However the latent weight changed, a QuantLinear forward and backward
+    match a fresh fake_quant of it bit for bit."""
+
+    @staticmethod
+    def layer():
+        layer = QuantLinear(LinearLayer(5, 3, np.random.default_rng(0)), QuantSpec(bits=3))
+        x = Tensor(np.random.default_rng(1).normal(size=(4, 5)))
+        layer.forward(x, observe=False)  # fills the memo
+        return layer, x
+
+    @staticmethod
+    def assert_matches_fresh_quantization(layer, x):
+        w = layer.weight
+        fresh = fake_quant(w, float(w.data.min()), float(w.data.max()), layer.spec.bits)
+        expected = x.matmul(fresh.T) + layer.bias  # no activation range observed yet
+        out = layer.forward(x, observe=False)
+        np.testing.assert_array_equal(out.data, expected.data)
+        grads = []
+        for root in (out, expected):
+            zero_grads([w])
+            backward((root * root).sum())
+            grads.append(w.grad)
+        np.testing.assert_array_equal(grads[0], grads[1])
+
+    def test_after_sgd_step(self):
+        layer, x = self.layer()
+        opt = SgdMomentum([layer.weight, layer.bias], lr=0.5)
+        backward((layer.forward(x, observe=False) ** 2).sum())
+        opt.step()
+        self.assert_matches_fresh_quantization(layer, x)
+
+    def test_after_in_place_write(self):
+        layer, x = self.layer()
+        layer.weight.data[0, 0] = 2.0  # also moves the range's maximum
+        self.assert_matches_fresh_quantization(layer, x)
+        layer.weight.data[...] = layer.weight.data[::-1].copy()
+        self.assert_matches_fresh_quantization(layer, x)
+
+    def test_after_checkpoint_load(self, trained_teacher, tmp_path):
+        net, _, test = trained_teacher
+        x = Tensor(test.features[:8])
+        student = build_quantized_student(net, QuantSpec(bits=3))
+        other = build_quantized_student(net, QuantSpec(bits=3))
+        for p in other.parameters():
+            p.data *= 0.5
+        path = tmp_path / "s.json"
+        save_student(path, other, (64, 64))
+        student.forward(x)  # fills every memo
+        _load_state(student, json.loads(path.read_text()), path)
+        np.testing.assert_array_equal(student.forward(x).data, other.forward(x).data)
+        for layer in student.quant_linears():
+            h = Tensor(np.random.default_rng(2).normal(size=(4, layer.weight.data.shape[1])))
+            self.assert_matches_fresh_quantization(layer, h)
+
+    def test_weight_quantized_once_until_it_changes(self, monkeypatch):
+        layer, x = self.layer()
+        calls = []
+        original = quant._fake_quant_arrays
+        monkeypatch.setattr(quant, "_fake_quant_arrays",
+                            lambda *a: calls.append(1) or original(*a))
+        layer.forward(x, observe=False)
+        layer.forward(x, observe=False)
+        assert len(calls) == 0
+        layer.weight.data[1, 1] += 1e-3
+        layer.forward(x, observe=False)
+        layer.forward(x, observe=False)
+        assert len(calls) == 1

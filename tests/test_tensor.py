@@ -11,6 +11,7 @@ from adadfq.tensor import (
     concat_cols,
     entropy_rows,
     log_softmax,
+    no_grad,
     softmax,
     zero_grads,
 )
@@ -172,3 +173,30 @@ class TestMisc:
         b = Tensor(np.zeros(3), requires_grad=True)
         backward((x + b).sum())
         np.testing.assert_allclose(b.grad, [4.0, 4.0, 4.0])
+
+
+class TestNoGrad:
+    def test_records_no_node(self):
+        w = Tensor(np.arange(4.0).reshape(2, 2), requires_grad=True)
+        with no_grad():
+            out = (w @ w.T).relu().sum()
+        assert not out.requires_grad
+        assert out._parents == () and out._backward_fn is None
+        recorded = (w @ w.T).relu().sum()
+        assert recorded.requires_grad
+        np.testing.assert_array_equal(out.data, recorded.data)
+
+    def test_nests(self):
+        w = Tensor([1.0], requires_grad=True)
+        with no_grad():
+            with no_grad():
+                assert not (w * 2.0).requires_grad
+            assert not (w * 2.0).requires_grad
+        assert (w * 2.0).requires_grad
+
+    def test_restores_grad_mode_after_exception(self):
+        w = Tensor([1.0], requires_grad=True)
+        with pytest.raises(NumericError):
+            with no_grad():
+                softmax(Tensor([[np.inf, 0.0]]))
+        assert (w * 2.0).requires_grad
