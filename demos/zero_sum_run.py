@@ -30,7 +30,7 @@ train_raw, test_raw = make_blobs(4, 500, 8, 1.3, SEED)
 train, stats = standardize(train_raw)
 test = apply_standardization(test_raw, stats)
 
-teacher, _ = train_teacher_network(train, cfg)
+teacher = train_teacher_network(train, cfg)
 t_acc = evaluate_network(teacher, test)["accuracy"]
 print(f"teacher test accuracy: {t_acc:.3f}")
 

@@ -5,7 +5,9 @@ Parameter and buffer arrays are serialized as base64-wrapped little-endian
 logits round-trip without drift. Loads are strict: a checkpoint must hold
 exactly the network's parameters and buffers, with its shapes and finite
 values, and well-formed architecture, quant and norm_stats sections, or
-loading raises CheckpointFormatError.
+loading raises CheckpointFormatError. The architecture section is written
+from the network itself: the hidden widths are the output sizes of every
+linear layer but the last, so a saved file always matches its weights.
 
 Every file the package writes goes through ``atomic_writer``: a temp file in
 the target directory, renamed into place once it is complete.
@@ -91,17 +93,20 @@ def _load_state(net, doc: dict, path) -> None:
             target[...] = value
 
 
-def _save(path, kind: str, net, hidden, norm_stats, metadata, **sections) -> None:
-    """Write the document both checkpoint kinds share, plus ``sections``."""
+def _save(path, kind: str, net, norm_stats, metadata, **sections) -> None:
+    """Write the document both checkpoint kinds share, plus ``sections``.
+    The hidden widths are read off the network's ``.weight`` shapes."""
+    params = net.named_parameters()
+    widths = [p.shape[0] for k, p in params.items() if k.endswith(".weight")]
     doc = {
         "version": FORMAT_VERSION,
         "kind": kind,
         "architecture": {
             "input_dim": net.input_dim,
-            "hidden": list(hidden),
+            "hidden": widths[:-1],
             "num_classes": net.output_dim,
         },
-        "params": {k: _encode_array(v.data) for k, v in net.named_parameters().items()},
+        "params": {k: _encode_array(v.data) for k, v in params.items()},
         "buffers": {k: _encode_array(v) for k, v in net.named_buffers().items()},
         "metadata": metadata or {},
         **sections,
@@ -112,20 +117,18 @@ def _save(path, kind: str, net, hidden, norm_stats, metadata, **sections) -> Non
     atomic_write_text(path, json.dumps(doc, sort_keys=True))
 
 
-def save_teacher(path, net: MlpNetwork, hidden: tuple[int, ...],
-                 norm_stats=None, metadata: dict | None = None) -> None:
-    _save(path, "teacher", net, hidden, norm_stats, metadata)
+def save_teacher(path, net: MlpNetwork, norm_stats=None, metadata: dict | None = None) -> None:
+    _save(path, "teacher", net, norm_stats, metadata)
 
 
-def save_student(path, net: QuantizedMlp, hidden: tuple[int, ...],
-                 norm_stats=None, metadata: dict | None = None) -> None:
+def save_student(path, net: QuantizedMlp, norm_stats=None, metadata: dict | None = None) -> None:
     quant = {
         "bits": net.spec.bits,
         "act_ema_decay": net.spec.act_ema_decay,
         "act_ranges": [{"min": st.observed_min, "max": st.observed_max}
                        for st in net.act_states()],
     }
-    _save(path, "student", net, hidden, norm_stats, metadata, quant=quant)
+    _save(path, "student", net, norm_stats, metadata, quant=quant)
 
 
 def _read(path) -> dict:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import checkpoint as ckpt
-from .adaptability import GameHyperparams, disagreement_vector
+from .adaptability import GameHyperparams, cross_entropy_from_logits, disagreement_vector
 from .data import (
     Dataset,
     SeededRng,
@@ -38,9 +38,9 @@ from .data import (
 )
 from .errors import AdadfqError, CheckpointFormatError, ConfigError, ContractError, DataError
 from .game import TRACE_FIELDS, GameConfig, equilibrium_report, run_game
-from .nn import AdamOptimizer, ConditionalGenerator, make_mlp
+from .nn import AdamOptimizer, ConditionalGenerator, MlpNetwork, make_mlp
 from .quant import QuantSpec, build_quantized_student
-from .tensor import Tensor, backward, log_softmax, no_grad, zero_grads
+from .tensor import Tensor, backward, no_grad, zero_grads
 
 log = logging.getLogger("adadfq")
 
@@ -91,6 +91,20 @@ class RunConfig:
             raise ConfigError(f"hidden widths must be positive, got {raw!r}")
         return widths
 
+    def checked(self) -> "RunConfig":
+        """Return self once every value is in range; raise ConfigError otherwise."""
+        self.hidden_widths(self.teacher_hidden)
+        self.hidden_widths(self.gen_hidden)
+        for key, least in (("teacher_epochs", 1), ("teacher_batch", 2), ("sample_dump", 1)):
+            if getattr(self, key) < least:
+                raise ConfigError(f"{key} must be >= {least}, got {getattr(self, key)}")
+        try:
+            QuantSpec(bits=self.bits)
+            self.game_config()
+        except ContractError as e:
+            raise ConfigError(str(e)) from None
+        return self
+
     def config_hash(self) -> str:
         canon = "\n".join(f"{f.name}={getattr(self, f.name)}" for f in fields(self))
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
@@ -114,12 +128,11 @@ class RunConfig:
                 gamma=self.gamma,
             ),
             seed=self.seed,
-            bits=self.bits,
             aux_ce_weight=self.aux_ce,
         )
 
 
-def parse_config(path: str | None) -> RunConfig:
+def _read_config(path: str | None) -> RunConfig:
     cfg = RunConfig()
     if path is None:
         return cfg
@@ -145,15 +158,22 @@ def parse_config(path: str | None) -> RunConfig:
                 raise ConfigError(
                     f"{path}:{line_no}: cannot parse {value!r} as {types[key].__name__}"
                 ) from None
-    # validate ranges and hyperparameter combinations before any compute
-    cfg.hidden_widths(cfg.teacher_hidden)
-    cfg.hidden_widths(cfg.gen_hidden)
-    try:
-        QuantSpec(bits=cfg.bits)
-        cfg.game_config()
-    except ContractError as e:
-        raise ConfigError(f"{path}: {e}") from None
     return cfg
+
+
+def parse_config(path: str | None) -> RunConfig:
+    """The config file at ``path`` (the defaults for None), range-checked."""
+    return _read_config(path).checked()
+
+
+def _command_config(args) -> RunConfig:
+    """The command's config with its --seed and --bits applied, range-checked
+    as a whole before the command reads or writes anything."""
+    cfg = _read_config(getattr(args, "config", None))
+    for key in ("seed", "bits"):
+        if getattr(args, key, None) is not None:
+            setattr(cfg, key, getattr(args, key))
+    return cfg.checked()
 
 
 def _build_dataset(cfg: RunConfig) -> tuple[Dataset, Dataset]:
@@ -207,12 +227,12 @@ def evaluate_network(net, ds: Dataset) -> dict:
     }
 
 
-def train_teacher_network(train: Dataset, cfg: RunConfig):
+def train_teacher_network(train: Dataset, cfg: RunConfig) -> MlpNetwork:
     """Supervised pretraining of the full-precision network with label
     cross-entropy and Adam."""
     rng = SeededRng(cfg.seed)
-    hidden = cfg.hidden_widths(cfg.teacher_hidden)
-    net = make_mlp(train.dim, hidden, train.num_classes, rng.substream("teacher_init"))
+    net = make_mlp(train.dim, cfg.hidden_widths(cfg.teacher_hidden), train.num_classes,
+                   rng.substream("teacher_init"))
     opt = AdamOptimizer(net.parameters(), lr=cfg.teacher_lr)
     order_rng = rng.substream("teacher_order")
     onehot = np.eye(train.num_classes)[train.labels]
@@ -226,14 +246,12 @@ def train_teacher_network(train: Dataset, cfg: RunConfig):
                 continue  # batch norm needs at least two samples
             x = Tensor(train.features[idx])
             y = Tensor(onehot[idx])
-            logits = net.forward(x)
-            loss = -(y * log_softmax(logits)).sum(axis=1).mean()
+            loss = cross_entropy_from_logits(net.forward(x), y)
             zero_grads(net.parameters())
             backward(loss)
             opt.step()
         log.debug("teacher epoch %d done", epoch)
-    net.eval()
-    return net, hidden
+    return net.eval()
 
 
 def _write_json(path, obj) -> None:
@@ -249,9 +267,7 @@ def _dump_float(v: float) -> str:
 
 
 def cmd_train_teacher(args) -> int:
-    cfg = parse_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
+    cfg = _command_config(args)
     os.makedirs(args.out_dir, exist_ok=True)
     train_raw, test_raw = _build_dataset(cfg)
     save_csv(train_raw, os.path.join(args.out_dir, "train.csv"), cfg.label_column)
@@ -259,7 +275,7 @@ def cmd_train_teacher(args) -> int:
 
     train_std, stats = standardize(train_raw)
     test_std = apply_standardization(test_raw, stats)
-    net, hidden = train_teacher_network(train_std, cfg)
+    net = train_teacher_network(train_std, cfg)
 
     metrics = {
         "train": evaluate_network(net, train_std),
@@ -273,7 +289,7 @@ def cmd_train_teacher(args) -> int:
         "config_hash": cfg.config_hash(),
         "dataset": train_raw.provenance,
     }
-    ckpt.save_teacher(os.path.join(args.out_dir, "teacher.json"), net, hidden,
+    ckpt.save_teacher(os.path.join(args.out_dir, "teacher.json"), net,
                       norm_stats=stats, metadata=meta)
     _write_json(os.path.join(args.out_dir, "teacher_metrics.json"), metrics)
     print(json.dumps({"test_accuracy": metrics["test"]["accuracy"]}))
@@ -295,25 +311,24 @@ def _load_teacher(path: str):
 
 
 def cmd_quantize(args) -> int:
+    bits = _command_config(args).bits
     teacher, doc = _load_teacher(args.ckpt)
-    spec = QuantSpec(bits=args.bits)
-    student = build_quantized_student(teacher, spec)
+    student = build_quantized_student(teacher, QuantSpec(bits=bits))
 
     ds = _load_eval_dataset(args.dataset, args.label_column, doc)
     # Observe activation ranges over the provided data, then score in eval mode.
     _forward_batched(student.train(), ds.features)
     student.eval()
     report = {
-        "bits": args.bits,
+        "bits": bits,
         "naive_quantized": evaluate_network(student, ds),
         "teacher": evaluate_network(teacher, ds),
     }
     os.makedirs(args.out_dir, exist_ok=True)
-    hidden = doc["architecture"]["hidden"]
     ckpt.save_student(
-        os.path.join(args.out_dir, f"student_naive_{args.bits}bit.json"),
-        student, tuple(hidden), norm_stats=ckpt.norm_stats_from(doc),
-        metadata={"source": "naive", "bits": args.bits},
+        os.path.join(args.out_dir, f"student_naive_{bits}bit.json"),
+        student, norm_stats=ckpt.norm_stats_from(doc),
+        metadata={"source": "naive", "bits": bits},
     )
     _write_json(os.path.join(args.out_dir, "quantize_report.json"), report)
     print(json.dumps({
@@ -352,15 +367,9 @@ def _write_matrix_csv(path, matrix: np.ndarray) -> None:
 
 
 def cmd_dfq(args) -> int:
-    cfg = parse_config(args.config)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.bits is not None:
-        cfg.bits = args.bits
+    cfg = _command_config(args)
     teacher, doc = _load_teacher(args.ckpt)
-    arch = doc["architecture"]
-    num_classes = arch["num_classes"]
-    input_dim = arch["input_dim"]
+    num_classes, input_dim = teacher.output_dim, teacher.input_dim
 
     rng = SeededRng(cfg.seed)
     generator = ConditionalGenerator(
@@ -378,10 +387,9 @@ def cmd_dfq(args) -> int:
     report = equilibrium_report(trace, window)
     _write_json(os.path.join(args.out_dir, "equilibrium.json"), report.as_dict())
 
-    hidden = tuple(arch["hidden"])
     ckpt.save_student(
         os.path.join(args.out_dir, f"student_dfq_{cfg.bits}bit.json"),
-        student, hidden, norm_stats=ckpt.norm_stats_from(doc),
+        student, norm_stats=ckpt.norm_stats_from(doc),
         metadata={"source": "dfq", "bits": cfg.bits, "seed": cfg.seed,
                   "config_hash": cfg.config_hash()},
     )

@@ -37,7 +37,7 @@ from .adaptability import (
     disagreement_vector,
     generator_objective,
     info_entropy,
-    normalize_entropy,
+    normalized_disagreement_entropy,
 )
 from .data import SeededRng, sample_noise_and_labels
 from .errors import ContractError, NumericError
@@ -53,13 +53,11 @@ class GameConfig:
     batch_size: int = 16
     noise_dim: int = 64
     gen_lr: float = 1e-3
-    gen_betas: tuple[float, float] = (0.9, 0.999)
     cal_lr: float = 1e-4
     cal_momentum: float = 0.9
     cal_weight_decay: float = 1e-4
     hyper: GameHyperparams = field(default_factory=GameHyperparams)
     seed: int = 0
-    bits: int = 3
     aux_ce_weight: float = 0.0  # optional label cross-entropy during calibration
 
     def __post_init__(self):
@@ -148,7 +146,7 @@ def game_iteration(g: ConditionalGenerator, p: MlpNetwork, q: QuantizedMlp,
 
     # per-sample diagnostics from the training batch, before the student moves
     with no_grad():
-        h_prime = normalize_entropy(info_entropy(disagreement_vector(z_p, z_q)), num_classes)
+        h_prime = normalized_disagreement_entropy(z_p, z_q, num_classes)
     kinds = classify_samples(z_p.data, z_q.data, y1.data)
 
     # ---- (b) student calibration step --------------------------------------
@@ -208,10 +206,10 @@ def run_game(g: ConditionalGenerator, p: MlpNetwork, q: QuantizedMlp,
     their trace to disk.
     """
     rng = SeededRng(config.seed)
-    gen_opt = AdamOptimizer(g.parameters(), lr=config.gen_lr, betas=config.gen_betas)
+    gen_opt = AdamOptimizer(g.parameters(), lr=config.gen_lr)
     cal_opt = SgdMomentum(q.parameters(), lr=config.cal_lr,
                           momentum=config.cal_momentum,
-                          weight_decay=config.cal_weight_decay, nesterov=True)
+                          weight_decay=config.cal_weight_decay)
     p.eval()
     for param in p.parameters():
         param.requires_grad = False
@@ -239,23 +237,19 @@ class EquilibriumReport:
     hprime_max: float
     hprime_frac_in: float  # fraction of the batch inside [lambda_l, lambda_u]
     underfit: bool
-    overfit: bool
 
     def as_dict(self):
         return asdict(self)
 
 
-def equilibrium_report(trace: list[TraceRow], window: int,
-                       heldout_accuracy: list[float] | None = None) -> EquilibriumReport:
+def equilibrium_report(trace: list[TraceRow], window: int) -> EquilibriumReport:
     """Windowed summary over the last ``window`` iterations.
 
     The equilibrium flag checks that the generator's and student's entropy
     gains cancel: |mean(delta_g + delta_q)| < 0.25 * mean(|delta_g|).
     Underfit: the calibration loss stays high (> 0.5) and flat across the
     window (the means of its two halves differ by < 0.05; a one-row window
-    has no halves and is never flat). Overfit: the generator loss has
-    collapsed toward its floor while a supplied held-out accuracy series
-    degrades; without that series the flag stays off.
+    has no halves and is never flat). Every figure comes from the trace alone.
     """
     if not trace:
         raise ContractError("equilibrium_report needs a non-empty trace")
@@ -265,7 +259,6 @@ def equilibrium_report(trace: list[TraceRow], window: int,
     dg = np.array([r.delta_g for r in rows])
     dq = np.array([r.delta_q for r in rows])
     cal = np.array([r.loss_cal for r in rows])
-    gen = np.array([r.loss_gen for r in rows])
     hprime = np.array([[r.hprime_min, r.hprime_mean, r.hprime_max] for r in rows])
     frac_in = float(np.mean([r.hprime_frac_in for r in rows]))
 
@@ -276,12 +269,6 @@ def equilibrium_report(trace: list[TraceRow], window: int,
     half = window // 2
     flat = window >= 2 and abs(float(cal[:half].mean()) - float(cal[half:].mean())) < 0.05
     underfit = bool(float(cal.mean()) > 0.5 and flat)
-
-    overfit = False
-    if heldout_accuracy is not None and len(heldout_accuracy) >= 2:
-        gen_collapsed = float(np.abs(gen).mean()) < 1e-3
-        acc_degrading = heldout_accuracy[-1] < max(heldout_accuracy) - 0.01
-        overfit = bool(gen_collapsed and acc_degrading)
 
     return EquilibriumReport(
         window=window,
@@ -295,5 +282,4 @@ def equilibrium_report(trace: list[TraceRow], window: int,
         hprime_max=float(hprime[:, 2].max()),
         hprime_frac_in=frac_in,
         underfit=underfit,
-        overfit=overfit,
     )

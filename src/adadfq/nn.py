@@ -191,21 +191,19 @@ class SgdMomentum:
     """SGD with Nesterov momentum in the standard transformed-variable form:
 
         v <- mu * v + g
-        p <- p - lr * (g + mu * v)      (nesterov)
-        p <- p - lr * v                 (plain momentum)
+        p <- p - lr * (g + mu * v)
 
     This is the usual reformulation of lookahead Nesterov momentum that only
     needs the gradient at the current iterate. Weight decay is added to the
-    gradient before the momentum update.
+    gradient before the momentum update; at mu = 0 the step is plain SGD.
     """
 
     def __init__(self, params: list[Tensor], lr: float, momentum: float = 0.9,
-                 weight_decay: float = 0.0, nesterov: bool = True):
+                 weight_decay: float = 0.0):
         self.params = list(params)
         self.lr = lr
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.nesterov = nesterov
         self.velocity = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
@@ -216,10 +214,8 @@ class SgdMomentum:
             if self.momentum != 0.0:
                 v *= self.momentum
                 v += g
-                update = g + self.momentum * v if self.nesterov else v
-            else:
-                update = g
-            p.data -= self.lr * update
+                g = g + self.momentum * v
+            p.data -= self.lr * g
 
 
 class AdamOptimizer:

@@ -74,7 +74,7 @@ def _train_desk_teacher(seed):
                                      cfg.spread, seed)
     train, stats = standardize(train_raw)
     test = apply_standardization(test_raw, stats)
-    net, _ = train_teacher_network(train, cfg)
+    net = train_teacher_network(train, cfg)
     return net, train, test
 
 
@@ -88,7 +88,7 @@ def _naive_student(teacher, test):
 
 
 def _play(teacher, seed, hyper=None, **kw):
-    config_kw = dict(GAME_KW, seed=seed, bits=BITS)
+    config_kw = dict(GAME_KW, seed=seed)
     config_kw.update(kw)
     if hyper is not None:
         config_kw["hyper"] = hyper
@@ -468,10 +468,14 @@ def test_criterion_9_determinism(tmp_path):
 # The pipeline's bytes, recorded before the game's hot path was optimized.
 # Every later change meant to be bit-exact must reproduce them. Float results
 # may differ in the last bits under another numpy (and its bundled BLAS), so
-# the check runs only under the version they were recorded with.
+# the check runs only under the version they were recorded with. The
+# equilibrium.json hash was re-recorded once, when the report dropped its
+# over-fitting flag (always false: it needed held-out accuracy, which a
+# data-free run never has). With that key's line put back after
+# "mean_delta_sum" the file hashes to the original 461885dc... again.
 GOLDEN_NUMPY = "2.4.6"
 GOLDEN_SHA256 = {
-    "dfq/equilibrium.json": "461885dc62aa945a5211143fb53d622fdc65a666e714336ae2f3b31583310832",
+    "dfq/equilibrium.json": "ab46880c5cb264d0027b35697605266704ddd7f777d1e496269bfdf36cad2ee2",
     "dfq/samples.csv": "3f16a0fb99147352ef8308aebb4ef01fe513b6295372cfd611cacf6429783d97",
     "dfq/similarity.csv": "162700c1fca1eda8b31da70105e1289c3a50adde5e5415fadf3e9e65760bf6e9",
     "dfq/student_dfq_3bit.json": "a13be1be8f888c1bbfc817dcea63450f49da08f94b8016c94a7e131d934f8d66",

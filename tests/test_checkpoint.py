@@ -14,6 +14,7 @@ from adadfq.checkpoint import (
 from adadfq.cli import RunConfig, main, train_teacher_network
 from adadfq.data import make_blobs, standardize
 from adadfq.errors import CheckpointFormatError
+from adadfq.nn import make_mlp
 from adadfq.quant import QuantSpec, build_quantized_student
 from adadfq.tensor import Tensor
 
@@ -24,15 +25,14 @@ def teacher():
                     classes=3, per_class=40, dim=4)
     train_raw, _ = make_blobs(3, 40, 4, 1.3, 0)
     train, stats = standardize(train_raw)
-    net, hidden = train_teacher_network(train, cfg)
-    return net, hidden, stats, train
+    return train_teacher_network(train, cfg), stats, train
 
 
 class TestTeacherRoundTrip:
     def test_weights_bit_exact(self, teacher, tmp_path):
-        net, hidden, stats, _ = teacher
+        net, stats, _ = teacher
         path = tmp_path / "t.json"
-        save_teacher(path, net, hidden, norm_stats=stats)
+        save_teacher(path, net, norm_stats=stats)
         loaded, doc = load_checkpoint(path)
         for name, p in net.named_parameters().items():
             np.testing.assert_array_equal(loaded.named_parameters()[name].data, p.data)
@@ -40,26 +40,26 @@ class TestTeacherRoundTrip:
             np.testing.assert_array_equal(loaded.named_buffers()[name], b)
 
     def test_logits_drift_free(self, teacher, tmp_path):
-        net, hidden, stats, train = teacher
+        net, stats, train = teacher
         path = tmp_path / "t.json"
-        save_teacher(path, net, hidden, norm_stats=stats)
+        save_teacher(path, net, norm_stats=stats)
         loaded, _ = load_checkpoint(path)
         x = Tensor(train.features[:16])
         np.testing.assert_array_equal(loaded.forward(x).data, net.forward(x).data)
 
     def test_norm_stats_round_trip(self, teacher, tmp_path):
-        net, hidden, stats, _ = teacher
+        net, stats, _ = teacher
         path = tmp_path / "t.json"
-        save_teacher(path, net, hidden, norm_stats=stats)
+        save_teacher(path, net, norm_stats=stats)
         _, doc = load_checkpoint(path)
         mean, std = norm_stats_from(doc)
         np.testing.assert_array_equal(mean, stats[0])
         np.testing.assert_array_equal(std, stats[1])
 
     def test_metadata_preserved(self, teacher, tmp_path):
-        net, hidden, _, _ = teacher
+        net, _, _ = teacher
         path = tmp_path / "t.json"
-        save_teacher(path, net, hidden, metadata={"note": "x", "seed": 5})
+        save_teacher(path, net, metadata={"note": "x", "seed": 5})
         _, doc = load_checkpoint(path)
         assert doc["metadata"] == {"note": "x", "seed": 5}
         assert norm_stats_from(doc) is None
@@ -67,13 +67,13 @@ class TestTeacherRoundTrip:
 
 class TestStudentRoundTrip:
     def test_quant_state_restored_frozen(self, teacher, tmp_path):
-        net, hidden, _, train = teacher
+        net, _, train = teacher
         student = build_quantized_student(net, QuantSpec(bits=3))
         student.train()
         student.forward(Tensor(train.features[:64]))
         student.eval()
         path = tmp_path / "s.json"
-        save_student(path, student, hidden)
+        save_student(path, student)
         loaded, doc = load_checkpoint(path)
         assert doc["kind"] == "student"
         assert loaded.spec.bits == 3
@@ -84,6 +84,18 @@ class TestStudentRoundTrip:
         np.testing.assert_array_equal(loaded.forward(x).data, student.forward(x).data)
         for net in (student, loaded):
             assert [(st.observed_min, st.observed_max) for st in net.act_states()] == ranges
+
+
+def test_architecture_is_read_off_the_network(tmp_path):
+    net = make_mlp(4, (5, 3), 2, np.random.default_rng(0))
+    for save, kind, model in ((save_teacher, "teacher", net),
+                              (save_student, "student",
+                               build_quantized_student(net, QuantSpec(bits=3)))):
+        path = tmp_path / f"{kind}.json"
+        save(path, model)
+        arch = json.loads(path.read_text())["architecture"]
+        assert arch == {"input_dim": 4, "hidden": [5, 3], "num_classes": 2}
+        load_checkpoint(path)
 
 
 class TestFormatErrors:
@@ -113,9 +125,9 @@ class TestFormatErrors:
             load_checkpoint(path)
 
     def test_student_without_quant_section(self, teacher, tmp_path):
-        net, hidden, _, _ = teacher
+        net, _, _ = teacher
         path = tmp_path / "s.json"
-        save_teacher(path, net, hidden)
+        save_teacher(path, net)
         doc = json.loads(path.read_text())
         doc["kind"] = "student"
         path.write_text(json.dumps(doc))
@@ -157,14 +169,14 @@ STUDENT_MUTATIONS = {"missing_quant_bits", "non_dict_act_range"}
 
 @pytest.mark.parametrize("mutation", sorted(STATE_MUTATIONS))
 def test_malformed_state_is_a_format_error(teacher, tmp_path, capsys, mutation):
-    net, hidden, stats, train = teacher
+    net, stats, train = teacher
     path = tmp_path / "t.json"
     if mutation in STUDENT_MUTATIONS:
         student = build_quantized_student(net, QuantSpec(bits=3)).train()
         student.forward(Tensor(train.features[:32]))
-        save_student(path, student.eval(), hidden, norm_stats=stats)
+        save_student(path, student.eval(), norm_stats=stats)
     else:
-        save_teacher(path, net, hidden, norm_stats=stats)
+        save_teacher(path, net, norm_stats=stats)
     doc = json.loads(path.read_text())
     STATE_MUTATIONS[mutation](doc)
     path.write_text(json.dumps(doc))

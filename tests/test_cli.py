@@ -304,8 +304,10 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["train-teacher", "dfq"])
     @pytest.mark.parametrize("line", ["teacher_hidden = 0,8", "gen_hidden = 16,-4",
-                                      "bits = 1", "batch_size = 1"],
-                             ids=["teacher_hidden", "gen_hidden", "bits", "batch_size"])
+                                      "bits = 1", "batch_size = 1", "teacher_batch = 0",
+                                      "teacher_epochs = -1", "sample_dump = 0"],
+                             ids=["teacher_hidden", "gen_hidden", "bits", "batch_size",
+                                  "teacher_batch", "teacher_epochs", "sample_dump"])
     def test_out_of_range_config_is_usage_error(self, workdir, tmp_path, capsys,
                                                 command, line):
         _, _, out = workdir
@@ -318,6 +320,22 @@ class TestExitCodes:
         assert rc == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["quantize", "dfq"])
+    def test_command_line_bits_are_range_checked(self, workdir, tmp_path, capsys, command):
+        _, cfg_path, out = workdir
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")  # loading it first would exit 3
+        args = ["--ckpt", str(bad), "--bits", "1", "--out-dir", str(tmp_path / "out")]
+        if command == "quantize":
+            args += ["--dataset", str(out / "test.csv")]
+        else:
+            args += ["--config", str(cfg_path)]
+        rc = main([command] + args)
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "bit width" in err[0]
         assert not (tmp_path / "out").exists()
 
     def test_missing_config_file_is_usage_error(self, tmp_path):

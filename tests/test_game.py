@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from adadfq.cli import RunConfig, train_teacher_network
+from adadfq.cli import RunConfig, parse_config, train_teacher_network
 from adadfq.data import SeededRng, make_blobs, standardize
 from adadfq.errors import ContractError
 from adadfq.game import (
@@ -25,13 +25,12 @@ def teacher():
                     classes=3, per_class=60, dim=4)
     train_raw, _ = make_blobs(3, 60, 4, 1.3, 0)
     train, _ = standardize(train_raw)
-    net, _ = train_teacher_network(train, cfg)
-    return net
+    return train_teacher_network(train, cfg)
 
 
 def small_game_config(**kw):
     base = dict(epochs=2, iterations_per_epoch=5, batch_size=8,
-                noise_dim=16, seed=0, bits=3, cal_lr=1e-3)
+                noise_dim=16, seed=0, cal_lr=1e-3)
     base.update(kw)
     return GameConfig(**base)
 
@@ -41,7 +40,7 @@ def play(teacher, config):
     g = ConditionalGenerator(config.noise_dim, teacher.output_dim,
                              teacher.input_dim, rng.substream("generator_init"),
                              hidden=(16, 16))
-    q = build_quantized_student(teacher, QuantSpec(bits=config.bits))
+    q = build_quantized_student(teacher, QuantSpec(bits=3))
     return run_game(g, teacher, q, config), g, q
 
 
@@ -103,7 +102,7 @@ class TestRunGame:
         g = ConditionalGenerator(config.noise_dim, teacher.output_dim,
                                  teacher.input_dim, rng.substream("generator_init"),
                                  hidden=(16, 16))
-        q = build_quantized_student(teacher, QuantSpec(bits=config.bits))
+        q = build_quantized_student(teacher, QuantSpec(bits=3))
         g_before = [p.data.copy() for p in g.parameters()]
         q_before = [p.data.copy() for p in q.parameters()]
         run_game(g, teacher, q, config)
@@ -117,7 +116,7 @@ class TestRunGame:
         g = ConditionalGenerator(config.noise_dim, teacher.output_dim,
                                  teacher.input_dim, rng.substream("generator_init"),
                                  hidden=(16, 16))
-        q = build_quantized_student(teacher, QuantSpec(bits=config.bits))
+        q = build_quantized_student(teacher, QuantSpec(bits=3))
         trace = run_game(g, teacher, q, config, row_callback=seen.append)
         assert seen == trace
 
@@ -134,7 +133,7 @@ class TestRunGame:
         g = ConditionalGenerator(config.noise_dim, teacher.output_dim,
                                  teacher.input_dim, rng.substream("generator_init"),
                                  hidden=(16, 16))
-        q = build_quantized_student(teacher, QuantSpec(bits=config.bits))
+        q = build_quantized_student(teacher, QuantSpec(bits=3))
         g_before = [p.data.copy() for p in g.parameters()]
         q_before = [p.data.copy() for p in q.parameters()]
         trace = run_game(g, teacher, q, config)
@@ -155,9 +154,19 @@ class TestRunGame:
                                  hidden=(16, 16))
         # poison the output-layer bias so generated samples are non-finite
         g.parameters()[-1].data[...] = np.nan
-        q = build_quantized_student(teacher, QuantSpec(bits=config.bits))
+        q = build_quantized_student(teacher, QuantSpec(bits=3))
         with pytest.raises(AdadfqError):
             run_game(g, teacher, q, config)
+
+    def test_aux_ce_weight_adds_to_calibration_loss_only(self, teacher, tmp_path):
+        cfg_path = tmp_path / "c.cfg"
+        cfg_path.write_text("aux_ce = 0.5\n")
+        assert parse_config(str(cfg_path)).game_config().aux_ce_weight == 0.5
+        plain, _, _ = play(teacher, small_game_config(epochs=1, iterations_per_epoch=1))
+        aux, _, _ = play(teacher, small_game_config(epochs=1, iterations_per_epoch=1,
+                                                    aux_ce_weight=0.5))
+        assert aux[0].loss_gen == plain[0].loss_gen  # step (a) ignores the weight
+        assert aux[0].loss_cal > plain[0].loss_cal
 
     def test_config_validation(self):
         with pytest.raises(ContractError):
@@ -204,11 +213,12 @@ class TestEquilibriumReport:
             rep = equilibrium_report(trace, 1)
         assert not rep.underfit
 
-    def test_overfit_needs_heldout_series(self):
-        trace = [fake_row(i, loss_gen=0.0) for i in range(8)]
-        assert not equilibrium_report(trace, 8).overfit
-        rep = equilibrium_report(trace, 8, heldout_accuracy=[0.9, 0.95, 0.8])
-        assert rep.overfit
+    def test_report_reads_only_the_trace(self):
+        rep = equilibrium_report([fake_row(i) for i in range(8)], 8)
+        assert list(rep.as_dict()) == [
+            "window", "mean_delta_g", "mean_delta_q", "mean_delta_sum",
+            "mean_abs_delta_g", "equilibrium", "hprime_min", "hprime_mean",
+            "hprime_max", "hprime_frac_in", "underfit"]
 
     def test_window_validation(self):
         trace = [fake_row(i) for i in range(4)]

@@ -137,7 +137,7 @@ def trained_teacher():
     train_raw, test_raw = make_blobs(4, 200, 8, 1.3, 0)
     train, stats = standardize(train_raw)
     test = apply_standardization(test_raw, stats)
-    net, _ = train_teacher_network(train, cfg)
+    net = train_teacher_network(train, cfg)
     return net, train, test
 
 
@@ -226,7 +226,7 @@ class TestWeightMemo:
         for p in other.parameters():
             p.data *= 0.5
         path = tmp_path / "s.json"
-        save_student(path, other, (64, 64))
+        save_student(path, other)
         student.forward(x)  # fills every memo
         _load_state(student, json.loads(path.read_text()), path)
         np.testing.assert_array_equal(student.forward(x).data, other.forward(x).data)
