@@ -14,7 +14,7 @@ import numpy as np
 
 from adadfq.cli import RunConfig, evaluate_network, train_teacher_network
 from adadfq.data import SeededRng, make_blobs, standardize, apply_standardization
-from adadfq.game import GameConfig, equilibrium_report, run_game
+from adadfq.game import equilibrium_report, run_game
 from adadfq.nn import ConditionalGenerator
 from adadfq.quant import QuantSpec, build_quantized_student
 from adadfq.tensor import Tensor
@@ -59,7 +59,7 @@ rng = SeededRng(SEED)
 generator = ConditionalGenerator(64, 4, 8, rng.substream("generator_init"))
 student = build_quantized_student(teacher, QuantSpec(bits=3))
 
-game_cfg = GameConfig(epochs=24, iterations_per_epoch=50, seed=SEED, cal_lr=1e-3)
+game_cfg = RunConfig(epochs=24, iterations_per_epoch=50, seed=SEED, cal_lr=1e-3)
 trace = run_game(generator, teacher, student, game_cfg)
 
 print("\n  window   mean dG   mean dQ   dG+dQ    cal loss")

@@ -6,7 +6,6 @@ calibrated on those samples without ever touching the original training data.
 """
 
 from .adaptability import (
-    GameHyperparams,
     agreement_vector,
     calibration_objective,
     classify_samples,
@@ -20,8 +19,9 @@ from .adaptability import (
     margin_terms,
     normalize_entropy,
 )
+from .config import RunConfig
 from .data import SeededRng, load_csv, make_blobs, make_rings, sample_noise_and_labels
-from .game import EquilibriumReport, GameConfig, TraceRow, equilibrium_report, run_game
+from .game import EquilibriumReport, TraceRow, equilibrium_report, run_game
 from .nn import (
     AdamOptimizer,
     BatchNormLayer,
@@ -43,8 +43,8 @@ from .tensor import Tensor, backward, check_gradients, log_softmax, softmax
 
 __all__ = [
     "AdamOptimizer", "BatchNormLayer", "ConditionalGenerator", "EquilibriumReport",
-    "FakeQuantState", "GameConfig", "GameHyperparams", "LinearLayer", "MlpNetwork",
-    "QuantSpec", "SeededRng", "SgdMomentum", "Tensor", "TraceRow",
+    "FakeQuantState", "LinearLayer", "MlpNetwork", "QuantSpec", "RunConfig", "SeededRng",
+    "SgdMomentum", "Tensor", "TraceRow",
     "agreement_vector", "backward", "build_quantized_student",
     "calibration_objective", "check_gradients", "classify_samples",
     "dequantize_value", "disagreement_vector", "equilibrium_report", "fake_quant",

@@ -22,10 +22,9 @@ batch mean of ``1 - h'``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .config import RunConfig
 from .errors import ConfigError, ContractError, DimensionError
 from .nn import BatchNormLayer
 from .tensor import Tensor, entropy_rows, log_softmax, softmax
@@ -35,25 +34,6 @@ AGREEMENT = "agreement"
 TEACHER_WRONG = "teacher_wrong"
 
 _DEGENERATE_EPS = 1e-12
-
-
-@dataclass
-class GameHyperparams:
-    alpha_ds: float = 0.2
-    alpha_as: float = 0.1
-    lambda_l: float = 0.1
-    lambda_u: float = 0.8
-    beta: float = 1.0
-    gamma: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.lambda_l < self.lambda_u <= 1.0:
-            raise ConfigError(
-                f"need 0 <= lambda_l < lambda_u <= 1, got ({self.lambda_l}, {self.lambda_u})"
-            )
-        for name in ("alpha_ds", "alpha_as", "beta", "gamma"):
-            if getattr(self, name) < 0.0:
-                raise ConfigError(f"{name} must be nonnegative")
 
 
 def _check_same_shape(z_p: Tensor, z_q: Tensor) -> None:
@@ -188,8 +168,14 @@ def loss_bns(bn_inputs: list[Tensor], bn_layers: list[BatchNormLayer]) -> Tensor
 
 def generator_objective(z_p: Tensor, z_q: Tensor, y: Tensor,
                         bn_inputs: list[Tensor], bn_layers: list[BatchNormLayer],
-                        hp: GameHyperparams, num_classes: int) -> Tensor:
-    """Scalar the generator ascends; the training loop minimizes its negation."""
+                        hp: RunConfig, num_classes: int) -> Tensor:
+    """Scalar the generator ascends; the training loop minimizes its negation.
+
+    ``hp`` is the run configuration; the objective reads the paper's six
+    hyperparameters off it: the margin bounds ``lambda_l``/``lambda_u``, the
+    balance weights ``alpha_ds``/``alpha_as`` and the term weights ``beta``
+    (balance) and ``gamma`` (BN statistics). A zero weight drops its term.
+    """
     h_prime = normalized_disagreement_entropy(z_p, z_q, num_classes)
     score = margin_terms(h_prime, hp.lambda_l, hp.lambda_u)
     if hp.beta != 0.0:

@@ -10,13 +10,15 @@ from the network itself: the hidden widths are the output sizes of every
 linear layer but the last, so a saved file always matches its weights.
 
 Every file the package writes goes through ``atomic_writer``: a temp file in
-the target directory, renamed into place once it is complete.
+the target directory, renamed into place once it is complete. Every CSV file
+goes through ``write_csv``, the one place that decides the float text format.
 """
 
 from __future__ import annotations
 
 import base64
 import contextlib
+import csv
 import json
 import math
 import os
@@ -68,6 +70,18 @@ def atomic_writer(path):
 def atomic_write_text(path, text: str) -> None:
     with atomic_writer(path) as fh:
         fh.write(text)
+
+
+def write_csv(path, rows, header=None) -> None:
+    """Write ``rows`` (and ``header`` first, when given) as one CSV file.
+    Python ints are written as they are; every other value as
+    ``repr(float(v))``, which reads back bit-exactly."""
+    with atomic_writer(path) as fh:
+        writer = csv.writer(fh)
+        if header is not None:
+            writer.writerow(header)
+        for row in rows:
+            writer.writerow([v if isinstance(v, int) else repr(float(v)) for v in row])
 
 
 def _load_state(net, doc: dict, path) -> None:

@@ -1,4 +1,4 @@
-"""Command-line entry points, configuration, and report emission.
+"""Command-line entry points and report emission.
 
 Subcommands: train-teacher, quantize, dfq, eval, report-similarity.
 Exit codes: 0 success, 2 usage/config errors, 3 runtime/numeric errors.
@@ -13,17 +13,16 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import checkpoint as ckpt
-from .adaptability import GameHyperparams, cross_entropy_from_logits, disagreement_vector
+from .adaptability import cross_entropy_from_logits, disagreement_vector
+from .config import RunConfig, _read_config, parse_config  # noqa: F401 (parse_config re-exported)
 from .data import (
     Dataset,
     SeededRng,
@@ -37,7 +36,7 @@ from .data import (
     stratified_split,
 )
 from .errors import AdadfqError, CheckpointFormatError, ConfigError, ContractError, DataError
-from .game import TRACE_FIELDS, GameConfig, equilibrium_report, run_game
+from .game import TRACE_FIELDS, equilibrium_report, run_game
 from .nn import AdamOptimizer, ConditionalGenerator, MlpNetwork, make_mlp
 from .quant import QuantSpec, build_quantized_student
 from .tensor import Tensor, backward, no_grad, zero_grads
@@ -45,135 +44,14 @@ from .tensor import Tensor, backward, no_grad, zero_grads
 log = logging.getLogger("adadfq")
 
 
-@dataclass
-class RunConfig:
-    """Flat, human-editable run configuration; unspecified fields keep the
-    defaults below. Unknown keys are rejected before any compute."""
-
-    dataset: str = "blobs"
-    csv_path: str = ""
-    label_column: str = "label"
-    classes: int = 4
-    per_class: int = 500
-    dim: int = 8
-    spread: float = 1.3
-    teacher_hidden: str = "64,64"
-    teacher_epochs: int = 60
-    teacher_lr: float = 1e-3
-    teacher_batch: int = 64
-    bits: int = 3
-    epochs: int = 400
-    iterations_per_epoch: int = 50
-    batch_size: int = 16
-    noise_dim: int = 64
-    embed_dim: int = 8
-    gen_hidden: str = "64,64"
-    gen_lr: float = 1e-3
-    cal_lr: float = 1e-4
-    cal_momentum: float = 0.9
-    cal_weight_decay: float = 1e-4
-    alpha_ds: float = 0.2
-    alpha_as: float = 0.1
-    lambda_l: float = 0.1
-    lambda_u: float = 0.8
-    beta: float = 1.0
-    gamma: float = 1.0
-    aux_ce: float = 0.0
-    sample_dump: int = 64
-    seed: int = 0
-
-    def hidden_widths(self, raw: str) -> tuple[int, ...]:
-        try:
-            widths = tuple(int(w) for w in raw.split(",") if w.strip())
-        except ValueError:
-            raise ConfigError(f"bad hidden-width list {raw!r}") from None
-        if any(w < 1 for w in widths):
-            raise ConfigError(f"hidden widths must be positive, got {raw!r}")
-        return widths
-
-    def checked(self) -> "RunConfig":
-        """Return self once every value is in range; raise ConfigError otherwise."""
-        self.hidden_widths(self.teacher_hidden)
-        self.hidden_widths(self.gen_hidden)
-        for key, least in (("teacher_epochs", 1), ("teacher_batch", 2), ("sample_dump", 1)):
-            if getattr(self, key) < least:
-                raise ConfigError(f"{key} must be >= {least}, got {getattr(self, key)}")
-        try:
-            QuantSpec(bits=self.bits)
-            self.game_config()
-        except ContractError as e:
-            raise ConfigError(str(e)) from None
-        return self
-
-    def config_hash(self) -> str:
-        canon = "\n".join(f"{f.name}={getattr(self, f.name)}" for f in fields(self))
-        return hashlib.sha256(canon.encode()).hexdigest()[:16]
-
-    def game_config(self) -> GameConfig:
-        return GameConfig(
-            epochs=self.epochs,
-            iterations_per_epoch=self.iterations_per_epoch,
-            batch_size=self.batch_size,
-            noise_dim=self.noise_dim,
-            gen_lr=self.gen_lr,
-            cal_lr=self.cal_lr,
-            cal_momentum=self.cal_momentum,
-            cal_weight_decay=self.cal_weight_decay,
-            hyper=GameHyperparams(
-                alpha_ds=self.alpha_ds,
-                alpha_as=self.alpha_as,
-                lambda_l=self.lambda_l,
-                lambda_u=self.lambda_u,
-                beta=self.beta,
-                gamma=self.gamma,
-            ),
-            seed=self.seed,
-            aux_ce_weight=self.aux_ce,
-        )
-
-
-def _read_config(path: str | None) -> RunConfig:
-    cfg = RunConfig()
-    if path is None:
-        return cfg
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"config file not found: {path}")
-    known = {f.name: f.type for f in fields(RunConfig)}
-    types = {f.name: type(getattr(cfg, f.name)) for f in fields(RunConfig)}
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{line_no}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key not in known:
-                raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
-            try:
-                setattr(cfg, key, types[key](value))
-            except ValueError:
-                raise ConfigError(
-                    f"{path}:{line_no}: cannot parse {value!r} as {types[key].__name__}"
-                ) from None
-    return cfg
-
-
-def parse_config(path: str | None) -> RunConfig:
-    """The config file at ``path`` (the defaults for None), range-checked."""
-    return _read_config(path).checked()
-
-
 def _command_config(args) -> RunConfig:
     """The command's config with its --seed and --bits applied, range-checked
     as a whole before the command reads or writes anything."""
-    cfg = _read_config(getattr(args, "config", None))
+    values = _read_config(getattr(args, "config", None))
     for key in ("seed", "bits"):
         if getattr(args, key, None) is not None:
-            setattr(cfg, key, getattr(args, key))
-    return cfg.checked()
+            values[key] = getattr(args, key)
+    return RunConfig(**values)
 
 
 def _build_dataset(cfg: RunConfig) -> tuple[Dataset, Dataset]:
@@ -258,18 +136,14 @@ def _write_json(path, obj) -> None:
     ckpt.atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _dump_float(v: float) -> str:
-    return repr(float(v))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
 def cmd_train_teacher(args) -> int:
     cfg = _command_config(args)
-    os.makedirs(args.out_dir, exist_ok=True)
     train_raw, test_raw = _build_dataset(cfg)
+    os.makedirs(args.out_dir, exist_ok=True)
     save_csv(train_raw, os.path.join(args.out_dir, "train.csv"), cfg.label_column)
     save_csv(test_raw, os.path.join(args.out_dir, "test.csv"), cfg.label_column)
 
@@ -338,17 +212,6 @@ def cmd_quantize(args) -> int:
     return 0
 
 
-def _write_trace_csv(path, rows) -> None:
-    with ckpt.atomic_writer(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_FIELDS)
-        for r in rows:
-            d = r.as_dict()
-            writer.writerow([
-                d[k] if isinstance(d[k], int) else _dump_float(d[k]) for k in TRACE_FIELDS
-            ])
-
-
 def _pds_matrix(teacher, student, features: np.ndarray) -> np.ndarray:
     z_p = _forward_batched(teacher, features)
     z_q = _forward_batched(student, features)
@@ -357,13 +220,6 @@ def _pds_matrix(teacher, student, features: np.ndarray) -> np.ndarray:
 
 def _l1_similarity(pds: np.ndarray) -> np.ndarray:
     return np.abs(pds[:, None, :] - pds[None, :, :]).sum(axis=2)
-
-
-def _write_matrix_csv(path, matrix: np.ndarray) -> None:
-    with ckpt.atomic_writer(path) as fh:
-        writer = csv.writer(fh)
-        for row in matrix:
-            writer.writerow([_dump_float(v) for v in row])
 
 
 def cmd_dfq(args) -> int:
@@ -379,9 +235,9 @@ def cmd_dfq(args) -> int:
     student = build_quantized_student(teacher, QuantSpec(bits=cfg.bits))
 
     os.makedirs(args.out_dir, exist_ok=True)
-    game_cfg = cfg.game_config()
-    trace = run_game(generator, teacher, student, game_cfg)
-    _write_trace_csv(os.path.join(args.out_dir, "trace.csv"), trace)
+    trace = run_game(generator, teacher, student, cfg)
+    ckpt.write_csv(os.path.join(args.out_dir, "trace.csv"),
+                   (r.as_dict().values() for r in trace), header=TRACE_FIELDS)
 
     window = max(1, len(trace) // 4)
     report = equilibrium_report(trace, window)
@@ -401,14 +257,13 @@ def cmd_dfq(args) -> int:
     z, y = sample_noise_and_labels(dump_rng, cfg.sample_dump, cfg.noise_dim, num_classes)
     with no_grad():
         samples = generator.forward(z, y).data
-    with ckpt.atomic_writer(os.path.join(args.out_dir, "samples.csv")) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_index", "label"] + [f"x{i}" for i in range(input_dim)])
-        for i, (row, label) in enumerate(zip(samples, np.argmax(y.data, axis=1))):
-            writer.writerow([i, int(label)] + [_dump_float(v) for v in row])
+    labels = np.argmax(y.data, axis=1).tolist()
+    ckpt.write_csv(os.path.join(args.out_dir, "samples.csv"),
+                   ([i, labels[i], *row] for i, row in enumerate(samples)),
+                   header=["sample_index", "label"] + [f"x{i}" for i in range(input_dim)])
 
     pds = _pds_matrix(teacher, student, samples)
-    _write_matrix_csv(os.path.join(args.out_dir, "similarity.csv"), _l1_similarity(pds))
+    ckpt.write_csv(os.path.join(args.out_dir, "similarity.csv"), _l1_similarity(pds))
 
     print(json.dumps({
         "iterations": len(trace),
@@ -448,7 +303,7 @@ def cmd_report_similarity(args) -> int:
             f"sample dump width {features.shape[1]} does not match network input {teacher.input_dim}"
         )
     pds = _pds_matrix(teacher, student, features)
-    _write_matrix_csv(args.out, _l1_similarity(pds))
+    ckpt.write_csv(args.out, _l1_similarity(pds))
     print(json.dumps({"samples": int(features.shape[0]), "out": args.out}))
     return 0
 

@@ -1,0 +1,130 @@
+"""The run configuration: every setting of the lab, declared and checked once.
+
+``RunConfig`` is the only settings object. The commands build it from a
+config file plus their ``--seed``/``--bits`` options, and the game reads it
+directly: its step sizes, its batch shape and the paper's six game
+hyperparameters (the margin bounds ``lambda_l``/``lambda_u`` and the loss
+weights ``alpha_ds``, ``alpha_as``, ``beta``, ``gamma``) under their
+config-key names. The record is frozen and range-checked when it is made,
+so every ``RunConfig`` that exists, whether it came from a file, the command
+line, a test or a demo, is in range.
+
+Config files are flat ``key = value`` lines; ``#`` starts a comment.
+Unknown keys, values that do not parse as the key's type and out-of-range
+values raise ConfigError.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+from dataclasses import dataclass, fields
+
+from .errors import ConfigError
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Flat, human-editable run configuration; unspecified fields keep the
+    defaults below. The field order is part of ``config_hash``."""
+
+    dataset: str = "blobs"
+    csv_path: str = ""
+    label_column: str = "label"
+    classes: int = 4
+    per_class: int = 500
+    dim: int = 8
+    spread: float = 1.3
+    teacher_hidden: str = "64,64"
+    teacher_epochs: int = 60
+    teacher_lr: float = 1e-3
+    teacher_batch: int = 64
+    bits: int = 3
+    epochs: int = 400
+    iterations_per_epoch: int = 50
+    batch_size: int = 16
+    noise_dim: int = 64
+    embed_dim: int = 8
+    gen_hidden: str = "64,64"
+    gen_lr: float = 1e-3
+    cal_lr: float = 1e-4
+    cal_momentum: float = 0.9
+    cal_weight_decay: float = 1e-4
+    alpha_ds: float = 0.2
+    alpha_as: float = 0.1
+    lambda_l: float = 0.1
+    lambda_u: float = 0.8
+    beta: float = 1.0
+    gamma: float = 1.0
+    aux_ce: float = 0.0  # weight of the label cross-entropy added to calibration
+    sample_dump: int = 64
+    seed: int = 0
+
+    def __post_init__(self):
+        self.hidden_widths(self.teacher_hidden)
+        self.hidden_widths(self.gen_hidden)
+        if self.bits < 2:
+            raise ConfigError(f"bit width must be >= 2, got {self.bits}")
+        for key, least in (("teacher_epochs", 1), ("teacher_batch", 2), ("epochs", 1),
+                           ("iterations_per_epoch", 1), ("batch_size", 2), ("noise_dim", 1),
+                           ("embed_dim", 1), ("sample_dump", 1)):
+            if getattr(self, key) < least:
+                raise ConfigError(f"{key} must be >= {least}, got {getattr(self, key)}")
+        for key in ("teacher_lr", "gen_lr", "cal_lr", "cal_weight_decay",
+                    "alpha_ds", "alpha_as", "beta", "gamma", "aux_ce"):
+            if not getattr(self, key) >= 0.0:  # NaN fails too
+                raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
+        if not 0.0 <= self.cal_momentum < 1.0:
+            raise ConfigError(f"cal_momentum must be in [0, 1), got {self.cal_momentum}")
+        if not 0.0 <= self.lambda_l < self.lambda_u <= 1.0:
+            raise ConfigError(
+                f"need 0 <= lambda_l < lambda_u <= 1, got ({self.lambda_l}, {self.lambda_u})"
+            )
+
+    def hidden_widths(self, raw: str) -> tuple[int, ...]:
+        try:
+            widths = tuple(int(w) for w in raw.split(",") if w.strip())
+        except ValueError:
+            raise ConfigError(f"bad hidden-width list {raw!r}") from None
+        if any(w < 1 for w in widths):
+            raise ConfigError(f"hidden widths must be positive, got {raw!r}")
+        return widths
+
+    def config_hash(self) -> str:
+        canon = "\n".join(f"{f.name}={getattr(self, f.name)}" for f in fields(self))
+        return hashlib.sha256(canon.encode()).hexdigest()[:16]
+
+
+def _read_config(path: str | None) -> dict:
+    """The settings of the config file at ``path`` (none for None), each
+    parsed to its key's type; ranges are checked by ``RunConfig`` itself."""
+    values = {}
+    if path is None:
+        return values
+    if not os.path.exists(path):
+        raise FileNotFoundError(f"config file not found: {path}")
+    types = {f.name: type(f.default) for f in fields(RunConfig)}
+    with open(path) as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{line_no}: expected 'key = value'")
+            key, _, value = line.partition("=")
+            key = key.strip()
+            value = value.strip()
+            if key not in types:
+                raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
+            try:
+                values[key] = types[key](value)
+            except ValueError:
+                raise ConfigError(
+                    f"{path}:{line_no}: cannot parse {value!r} as {types[key].__name__}"
+                ) from None
+    return values
+
+
+def parse_config(path: str | None) -> RunConfig:
+    """The config file at ``path`` (the defaults for None), range-checked."""
+    return RunConfig(**_read_config(path))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import atomic_writer
+from .checkpoint import write_csv
 from .errors import ConfigError, DataError
 from .tensor import Tensor
 
@@ -158,11 +158,8 @@ def apply_standardization(ds: Dataset, stats: tuple[np.ndarray, np.ndarray]) -> 
 
 
 def save_csv(ds: Dataset, path, label_column: str = "label") -> None:
-    with atomic_writer(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i}" for i in range(ds.dim)] + [label_column])
-        for row, label in zip(ds.features, ds.labels):
-            writer.writerow([repr(float(v)) for v in row] + [int(label)])
+    write_csv(path, ([*row, int(label)] for row, label in zip(ds.features, ds.labels)),
+              header=[f"x{i}" for i in range(ds.dim)] + [label_column])
 
 
 def load_csv(path, label_column: str = "label",

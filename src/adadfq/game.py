@@ -25,12 +25,11 @@ and four teacher forwards.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from .adaptability import (
-    GameHyperparams,
     calibration_objective,
     classify_samples,
     cross_entropy_from_logits,
@@ -39,30 +38,12 @@ from .adaptability import (
     info_entropy,
     normalized_disagreement_entropy,
 )
+from .config import RunConfig
 from .data import SeededRng, sample_noise_and_labels
 from .errors import ContractError, NumericError
 from .nn import AdamOptimizer, ConditionalGenerator, MlpNetwork, SgdMomentum
 from .quant import QuantizedMlp
 from .tensor import Tensor, backward, no_grad, zero_grads
-
-
-@dataclass
-class GameConfig:
-    epochs: int = 400
-    iterations_per_epoch: int = 50
-    batch_size: int = 16
-    noise_dim: int = 64
-    gen_lr: float = 1e-3
-    cal_lr: float = 1e-4
-    cal_momentum: float = 0.9
-    cal_weight_decay: float = 1e-4
-    hyper: GameHyperparams = field(default_factory=GameHyperparams)
-    seed: int = 0
-    aux_ce_weight: float = 0.0  # optional label cross-entropy during calibration
-
-    def __post_init__(self):
-        if self.epochs < 1 or self.iterations_per_epoch < 1 or self.batch_size < 2:
-            raise ContractError("epochs/iterations must be >= 1 and batch_size >= 2")
 
 
 @dataclass
@@ -110,10 +91,9 @@ def _mean_disagreement_entropy(x: Tensor, z_p: Tensor, q: QuantizedMlp) -> float
 
 def game_iteration(g: ConditionalGenerator, p: MlpNetwork, q: QuantizedMlp,
                    gen_opt: AdamOptimizer, cal_opt: SgdMomentum,
-                   config: GameConfig, rng: SeededRng, iteration: int) -> TraceRow:
+                   config: RunConfig, rng: SeededRng, iteration: int) -> TraceRow:
     """One generator ascent step plus one student calibration step."""
     num_classes = p.output_dim
-    hp = config.hyper
 
     # ---- (a) generator step ------------------------------------------------
     z1, y1 = sample_noise_and_labels(rng, config.batch_size, config.noise_dim, num_classes)
@@ -126,7 +106,8 @@ def game_iteration(g: ConditionalGenerator, p: MlpNetwork, q: QuantizedMlp,
         raise NumericError(f"non-finite generated samples at iteration {iteration}")
     z_p = p.forward(x)
     z_q = q.forward(x)  # student params fixed; gradient still flows through x
-    score = generator_objective(z_p, z_q, y1, p.bn_inputs, p.bn_layers(), hp, num_classes)
+    score = generator_objective(z_p, z_q, y1, p.bn_inputs, p.bn_layers(), config,
+                                num_classes)
     gen_loss = -score
     if not np.isfinite(gen_loss.data):
         raise NumericError(
@@ -158,8 +139,8 @@ def game_iteration(g: ConditionalGenerator, p: MlpNetwork, q: QuantizedMlp,
     q.train()
     z_q2 = q.forward(x2)  # observes this batch into the activation-range EMAs
     cal_loss = calibration_objective(z_p2, z_q2, num_classes)
-    if config.aux_ce_weight != 0.0:
-        cal_loss = cal_loss + config.aux_ce_weight * cross_entropy_from_logits(z_q2, y2)
+    if config.aux_ce != 0.0:
+        cal_loss = cal_loss + config.aux_ce * cross_entropy_from_logits(z_q2, y2)
     if not np.isfinite(cal_loss.data):
         raise NumericError(
             f"non-finite calibration loss at iteration {iteration}: {float(cal_loss.data)}"
@@ -192,14 +173,23 @@ def game_iteration(g: ConditionalGenerator, p: MlpNetwork, q: QuantizedMlp,
         hprime_mean=float(h_prime.data.mean()),
         hprime_max=float(h_prime.data.max()),
         hprime_frac_in=float(
-            ((h_prime.data >= hp.lambda_l) & (h_prime.data <= hp.lambda_u)).mean()
+            ((h_prime.data >= config.lambda_l) & (h_prime.data <= config.lambda_u)).mean()
         ),
     )
 
 
 def run_game(g: ConditionalGenerator, p: MlpNetwork, q: QuantizedMlp,
-             config: GameConfig, row_callback=None) -> list[TraceRow]:
+             config: RunConfig, row_callback=None) -> list[TraceRow]:
     """Run the full alternation; deterministic given the config seed.
+
+    Reads the game's settings straight off the run configuration: ``epochs``
+    times ``iterations_per_epoch`` iterations over batches of ``batch_size``
+    noise vectors of width ``noise_dim``; Adam at ``gen_lr`` for the
+    generator; SGD with ``cal_lr``, ``cal_momentum`` and ``cal_weight_decay``
+    for the student, whose calibration loss adds ``aux_ce`` times the label
+    cross-entropy; the six paper hyperparameters for the generator's
+    objective; and ``seed`` for the noise and label streams. The other keys
+    (dataset, teacher, generator architecture, bit width) are the caller's.
 
     Freezes the teacher's parameters for good. ``row_callback``, when
     given, receives each TraceRow as it is produced so long runs can stream

@@ -18,7 +18,6 @@ import pytest
 from conftest import argmin_entropy_row, fd_check_skip_rows
 
 from adadfq.adaptability import (
-    GameHyperparams,
     calibration_objective,
     disagreement_vector,
     generator_objective,
@@ -37,7 +36,7 @@ from adadfq.data import (
     make_blobs,
     standardize,
 )
-from adadfq.game import GameConfig, run_game
+from adadfq.game import run_game
 from adadfq.nn import BatchNormLayer, ConditionalGenerator
 from adadfq.quant import (
     QuantSpec,
@@ -87,12 +86,8 @@ def _naive_student(teacher, test):
     return q
 
 
-def _play(teacher, seed, hyper=None, **kw):
-    config_kw = dict(GAME_KW, seed=seed)
-    config_kw.update(kw)
-    if hyper is not None:
-        config_kw["hyper"] = hyper
-    config = GameConfig(**config_kw)
+def _play(teacher, seed, **kw):
+    config = RunConfig(**{**GAME_KW, "seed": seed, **kw})
     rng = SeededRng(seed)
     g = ConditionalGenerator(config.noise_dim, teacher.output_dim,
                              teacher.input_dim, rng.substream("generator_init"))
@@ -103,10 +98,10 @@ def _play(teacher, seed, hyper=None, **kw):
 
 
 DESK_VARIANTS = {
-    "full": GameHyperparams(),
-    "no_lambda": GameHyperparams(lambda_l=0.0, lambda_u=1.0),
-    "no_ds": GameHyperparams(alpha_ds=0.0),
-    "no_as": GameHyperparams(alpha_as=0.0),
+    "full": {},
+    "no_lambda": dict(lambda_l=0.0, lambda_u=1.0),
+    "no_ds": dict(alpha_ds=0.0),
+    "no_as": dict(alpha_as=0.0),
 }
 
 
@@ -122,7 +117,7 @@ def _desk_game(seed, name):
         res["teacher_acc"] = evaluate_network(teacher, test)["accuracy"]
         res["naive_acc"] = evaluate_network(_naive_student(teacher, test),
                                             test)["accuracy"]
-    trace, student = _play(teacher, seed, hyper=DESK_VARIANTS[name])
+    trace, student = _play(teacher, seed, **DESK_VARIANTS[name])
     res["acc"] = evaluate_network(student, test)["accuracy"]
     if name == "full":
         res["trace"] = trace
@@ -275,7 +270,7 @@ def test_criterion_3_gradient_suite():
             zp = x2 @ Tensor(w_p)
             zq = x2 @ Tensor(w_q)
             return generator_objective(zp, zq, Tensor(np.eye(4)[np.arange(6) % 4]),
-                                       [x2], [layer], GameHyperparams(), 4)
+                                       [x2], [layer], RunConfig(), 4)
 
         def cal_loss():
             return calibration_objective(x2 @ Tensor(w_p), x2 @ Tensor(w_q), 4)

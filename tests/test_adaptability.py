@@ -7,7 +7,6 @@ from adadfq.adaptability import (
     AGREEMENT,
     DISAGREEMENT,
     TEACHER_WRONG,
-    GameHyperparams,
     agreement_vector,
     calibration_objective,
     classify_samples,
@@ -23,6 +22,7 @@ from adadfq.adaptability import (
     normalize_entropy,
     normalized_disagreement_entropy,
 )
+from adadfq.config import RunConfig
 from adadfq.errors import ConfigError, ContractError, DimensionError
 from adadfq.nn import BatchNormLayer
 from adadfq.tensor import Tensor, check_gradients, softmax
@@ -208,7 +208,7 @@ class TestObjectives:
         rng = np.random.default_rng(6)
         z_p, z_q = rand_logits(rng), rand_logits(rng)
         y = Tensor(np.eye(4)[[0, 1, 2, 3, 0, 1]])
-        hp_off = GameHyperparams(beta=0.0, gamma=0.0)
+        hp_off = RunConfig(beta=0.0, gamma=0.0)
         score = generator_objective(z_p, z_q, y, [], [], hp_off, 4)
         h_prime = normalized_disagreement_entropy(z_p, z_q, 4)
         expected = margin_terms(h_prime, hp_off.lambda_l, hp_off.lambda_u)
@@ -221,15 +221,15 @@ class TestObjectives:
         rng = np.random.default_rng(7)
         z_p, z_q = rand_logits(rng), rand_logits(rng)
         y = Tensor(np.eye(4)[[0, 1, 2, 3, 0, 1]])
-        hp = GameHyperparams(lambda_l=0.0, lambda_u=1.0, beta=0.0, gamma=0.0)
+        hp = RunConfig(lambda_l=0.0, lambda_u=1.0, beta=0.0, gamma=0.0)
         score = generator_objective(z_p, z_q, y, [], [], hp, 4)
         assert float(score.data) == 0.0
 
     def test_hyperparams_validation(self):
         with pytest.raises(ConfigError):
-            GameHyperparams(lambda_l=0.9, lambda_u=0.1)
+            RunConfig(lambda_l=0.9, lambda_u=0.1)
         with pytest.raises(ConfigError):
-            GameHyperparams(alpha_ds=-0.1)
+            RunConfig(alpha_ds=-0.1)
 
 
 class TestGradients:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -5,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+import adadfq
 from adadfq.cli import RunConfig, evaluate_network, main, parse_config
 from adadfq.data import Dataset
 from adadfq.errors import ConfigError
@@ -77,6 +79,24 @@ class TestParseConfig:
     def test_config_hash_sensitivity(self):
         assert RunConfig().config_hash() != RunConfig(bits=4).config_hash()
         assert RunConfig().config_hash() == RunConfig().config_hash()
+
+    def test_default_config_hash_is_pinned(self):
+        # the hash covers every field by name and order, so moving, renaming
+        # or reordering a key changes every recorded config_hash
+        assert RunConfig().config_hash() == "e11716b0ba9a6ac7"
+
+    def test_every_key_parses(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_text("".join(f"{f.name} = {f.default}\n" for f in dataclasses.fields(RunConfig)))
+        assert parse_config(str(p)) == RunConfig()
+
+    def test_config_is_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            RunConfig().bits = 1
+
+
+def test_package_exports_resolve():
+    assert all(hasattr(adadfq, name) for name in adadfq.__all__)
 
 
 class TestTrainTeacher:
@@ -305,9 +325,14 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["train-teacher", "dfq"])
     @pytest.mark.parametrize("line", ["teacher_hidden = 0,8", "gen_hidden = 16,-4",
                                       "bits = 1", "batch_size = 1", "teacher_batch = 0",
-                                      "teacher_epochs = -1", "sample_dump = 0"],
+                                      "teacher_epochs = -1", "sample_dump = 0",
+                                      "noise_dim = 0", "embed_dim = 0", "teacher_lr = -1",
+                                      "gen_lr = -1", "cal_lr = -1", "cal_momentum = 1.5",
+                                      "cal_weight_decay = -1", "aux_ce = -1"],
                              ids=["teacher_hidden", "gen_hidden", "bits", "batch_size",
-                                  "teacher_batch", "teacher_epochs", "sample_dump"])
+                                  "teacher_batch", "teacher_epochs", "sample_dump",
+                                  "noise_dim", "embed_dim", "teacher_lr", "gen_lr", "cal_lr",
+                                  "cal_momentum", "cal_weight_decay", "aux_ce"])
     def test_out_of_range_config_is_usage_error(self, workdir, tmp_path, capsys,
                                                 command, line):
         _, _, out = workdir
@@ -367,6 +392,16 @@ class TestExitCodes:
                        "--out-dir", str(tmp_path / "out")])
         assert rc == 2
         assert "/missing/data.csv" in err.getvalue()
+        assert not (tmp_path / "out").exists()
+
+    def test_single_class_dataset_is_usage_error(self, tmp_path, capsys):
+        p = tmp_path / "c.cfg"
+        p.write_text("classes = 1\n")
+        rc = main(["train-teacher", "--config", str(p), "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert not (tmp_path / "out").exists()
 
     def test_missing_dataset_is_usage_error(self, workdir):
         _, _, out = workdir

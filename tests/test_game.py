@@ -6,11 +6,10 @@ import pytest
 
 from adadfq.cli import RunConfig, parse_config, train_teacher_network
 from adadfq.data import SeededRng, make_blobs, standardize
-from adadfq.errors import ContractError
+from adadfq.errors import ConfigError, ContractError
 from adadfq.game import (
     TRACE_FIELDS,
     EquilibriumReport,
-    GameConfig,
     TraceRow,
     equilibrium_report,
     run_game,
@@ -28,11 +27,11 @@ def teacher():
     return train_teacher_network(train, cfg)
 
 
-def small_game_config(**kw):
+def small_config(**kw):
     base = dict(epochs=2, iterations_per_epoch=5, batch_size=8,
                 noise_dim=16, seed=0, cal_lr=1e-3)
     base.update(kw)
-    return GameConfig(**base)
+    return RunConfig(**base)
 
 
 def play(teacher, config):
@@ -46,30 +45,30 @@ def play(teacher, config):
 
 class TestRunGame:
     def test_trace_length_and_epochs(self, teacher):
-        trace, _, _ = play(teacher, small_game_config())
+        trace, _, _ = play(teacher, small_config())
         assert len(trace) == 10
         assert [r.iter for r in trace] == list(range(10))
         assert [r.epoch for r in trace] == [0] * 5 + [1] * 5
 
     def test_trace_rows_cover_schema(self, teacher):
-        trace, _, _ = play(teacher, small_game_config())
+        trace, _, _ = play(teacher, small_config())
         d = trace[0].as_dict()
         assert list(d.keys()) == TRACE_FIELDS
 
     def test_counts_partition_batch(self, teacher):
-        trace, _, _ = play(teacher, small_game_config())
+        trace, _, _ = play(teacher, small_config())
         for r in trace:
             assert r.n_disagree + r.n_agree + r.n_teacher_wrong == 8
 
     def test_hprime_stats_ordered_and_bounded(self, teacher):
-        trace, _, _ = play(teacher, small_game_config())
+        trace, _, _ = play(teacher, small_config())
         for r in trace:
             assert 0.0 <= r.hprime_min <= r.hprime_mean <= r.hprime_max <= 1.0
             assert 0.0 <= r.hprime_frac_in <= 1.0
 
     def test_deterministic_replay(self, teacher):
-        t1, g1, q1 = play(teacher, small_game_config())
-        t2, g2, q2 = play(teacher, small_game_config())
+        t1, g1, q1 = play(teacher, small_config())
+        t2, g2, q2 = play(teacher, small_config())
         assert [r.as_dict() for r in t1] == [r.as_dict() for r in t2]
         for a, b in zip(g1.parameters(), g2.parameters()):
             np.testing.assert_array_equal(a.data, b.data)
@@ -77,27 +76,27 @@ class TestRunGame:
             np.testing.assert_array_equal(a.data, b.data)
 
     def test_seed_changes_trajectory(self, teacher):
-        t1, _, _ = play(teacher, small_game_config())
-        t2, _, _ = play(teacher, small_game_config(seed=1))
+        t1, _, _ = play(teacher, small_config())
+        t2, _, _ = play(teacher, small_config(seed=1))
         assert [r.loss_gen for r in t1] != [r.loss_gen for r in t2]
 
     def test_teacher_untouched(self, teacher):
         before = {k: v.data.copy() for k, v in teacher.named_parameters().items()}
         buf_before = {k: v.copy() for k, v in teacher.named_buffers().items()}
-        play(teacher, small_game_config())
+        play(teacher, small_config())
         for k, v in teacher.named_parameters().items():
             np.testing.assert_array_equal(v.data, before[k])
         for k, v in teacher.named_buffers().items():
             np.testing.assert_array_equal(v, buf_before[k])
 
     def test_teacher_frozen_without_gradients(self, teacher):
-        play(teacher, small_game_config())
+        play(teacher, small_config())
         for name, param in teacher.named_parameters().items():
             assert not param.requires_grad, name
             assert param.grad is None, name
 
     def test_both_players_move(self, teacher):
-        config = small_game_config()
+        config = small_config()
         rng = SeededRng(config.seed)
         g = ConditionalGenerator(config.noise_dim, teacher.output_dim,
                                  teacher.input_dim, rng.substream("generator_init"),
@@ -111,7 +110,7 @@ class TestRunGame:
 
     def test_row_callback_streams_all_rows(self, teacher):
         seen = []
-        config = small_game_config()
+        config = small_config()
         rng = SeededRng(config.seed)
         g = ConditionalGenerator(config.noise_dim, teacher.output_dim,
                                  teacher.input_dim, rng.substream("generator_init"),
@@ -121,14 +120,13 @@ class TestRunGame:
         assert seen == trace
 
     def test_delta_fields_consistent(self, teacher):
-        trace, _, _ = play(teacher, small_game_config())
+        trace, _, _ = play(teacher, small_config())
         for r in trace:
             assert r.delta_g == pytest.approx(r.h_info_post_g - r.h_info_pre_g)
             assert r.delta_q == pytest.approx(r.h_info_post_q - r.h_info_pre_q)
 
     def test_zero_learning_rates_are_a_no_op(self, teacher):
-        config = small_game_config(epochs=1, gen_lr=0.0, cal_lr=0.0,
-                                   cal_weight_decay=0.0)
+        config = small_config(epochs=1, gen_lr=0.0, cal_lr=0.0, cal_weight_decay=0.0)
         rng = SeededRng(config.seed)
         g = ConditionalGenerator(config.noise_dim, teacher.output_dim,
                                  teacher.input_dim, rng.substream("generator_init"),
@@ -147,7 +145,7 @@ class TestRunGame:
     def test_non_finite_generator_aborts_with_diagnostic(self, teacher):
         from adadfq.errors import AdadfqError
 
-        config = small_game_config()
+        config = small_config()
         rng = SeededRng(config.seed)
         g = ConditionalGenerator(config.noise_dim, teacher.output_dim,
                                  teacher.input_dim, rng.substream("generator_init"),
@@ -158,21 +156,20 @@ class TestRunGame:
         with pytest.raises(AdadfqError):
             run_game(g, teacher, q, config)
 
-    def test_aux_ce_weight_adds_to_calibration_loss_only(self, teacher, tmp_path):
+    def test_aux_ce_adds_to_calibration_loss_only(self, teacher, tmp_path):
         cfg_path = tmp_path / "c.cfg"
         cfg_path.write_text("aux_ce = 0.5\n")
-        assert parse_config(str(cfg_path)).game_config().aux_ce_weight == 0.5
-        plain, _, _ = play(teacher, small_game_config(epochs=1, iterations_per_epoch=1))
-        aux, _, _ = play(teacher, small_game_config(epochs=1, iterations_per_epoch=1,
-                                                    aux_ce_weight=0.5))
+        assert parse_config(str(cfg_path)).aux_ce == 0.5
+        plain, _, _ = play(teacher, small_config(epochs=1, iterations_per_epoch=1))
+        aux, _, _ = play(teacher, small_config(epochs=1, iterations_per_epoch=1, aux_ce=0.5))
         assert aux[0].loss_gen == plain[0].loss_gen  # step (a) ignores the weight
         assert aux[0].loss_cal > plain[0].loss_cal
 
     def test_config_validation(self):
-        with pytest.raises(ContractError):
-            GameConfig(epochs=0)
-        with pytest.raises(ContractError):
-            GameConfig(batch_size=1)
+        with pytest.raises(ConfigError):
+            RunConfig(epochs=0)
+        with pytest.raises(ConfigError):
+            RunConfig(batch_size=1)
 
 
 def fake_row(i, **kw):
