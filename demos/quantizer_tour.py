@@ -11,12 +11,7 @@ step as if it were the identity.
 
 import numpy as np
 
-from adadfq.quant import (
-    QuantSpec,
-    dequantize_array,
-    fake_quant,
-    quantize_array,
-)
+from adadfq.quant import dequantize_array, fake_quant, quantize_array
 from adadfq.tensor import Tensor, backward
 
 # ---------------------------------------------------------------------------
@@ -26,8 +21,9 @@ from adadfq.tensor import Tensor, backward
 # eight integers -4..3. The two range endpoints land exactly on the two
 # extreme codes.
 
-spec = QuantSpec(bits=3)
-print(f"3-bit code range: [{spec.code_min}, {spec.code_max}]")
+bits = 3
+code_min, code_max = -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
+print(f"3-bit code range: [{code_min}, {code_max}]")
 
 theta = np.linspace(-1.0, 1.0, 9)
 codes = quantize_array(theta, -1.0, 1.0, 3)
@@ -38,7 +34,7 @@ for t, c in zip(theta, codes):
 # 2. Round trip: code -> value -> code is lossless
 # ---------------------------------------------------------------------------
 
-all_codes = np.arange(spec.code_min, spec.code_max + 1)
+all_codes = np.arange(code_min, code_max + 1)
 grid = dequantize_array(all_codes, -1.0, 1.0, 3)
 back = quantize_array(grid, -1.0, 1.0, 3)
 print("\ngrid points:", np.array2string(grid, precision=3))

@@ -16,7 +16,7 @@ from adadfq.cli import RunConfig, evaluate_network, train_teacher_network
 from adadfq.data import SeededRng, make_blobs, standardize, apply_standardization
 from adadfq.game import equilibrium_report, run_game
 from adadfq.nn import ConditionalGenerator
-from adadfq.quant import QuantSpec, build_quantized_student
+from adadfq.quant import build_quantized_student
 from adadfq.tensor import Tensor
 
 SEED = 0
@@ -41,7 +41,7 @@ print(f"teacher test accuracy: {t_acc:.3f}")
 # ranges on the test features, then freeze and score. The drop below is the
 # damage we want to undo without data.
 
-naive = build_quantized_student(teacher, QuantSpec(bits=3))
+naive = build_quantized_student(teacher, 3)
 naive.train()
 for start in range(0, test.num_samples, 256):
     naive.forward(Tensor(test.features[start:start + 256]))
@@ -57,7 +57,7 @@ print(f"naive 3-bit accuracy:  {n_acc:.3f}  (drop {100 * (t_acc - n_acc):.1f} po
 
 rng = SeededRng(SEED)
 generator = ConditionalGenerator(64, 4, 8, rng.substream("generator_init"))
-student = build_quantized_student(teacher, QuantSpec(bits=3))
+student = build_quantized_student(teacher, 3)
 
 game_cfg = RunConfig(epochs=24, iterations_per_epoch=50, seed=SEED, cal_lr=1e-3)
 trace = run_game(generator, teacher, student, game_cfg)

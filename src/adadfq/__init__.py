@@ -33,7 +33,6 @@ from .nn import (
 )
 from .quant import (
     FakeQuantState,
-    QuantSpec,
     build_quantized_student,
     dequantize_value,
     fake_quant,
@@ -43,7 +42,7 @@ from .tensor import Tensor, backward, check_gradients, log_softmax, softmax
 
 __all__ = [
     "AdamOptimizer", "BatchNormLayer", "ConditionalGenerator", "EquilibriumReport",
-    "FakeQuantState", "LinearLayer", "MlpNetwork", "QuantSpec", "RunConfig", "SeededRng",
+    "FakeQuantState", "LinearLayer", "MlpNetwork", "RunConfig", "SeededRng",
     "SgdMomentum", "Tensor", "TraceRow",
     "agreement_vector", "backward", "build_quantized_student",
     "calibration_objective", "check_gradients", "classify_samples",

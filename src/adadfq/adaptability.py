@@ -25,7 +25,6 @@ from __future__ import annotations
 import numpy as np
 
 from .config import RunConfig
-from .errors import ConfigError, ContractError, DimensionError
 from .nn import BatchNormLayer
 from .tensor import Tensor, entropy_rows, log_softmax, softmax
 
@@ -36,28 +35,18 @@ TEACHER_WRONG = "teacher_wrong"
 _DEGENERATE_EPS = 1e-12
 
 
-def _check_same_shape(z_p: Tensor, z_q: Tensor) -> None:
-    if z_p.data.shape != z_q.data.shape:
-        raise DimensionError(
-            f"logit shapes differ: {z_p.data.shape} vs {z_q.data.shape}"
-        )
-
-
 def disagreement_vector(z_p: Tensor, z_q: Tensor) -> Tensor:
-    _check_same_shape(z_p, z_q)
     return softmax(z_p - z_q)
 
 
 def agreement_vector(z_p: Tensor, z_q: Tensor) -> Tensor:
-    _check_same_shape(z_p, z_q)
     return softmax(z_p + z_q)
 
 
 def info_entropy(p: Tensor) -> Tensor:
-    """Per-row Shannon entropy in nats; rows must be distributions."""
-    sums = p.data.sum(axis=-1)
-    if np.any(np.abs(sums - 1.0) > 1e-6) or np.any(p.data < 0.0):
-        raise ContractError("info_entropy expects rows that sum to 1")
+    """Per-row Shannon entropy in nats. Precondition: every row of ``p`` is a
+    distribution; the package only passes softmax outputs, so rows are not
+    re-scanned."""
     return entropy_rows(p)
 
 
@@ -112,18 +101,16 @@ def loss_ds(z_p: Tensor, z_q: Tensor, y: Tensor) -> Tensor:
     Computed in logit space (log-softmax of z_p - z_q) for stability; this is
     mathematically -ln p_ds[y].
     """
-    _check_same_shape(z_p, z_q)
     return cross_entropy_from_logits(z_p - z_q, y)
 
 
 def loss_as(z_p: Tensor, z_q: Tensor, y: Tensor) -> Tensor:
-    _check_same_shape(z_p, z_q)
     return cross_entropy_from_logits(z_p + z_q, y)
 
 
 def loss_bal(l_ds: Tensor, l_as: Tensor, alpha_ds: float, alpha_as: float) -> Tensor:
-    if alpha_ds < 0.0 or alpha_as < 0.0:
-        raise ConfigError("balance weights must be nonnegative")
+    """``alpha_ds * l_ds + alpha_as * l_as``. Precondition: both weights are
+    non-negative (``RunConfig`` checks them)."""
     return alpha_ds * l_ds + alpha_as * l_as
 
 
@@ -132,11 +119,8 @@ def margin_terms(h_prime: Tensor, lambda_l: float, lambda_u: float) -> Tensor:
 
     Batch mean of -max(lambda_l - h', 0) - max(h' - lambda_u, 0); zero iff
     every sample lies inside the margin. Subgradient at either kink is 0.
+    Precondition: ``0 <= lambda_l < lambda_u <= 1`` (``RunConfig`` checks it).
     """
-    if not 0.0 <= lambda_l < lambda_u <= 1.0:
-        raise ConfigError(
-            f"need 0 <= lambda_l < lambda_u <= 1, got ({lambda_l}, {lambda_u})"
-        )
     lower = (lambda_l - h_prime).relu()
     upper = (h_prime - lambda_u).relu()
     return (-lower - upper).mean()
@@ -148,15 +132,12 @@ def loss_bns(bn_inputs: list[Tensor], bn_layers: list[BatchNormLayer]) -> Tensor
     Per BN site: ||mean_batch - running_mean||^2 + ||std_batch - running_std||^2,
     where both stds come from biased variances, square-rooted with the layer's
     eps guard (so the distance stays differentiable at zero variance).
+    Preconditions: the two lists are one network's ``bn_inputs`` and
+    ``bn_layers()``, and each batch has at least 2 rows (``RunConfig`` checks
+    ``batch_size >= 2``).
     """
-    if len(bn_inputs) != len(bn_layers):
-        raise DimensionError(
-            f"{len(bn_inputs)} activation batches for {len(bn_layers)} BN sites"
-        )
     total = Tensor(0.0)
     for x, layer in zip(bn_inputs, bn_layers):
-        if x.data.shape[0] < 2:
-            raise ContractError("batch statistics need at least 2 samples")
         mu = x.mean(axis=0)
         var = ((x - mu) ** 2).mean(axis=0)
         std = (var + layer.eps).sqrt()

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import CheckpointFormatError
 from .nn import MlpNetwork, make_mlp
-from .quant import QuantSpec, QuantizedMlp, build_quantized_student
+from .quant import ACT_EMA_DECAY, QuantizedMlp, build_quantized_student
 
 FORMAT_VERSION = 1
 
@@ -137,8 +137,8 @@ def save_teacher(path, net: MlpNetwork, norm_stats=None, metadata: dict | None =
 
 def save_student(path, net: QuantizedMlp, norm_stats=None, metadata: dict | None = None) -> None:
     quant = {
-        "bits": net.spec.bits,
-        "act_ema_decay": net.spec.act_ema_decay,
+        "bits": net.bits,
+        "act_ema_decay": ACT_EMA_DECAY,
         "act_ranges": [{"min": st.observed_min, "max": st.observed_max}
                        for st in net.act_states()],
     }
@@ -181,12 +181,11 @@ def _check_sections(doc: dict, path) -> None:
                                     "input_dim and num_classes and a list of them, hidden")
     if doc["kind"] == "student" and not (
             isinstance(quant, dict) and _count(quant.get("bits"), least=2)
-            and type(quant.get("act_ema_decay")) in (int, float)
-            and 0.0 <= quant["act_ema_decay"] < 1.0
+            and quant.get("act_ema_decay") == ACT_EMA_DECAY
             and isinstance(quant.get("act_ranges"), list)
             and all(map(_act_range, quant["act_ranges"]))):
         raise CheckpointFormatError(f"{path}: student checkpoint without a valid quant section "
-                                    "(bits >= 2, act_ema_decay in [0, 1), act_ranges)")
+                                    f"(bits >= 2, act_ema_decay {ACT_EMA_DECAY}, act_ranges)")
 
 
 def load_checkpoint(path):
@@ -206,8 +205,7 @@ def load_checkpoint(path):
     net = make_mlp(arch["input_dim"], tuple(arch["hidden"]), arch["num_classes"], rng)
     if doc["kind"] == "student":
         quant = doc["quant"]
-        spec = QuantSpec(bits=quant["bits"], act_ema_decay=quant["act_ema_decay"])
-        net = build_quantized_student(net, spec)
+        net = build_quantized_student(net, quant["bits"])
         ranges = quant["act_ranges"]
         states = net.act_states()
         if len(ranges) != len(states):

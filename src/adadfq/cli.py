@@ -38,7 +38,7 @@ from .data import (
 from .errors import AdadfqError, CheckpointFormatError, ConfigError, ContractError, DataError
 from .game import TRACE_FIELDS, equilibrium_report, run_game
 from .nn import AdamOptimizer, ConditionalGenerator, MlpNetwork, make_mlp
-from .quant import QuantSpec, build_quantized_student
+from .quant import build_quantized_student
 from .tensor import Tensor, backward, no_grad, zero_grads
 
 log = logging.getLogger("adadfq")
@@ -55,22 +55,20 @@ def _command_config(args) -> RunConfig:
 
 
 def _build_dataset(cfg: RunConfig) -> tuple[Dataset, Dataset]:
+    """The train/test split of the config's dataset; ``RunConfig`` has checked
+    the kind and its keys."""
     if cfg.dataset == "blobs":
         return make_blobs(cfg.classes, cfg.per_class, cfg.dim, cfg.spread, cfg.seed)
     if cfg.dataset == "rings":
         return make_rings(cfg.classes, cfg.per_class, cfg.seed)
-    if cfg.dataset == "csv":
-        if not cfg.csv_path:
-            raise ConfigError("dataset=csv needs csv_path")
-        if not os.path.exists(cfg.csv_path):
-            raise FileNotFoundError(f"dataset file not found: {cfg.csv_path}")
-        full = load_csv(cfg.csv_path, cfg.label_column)
-        # deterministic stratified split on the standardized rows
-        rng = SeededRng(cfg.seed).substream("data")
-        train, test = stratified_split(full.features, full.labels, full.provenance, rng)
-        train.norm_stats = full.norm_stats
-        return train, test
-    raise ConfigError(f"unknown dataset kind {cfg.dataset!r}")
+    if not os.path.exists(cfg.csv_path):
+        raise FileNotFoundError(f"dataset file not found: {cfg.csv_path}")
+    full = load_csv(cfg.csv_path, cfg.label_column)
+    # deterministic stratified split on the standardized rows
+    rng = SeededRng(cfg.seed).substream("data")
+    train, test = stratified_split(full.features, full.labels, full.provenance, rng)
+    train.norm_stats = full.norm_stats
+    return train, test
 
 
 def _forward_batched(net, features: np.ndarray, batch: int = 256) -> np.ndarray:
@@ -187,7 +185,7 @@ def _load_teacher(path: str):
 def cmd_quantize(args) -> int:
     bits = _command_config(args).bits
     teacher, doc = _load_teacher(args.ckpt)
-    student = build_quantized_student(teacher, QuantSpec(bits=bits))
+    student = build_quantized_student(teacher, bits)
 
     ds = _load_eval_dataset(args.dataset, args.label_column, doc)
     # Observe activation ranges over the provided data, then score in eval mode.
@@ -232,7 +230,7 @@ def cmd_dfq(args) -> int:
         cfg.noise_dim, num_classes, input_dim, rng.substream("generator_init"),
         embed_dim=cfg.embed_dim, hidden=cfg.hidden_widths(cfg.gen_hidden),
     )
-    student = build_quantized_student(teacher, QuantSpec(bits=cfg.bits))
+    student = build_quantized_student(teacher, cfg.bits)
 
     os.makedirs(args.out_dir, exist_ok=True)
     trace = run_game(generator, teacher, student, cfg)
@@ -286,6 +284,11 @@ def cmd_eval(args) -> int:
 def cmd_report_similarity(args) -> int:
     teacher, tdoc = ckpt.load_checkpoint(args.ckpt)
     student, _ = ckpt.load_checkpoint(args.student_ckpt)
+    # the one place two independently saved networks meet
+    shapes = [(n.input_dim, n.output_dim) for n in (teacher, student)]
+    if shapes[0] != shapes[1]:
+        raise ContractError(f"{args.student_ckpt}: student (input_dim, classes) {shapes[1]} "
+                            f"does not match the teacher's {shapes[0]}")
     if not os.path.exists(args.samples):
         raise FileNotFoundError(f"sample dump not found: {args.samples}")
     with open(args.samples, newline="") as fh:

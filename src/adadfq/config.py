@@ -12,15 +12,38 @@ line, a test or a demo, is in range.
 Config files are flat ``key = value`` lines; ``#`` starts a comment.
 Unknown keys, values that do not parse as the key's type and out-of-range
 values raise ConfigError.
+
+Each fact is checked once, where a bad value can enter, and taken as given
+behind that boundary:
+
+    fact                                    checked by
+    0 <= lambda_l < lambda_u <= 1           RunConfig
+    alpha_ds, alpha_as, beta, gamma >= 0    RunConfig
+    bits >= 2                               RunConfig; the loader, for a student
+    batch_size >= 2 (batch statistics)      RunConfig
+    dataset keys in range, none ignored     RunConfig
+    dataset CSV exists and parses           train-teacher, data.load_csv
+    checkpoint sections, arrays, EMA decay  checkpoint.load_checkpoint
+    sample dump; student shape = teacher's  report-similarity
+    one-hot labels; p_ds rows sum to 1      built so (sample_noise_and_labels, softmax)
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
+
+# The dataset keys each dataset kind reads. A key the chosen kind does not
+# read must keep its default, so no setting is silently ignored.
+_DATASET_KEYS = {
+    "blobs": ("classes", "per_class", "dim", "spread"),
+    "rings": ("classes", "per_class"),
+    "csv": ("csv_path",),
+}
 
 
 @dataclass(frozen=True)
@@ -61,15 +84,19 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
+        self._check_dataset_keys()
         self.hidden_widths(self.teacher_hidden)
         self.hidden_widths(self.gen_hidden)
         if self.bits < 2:
             raise ConfigError(f"bit width must be >= 2, got {self.bits}")
-        for key, least in (("teacher_epochs", 1), ("teacher_batch", 2), ("epochs", 1),
+        for key, least in (("classes", 2), ("per_class", 5), ("dim", 2),
+                           ("teacher_epochs", 1), ("teacher_batch", 2), ("epochs", 1),
                            ("iterations_per_epoch", 1), ("batch_size", 2), ("noise_dim", 1),
                            ("embed_dim", 1), ("sample_dump", 1)):
             if getattr(self, key) < least:
                 raise ConfigError(f"{key} must be >= {least}, got {getattr(self, key)}")
+        if not 0.0 < self.spread < math.inf:  # NaN fails too
+            raise ConfigError(f"spread must be finite and > 0, got {self.spread}")
         for key in ("teacher_lr", "gen_lr", "cal_lr", "cal_weight_decay",
                     "alpha_ds", "alpha_as", "beta", "gamma", "aux_ce"):
             if not getattr(self, key) >= 0.0:  # NaN fails too
@@ -80,6 +107,19 @@ class RunConfig:
             raise ConfigError(
                 f"need 0 <= lambda_l < lambda_u <= 1, got ({self.lambda_l}, {self.lambda_u})"
             )
+
+    def _check_dataset_keys(self) -> None:
+        if self.dataset not in _DATASET_KEYS:
+            raise ConfigError(
+                f"dataset must be one of {', '.join(_DATASET_KEYS)}, got {self.dataset!r}")
+        unread = {k for keys in _DATASET_KEYS.values() for k in keys}
+        unread -= set(_DATASET_KEYS[self.dataset])
+        for f in fields(self):
+            if f.name in unread and getattr(self, f.name) != f.default:
+                raise ConfigError(f"dataset = {self.dataset} does not read {f.name}; "
+                                  f"leave it at its default {f.default!r}")
+        if self.dataset == "csv" and not self.csv_path:
+            raise ConfigError("dataset = csv needs csv_path")
 
     def hidden_widths(self, raw: str) -> tuple[int, ...]:
         try:

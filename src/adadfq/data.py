@@ -97,11 +97,9 @@ def make_blobs(num_classes: int, per_class: int, dim: int, spread: float,
 
     Centers sit on a circle of radius 4 in the first two coordinates (zero
     elsewhere), so class geometry is deterministic and simplex-like.
+    ``RunConfig`` checks the ranges: ``num_classes >= 2``, ``per_class >= 5``
+    (for the 80/20 split), ``dim >= 2`` and a finite ``spread > 0``.
     """
-    if num_classes < 2 or dim < 2:
-        raise ConfigError("blobs need num_classes >= 2 and dim >= 2")
-    if per_class < 5:
-        raise ConfigError("need at least 5 samples per class for the 80/20 split")
     gen = SeededRng(seed).substream("data")
     centers = np.zeros((num_classes, dim))
     angles = 2.0 * np.pi * np.arange(num_classes) / num_classes
@@ -119,11 +117,8 @@ def make_blobs(num_classes: int, per_class: int, dim: int, spread: float,
 def make_rings(num_classes: int, per_class: int, seed: int,
                noise: float = 0.1) -> tuple[Dataset, Dataset]:
     """Concentric 2-D annuli; radius grows with class index, so the class is
-    recoverable from the norm but not by any linear classifier."""
-    if num_classes < 2:
-        raise ConfigError("rings need num_classes >= 2")
-    if per_class < 5:
-        raise ConfigError("need at least 5 samples per class for the 80/20 split")
+    recoverable from the norm but not by any linear classifier. ``RunConfig``
+    checks ``num_classes >= 2`` and ``per_class >= 5``."""
     gen = SeededRng(seed).substream("data")
     rows = []
     for c in range(num_classes):

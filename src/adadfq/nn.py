@@ -143,25 +143,12 @@ def make_mlp(input_dim: int, hidden: tuple[int, ...], output_dim: int,
     return MlpNetwork(layers, input_dim, output_dim)
 
 
-def validate_one_hot(y: Tensor) -> None:
-    yd = y.data
-    if yd.ndim != 2:
-        raise ContractError(f"one-hot labels must be 2-D, got shape {yd.shape}")
-    is_binary = np.all((yd == 0.0) | (yd == 1.0))
-    if not is_binary or not np.all(yd.sum(axis=1) == 1.0):
-        raise ContractError("labels are not valid one-hot rows")
-
-
 class ConditionalGenerator:
     """Maps (noise z, one-hot label y) to sample space via a label embedding."""
 
     def __init__(self, noise_dim: int, num_classes: int, sample_dim: int,
                  rng: np.random.Generator, embed_dim: int = 8,
                  hidden: tuple[int, ...] = (64, 64)):
-        self.noise_dim = noise_dim
-        self.num_classes = num_classes
-        self.sample_dim = sample_dim
-        self.embed_dim = embed_dim
         self.embedding = Tensor(rng.normal(0.0, 1.0, size=(num_classes, embed_dim)),
                                 requires_grad=True)
         self.body = make_mlp(noise_dim + embed_dim, hidden, sample_dim, rng)
@@ -175,11 +162,8 @@ class ConditionalGenerator:
         return self
 
     def forward(self, z: Tensor, y: Tensor) -> Tensor:
-        validate_one_hot(y)
-        if z.data.shape[1] != self.noise_dim:
-            raise DimensionError(
-                f"expected noise of width {self.noise_dim}, got shape {z.data.shape}"
-            )
+        """Precondition: ``y`` holds one-hot rows, as ``sample_noise_and_labels``
+        builds them. The body rejects a ``z`` of the wrong width."""
         emb = y.matmul(self.embedding)
         return self.body.forward(concat_cols([z, emb]))
 

@@ -37,24 +37,9 @@ from .nn import BatchNormLayer, LinearLayer, MlpNetwork, Relu
 from .tensor import Tensor
 
 
-@dataclass
-class QuantSpec:
-    bits: int
-    act_ema_decay: float = 0.9
-
-    def __post_init__(self):
-        if self.bits < 2:
-            raise ContractError(f"bit width must be >= 2, got {self.bits}")
-        if not 0.0 <= self.act_ema_decay < 1.0:
-            raise ContractError(f"ema decay must be in [0,1), got {self.act_ema_decay}")
-
-    @property
-    def code_min(self) -> int:
-        return -(2 ** (self.bits - 1))
-
-    @property
-    def code_max(self) -> int:
-        return 2 ** (self.bits - 1) - 1
+# Decay of the activation ranges' exponential moving average. Checkpoints
+# record it; the loader accepts no other value.
+ACT_EMA_DECAY = 0.9
 
 
 def round_half_away(x: np.ndarray) -> np.ndarray:
@@ -155,10 +140,10 @@ class QuantLinear:
     precision.
     """
 
-    def __init__(self, source: LinearLayer, spec: QuantSpec):
+    def __init__(self, source: LinearLayer, bits: int):
         self.weight = Tensor(source.weight.data.copy(), requires_grad=True)
         self.bias = Tensor(source.bias.data.copy(), requires_grad=True)
-        self.spec = spec
+        self.bits = bits
         self.act_state = FakeQuantState()
         self._memo: tuple | None = None  # (latent copy, weight data, STE mask)
 
@@ -169,7 +154,7 @@ class QuantLinear:
             if lo >= hi:
                 self._memo = (w.copy(), None, None)
             else:
-                self._memo = (w.copy(), *_fake_quant_arrays(w, lo, hi, self.spec.bits))
+                self._memo = (w.copy(), *_fake_quant_arrays(w, lo, hi, self.bits))
         _, out_data, mask = self._memo
         if out_data is None:
             return self.weight
@@ -178,10 +163,10 @@ class QuantLinear:
     def forward(self, x: Tensor, observe: bool) -> Tensor:
         out = x.matmul(self._quantized_weight().T) + self.bias
         if observe:
-            self.act_state.observe(out.data, self.spec.act_ema_decay)
+            self.act_state.observe(out.data, ACT_EMA_DECAY)
         if self.act_state.has_range:
             out = fake_quant(out, self.act_state.observed_min,
-                             self.act_state.observed_max, self.spec.bits)
+                             self.act_state.observed_max, self.bits)
         return out
 
     def named_parameters(self) -> dict[str, Tensor]:
@@ -197,9 +182,9 @@ class QuantizedMlp(MlpNetwork):
     the batch-norm affine parameters.
     """
 
-    def __init__(self, layers: list, input_dim: int, output_dim: int, spec: QuantSpec):
+    def __init__(self, layers: list, input_dim: int, output_dim: int, bits: int):
         super().__init__(layers, input_dim, output_dim)
-        self.spec = spec
+        self.bits = bits
         self.training = False
 
     def forward(self, x: Tensor) -> Tensor:
@@ -220,12 +205,14 @@ class QuantizedMlp(MlpNetwork):
         return [l.act_state for l in self.quant_linears()]
 
 
-def build_quantized_student(teacher: MlpNetwork, spec: QuantSpec) -> QuantizedMlp:
-    """Clone the teacher into a fake-quantized student with shared architecture."""
+def build_quantized_student(teacher: MlpNetwork, bits: int) -> QuantizedMlp:
+    """Clone the teacher into a fake-quantized ``bits``-wide student with shared
+    architecture. ``bits >= 2`` is the caller's to ensure: ``RunConfig`` checks
+    it for the commands and the checkpoint loader for a saved student."""
     layers: list = []
     for layer in teacher.layers:
         if isinstance(layer, LinearLayer):
-            layers.append(QuantLinear(layer, spec))
+            layers.append(QuantLinear(layer, bits))
         elif isinstance(layer, BatchNormLayer):
             bn = BatchNormLayer(layer.gamma.data.size, layer.momentum, layer.eps)
             bn.gamma = Tensor(layer.gamma.data.copy(), requires_grad=True)
@@ -237,4 +224,4 @@ def build_quantized_student(teacher: MlpNetwork, spec: QuantSpec) -> QuantizedMl
             layers.append(Relu())
         else:
             raise ContractError(f"cannot quantize layer of type {type(layer).__name__}")
-    return QuantizedMlp(layers, teacher.input_dim, teacher.output_dim, spec)
+    return QuantizedMlp(layers, teacher.input_dim, teacher.output_dim, bits)

@@ -39,7 +39,6 @@ from adadfq.data import (
 from adadfq.game import run_game
 from adadfq.nn import BatchNormLayer, ConditionalGenerator
 from adadfq.quant import (
-    QuantSpec,
     build_quantized_student,
     dequantize_array,
     quantize_array,
@@ -78,7 +77,7 @@ def _train_desk_teacher(seed):
 
 
 def _naive_student(teacher, test):
-    q = build_quantized_student(teacher, QuantSpec(bits=BITS))
+    q = build_quantized_student(teacher, BITS)
     q.train()
     for start in range(0, test.num_samples, 256):
         q.forward(Tensor(test.features[start:start + 256]))
@@ -91,7 +90,7 @@ def _play(teacher, seed, **kw):
     rng = SeededRng(seed)
     g = ConditionalGenerator(config.noise_dim, teacher.output_dim,
                              teacher.input_dim, rng.substream("generator_init"))
-    q = build_quantized_student(teacher, QuantSpec(bits=BITS))
+    q = build_quantized_student(teacher, BITS)
     trace = run_game(g, teacher, q, config)
     q.eval()
     return trace, q

@@ -15,7 +15,7 @@ from adadfq.cli import RunConfig, main, train_teacher_network
 from adadfq.data import make_blobs, standardize
 from adadfq.errors import CheckpointFormatError
 from adadfq.nn import make_mlp
-from adadfq.quant import QuantSpec, build_quantized_student
+from adadfq.quant import build_quantized_student
 from adadfq.tensor import Tensor
 
 
@@ -68,7 +68,7 @@ class TestTeacherRoundTrip:
 class TestStudentRoundTrip:
     def test_quant_state_restored_frozen(self, teacher, tmp_path):
         net, _, train = teacher
-        student = build_quantized_student(net, QuantSpec(bits=3))
+        student = build_quantized_student(net, 3)
         student.train()
         student.forward(Tensor(train.features[:64]))
         student.eval()
@@ -76,7 +76,7 @@ class TestStudentRoundTrip:
         save_student(path, student)
         loaded, doc = load_checkpoint(path)
         assert doc["kind"] == "student"
-        assert loaded.spec.bits == 3
+        assert loaded.bits == 3
         for a, b in zip(loaded.act_states(), student.act_states()):
             assert (a.observed_min, a.observed_max) == (b.observed_min, b.observed_max)
         ranges = [(st.observed_min, st.observed_max) for st in student.act_states()]
@@ -90,7 +90,7 @@ def test_architecture_is_read_off_the_network(tmp_path):
     net = make_mlp(4, (5, 3), 2, np.random.default_rng(0))
     for save, kind, model in ((save_teacher, "teacher", net),
                               (save_student, "student",
-                               build_quantized_student(net, QuantSpec(bits=3)))):
+                               build_quantized_student(net, 3))):
         path = tmp_path / f"{kind}.json"
         save(path, model)
         arch = json.loads(path.read_text())["architecture"]
@@ -163,8 +163,9 @@ STATE_MUTATIONS = {
     "zero_norm_stats_std": lambda d: d["norm_stats"].update(std=_encoded(np.zeros(4))),
     "missing_quant_bits": lambda d: d["quant"].pop("bits"),
     "non_dict_act_range": lambda d: d["quant"]["act_ranges"].__setitem__(0, [0.0, 1.0]),
+    "other_act_ema_decay": lambda d: d["quant"].update(act_ema_decay=0.5),
 }
-STUDENT_MUTATIONS = {"missing_quant_bits", "non_dict_act_range"}
+STUDENT_MUTATIONS = {"missing_quant_bits", "non_dict_act_range", "other_act_ema_decay"}
 
 
 @pytest.mark.parametrize("mutation", sorted(STATE_MUTATIONS))
@@ -172,7 +173,7 @@ def test_malformed_state_is_a_format_error(teacher, tmp_path, capsys, mutation):
     net, stats, train = teacher
     path = tmp_path / "t.json"
     if mutation in STUDENT_MUTATIONS:
-        student = build_quantized_student(net, QuantSpec(bits=3)).train()
+        student = build_quantized_student(net, 3).train()
         student.forward(Tensor(train.features[:32]))
         save_student(path, student.eval(), norm_stats=stats)
     else:

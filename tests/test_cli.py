@@ -328,11 +328,16 @@ class TestExitCodes:
                                       "teacher_epochs = -1", "sample_dump = 0",
                                       "noise_dim = 0", "embed_dim = 0", "teacher_lr = -1",
                                       "gen_lr = -1", "cal_lr = -1", "cal_momentum = 1.5",
-                                      "cal_weight_decay = -1", "aux_ce = -1"],
+                                      "cal_weight_decay = -1", "aux_ce = -1",
+                                      "spread = 0", "spread = -1", "spread = nan",
+                                      "spread = inf", "classes = 1", "per_class = 4", "dim = 1",
+                                      "dataset = moons"],
                              ids=["teacher_hidden", "gen_hidden", "bits", "batch_size",
                                   "teacher_batch", "teacher_epochs", "sample_dump",
                                   "noise_dim", "embed_dim", "teacher_lr", "gen_lr", "cal_lr",
-                                  "cal_momentum", "cal_weight_decay", "aux_ce"])
+                                  "cal_momentum", "cal_weight_decay", "aux_ce",
+                                  "spread_zero", "spread_negative", "spread_nan", "spread_inf",
+                                  "classes", "per_class", "dim", "dataset"])
     def test_out_of_range_config_is_usage_error(self, workdir, tmp_path, capsys,
                                                 command, line):
         _, _, out = workdir
@@ -346,6 +351,45 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("config, key", [
+        ("dataset = rings\ndim = 4\n", "dim"),
+        ("dataset = rings\nspread = 7\n", "spread"),
+        ("dataset = csv\ncsv_path = data.csv\nper_class = 40\n", "per_class"),
+        ("csv_path = data.csv\n", "csv_path"),
+    ], ids=["rings_dim", "rings_spread", "csv_per_class", "blobs_csv_path"])
+    def test_key_the_dataset_does_not_read_is_usage_error(self, tmp_path, capsys,
+                                                           config, key):
+        p = tmp_path / "c.cfg"
+        p.write_text(config)
+        rc = main(["train-teacher", "--config", str(p), "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
+        assert not (tmp_path / "out").exists()
+
+    def test_student_of_another_class_count_is_runtime_error(self, tmp_path, capsys):
+        teachers = {}
+        for classes in (4, 3):
+            p = tmp_path / f"c{classes}.cfg"
+            p.write_text(SMALL_CONFIG + f"classes = {classes}\nteacher_epochs = 2\n")
+            teachers[classes] = tmp_path / f"t{classes}"
+            assert main(["train-teacher", "--config", str(p),
+                         "--out-dir", str(teachers[classes])]) == 0
+        assert main(["quantize", "--ckpt", str(teachers[3] / "teacher.json"), "--bits", "3",
+                     "--dataset", str(teachers[3] / "test.csv"),
+                     "--out-dir", str(tmp_path / "q")]) == 0
+        student = tmp_path / "q" / "student_naive_3bit.json"
+        samples = tmp_path / "samples.csv"
+        samples.write_text("sample_index,label,x0,x1,x2,x3\n0,1,0.5,-0.5,1.0,0.0\n")
+        capsys.readouterr()
+        rc = main(["report-similarity", "--samples", str(samples),
+                   "--ckpt", str(teachers[4] / "teacher.json"),
+                   "--student-ckpt", str(student), "--out", str(tmp_path / "sim.csv")])
+        assert rc == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(student) in err[0]
+        assert not (tmp_path / "sim.csv").exists()
 
     @pytest.mark.parametrize("command", ["quantize", "dfq"])
     def test_command_line_bits_are_range_checked(self, workdir, tmp_path, capsys, command):

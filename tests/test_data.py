@@ -91,14 +91,6 @@ class TestMakeBlobs:
             )
             np.testing.assert_allclose(center[2:], 0.0, atol=0.05)
 
-    def test_parameter_validation(self):
-        with pytest.raises(ConfigError):
-            make_blobs(1, 50, 4, 1.0, 0)
-        with pytest.raises(ConfigError):
-            make_blobs(3, 50, 1, 1.0, 0)
-        with pytest.raises(ConfigError):
-            make_blobs(3, 4, 4, 1.0, 0)
-
 
 class TestMakeRings:
     def test_radii_grow_with_class(self):

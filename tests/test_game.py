@@ -15,7 +15,7 @@ from adadfq.game import (
     run_game,
 )
 from adadfq.nn import ConditionalGenerator
-from adadfq.quant import QuantSpec, build_quantized_student
+from adadfq.quant import build_quantized_student
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +39,7 @@ def play(teacher, config):
     g = ConditionalGenerator(config.noise_dim, teacher.output_dim,
                              teacher.input_dim, rng.substream("generator_init"),
                              hidden=(16, 16))
-    q = build_quantized_student(teacher, QuantSpec(bits=3))
+    q = build_quantized_student(teacher, 3)
     return run_game(g, teacher, q, config), g, q
 
 
@@ -101,7 +101,7 @@ class TestRunGame:
         g = ConditionalGenerator(config.noise_dim, teacher.output_dim,
                                  teacher.input_dim, rng.substream("generator_init"),
                                  hidden=(16, 16))
-        q = build_quantized_student(teacher, QuantSpec(bits=3))
+        q = build_quantized_student(teacher, 3)
         g_before = [p.data.copy() for p in g.parameters()]
         q_before = [p.data.copy() for p in q.parameters()]
         run_game(g, teacher, q, config)
@@ -115,7 +115,7 @@ class TestRunGame:
         g = ConditionalGenerator(config.noise_dim, teacher.output_dim,
                                  teacher.input_dim, rng.substream("generator_init"),
                                  hidden=(16, 16))
-        q = build_quantized_student(teacher, QuantSpec(bits=3))
+        q = build_quantized_student(teacher, 3)
         trace = run_game(g, teacher, q, config, row_callback=seen.append)
         assert seen == trace
 
@@ -131,7 +131,7 @@ class TestRunGame:
         g = ConditionalGenerator(config.noise_dim, teacher.output_dim,
                                  teacher.input_dim, rng.substream("generator_init"),
                                  hidden=(16, 16))
-        q = build_quantized_student(teacher, QuantSpec(bits=3))
+        q = build_quantized_student(teacher, 3)
         g_before = [p.data.copy() for p in g.parameters()]
         q_before = [p.data.copy() for p in q.parameters()]
         trace = run_game(g, teacher, q, config)
@@ -152,7 +152,7 @@ class TestRunGame:
                                  hidden=(16, 16))
         # poison the output-layer bias so generated samples are non-finite
         g.parameters()[-1].data[...] = np.nan
-        q = build_quantized_student(teacher, QuantSpec(bits=3))
+        q = build_quantized_student(teacher, 3)
         with pytest.raises(AdadfqError):
             run_game(g, teacher, q, config)
 

@@ -14,7 +14,6 @@ from adadfq.nn import LinearLayer, SgdMomentum
 from adadfq.quant import (
     FakeQuantState,
     QuantLinear,
-    QuantSpec,
     build_quantized_student,
     dequantize_array,
     dequantize_value,
@@ -121,16 +120,6 @@ class TestFakeQuantState:
         assert st_.observed_max == pytest.approx(0.9 * 1.0 + 0.1 * 2.0)
 
 
-class TestQuantSpec:
-    def test_rejects_one_bit(self):
-        with pytest.raises(ContractError):
-            QuantSpec(bits=1)
-
-    def test_code_range(self):
-        spec = QuantSpec(bits=3)
-        assert (spec.code_min, spec.code_max) == (-4, 3)
-
-
 @pytest.fixture(scope="module")
 def trained_teacher():
     cfg = RunConfig(seed=0, spread=1.3, teacher_epochs=30)
@@ -144,14 +133,14 @@ def trained_teacher():
 class TestBuildQuantizedStudent:
     def test_latent_weights_bitwise_equal(self, trained_teacher):
         net, _, _ = trained_teacher
-        student = build_quantized_student(net, QuantSpec(bits=3))
+        student = build_quantized_student(net, 3)
         teacher_params = net.named_parameters()
         for name, p in student.named_parameters().items():
             np.testing.assert_array_equal(p.data, teacher_params[name].data)
 
     def test_32bit_matches_teacher_logits(self, trained_teacher):
         net, _, test = trained_teacher
-        student = build_quantized_student(net, QuantSpec(bits=32))
+        student = build_quantized_student(net, 32)
         x = Tensor(test.features[:64])
         student.train()
         student.forward(x)
@@ -162,7 +151,7 @@ class TestBuildQuantizedStudent:
 
     def test_3bit_accuracy_strictly_below_teacher(self, trained_teacher):
         net, _, test = trained_teacher
-        student = build_quantized_student(net, QuantSpec(bits=3))
+        student = build_quantized_student(net, 3)
         student.train()
         student.forward(Tensor(test.features))
         student.eval()
@@ -172,7 +161,7 @@ class TestBuildQuantizedStudent:
 
     def test_bn_running_stats_copied_not_shared(self, trained_teacher):
         net, _, _ = trained_teacher
-        student = build_quantized_student(net, QuantSpec(bits=3))
+        student = build_quantized_student(net, 3)
         s_buffers = student.named_buffers()
         for name, buf in net.named_buffers().items():
             np.testing.assert_array_equal(s_buffers[name], buf)
@@ -185,7 +174,7 @@ class TestWeightMemo:
 
     @staticmethod
     def layer():
-        layer = QuantLinear(LinearLayer(5, 3, np.random.default_rng(0)), QuantSpec(bits=3))
+        layer = QuantLinear(LinearLayer(5, 3, np.random.default_rng(0)), 3)
         x = Tensor(np.random.default_rng(1).normal(size=(4, 5)))
         layer.forward(x, observe=False)  # fills the memo
         return layer, x
@@ -193,7 +182,7 @@ class TestWeightMemo:
     @staticmethod
     def assert_matches_fresh_quantization(layer, x):
         w = layer.weight
-        fresh = fake_quant(w, float(w.data.min()), float(w.data.max()), layer.spec.bits)
+        fresh = fake_quant(w, float(w.data.min()), float(w.data.max()), layer.bits)
         expected = x.matmul(fresh.T) + layer.bias  # no activation range observed yet
         out = layer.forward(x, observe=False)
         np.testing.assert_array_equal(out.data, expected.data)
@@ -221,8 +210,8 @@ class TestWeightMemo:
     def test_after_checkpoint_load(self, trained_teacher, tmp_path):
         net, _, test = trained_teacher
         x = Tensor(test.features[:8])
-        student = build_quantized_student(net, QuantSpec(bits=3))
-        other = build_quantized_student(net, QuantSpec(bits=3))
+        student = build_quantized_student(net, 3)
+        other = build_quantized_student(net, 3)
         for p in other.parameters():
             p.data *= 0.5
         path = tmp_path / "s.json"
