@@ -25,8 +25,8 @@ from __future__ import annotations
 import numpy as np
 
 from .config import RunConfig
-from .nn import BatchNormLayer
-from .tensor import Tensor, entropy_rows, log_softmax, softmax
+from .nn import BatchNormLayer, _backprop_batch_moments, _batch_moments
+from .tensor import Tensor, cross_entropy_from_logits, entropy_rows, softmax, softmax_entropy
 
 DISAGREEMENT = "disagreement"
 AGREEMENT = "agreement"
@@ -65,8 +65,13 @@ def normalize_entropy(h_info: Tensor, num_classes: int) -> Tensor:
     return (h_info - h_min) / denom
 
 
+def disagreement_entropy(z_p: Tensor, z_q: Tensor) -> Tensor:
+    """``info_entropy(disagreement_vector(z_p, z_q))`` as one node."""
+    return softmax_entropy(z_p - z_q)
+
+
 def normalized_disagreement_entropy(z_p: Tensor, z_q: Tensor, num_classes: int) -> Tensor:
-    return normalize_entropy(info_entropy(disagreement_vector(z_p, z_q)), num_classes)
+    return normalize_entropy(disagreement_entropy(z_p, z_q), num_classes)
 
 
 def classify_samples(z_p: np.ndarray, z_q: np.ndarray, y: np.ndarray) -> list[str]:
@@ -88,11 +93,6 @@ def classify_samples(z_p: np.ndarray, z_q: np.ndarray, y: np.ndarray) -> list[st
         else:
             out.append(TEACHER_WRONG)
     return out
-
-
-def cross_entropy_from_logits(logits: Tensor, y: Tensor) -> Tensor:
-    """Batch mean of -log softmax(logits)[y]; y is one-hot."""
-    return -(y * log_softmax(logits)).sum(axis=1).mean()
 
 
 def loss_ds(z_p: Tensor, z_q: Tensor, y: Tensor) -> Tensor:
@@ -135,16 +135,26 @@ def loss_bns(bn_inputs: list[Tensor], bn_layers: list[BatchNormLayer]) -> Tensor
     Preconditions: the two lists are one network's ``bn_inputs`` and
     ``bn_layers()``, and each batch has at least 2 rows (``RunConfig`` checks
     ``batch_size >= 2``).
+
+    One node over all sites; the sum runs in site order as
+    ``(total + mean term) + std term``.
     """
-    total = Tensor(0.0)
+    total = 0.0
+    sites = []
     for x, layer in zip(bn_inputs, bn_layers):
-        mu = x.mean(axis=0)
-        var = ((x - mu) ** 2).mean(axis=0)
-        std = (var + layer.eps).sqrt()
-        target_std = Tensor(np.sqrt(layer.running_var + layer.eps))
-        total = total + ((mu - Tensor(layer.running_mean)) ** 2).sum() \
-                      + ((std - target_std) ** 2).sum()
-    return total
+        n, mu, centered, var = _batch_moments(x.data)
+        std = np.sqrt(var + layer.eps)
+        d_mean = mu + (-layer.running_mean)
+        d_std = std + (-np.sqrt(layer.running_var + layer.eps))
+        total = total + (d_mean ** 2).sum() + (d_std ** 2).sum()
+        sites.append((x, n, centered, std, d_mean, d_std))
+
+    def bw(g):
+        for x, n, centered, std, d_mean, d_std in sites:
+            if x.requires_grad:
+                _backprop_batch_moments(x, n, centered, std, g * 2 * d_std, g * 2 * d_mean)
+
+    return Tensor._op(total, tuple(bn_inputs), bw)
 
 
 def generator_objective(z_p: Tensor, z_q: Tensor, y: Tensor,

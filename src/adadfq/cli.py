@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import checkpoint as ckpt
-from .adaptability import cross_entropy_from_logits, disagreement_vector
+from .adaptability import disagreement_vector
 from .config import RunConfig, _read_config, parse_config  # noqa: F401 (parse_config re-exported)
 from .data import (
     Dataset,
@@ -39,7 +39,7 @@ from .errors import AdadfqError, CheckpointFormatError, ConfigError, ContractErr
 from .game import TRACE_FIELDS, equilibrium_report, run_game
 from .nn import AdamOptimizer, ConditionalGenerator, MlpNetwork, make_mlp
 from .quant import build_quantized_student
-from .tensor import Tensor, backward, no_grad, zero_grads
+from .tensor import Tensor, backward, cross_entropy_from_logits, no_grad, zero_grads
 
 log = logging.getLogger("adadfq")
 
@@ -64,6 +64,12 @@ def _build_dataset(cfg: RunConfig) -> tuple[Dataset, Dataset]:
     if not os.path.exists(cfg.csv_path):
         raise FileNotFoundError(f"dataset file not found: {cfg.csv_path}")
     full = load_csv(cfg.csv_path, cfg.label_column)
+    present = np.unique(full.labels)
+    if present.size < 2 or present[-1] != present.size - 1:
+        raise DataError(
+            f"{cfg.csv_path}: labels must be exactly 0..C-1 with C >= 2, got "
+            f"{present.size} distinct label(s) up to {present[-1]}"
+        )
     # deterministic stratified split on the standardized rows
     rng = SeededRng(cfg.seed).substream("data")
     train, test = stratified_split(full.features, full.labels, full.provenance, rng)

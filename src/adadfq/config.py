@@ -23,6 +23,8 @@ behind that boundary:
     batch_size >= 2 (batch statistics)      RunConfig
     dataset keys in range, none ignored     RunConfig
     dataset CSV exists and parses           train-teacher, data.load_csv
+    CSV labels >= 0                         data.load_csv
+    CSV labels are exactly 0..C-1, C >= 2   train-teacher (cli._build_dataset)
     checkpoint sections, arrays, EMA decay  checkpoint.load_checkpoint
     sample dump; student shape = teacher's  report-similarity
     one-hot labels; p_ds rows sum to 1      built so (sample_noise_and_labels, softmax)

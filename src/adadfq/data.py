@@ -161,6 +161,9 @@ def load_csv(path, label_column: str = "label",
              stats: tuple[np.ndarray, np.ndarray] | None = None) -> Dataset:
     """Parse a comma-separated file with a header row into a standardized dataset.
 
+    Labels must be non-negative integers; a row that breaks this raises
+    DataError naming the file and line.
+
     If ``stats`` is given those (train-split) statistics are applied; otherwise
     statistics are computed from this file and stored on the result for reuse.
     """
@@ -185,9 +188,11 @@ def load_csv(path, label_column: str = "label",
                 label = float(row[label_idx])
                 if label != int(label):
                     raise ValueError
-                labels.append(int(label))
             except ValueError:
                 raise DataError(f"{path}:{line_no}: non-numeric or non-integer-label row") from None
+            if label < 0:
+                raise DataError(f"{path}:{line_no}: negative label {int(label)}")
+            labels.append(int(label))
 
     if not features:
         raise DataError(f"{path}: no data rows after the header")

@@ -32,10 +32,8 @@ import numpy as np
 from .adaptability import (
     calibration_objective,
     classify_samples,
-    cross_entropy_from_logits,
-    disagreement_vector,
+    disagreement_entropy,
     generator_objective,
-    info_entropy,
     normalized_disagreement_entropy,
 )
 from .config import RunConfig
@@ -43,7 +41,7 @@ from .data import SeededRng, sample_noise_and_labels
 from .errors import ContractError, NumericError
 from .nn import AdamOptimizer, ConditionalGenerator, MlpNetwork, SgdMomentum
 from .quant import QuantizedMlp
-from .tensor import Tensor, backward, no_grad, zero_grads
+from .tensor import Tensor, backward, cross_entropy_from_logits, no_grad, zero_grads
 
 
 @dataclass
@@ -85,7 +83,7 @@ def _mean_disagreement_entropy(x: Tensor, z_p: Tensor, q: QuantizedMlp) -> float
     """Batch-mean H_info(p_ds) of the eval-mode student on ``x`` against the
     teacher's logits ``z_p``; records no graph and mutates nothing."""
     with no_grad():
-        h = info_entropy(disagreement_vector(z_p, q.forward(x)))
+        h = disagreement_entropy(z_p, q.forward(x))
     return float(h.data.mean())
 
 
@@ -101,27 +99,37 @@ def game_iteration(g: ConditionalGenerator, p: MlpNetwork, q: QuantizedMlp,
     q.eval()
     p.eval()
     g.train()
-    x = g.forward(z1, y1)
-    if not np.all(np.isfinite(x.data)):
-        raise NumericError(f"non-finite generated samples at iteration {iteration}")
-    z_p = p.forward(x)
-    z_q = q.forward(x)  # student params fixed; gradient still flows through x
-    score = generator_objective(z_p, z_q, y1, p.bn_inputs, p.bn_layers(), config,
-                                num_classes)
-    gen_loss = -score
-    if not np.isfinite(gen_loss.data):
-        raise NumericError(
-            f"non-finite generator loss at iteration {iteration}: {float(gen_loss.data)}"
-        )
+    # The student is frozen for this step, as run_game freezes the teacher:
+    # gradients flow through it to x, and none is kept for its parameters,
+    # which step (b) would zero anyway.
+    q_params = q.parameters()
+    for param in q_params:
+        param.requires_grad = False
+    try:
+        x = g.forward(z1, y1)
+        if not np.all(np.isfinite(x.data)):
+            raise NumericError(f"non-finite generated samples at iteration {iteration}")
+        z_p = p.forward(x)
+        z_q = q.forward(x)
+        score = generator_objective(z_p, z_q, y1, p.bn_inputs, p.bn_layers(), config,
+                                    num_classes)
+        gen_loss = -score
+        if not np.isfinite(gen_loss.data):
+            raise NumericError(
+                f"non-finite generator loss at iteration {iteration}: {float(gen_loss.data)}"
+            )
 
-    # The pre/post pair brackets only the optimizer step: the training forward
-    # above has already folded this batch into the generator's running
-    # statistics, so the difference below is purely the parameter update (and
-    # is exactly zero at a zero learning rate).
-    g.eval()
-    h_pre_g = _mean_disagreement_entropy(*_eval_sample(g, p, z1, y1), q)
-    zero_grads(g.parameters())
-    backward(gen_loss)
+        # The pre/post pair brackets only the optimizer step: the training
+        # forward above has already folded this batch into the generator's
+        # running statistics, so the difference below is purely the parameter
+        # update (and is exactly zero at a zero learning rate).
+        g.eval()
+        h_pre_g = _mean_disagreement_entropy(*_eval_sample(g, p, z1, y1), q)
+        zero_grads(g.parameters())
+        backward(gen_loss)
+    finally:
+        for param in q_params:
+            param.requires_grad = True
     gen_opt.step()
     h_post_g = _mean_disagreement_entropy(*_eval_sample(g, p, z1, y1), q)
 

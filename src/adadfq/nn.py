@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .tensor import Tensor, concat_cols
+from .tensor import Tensor, _unbroadcast, concat_cols, linear
 
 
 class LinearLayer:
@@ -33,10 +33,30 @@ class LinearLayer:
         self.bias = Tensor(np.zeros(out_dim), requires_grad=True)
 
     def forward(self, x: Tensor) -> Tensor:
-        return x.matmul(self.weight.T) + self.bias
+        return linear(x, self.weight, self.bias)
 
     def named_parameters(self) -> dict[str, Tensor]:
         return {"weight": self.weight, "bias": self.bias}
+
+
+def _batch_moments(x: np.ndarray):
+    """Row count, column means, centred rows and biased column variances."""
+    n = float(x.shape[0])
+    mu = x.sum(axis=0) / n
+    centered = x + (-mu)
+    return n, mu, centered, (centered ** 2).sum(axis=0) / n
+
+
+def _backprop_batch_moments(x: Tensor, n: float, centered: np.ndarray, std: np.ndarray,
+                            g_std: np.ndarray, g_mu: np.ndarray) -> None:
+    """Route the gradients of ``std = sqrt(var + eps)`` and of the batch mean
+    into ``x``. Adds to ``x`` as the unfused graph did: the variance's
+    centring first, then the mean's column sum."""
+    g_sq_sum = g_std * 0.5 / std / n
+    g_centered = np.broadcast_to(np.expand_dims(g_sq_sum, 0), centered.shape) * 2 * centered
+    x._accum(g_centered)
+    g_mu = g_mu + -_unbroadcast(g_centered, g_mu.shape)
+    x._accum(np.broadcast_to(np.expand_dims(g_mu / n, 0), centered.shape))
 
 
 class BatchNormLayer:
@@ -51,16 +71,37 @@ class BatchNormLayer:
         self.eps = eps
 
     def forward(self, x: Tensor, training: bool) -> Tensor:
+        """``(x - mu) / sqrt(var + eps) * gamma + beta`` as one node; ``mu``
+        and ``var`` are the batch's (folded into the running statistics) in
+        training and the running statistics in eval."""
+        gamma, beta = self.gamma, self.beta
         if training:
-            mu = x.mean(axis=0)
-            var = ((x - mu) ** 2).mean(axis=0)
+            n, mu, centered, var = _batch_moments(x.data)
             m = self.momentum
-            self.running_mean = (1.0 - m) * self.running_mean + m * mu.data
-            self.running_var = (1.0 - m) * self.running_var + m * var.data
+            self.running_mean = (1.0 - m) * self.running_mean + m * mu
+            self.running_var = (1.0 - m) * self.running_var + m * var
         else:
-            mu = Tensor(self.running_mean)
-            var = Tensor(self.running_var)
-        return (x - mu) / (var + self.eps).sqrt() * self.gamma + self.beta
+            centered = x.data + (-self.running_mean)
+            var = self.running_var
+        std = np.sqrt(var + self.eps)
+        normalized = centered / std
+
+        def bw(g):
+            beta._accum(g)
+            if gamma.requires_grad:
+                gamma._accum(g * normalized)
+            if not x.requires_grad:
+                return
+            g_normalized = g * gamma.data
+            g_centered = g_normalized / std
+            x._accum(g_centered)
+            if training:
+                _backprop_batch_moments(
+                    x, n, centered, std,
+                    _unbroadcast(-g_normalized * centered / (std ** 2), std.shape),
+                    -_unbroadcast(g_centered, mu.shape))
+
+        return Tensor._op(normalized * gamma.data + beta.data, (x, gamma, beta), bw)
 
     def named_parameters(self) -> dict[str, Tensor]:
         return {"gamma": self.gamma, "beta": self.beta}

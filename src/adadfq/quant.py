@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ContractError, DegenerateRangeError
 from .nn import BatchNormLayer, LinearLayer, MlpNetwork, Relu
-from .tensor import Tensor
+from .tensor import Tensor, linear
 
 
 # Decay of the activation ranges' exponential moving average. Checkpoints
@@ -47,14 +47,15 @@ def round_half_away(x: np.ndarray) -> np.ndarray:
 
 
 def quantize_array(x: np.ndarray, lo: float, hi: float, bits: int) -> np.ndarray:
-    """Map reals to integer codes; clamps first, so any finite input is legal."""
+    """Map reals to integer codes; clamps first, so any finite input is legal.
+    The clamp bounds the codes too: the scaled value lies in [0, levels]
+    because each rounding step is monotone, so no second clip is needed."""
     if lo >= hi:
         raise DegenerateRangeError(f"quantization range [{lo}, {hi}] is degenerate")
     levels = float(2 ** bits - 1)
     half = float(2 ** (bits - 1))
     clamped = np.clip(x, lo, hi)
-    codes = round_half_away(levels * (clamped - lo) / (hi - lo) - half)
-    return np.clip(codes, -half, half - 1.0)
+    return round_half_away(levels * (clamped - lo) / (hi - lo) - half)
 
 
 def _dequantize_unchecked(codes: np.ndarray, lo: float, hi: float, bits: int) -> np.ndarray:
@@ -81,7 +82,7 @@ def dequantize_value(code: int, lo: float, hi: float, bits: int) -> float:
 
 def _fake_quant_arrays(x: np.ndarray, lo: float, hi: float, bits: int):
     """Quantize-dequantize of ``x`` and its STE mask; needs ``lo < hi``.
-    quantize_array clips the codes, so no range check is needed."""
+    quantize_array's codes are in range, so no range check is needed."""
     out = _dequantize_unchecked(quantize_array(x, lo, hi, bits), lo, hi, bits)
     return out, (x >= lo) & (x <= hi)
 
@@ -161,7 +162,7 @@ class QuantLinear:
         return _ste(self.weight, out_data, mask)
 
     def forward(self, x: Tensor, observe: bool) -> Tensor:
-        out = x.matmul(self._quantized_weight().T) + self.bias
+        out = linear(x, self._quantized_weight(), self.bias)
         if observe:
             self.act_state.observe(out.data, ACT_EMA_DECAY)
         if self.act_state.has_range:

@@ -12,6 +12,16 @@ relied on by the optimizers, which always zero before a step.
 
 Inside ``with no_grad():`` operations record nothing: every result is a
 constant, with the same bits. Forwards that are only read run there.
+
+Fused nodes. The hot composites are single nodes with a hand-written
+backward: ``linear`` (``x @ w.T + b``), ``softmax_entropy``
+(``entropy_rows(softmax(.))``), ``cross_entropy_from_logits`` (log-softmax
+with the batch-mean cross-entropy), batch norm in ``nn.BatchNormLayer`` and
+the statistics loss ``adaptability.loss_bns``. Same-bits rule: each runs the
+numpy operations of the composite it replaces, on the same operands and in
+the same order, and accumulates into each parent in the order the composite
+did, so every output byte is the composite's. The tests keep the composites
+as the reference and compare bit for bit.
 """
 
 from __future__ import annotations
@@ -289,6 +299,66 @@ def entropy_rows(p: Tensor) -> Tensor:
     return Tensor._op(out_data, (p,), bw)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w.T + b`` as one node."""
+    if x.data.ndim != 2 or x.data.shape[1] != w.data.shape[1]:
+        raise DimensionError(
+            f"linear expects a 2-D input of width {w.data.shape[1]}, got {x.data.shape}"
+        )
+
+    def bw(g):
+        b._accum(g)
+        if x.requires_grad:
+            x._accum(g @ w.data)
+        if w.requires_grad:
+            w._accum((x.data.T @ g).T)
+
+    return Tensor._op(x.data @ w.data.T + b.data, (x, w, b), bw)
+
+
+def _shifted_exp(logits: Tensor, name: str):
+    """Max-shifted logits, their exponentials and the row sums of those."""
+    ld = logits.data
+    if not np.all(np.isfinite(ld)):
+        raise NumericError(f"{name} received non-finite logits")
+    shift = ld + (-ld.max(axis=-1, keepdims=True))
+    e = np.exp(shift)
+    return shift, e, e.sum(axis=-1, keepdims=True)
+
+
+def softmax_entropy(logits: Tensor) -> Tensor:
+    """``entropy_rows(softmax(logits))`` as one node: the entropy of each
+    row's softmax, in nats."""
+    _, e, s = _shifted_exp(logits, "softmax")
+    p = e / s
+    positive = p > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logp = np.where(positive, np.log(np.where(positive, p, 1.0)), 0.0)
+
+    def bw(g):
+        gp = np.expand_dims(g, -1) * np.where(positive, -(logp + 1.0), 0.0)
+        gs = _unbroadcast(-gp * e / (s ** 2), s.shape)
+        logits._accum((gp / s + np.broadcast_to(gs, e.shape)) * e)
+
+    return Tensor._op(-(p * logp).sum(axis=-1), (logits,), bw)
+
+
+def cross_entropy_from_logits(logits: Tensor, y: Tensor) -> Tensor:
+    """Batch mean of -log softmax(logits)[y] as one node; y is one-hot and
+    receives no gradient."""
+    shift, e, s = _shifted_exp(logits, "log_softmax")
+    rows = (y.data * (shift + (-np.log(s)))).sum(axis=1)
+    count = float(rows.size)
+
+    def bw(g):
+        g_rows = np.broadcast_to(-g / count, rows.shape)
+        g_log = np.broadcast_to(np.expand_dims(g_rows, 1), shift.shape) * y.data
+        g_sum = -_unbroadcast(g_log, s.shape) / s
+        logits._accum(g_log + np.broadcast_to(g_sum, e.shape) * e)
+
+    return Tensor._op(-(rows.sum() / count), (logits,), bw)
+
+
 def backward(loss: Tensor) -> None:
     """Populate gradients of every reachable ``requires_grad`` tensor.
 
@@ -300,19 +370,19 @@ def backward(loss: Tensor) -> None:
         return
 
     topo: list[Tensor] = []
-    visited: set[int] = set()
+    visited: set[Tensor] = set()  # Tensor hashes by identity
     stack: list[tuple[Tensor, bool]] = [(loss, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
             topo.append(node)
             continue
-        if id(node) in visited:
+        if node in visited:
             continue
-        visited.add(id(node))
+        visited.add(node)
         stack.append((node, True))
         for parent in node._parents:
-            if parent.requires_grad and id(parent) not in visited:
+            if parent.requires_grad and parent not in visited:
                 stack.append((parent, False))
 
     loss._accum(np.ones_like(loss.data))

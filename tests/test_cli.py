@@ -438,6 +438,27 @@ class TestExitCodes:
         assert "/missing/data.csv" in err.getvalue()
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("labels, fault", [
+        ((0, -1), ":3: negative label -1"),
+        ((0,), "1 distinct label(s) up to 0"),
+        ((0, 2), "2 distinct label(s) up to 2"),
+    ], ids=["negative", "one_class", "gap"])
+    def test_csv_labels_not_0_to_c_minus_1_are_runtime_error(self, tmp_path, capsys,
+                                                              labels, fault):
+        data = tmp_path / "data.csv"
+        rows = [f"{0.1 * i},{(-1) ** i * 0.2 * i},{labels[i % len(labels)]}"
+                for i in range(40)]
+        data.write_text("x0,x1,label\n" + "\n".join(rows) + "\n")
+        p = tmp_path / "c.cfg"
+        p.write_text(f"dataset = csv\ncsv_path = {data}\nteacher_epochs = 2\n"
+                     "teacher_hidden = 8,8\n")
+        rc = main(["train-teacher", "--config", str(p), "--out-dir", str(tmp_path / "out")])
+        assert rc == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert str(data) in err[0] and fault in err[0]
+        assert not (tmp_path / "out").exists()
+
     def test_single_class_dataset_is_usage_error(self, tmp_path, capsys):
         p = tmp_path / "c.cfg"
         p.write_text("classes = 1\n")

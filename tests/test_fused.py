@@ -1,0 +1,256 @@
+"""Each fused node against the composite it replaced, bit for bit.
+
+The composites below are the graphs the package built before the nodes were
+fused; they stay here as the reference. A fused node must give the same
+forward bytes, the same bytes in every input gradient and, for batch norm,
+the same running statistics, and its gradient must pass a finite-difference
+check.
+"""
+
+import copy
+
+import numpy as np
+import pytest
+
+from adadfq.adaptability import loss_bns
+from adadfq.nn import BatchNormLayer, Relu, make_mlp
+from adadfq.tensor import (
+    Tensor,
+    backward,
+    check_gradients,
+    cross_entropy_from_logits,
+    entropy_rows,
+    linear,
+    log_softmax,
+    softmax,
+    softmax_entropy,
+)
+
+
+# -- the composites -----------------------------------------------------------
+
+def composite_linear(x, w, b):
+    return x.matmul(w.T) + b
+
+
+def composite_batch_norm(layer, x, training):
+    if training:
+        mu = x.mean(axis=0)
+        var = ((x - mu) ** 2).mean(axis=0)
+        m = layer.momentum
+        layer.running_mean = (1.0 - m) * layer.running_mean + m * mu.data
+        layer.running_var = (1.0 - m) * layer.running_var + m * var.data
+    else:
+        mu = Tensor(layer.running_mean)
+        var = Tensor(layer.running_var)
+    return (x - mu) / (var + layer.eps).sqrt() * layer.gamma + layer.beta
+
+
+def composite_softmax_entropy(logits):
+    return entropy_rows(softmax(logits))
+
+
+def composite_cross_entropy(logits, y):
+    return -(y * log_softmax(logits)).sum(axis=1).mean()
+
+
+def composite_loss_bns(bn_inputs, bn_layers):
+    total = Tensor(0.0)
+    for x, layer in zip(bn_inputs, bn_layers):
+        mu = x.mean(axis=0)
+        var = ((x - mu) ** 2).mean(axis=0)
+        std = (var + layer.eps).sqrt()
+        target_std = Tensor(np.sqrt(layer.running_var + layer.eps))
+        total = total + ((mu - Tensor(layer.running_mean)) ** 2).sum() \
+                      + ((std - target_std) ** 2).sum()
+    return total
+
+
+# -- helpers ------------------------------------------------------------------
+
+def leaves(rng, *shapes):
+    return [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+
+
+def run(node, inputs, weight):
+    """Forward bytes and every input gradient of ``sum(node(*inputs) * weight)``;
+    the weight makes the upstream gradient non-uniform."""
+    for t in inputs:
+        t.zero_grad()
+    out = node(*inputs)
+    backward((out * weight).sum())
+    return out.data.copy(), [t.grad.copy() for t in inputs]
+
+
+def assert_same_bits(fused, composite, inputs, weight):
+    out_f, grads_f = run(fused, inputs, weight)
+    out_c, grads_c = run(composite, inputs, weight)
+    np.testing.assert_array_equal(out_f, out_c)
+    assert len(grads_f) == len(grads_c)
+    for gf, gc in zip(grads_f, grads_c):
+        np.testing.assert_array_equal(gf, gc)
+
+
+def logits_with_underflow(rng, rows=6, cols=5):
+    """Random logits whose first row's softmax has an exact 0 entry."""
+    z = rng.normal(scale=2.0, size=(rows, cols))
+    z[0, 1] = -800.0
+    assert np.exp(z[0, 1] - z[0].max()) == 0.0
+    return Tensor(z, requires_grad=True)
+
+
+def bn_layer(rng, dim):
+    layer = BatchNormLayer(dim)
+    layer.gamma.data[...] = rng.normal(1.0, 0.3, size=dim)
+    layer.beta.data[...] = rng.normal(size=dim)
+    layer.running_mean = rng.normal(size=dim)
+    layer.running_var = rng.uniform(0.5, 2.0, size=dim)
+    return layer
+
+
+SEEDS = [0, 1, 2]
+
+
+# -- the nodes ----------------------------------------------------------------
+
+class TestLinear:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_same_bits(self, seed):
+        rng = np.random.default_rng(seed)
+        inputs = leaves(rng, (7, 5), (3, 5), (3,))
+        assert_same_bits(linear, composite_linear, inputs, rng.normal(size=(7, 3)))
+
+    def test_gradient(self):
+        rng = np.random.default_rng(3)
+        inputs = leaves(rng, (4, 5), (3, 5), (3,))
+        weight = rng.normal(size=(4, 3))
+        assert check_gradients(lambda: (linear(*inputs) * weight).sum(), inputs) < 1e-6
+
+
+class TestBatchNorm:
+    @pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_same_bits_and_running_statistics(self, seed, training):
+        rng = np.random.default_rng(seed)
+        fused_layer = bn_layer(rng, 4)
+        composite_layer = copy.deepcopy(fused_layer)
+        x = Tensor(rng.normal(1.0, 2.0, size=(6, 4)), requires_grad=True)
+        # gamma and beta are leaves of the layer, so each side keeps its own
+        inputs_f = [x, fused_layer.gamma, fused_layer.beta]
+        inputs_c = [x, composite_layer.gamma, composite_layer.beta]
+        weight = rng.normal(size=(6, 4))
+        out_f, grads_f = run(lambda x, *_: fused_layer.forward(x, training), inputs_f, weight)
+        out_c, grads_c = run(lambda x, *_: composite_batch_norm(composite_layer, x, training),
+                             inputs_c, weight)
+        np.testing.assert_array_equal(out_f, out_c)
+        for gf, gc in zip(grads_f, grads_c):
+            np.testing.assert_array_equal(gf, gc)
+        np.testing.assert_array_equal(fused_layer.running_mean, composite_layer.running_mean)
+        np.testing.assert_array_equal(fused_layer.running_var, composite_layer.running_var)
+
+    @pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
+    def test_gradient(self, training):
+        rng = np.random.default_rng(4)
+        layer = bn_layer(rng, 3)
+        x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        weight = rng.normal(size=(5, 3))
+        params = [x, layer.gamma, layer.beta]
+        err = check_gradients(lambda: (layer.forward(x, training) * weight).sum(), params)
+        assert err < 1e-6
+
+
+class TestSoftmaxEntropy:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_same_bits(self, seed):
+        rng = np.random.default_rng(seed)
+        logits = logits_with_underflow(rng)
+        assert_same_bits(softmax_entropy, composite_softmax_entropy, [logits],
+                         rng.normal(size=6))
+
+    def test_gradient(self):
+        rng = np.random.default_rng(5)
+        logits = logits_with_underflow(rng, rows=4, cols=4)
+        weight = rng.normal(size=4)
+        err = check_gradients(lambda: (softmax_entropy(logits) * weight).sum(), [logits])
+        assert err < 1e-6
+
+
+class TestCrossEntropy:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_same_bits(self, seed):
+        rng = np.random.default_rng(seed)
+        logits = logits_with_underflow(rng)
+        # the underflowing class is the first row's label
+        y = Tensor(np.eye(5)[np.r_[1, rng.integers(0, 5, size=5)]])
+        assert_same_bits(lambda z: cross_entropy_from_logits(z, y),
+                         lambda z: composite_cross_entropy(z, y), [logits], rng.normal())
+
+    def test_gradient(self):
+        rng = np.random.default_rng(6)
+        logits = logits_with_underflow(rng, rows=4, cols=4)
+        y = Tensor(np.eye(4)[[1, 0, 3, 2]])
+        # a wider step: with 1e-5, rounding dominates the 1.7e-4 entry
+        err = check_gradients(lambda: cross_entropy_from_logits(logits, y), [logits],
+                              step=1e-4)
+        assert err < 1e-6
+
+
+class TestLossBns:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_same_bits(self, seed):
+        rng = np.random.default_rng(seed)
+        layers = [bn_layer(rng, 4), bn_layer(rng, 3)]
+        inputs = leaves(rng, (6, 4), (6, 3))
+        assert_same_bits(lambda *xs: loss_bns(list(xs), layers),
+                         lambda *xs: composite_loss_bns(list(xs), layers), inputs,
+                         rng.normal())
+
+    def test_gradient(self):
+        rng = np.random.default_rng(7)
+        layers = [bn_layer(rng, 3), bn_layer(rng, 2)]
+        inputs = leaves(rng, (5, 3), (5, 2))
+        assert check_gradients(lambda: loss_bns(inputs, layers), inputs) < 1e-6
+
+
+def test_shared_batch_norm_inputs_accumulate_in_the_composite_order():
+    """The game's hardest case: each BN input of the eval-mode teacher feeds
+    both its batch-norm layer and loss_bns, so three gradient contributions
+    meet there; the fused graph must add them in the composite's order."""
+    rng = np.random.default_rng(8)
+    net = make_mlp(5, (6, 6), 3, rng).eval()
+    for layer in net.bn_layers():
+        layer.running_mean = rng.normal(size=6)
+        layer.running_var = rng.uniform(0.5, 2.0, size=6)
+    y = Tensor(np.eye(3)[rng.integers(0, 3, size=8)])
+    x = Tensor(rng.normal(size=(8, 5)), requires_grad=True)
+
+    def composite_forward(inp):
+        bn_inputs, out = [], inp
+        for layer in net.layers:
+            if isinstance(layer, BatchNormLayer):
+                bn_inputs.append(out)
+                out = composite_batch_norm(layer, out, training=False)
+            elif isinstance(layer, Relu):
+                out = out.relu()
+            else:
+                out = composite_linear(out, layer.weight, layer.bias)
+        return out, bn_inputs
+
+    def fused_forward(inp):
+        return net.forward(inp), net.bn_inputs
+
+    results = []
+    for forward, ce, bns, entropy in (
+            (fused_forward, cross_entropy_from_logits, loss_bns, softmax_entropy),
+            (composite_forward, composite_cross_entropy, composite_loss_bns,
+             composite_softmax_entropy)):
+        x.zero_grad()
+        for p in net.parameters():
+            p.zero_grad()
+        z, bn_inputs = forward(x)
+        score = entropy(z).mean() - 0.5 * ce(z, y) - 0.1 * bns(bn_inputs, net.bn_layers())
+        backward(-score)
+        results.append([score.data.copy(), x.grad.copy()]
+                       + [p.grad.copy() for p in net.parameters()])
+    for fused, composite in zip(*results):
+        np.testing.assert_array_equal(fused, composite)

@@ -4,18 +4,21 @@ import warnings
 import numpy as np
 import pytest
 
+from adadfq import game
 from adadfq.cli import RunConfig, parse_config, train_teacher_network
 from adadfq.data import SeededRng, make_blobs, standardize
-from adadfq.errors import ConfigError, ContractError
+from adadfq.errors import ConfigError, ContractError, NumericError
 from adadfq.game import (
     TRACE_FIELDS,
     EquilibriumReport,
     TraceRow,
     equilibrium_report,
+    game_iteration,
     run_game,
 )
-from adadfq.nn import ConditionalGenerator
+from adadfq.nn import AdamOptimizer, ConditionalGenerator, SgdMomentum, make_mlp
 from adadfq.quant import build_quantized_student
+from adadfq.tensor import Tensor
 
 
 @pytest.fixture(scope="module")
@@ -170,6 +173,74 @@ class TestRunGame:
             RunConfig(epochs=0)
         with pytest.raises(ConfigError):
             RunConfig(batch_size=1)
+
+
+def desk_players(config):
+    """The desk game's players at ``config``'s sizes, set up as ``run_game``
+    sets them up, with an untrained teacher (4 classes in 8-d, 64x64)."""
+    rng = SeededRng(config.seed)
+    teacher = make_mlp(8, (64, 64), 4, rng.substream("teacher_init")).eval()
+    for param in teacher.parameters():
+        param.requires_grad = False
+    g = ConditionalGenerator(config.noise_dim, 4, 8, rng.substream("generator_init"),
+                             embed_dim=config.embed_dim, hidden=(64, 64))
+    q = build_quantized_student(teacher, config.bits)
+    gen_opt = AdamOptimizer(g.parameters(), lr=config.gen_lr)
+    cal_opt = SgdMomentum(q.parameters(), lr=config.cal_lr, momentum=config.cal_momentum,
+                          weight_decay=config.cal_weight_decay)
+    return g, teacher, q, gen_opt, cal_opt, SeededRng(config.seed)
+
+
+class TestHotPath:
+    def test_recorded_nodes_per_desk_iteration(self, monkeypatch):
+        """Fused nodes keep the desk iteration's graph at this size; un-fusing
+        a composite adds nodes and fails here. The first iteration has no
+        activation range yet, so its student forward skips three fake-quant
+        nodes."""
+        counts = []
+        op = Tensor.__dict__["_op"].__func__
+
+        def counting_op(data, parents, backward_fn):
+            out = op(data, parents, backward_fn)
+            counts[-1] += out.requires_grad
+            return out
+
+        monkeypatch.setattr(Tensor, "_op", staticmethod(counting_op))
+        config = RunConfig()
+        g, p, q, gen_opt, cal_opt, rng = desk_players(config)
+        for i in range(3):
+            counts.append(0)
+            game_iteration(g, p, q, gen_opt, cal_opt, config, rng, i)
+        assert counts == [76, 79, 79]
+
+    def test_step_a_keeps_no_student_gradient(self, monkeypatch):
+        config = RunConfig()
+        g, p, q, gen_opt, cal_opt, rng = desk_players(config)
+        seen = []
+        backward = game.backward
+
+        def observed_backward(loss):
+            backward(loss)
+            seen.append([param.grad for param in q.parameters()])
+
+        monkeypatch.setattr(game, "backward", observed_backward)
+        game_iteration(g, p, q, gen_opt, cal_opt, config, rng, 0)
+        assert len(seen) == 2
+        assert all(grad is None for grad in seen[0])  # step (a)
+        assert all(grad is not None for grad in seen[1])  # step (b)
+
+    def test_student_freeze_is_undone_when_step_a_raises(self, monkeypatch):
+        config = RunConfig()
+        g, p, q, gen_opt, cal_opt, rng = desk_players(config)
+
+        def failing_objective(*args):
+            assert not any(param.requires_grad for param in q.parameters())
+            raise NumericError("objective failed")
+
+        monkeypatch.setattr(game, "generator_objective", failing_objective)
+        with pytest.raises(NumericError, match="objective failed"):
+            game_iteration(g, p, q, gen_opt, cal_opt, config, rng, 0)
+        assert all(param.requires_grad for param in q.parameters())
 
 
 def fake_row(i, **kw):
