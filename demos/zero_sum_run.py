@@ -55,11 +55,12 @@ print(f"naive 3-bit accuracy:  {n_acc:.3f}  (drop {100 * (t_acc - n_acc):.1f} po
 # From here on, only the teacher's weights and BN statistics are used; the
 # dataset never appears again. 1200 iterations keeps the demo under a minute.
 
+game_cfg = RunConfig(epochs=24, iterations_per_epoch=50, seed=SEED, cal_lr=1e-3)
 rng = SeededRng(SEED)
-generator = ConditionalGenerator(64, 4, 8, rng.substream("generator_init"))
+generator = ConditionalGenerator(game_cfg.noise_dim, 4, 8, rng.substream("generator_init"),
+                                 game_cfg.embed_dim, game_cfg.hidden_widths(game_cfg.gen_hidden))
 student = build_quantized_student(teacher, 3)
 
-game_cfg = RunConfig(epochs=24, iterations_per_epoch=50, seed=SEED, cal_lr=1e-3)
 trace = run_game(generator, teacher, student, game_cfg)
 
 print("\n  window   mean dG   mean dQ   dG+dQ    cal loss")

@@ -1,6 +1,7 @@
 """Disagreement/agreement statistics and the two players' objectives.
 
-Core quantities, for teacher logits ``z_p`` and student logits ``z_q``:
+Core quantities, for teacher logits ``z_p`` and student logits ``z_q`` (one
+row per sample; the class count ``C`` is read off their width):
 
 * ``p_ds = softmax(z_p - z_q)`` encodes how much the two networks disagree
   about a sample; ``p_as = softmax(z_p + z_q)`` encodes their agreement.
@@ -25,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import RunConfig
-from .nn import BatchNormLayer, _backprop_batch_moments, _batch_moments
+from .nn import BN_EPS, BatchNormLayer, _backprop_batch_moments, _batch_moments
 from .tensor import Tensor, cross_entropy_from_logits, entropy_rows, softmax, softmax_entropy
 
 DISAGREEMENT = "disagreement"
@@ -70,8 +71,8 @@ def disagreement_entropy(z_p: Tensor, z_q: Tensor) -> Tensor:
     return softmax_entropy(z_p - z_q)
 
 
-def normalized_disagreement_entropy(z_p: Tensor, z_q: Tensor, num_classes: int) -> Tensor:
-    return normalize_entropy(disagreement_entropy(z_p, z_q), num_classes)
+def normalized_disagreement_entropy(z_p: Tensor, z_q: Tensor) -> Tensor:
+    return normalize_entropy(disagreement_entropy(z_p, z_q), z_p.data.shape[1])
 
 
 def classify_samples(z_p: np.ndarray, z_q: np.ndarray, y: np.ndarray) -> list[str]:
@@ -130,8 +131,8 @@ def loss_bns(bn_inputs: list[Tensor], bn_layers: list[BatchNormLayer]) -> Tensor
     """Squared distance between batch statistics and stored running statistics.
 
     Per BN site: ||mean_batch - running_mean||^2 + ||std_batch - running_std||^2,
-    where both stds come from biased variances, square-rooted with the layer's
-    eps guard (so the distance stays differentiable at zero variance).
+    where both stds come from biased variances, square-rooted with batch norm's
+    ``BN_EPS`` guard (so the distance stays differentiable at zero variance).
     Preconditions: the two lists are one network's ``bn_inputs`` and
     ``bn_layers()``, and each batch has at least 2 rows (``RunConfig`` checks
     ``batch_size >= 2``).
@@ -143,9 +144,9 @@ def loss_bns(bn_inputs: list[Tensor], bn_layers: list[BatchNormLayer]) -> Tensor
     sites = []
     for x, layer in zip(bn_inputs, bn_layers):
         n, mu, centered, var = _batch_moments(x.data)
-        std = np.sqrt(var + layer.eps)
+        std = np.sqrt(var + BN_EPS)
         d_mean = mu + (-layer.running_mean)
-        d_std = std + (-np.sqrt(layer.running_var + layer.eps))
+        d_std = std + (-np.sqrt(layer.running_var + BN_EPS))
         total = total + (d_mean ** 2).sum() + (d_std ** 2).sum()
         sites.append((x, n, centered, std, d_mean, d_std))
 
@@ -159,7 +160,7 @@ def loss_bns(bn_inputs: list[Tensor], bn_layers: list[BatchNormLayer]) -> Tensor
 
 def generator_objective(z_p: Tensor, z_q: Tensor, y: Tensor,
                         bn_inputs: list[Tensor], bn_layers: list[BatchNormLayer],
-                        hp: RunConfig, num_classes: int) -> Tensor:
+                        hp: RunConfig) -> Tensor:
     """Scalar the generator ascends; the training loop minimizes its negation.
 
     ``hp`` is the run configuration; the objective reads the paper's six
@@ -167,7 +168,7 @@ def generator_objective(z_p: Tensor, z_q: Tensor, y: Tensor,
     balance weights ``alpha_ds``/``alpha_as`` and the term weights ``beta``
     (balance) and ``gamma`` (BN statistics). A zero weight drops its term.
     """
-    h_prime = normalized_disagreement_entropy(z_p, z_q, num_classes)
+    h_prime = normalized_disagreement_entropy(z_p, z_q)
     score = margin_terms(h_prime, hp.lambda_l, hp.lambda_u)
     if hp.beta != 0.0:
         bal = loss_bal(loss_ds(z_p, z_q, y), loss_as(z_p, z_q, y),
@@ -178,11 +179,11 @@ def generator_objective(z_p: Tensor, z_q: Tensor, y: Tensor,
     return score
 
 
-def calibration_objective(z_p: Tensor, z_q: Tensor, num_classes: int) -> Tensor:
+def calibration_objective(z_p: Tensor, z_q: Tensor) -> Tensor:
     """Batch mean of 1 - h'; minimizing drags the student's logits toward the
     teacher's (h' -> 1 needs p_ds -> uniform, i.e. z_q -> z_p up to a shift).
 
     The caller must ensure only z_q carries gradient (generator frozen).
     """
-    h_prime = normalized_disagreement_entropy(z_p, z_q, num_classes)
+    h_prime = normalized_disagreement_entropy(z_p, z_q)
     return (1.0 - h_prime).mean()

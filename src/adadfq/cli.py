@@ -43,6 +43,8 @@ from .tensor import Tensor, backward, cross_entropy_from_logits, no_grad, zero_g
 
 log = logging.getLogger("adadfq")
 
+EVAL_BATCH = 256  # rows per read-only forward
+
 
 def _command_config(args) -> RunConfig:
     """The command's config with its --seed and --bits applied, range-checked
@@ -77,23 +79,23 @@ def _build_dataset(cfg: RunConfig) -> tuple[Dataset, Dataset]:
     return train, test
 
 
-def _forward_batched(net, features: np.ndarray, batch: int = 256) -> np.ndarray:
+def _forward_batched(net, features: np.ndarray) -> np.ndarray:
     outs = []
     with no_grad():
-        for start in range(0, features.shape[0], batch):
-            outs.append(net.forward(Tensor(features[start : start + batch])).data)
+        for start in range(0, features.shape[0], EVAL_BATCH):
+            outs.append(net.forward(Tensor(features[start : start + EVAL_BATCH])).data)
     return np.concatenate(outs)
 
 
 def evaluate_network(net, ds: Dataset) -> dict:
+    """Scores over the network's classes, the logits' width; a class without rows scores None."""
     logits = _forward_batched(net, ds.features)
-    if logits.shape[1] != ds.num_classes:
-        raise ContractError(
-            f"network has {logits.shape[1]} classes, dataset has {ds.num_classes}"
-        )
+    num_classes = logits.shape[1]
+    if ds.labels.max() >= num_classes:
+        raise DataError(f"{ds.provenance}: label {ds.labels.max()} is not below "
+                        f"the network's class count {num_classes}")
     pred = np.argmax(logits, axis=1)
     correct = pred == ds.labels
-    num_classes = ds.num_classes
     confusion = np.zeros((num_classes, num_classes), dtype=int)
     for t, p in zip(ds.labels, pred):
         confusion[t, p] += 1
@@ -113,11 +115,12 @@ def train_teacher_network(train: Dataset, cfg: RunConfig) -> MlpNetwork:
     """Supervised pretraining of the full-precision network with label
     cross-entropy and Adam."""
     rng = SeededRng(cfg.seed)
-    net = make_mlp(train.dim, cfg.hidden_widths(cfg.teacher_hidden), train.num_classes,
+    num_classes = int(train.labels.max()) + 1  # labels are 0..C-1, by _build_dataset
+    net = make_mlp(train.dim, cfg.hidden_widths(cfg.teacher_hidden), num_classes,
                    rng.substream("teacher_init"))
     opt = AdamOptimizer(net.parameters(), lr=cfg.teacher_lr)
     order_rng = rng.substream("teacher_order")
-    onehot = np.eye(train.num_classes)[train.labels]
+    onehot = np.eye(num_classes)[train.labels]
     n = train.num_samples
     net.train()
     for epoch in range(cfg.teacher_epochs):

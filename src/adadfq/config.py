@@ -25,6 +25,7 @@ behind that boundary:
     dataset CSV exists and parses           train-teacher, data.load_csv
     CSV labels >= 0                         data.load_csv
     CSV labels are exactly 0..C-1, C >= 2   train-teacher (cli._build_dataset)
+    CSV labels < the network's class count  cli.evaluate_network (eval, quantize)
     checkpoint sections, arrays, EMA decay  checkpoint.load_checkpoint
     sample dump; student shape = teacher's  report-similarity
     one-hot labels; p_ds rows sum to 1      built so (sample_noise_and_labels, softmax)

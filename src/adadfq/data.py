@@ -21,6 +21,9 @@ from .checkpoint import write_csv
 from .errors import ConfigError, DataError
 from .tensor import Tensor
 
+RINGS_NOISE = 0.1  # std of the rings' radial noise
+TEST_FRACTION = 0.2  # share of each class held out by stratified_split
+
 
 class SeededRng:
     """Named, independent random substreams derived from one 64-bit seed."""
@@ -69,19 +72,15 @@ class Dataset:
     def dim(self) -> int:
         return int(self.features.shape[1])
 
-    @property
-    def num_classes(self) -> int:
-        return int(self.labels.max()) + 1
-
 
 def stratified_split(features: np.ndarray, labels: np.ndarray, provenance: str,
-                     gen: np.random.Generator, test_fraction: float = 0.2):
+                     gen: np.random.Generator):
     """80/20 split with every class represented in both halves."""
     train_idx, test_idx = [], []
     for c in np.unique(labels):
         idx = np.flatnonzero(labels == c)
         gen.shuffle(idx)
-        n_test = max(1, int(round(test_fraction * idx.size)))
+        n_test = max(1, int(round(TEST_FRACTION * idx.size)))
         test_idx.extend(idx[:n_test])
         train_idx.extend(idx[n_test:])
     train_idx = np.sort(np.asarray(train_idx))
@@ -114,8 +113,7 @@ def make_blobs(num_classes: int, per_class: int, dim: int, spread: float,
     return stratified_split(features, labels, provenance, gen)
 
 
-def make_rings(num_classes: int, per_class: int, seed: int,
-               noise: float = 0.1) -> tuple[Dataset, Dataset]:
+def make_rings(num_classes: int, per_class: int, seed: int) -> tuple[Dataset, Dataset]:
     """Concentric 2-D annuli; radius grows with class index, so the class is
     recoverable from the norm but not by any linear classifier. ``RunConfig``
     checks ``num_classes >= 2`` and ``per_class >= 5``."""
@@ -124,11 +122,11 @@ def make_rings(num_classes: int, per_class: int, seed: int,
     for c in range(num_classes):
         radius = 1.0 + c
         theta = 2.0 * np.pi * gen.random(per_class)
-        r = radius + noise * box_muller(gen, (per_class,))
+        r = radius + RINGS_NOISE * box_muller(gen, (per_class,))
         rows.append(np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1))
     features = np.concatenate(rows)
     labels = np.repeat(np.arange(num_classes), per_class)
-    provenance = f"rings(C={num_classes},per_class={per_class},seed={seed},noise={noise})"
+    provenance = f"rings(C={num_classes},per_class={per_class},seed={seed},noise={RINGS_NOISE})"
     return stratified_split(features, labels, provenance, gen)
 
 

@@ -111,8 +111,7 @@ def game_iteration(g: ConditionalGenerator, p: MlpNetwork, q: QuantizedMlp,
             raise NumericError(f"non-finite generated samples at iteration {iteration}")
         z_p = p.forward(x)
         z_q = q.forward(x)
-        score = generator_objective(z_p, z_q, y1, p.bn_inputs, p.bn_layers(), config,
-                                    num_classes)
+        score = generator_objective(z_p, z_q, y1, p.bn_inputs, p.bn_layers(), config)
         gen_loss = -score
         if not np.isfinite(gen_loss.data):
             raise NumericError(
@@ -135,7 +134,7 @@ def game_iteration(g: ConditionalGenerator, p: MlpNetwork, q: QuantizedMlp,
 
     # per-sample diagnostics from the training batch, before the student moves
     with no_grad():
-        h_prime = normalized_disagreement_entropy(z_p, z_q, num_classes)
+        h_prime = normalized_disagreement_entropy(z_p, z_q)
     kinds = classify_samples(z_p.data, z_q.data, y1.data)
 
     # ---- (b) student calibration step --------------------------------------
@@ -146,7 +145,7 @@ def game_iteration(g: ConditionalGenerator, p: MlpNetwork, q: QuantizedMlp,
 
     q.train()
     z_q2 = q.forward(x2)  # observes this batch into the activation-range EMAs
-    cal_loss = calibration_objective(z_p2, z_q2, num_classes)
+    cal_loss = calibration_objective(z_p2, z_q2)
     if config.aux_ce != 0.0:
         cal_loss = cal_loss + config.aux_ce * cross_entropy_from_logits(z_q2, y2)
     if not np.isfinite(cal_loss.data):

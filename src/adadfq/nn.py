@@ -14,16 +14,23 @@ Batch-norm conventions, fixed here so downstream statistics losses are
 well-defined:
 
 * batch variance is the biased (population) estimator;
-* the running-stat update is ``new = (1 - momentum) * old + momentum * batch``;
-* eval mode normalizes with running statistics only.
+* the running-stat update is ``new = (1 - BN_MOMENTUM) * old + BN_MOMENTUM * batch``;
+* eval mode normalizes with running statistics only;
+* the std is ``sqrt(var + BN_EPS)``. ``BN_EPS`` and ``BN_MOMENTUM``, like the
+  Adam constants, are fixed here, not per layer: no checkpoint records them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError, DimensionError
+from .errors import ContractError
 from .tensor import Tensor, _unbroadcast, concat_cols, linear
+
+BN_EPS = 1e-5
+BN_MOMENTUM = 0.1
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
 
 
 class LinearLayer:
@@ -49,7 +56,7 @@ def _batch_moments(x: np.ndarray):
 
 def _backprop_batch_moments(x: Tensor, n: float, centered: np.ndarray, std: np.ndarray,
                             g_std: np.ndarray, g_mu: np.ndarray) -> None:
-    """Route the gradients of ``std = sqrt(var + eps)`` and of the batch mean
+    """Route the gradients of ``std = sqrt(var + BN_EPS)`` and of the batch mean
     into ``x``. Adds to ``x`` as the unfused graph did: the variance's
     centring first, then the mean's column sum."""
     g_sq_sum = g_std * 0.5 / std / n
@@ -60,30 +67,26 @@ def _backprop_batch_moments(x: Tensor, n: float, centered: np.ndarray, std: np.n
 
 
 class BatchNormLayer:
-    def __init__(self, dim: int, momentum: float = 0.1, eps: float = 1e-5):
-        if not 0.0 < momentum < 1.0:
-            raise ContractError(f"batch-norm momentum must be in (0,1), got {momentum}")
+    def __init__(self, dim: int):
         self.gamma = Tensor(np.ones(dim), requires_grad=True)
         self.beta = Tensor(np.zeros(dim), requires_grad=True)
         self.running_mean = np.zeros(dim)
         self.running_var = np.ones(dim)
-        self.momentum = momentum
-        self.eps = eps
 
     def forward(self, x: Tensor, training: bool) -> Tensor:
-        """``(x - mu) / sqrt(var + eps) * gamma + beta`` as one node; ``mu``
+        """``(x - mu) / sqrt(var + BN_EPS) * gamma + beta`` as one node; ``mu``
         and ``var`` are the batch's (folded into the running statistics) in
         training and the running statistics in eval."""
         gamma, beta = self.gamma, self.beta
         if training:
             n, mu, centered, var = _batch_moments(x.data)
-            m = self.momentum
+            m = BN_MOMENTUM
             self.running_mean = (1.0 - m) * self.running_mean + m * mu
             self.running_var = (1.0 - m) * self.running_var + m * var
         else:
             centered = x.data + (-self.running_mean)
             var = self.running_var
-        std = np.sqrt(var + self.eps)
+        std = np.sqrt(var + BN_EPS)
         normalized = centered / std
 
         def bw(g):
@@ -122,13 +125,14 @@ class MlpNetwork:
     """Ordered layers with a train/eval flag and batch-norm input hooks.
 
     After each ``forward``, ``bn_inputs`` holds the input activation of every
-    BatchNormLayer in layer order (one entry per BN site).
+    BatchNormLayer in layer order (one entry per BN site). The widths are read
+    off the first and last (linear) layers; the first rejects another width.
     """
 
-    def __init__(self, layers: list, input_dim: int, output_dim: int):
+    def __init__(self, layers: list):
         self.layers = layers
-        self.input_dim = input_dim
-        self.output_dim = output_dim
+        self.input_dim = layers[0].weight.shape[1]
+        self.output_dim = layers[-1].weight.shape[0]
         self.training = True
         self.bn_inputs: list[Tensor] = []
 
@@ -141,10 +145,6 @@ class MlpNetwork:
         return self
 
     def forward(self, x: Tensor) -> Tensor:
-        if x.data.ndim != 2 or x.data.shape[1] != self.input_dim:
-            raise DimensionError(
-                f"expected input of width {self.input_dim}, got shape {x.data.shape}"
-            )
         self.bn_inputs = []
         out = x
         for layer in self.layers:
@@ -181,15 +181,14 @@ def make_mlp(input_dim: int, hidden: tuple[int, ...], output_dim: int,
         layers.append(Relu())
         prev = width
     layers.append(LinearLayer(prev, output_dim, rng))
-    return MlpNetwork(layers, input_dim, output_dim)
+    return MlpNetwork(layers)
 
 
 class ConditionalGenerator:
     """Maps (noise z, one-hot label y) to sample space via a label embedding."""
 
     def __init__(self, noise_dim: int, num_classes: int, sample_dim: int,
-                 rng: np.random.Generator, embed_dim: int = 8,
-                 hidden: tuple[int, ...] = (64, 64)):
+                 rng: np.random.Generator, embed_dim: int, hidden: tuple[int, ...]):
         self.embedding = Tensor(rng.normal(0.0, 1.0, size=(num_classes, embed_dim)),
                                 requires_grad=True)
         self.body = make_mlp(noise_dim + embed_dim, hidden, sample_dim, rng)
@@ -223,8 +222,8 @@ class SgdMomentum:
     gradient before the momentum update; at mu = 0 the step is plain SGD.
     """
 
-    def __init__(self, params: list[Tensor], lr: float, momentum: float = 0.9,
-                 weight_decay: float = 0.0):
+    def __init__(self, params: list[Tensor], lr: float, momentum: float,
+                 weight_decay: float):
         self.params = list(params)
         self.lr = lr
         self.momentum = momentum
@@ -244,18 +243,15 @@ class SgdMomentum:
 
 
 class AdamOptimizer:
-    def __init__(self, params: list[Tensor], lr: float = 1e-3,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
+    def __init__(self, params: list[Tensor], lr: float):
         self.params = list(params)
         self.lr = lr
-        self.betas = betas
-        self.eps = eps
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
         self.t = 0
 
     def step(self) -> None:
-        b1, b2 = self.betas
+        b1, b2 = ADAM_BETAS
         self.t += 1
         for p, m, v in zip(self.params, self.m, self.v):
             if p.grad is None:
@@ -267,4 +263,4 @@ class AdamOptimizer:
             v += (1.0 - b2) * g * g
             m_hat = m / (1.0 - b1 ** self.t)
             v_hat = v / (1.0 - b2 ** self.t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)

@@ -19,11 +19,12 @@ tensor) passes through unquantized.
 
 The student is the teacher's MlpNetwork with each LinearLayer swapped for a
 QuantLinear by ``build_quantized_student``; it shares the network's layer
-protocol, parameter names and train/eval flag. Two rules differ from the
-teacher: a QuantLinear observes its output into the activation range's
-exponential moving average only while the student is training (eval leaves
-every range as it is), and batch norm always normalizes with the running
-statistics copied from the teacher, never with batch statistics.
+protocol, parameter names, train/eval flag and widths, and reads its bit
+width off its QuantLinears. Two rules differ from the teacher: a QuantLinear
+observes its output into the activation range's exponential moving average
+only while the student is training (eval leaves every range as it is), and
+batch norm always normalizes with the running statistics copied from the
+teacher, never with batch statistics.
 """
 
 from __future__ import annotations
@@ -111,14 +112,14 @@ class FakeQuantState:
     observed_min: float | None = None
     observed_max: float | None = None
 
-    def observe(self, batch: np.ndarray, decay: float) -> None:
+    def observe(self, batch: np.ndarray) -> None:
         lo = float(batch.min())
         hi = float(batch.max())
         if self.observed_min is None:
             self.observed_min, self.observed_max = lo, hi
         else:
-            self.observed_min = decay * self.observed_min + (1.0 - decay) * lo
-            self.observed_max = decay * self.observed_max + (1.0 - decay) * hi
+            self.observed_min = ACT_EMA_DECAY * self.observed_min + (1.0 - ACT_EMA_DECAY) * lo
+            self.observed_max = ACT_EMA_DECAY * self.observed_max + (1.0 - ACT_EMA_DECAY) * hi
 
     @property
     def has_range(self) -> bool:
@@ -164,7 +165,7 @@ class QuantLinear:
     def forward(self, x: Tensor, observe: bool) -> Tensor:
         out = linear(x, self._quantized_weight(), self.bias)
         if observe:
-            self.act_state.observe(out.data, ACT_EMA_DECAY)
+            self.act_state.observe(out.data)
         if self.act_state.has_range:
             out = fake_quant(out, self.act_state.observed_min,
                              self.act_state.observed_max, self.bits)
@@ -183,9 +184,9 @@ class QuantizedMlp(MlpNetwork):
     the batch-norm affine parameters.
     """
 
-    def __init__(self, layers: list, input_dim: int, output_dim: int, bits: int):
-        super().__init__(layers, input_dim, output_dim)
-        self.bits = bits
+    def __init__(self, layers: list):
+        super().__init__(layers)
+        self.bits = layers[0].bits
         self.training = False
 
     def forward(self, x: Tensor) -> Tensor:
@@ -215,7 +216,7 @@ def build_quantized_student(teacher: MlpNetwork, bits: int) -> QuantizedMlp:
         if isinstance(layer, LinearLayer):
             layers.append(QuantLinear(layer, bits))
         elif isinstance(layer, BatchNormLayer):
-            bn = BatchNormLayer(layer.gamma.data.size, layer.momentum, layer.eps)
+            bn = BatchNormLayer(layer.gamma.data.size)
             bn.gamma = Tensor(layer.gamma.data.copy(), requires_grad=True)
             bn.beta = Tensor(layer.beta.data.copy(), requires_grad=True)
             bn.running_mean = layer.running_mean.copy()
@@ -225,4 +226,4 @@ def build_quantized_student(teacher: MlpNetwork, bits: int) -> QuantizedMlp:
             layers.append(Relu())
         else:
             raise ContractError(f"cannot quantize layer of type {type(layer).__name__}")
-    return QuantizedMlp(layers, teacher.input_dim, teacher.output_dim, bits)
+    return QuantizedMlp(layers)

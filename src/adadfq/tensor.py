@@ -268,20 +268,20 @@ def concat_cols(tensors: list[Tensor]) -> Tensor:
     return Tensor._op(out_data, tuple(tensors), bw)
 
 
-def softmax(logits: Tensor, axis: int = -1) -> Tensor:
-    """Row-wise softmax with max-subtraction for overflow safety."""
+def softmax(logits: Tensor) -> Tensor:
+    """Row-wise (last-axis) softmax with max-subtraction for overflow safety."""
     if not np.all(np.isfinite(logits.data)):
         raise NumericError("softmax received non-finite logits")
-    shift = logits - Tensor(logits.data.max(axis=axis, keepdims=True))
+    shift = logits - Tensor(logits.data.max(axis=-1, keepdims=True))
     e = shift.exp()
-    return e / e.sum(axis=axis, keepdims=True)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
-def log_softmax(logits: Tensor, axis: int = -1) -> Tensor:
+def log_softmax(logits: Tensor) -> Tensor:
     if not np.all(np.isfinite(logits.data)):
         raise NumericError("log_softmax received non-finite logits")
-    shift = logits - Tensor(logits.data.max(axis=axis, keepdims=True))
-    return shift - shift.exp().sum(axis=axis, keepdims=True).log()
+    shift = logits - Tensor(logits.data.max(axis=-1, keepdims=True))
+    return shift - shift.exp().sum(axis=-1, keepdims=True).log()
 
 
 def entropy_rows(p: Tensor) -> Tensor:

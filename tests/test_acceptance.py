@@ -89,7 +89,8 @@ def _play(teacher, seed, **kw):
     config = RunConfig(**{**GAME_KW, "seed": seed, **kw})
     rng = SeededRng(seed)
     g = ConditionalGenerator(config.noise_dim, teacher.output_dim,
-                             teacher.input_dim, rng.substream("generator_init"))
+                             teacher.input_dim, rng.substream("generator_init"),
+                             config.embed_dim, config.hidden_widths(config.gen_hidden))
     q = build_quantized_student(teacher, BITS)
     trace = run_game(g, teacher, q, config)
     q.eval()
@@ -269,10 +270,10 @@ def test_criterion_3_gradient_suite():
             zp = x2 @ Tensor(w_p)
             zq = x2 @ Tensor(w_q)
             return generator_objective(zp, zq, Tensor(np.eye(4)[np.arange(6) % 4]),
-                                       [x2], [layer], RunConfig(), 4)
+                                       [x2], [layer], RunConfig())
 
         def cal_loss():
-            return calibration_objective(x2 @ Tensor(w_p), x2 @ Tensor(w_q), 4)
+            return calibration_objective(x2 @ Tensor(w_p), x2 @ Tensor(w_q))
 
         zp0, zq0 = x2.data @ w_p, x2.data @ w_q
         h_prime = normalize_entropy(

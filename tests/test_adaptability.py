@@ -164,7 +164,7 @@ class TestLosses:
         assert float(out.data) == pytest.approx(0.0, abs=1e-9)
 
     def test_bns_mean_shift_quadratic(self):
-        layer = BatchNormLayer(1, eps=0.0)
+        layer = BatchNormLayer(1)
         layer.running_mean = np.array([0.0])
         layer.running_var = np.array([1.0])
         x = np.array([[2.0], [4.0]])  # mean 3, biased std 1
@@ -180,8 +180,8 @@ class TestObjectives:
         z_p = rand_logits(rng)
         near = z_p + Tensor(0.01 * rng.normal(size=z_p.data.shape))
         far = Tensor(rng.normal(scale=5.0, size=z_p.data.shape))
-        assert float(calibration_objective(z_p, near, 4).data) < float(
-            calibration_objective(z_p, far, 4).data
+        assert float(calibration_objective(z_p, near).data) < float(
+            calibration_objective(z_p, far).data
         )
 
     def test_generator_objective_drops_terms_at_zero_weight(self):
@@ -189,8 +189,8 @@ class TestObjectives:
         z_p, z_q = rand_logits(rng), rand_logits(rng)
         y = Tensor(np.eye(4)[[0, 1, 2, 3, 0, 1]])
         hp_off = RunConfig(beta=0.0, gamma=0.0)
-        score = generator_objective(z_p, z_q, y, [], [], hp_off, 4)
-        h_prime = normalized_disagreement_entropy(z_p, z_q, 4)
+        score = generator_objective(z_p, z_q, y, [], [], hp_off)
+        h_prime = normalized_disagreement_entropy(z_p, z_q)
         expected = margin_terms(h_prime, hp_off.lambda_l, hp_off.lambda_u)
         assert float(score.data) == pytest.approx(float(expected.data))
 
@@ -202,7 +202,7 @@ class TestObjectives:
         z_p, z_q = rand_logits(rng), rand_logits(rng)
         y = Tensor(np.eye(4)[[0, 1, 2, 3, 0, 1]])
         hp = RunConfig(lambda_l=0.0, lambda_u=1.0, beta=0.0, gamma=0.0)
-        score = generator_objective(z_p, z_q, y, [], [], hp, 4)
+        score = generator_objective(z_p, z_q, y, [], [], hp)
         assert float(score.data) == 0.0
 
     def test_hyperparams_validation(self):
@@ -246,6 +246,6 @@ class TestGradients:
         skip = {argmin_entropy_row(z_p, z_q)}
 
         def loss():
-            return calibration_objective(z_p, z_q, 3)
+            return calibration_objective(z_p, z_q)
 
         assert fd_check_skip_rows(loss, z_q, skip, step=1e-6) < 1e-4

@@ -93,9 +93,13 @@ def test_architecture_is_read_off_the_network(tmp_path):
                                build_quantized_student(net, 3))):
         path = tmp_path / f"{kind}.json"
         save(path, model)
-        arch = json.loads(path.read_text())["architecture"]
+        doc = json.loads(path.read_text())
+        arch = doc["architecture"]
         assert arch == {"input_dim": 4, "hidden": [5, 3], "num_classes": 2}
-        load_checkpoint(path)
+        loaded, _ = load_checkpoint(path)
+        assert (loaded.input_dim, loaded.output_dim) == (arch["input_dim"], arch["num_classes"])
+        if kind == "student":
+            assert loaded.bits == doc["quant"]["bits"] == 3
 
 
 class TestFormatErrors:

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import hashlib
 import json
@@ -7,8 +8,9 @@ import numpy as np
 import pytest
 
 import adadfq
+from adadfq.checkpoint import load_checkpoint, norm_stats_from
 from adadfq.cli import RunConfig, evaluate_network, main, parse_config
-from adadfq.data import Dataset
+from adadfq.data import Dataset, load_csv
 from adadfq.errors import ConfigError
 from adadfq.tensor import Tensor
 
@@ -28,6 +30,16 @@ noise_dim = 16
 cal_lr = 0.001
 sample_dump = 12
 """
+
+
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def write_rows(path, rows):
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
 
 
 @pytest.fixture(scope="module")
@@ -292,6 +304,25 @@ class TestEval:
         assert 0.0 <= report["accuracy"] <= 1.0
         assert len(report["confusion"]) == 3
 
+    def test_dataset_without_the_last_class(self, workdir, tmp_path):
+        # the class count is the network's, not the highest label present
+        _, _, out = workdir
+        rows = read_rows(out / "test.csv")
+        subset = tmp_path / "no_class_2.csv"
+        write_rows(subset, [rows[0]] + [r for r in rows[1:] if r[-1] != "2"])
+        report_path = tmp_path / "eval.json"
+        rc = main(["eval", "--ckpt", str(out / "teacher.json"),
+                   "--dataset", str(subset), "--out", str(report_path)])
+        assert rc == 0
+        report = json.loads(report_path.read_text())
+        net, doc = load_checkpoint(out / "teacher.json")
+        kept = load_csv(subset, stats=norm_stats_from(doc))
+        pred = net.forward(Tensor(kept.features)).data.argmax(axis=1)
+        assert set(kept.labels) == {0, 1}
+        assert report["accuracy"] == float((pred == kept.labels).mean())
+        assert np.shape(report["confusion"]) == (3, 3)
+        assert report["per_class_accuracy"]["2"] is None
+
 
 class TestReportSimilarity:
     def test_round_trip_matches_dfq_output(self, workdir):
@@ -466,6 +497,24 @@ class TestExitCodes:
         assert rc == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "quantize"])
+    def test_label_beyond_the_network_classes_is_runtime_error(self, workdir, tmp_path,
+                                                               capsys, command):
+        _, _, out = workdir
+        rows = read_rows(out / "test.csv")
+        rows[1][-1] = "3"  # the teacher has classes 0..2
+        data = tmp_path / "label_3.csv"
+        write_rows(data, rows)
+        args = ["--ckpt", str(out / "teacher.json"), "--dataset", str(data)]
+        if command == "quantize":
+            args += ["--bits", "3", "--out-dir", str(tmp_path / "out")]
+        capsys.readouterr()
+        assert main([command] + args) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert str(data) in err[0] and "label 3" in err[0]
         assert not (tmp_path / "out").exists()
 
     def test_missing_dataset_is_usage_error(self, workdir):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from adadfq.adaptability import loss_bns
-from adadfq.nn import BatchNormLayer, Relu, make_mlp
+from adadfq.nn import BN_EPS, BN_MOMENTUM, BatchNormLayer, Relu, make_mlp
 from adadfq.tensor import (
     Tensor,
     backward,
@@ -37,13 +37,13 @@ def composite_batch_norm(layer, x, training):
     if training:
         mu = x.mean(axis=0)
         var = ((x - mu) ** 2).mean(axis=0)
-        m = layer.momentum
+        m = BN_MOMENTUM
         layer.running_mean = (1.0 - m) * layer.running_mean + m * mu.data
         layer.running_var = (1.0 - m) * layer.running_var + m * var.data
     else:
         mu = Tensor(layer.running_mean)
         var = Tensor(layer.running_var)
-    return (x - mu) / (var + layer.eps).sqrt() * layer.gamma + layer.beta
+    return (x - mu) / (var + BN_EPS).sqrt() * layer.gamma + layer.beta
 
 
 def composite_softmax_entropy(logits):
@@ -59,8 +59,8 @@ def composite_loss_bns(bn_inputs, bn_layers):
     for x, layer in zip(bn_inputs, bn_layers):
         mu = x.mean(axis=0)
         var = ((x - mu) ** 2).mean(axis=0)
-        std = (var + layer.eps).sqrt()
-        target_std = Tensor(np.sqrt(layer.running_var + layer.eps))
+        std = (var + BN_EPS).sqrt()
+        target_std = Tensor(np.sqrt(layer.running_var + BN_EPS))
         total = total + ((mu - Tensor(layer.running_mean)) ** 2).sum() \
                       + ((std - target_std) ** 2).sum()
     return total

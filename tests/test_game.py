@@ -41,7 +41,7 @@ def play(teacher, config):
     rng = SeededRng(config.seed)
     g = ConditionalGenerator(config.noise_dim, teacher.output_dim,
                              teacher.input_dim, rng.substream("generator_init"),
-                             hidden=(16, 16))
+                             config.embed_dim, (16, 16))
     q = build_quantized_student(teacher, 3)
     return run_game(g, teacher, q, config), g, q
 
@@ -103,7 +103,7 @@ class TestRunGame:
         rng = SeededRng(config.seed)
         g = ConditionalGenerator(config.noise_dim, teacher.output_dim,
                                  teacher.input_dim, rng.substream("generator_init"),
-                                 hidden=(16, 16))
+                                 config.embed_dim, (16, 16))
         q = build_quantized_student(teacher, 3)
         g_before = [p.data.copy() for p in g.parameters()]
         q_before = [p.data.copy() for p in q.parameters()]
@@ -117,7 +117,7 @@ class TestRunGame:
         rng = SeededRng(config.seed)
         g = ConditionalGenerator(config.noise_dim, teacher.output_dim,
                                  teacher.input_dim, rng.substream("generator_init"),
-                                 hidden=(16, 16))
+                                 config.embed_dim, (16, 16))
         q = build_quantized_student(teacher, 3)
         trace = run_game(g, teacher, q, config, row_callback=seen.append)
         assert seen == trace
@@ -133,7 +133,7 @@ class TestRunGame:
         rng = SeededRng(config.seed)
         g = ConditionalGenerator(config.noise_dim, teacher.output_dim,
                                  teacher.input_dim, rng.substream("generator_init"),
-                                 hidden=(16, 16))
+                                 config.embed_dim, (16, 16))
         q = build_quantized_student(teacher, 3)
         g_before = [p.data.copy() for p in g.parameters()]
         q_before = [p.data.copy() for p in q.parameters()]
@@ -152,7 +152,7 @@ class TestRunGame:
         rng = SeededRng(config.seed)
         g = ConditionalGenerator(config.noise_dim, teacher.output_dim,
                                  teacher.input_dim, rng.substream("generator_init"),
-                                 hidden=(16, 16))
+                                 config.embed_dim, (16, 16))
         # poison the output-layer bias so generated samples are non-finite
         g.parameters()[-1].data[...] = np.nan
         q = build_quantized_student(teacher, 3)

@@ -5,6 +5,8 @@ from adadfq.cli import RunConfig, evaluate_network, train_teacher_network
 from adadfq.data import make_blobs, standardize
 from adadfq.errors import ContractError, DimensionError
 from adadfq.nn import (
+    ADAM_BETAS,
+    ADAM_EPS,
     AdamOptimizer,
     BatchNormLayer,
     ConditionalGenerator,
@@ -57,7 +59,7 @@ class TestForward:
 
 class TestBatchNorm:
     def test_eval_at_running_mean_gives_beta(self):
-        bn = BatchNormLayer(3, eps=1e-12)
+        bn = BatchNormLayer(3)
         bn.running_mean = np.array([1.0, -2.0, 0.5])
         bn.running_var = np.array([4.0, 1.0, 9.0])
         bn.beta.data[...] = [7.0, 8.0, 9.0]
@@ -65,25 +67,22 @@ class TestBatchNorm:
         np.testing.assert_allclose(out.data, [[7.0, 8.0, 9.0]], atol=1e-6)
 
     def test_ema_update_convention(self):
-        bn = BatchNormLayer(1, momentum=0.1)
+        bn = BatchNormLayer(1)
         x = Tensor([[0.0], [2.0]])  # batch mean 1, biased var 1
         bn.forward(x, training=True)
         assert bn.running_mean[0] == pytest.approx(0.9 * 0.0 + 0.1 * 1.0)
         assert bn.running_var[0] == pytest.approx(0.9 * 1.0 + 0.1 * 1.0)
 
     def test_batch_variance_is_biased(self):
-        bn = BatchNormLayer(1, momentum=0.5)
+        bn = BatchNormLayer(1)
         bn.forward(Tensor([[0.0], [1.0]]), training=True)  # biased var 0.25
-        assert bn.running_var[0] == pytest.approx(0.5 * 1.0 + 0.5 * 0.25)
-
-    def test_invalid_momentum(self):
-        with pytest.raises(ContractError):
-            BatchNormLayer(2, momentum=1.5)
+        assert bn.running_var[0] == pytest.approx(0.9 * 1.0 + 0.1 * 0.25)
 
 
 class TestGenerator:
     def make(self, seed=0):
-        return ConditionalGenerator(16, 4, 8, np.random.default_rng(seed))
+        return ConditionalGenerator(16, 4, 8, np.random.default_rng(seed),
+                                    embed_dim=8, hidden=(64, 64))
 
     def test_reproducible_output(self):
         z = Tensor(np.random.default_rng(2).normal(size=(5, 16)))
@@ -100,7 +99,8 @@ class TestGenerator:
         assert not np.allclose(out0, out1)
 
     def test_default_batch_shape(self):
-        g = ConditionalGenerator(64, 4, 8, np.random.default_rng(0)).eval()
+        g = ConditionalGenerator(64, 4, 8, np.random.default_rng(0),
+                                 embed_dim=8, hidden=(64, 64)).eval()
         z = Tensor(np.random.default_rng(4).normal(size=(16, 64)))
         y = Tensor(np.eye(4)[np.random.default_rng(5).integers(0, 4, 16)])
         assert g.forward(z, y).data.shape == (16, 8)
@@ -123,9 +123,9 @@ class TestOptimizers:
 
     def test_adam_first_step_matches_hand_recurrence(self):
         w = Tensor([1.0, -1.0], requires_grad=True)
-        lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
+        lr, (b1, b2), eps = 1e-3, ADAM_BETAS, ADAM_EPS
         g = np.array([0.5, -2.0])
-        opt = AdamOptimizer([w], lr=lr, betas=(b1, b2), eps=eps)
+        opt = AdamOptimizer([w], lr=lr)
         w.grad = g.copy()
         opt.step()
         m_hat = (1 - b1) * g / (1 - b1)
@@ -135,13 +135,13 @@ class TestOptimizers:
 
     def test_missing_grad_rejected(self):
         w = Tensor([0.0], requires_grad=True)
-        opt = AdamOptimizer([w])
+        opt = AdamOptimizer([w], lr=1e-3)
         with pytest.raises(ContractError):
             opt.step()
 
     def test_sgd_momentum_matches_hand_recurrence(self):
         w = Tensor([0.0], requires_grad=True)
-        opt = SgdMomentum([w], lr=0.1, momentum=0.9)
+        opt = SgdMomentum([w], lr=0.1, momentum=0.9, weight_decay=0.0)
         v, expected = 0.0, 0.0
         for _ in range(2):
             w.grad = np.array([1.0])

@@ -113,9 +113,9 @@ class TestFakeQuant:
 class TestFakeQuantState:
     def test_ema_tracking(self):
         st_ = FakeQuantState()
-        st_.observe(np.array([0.0, 1.0]), decay=0.9)
+        st_.observe(np.array([0.0, 1.0]))
         assert st_.observed_min == 0.0 and st_.observed_max == 1.0
-        st_.observe(np.array([-1.0, 2.0]), decay=0.9)
+        st_.observe(np.array([-1.0, 2.0]))
         assert st_.observed_min == pytest.approx(0.9 * 0.0 + 0.1 * -1.0)
         assert st_.observed_max == pytest.approx(0.9 * 1.0 + 0.1 * 2.0)
 
@@ -195,7 +195,7 @@ class TestWeightMemo:
 
     def test_after_sgd_step(self):
         layer, x = self.layer()
-        opt = SgdMomentum([layer.weight, layer.bias], lr=0.5)
+        opt = SgdMomentum([layer.weight, layer.bias], lr=0.5, momentum=0.9, weight_decay=0.0)
         backward((layer.forward(x, observe=False) ** 2).sum())
         opt.step()
         self.assert_matches_fresh_quantization(layer, x)
