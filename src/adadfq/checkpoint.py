@@ -75,13 +75,15 @@ def atomic_write_text(path, text: str) -> None:
 def write_csv(path, rows, header=None) -> None:
     """Write ``rows`` (and ``header`` first, when given) as one CSV file.
     Python ints are written as they are; every other value as
-    ``repr(float(v))``, which reads back bit-exactly."""
+    ``repr(float(v))``, which reads back bit-exactly. Neither text ever
+    needs quoting, so a row is joined as it is; the header goes through
+    ``csv.writer``, since a column name may need quoting."""
     with atomic_writer(path) as fh:
-        writer = csv.writer(fh)
         if header is not None:
-            writer.writerow(header)
+            csv.writer(fh).writerow(header)
         for row in rows:
-            writer.writerow([v if isinstance(v, int) else repr(float(v)) for v in row])
+            fh.write(",".join([str(v) if isinstance(v, int) else repr(float(v))
+                               for v in row]) + "\r\n")
 
 
 def _load_state(net, doc: dict, path) -> None:

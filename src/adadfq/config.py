@@ -24,6 +24,7 @@ behind that boundary:
     dataset keys in range, none ignored     RunConfig
     dataset CSV exists and parses           train-teacher, data.load_csv
     CSV labels >= 0                         data.load_csv
+    CSV feature count = the statistics'     data.load_csv (eval, quantize)
     CSV labels are exactly 0..C-1, C >= 2   train-teacher (cli._build_dataset)
     CSV labels < the network's class count  cli.evaluate_network (eval, quantize)
     checkpoint sections, arrays, EMA decay  checkpoint.load_checkpoint

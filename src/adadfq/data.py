@@ -151,7 +151,9 @@ def apply_standardization(ds: Dataset, stats: tuple[np.ndarray, np.ndarray]) -> 
 
 
 def save_csv(ds: Dataset, path, label_column: str = "label") -> None:
-    write_csv(path, ([*row, int(label)] for row, label in zip(ds.features, ds.labels)),
+    # Python floats and ints: formatting them skips a numpy scalar per value
+    write_csv(path, ([*row, int(label)]
+                     for row, label in zip(ds.features.tolist(), ds.labels.tolist())),
               header=[f"x{i}" for i in range(ds.dim)] + [label_column])
 
 
@@ -162,8 +164,9 @@ def load_csv(path, label_column: str = "label",
     Labels must be non-negative integers; a row that breaks this raises
     DataError naming the file and line.
 
-    If ``stats`` is given those (train-split) statistics are applied; otherwise
-    statistics are computed from this file and stored on the result for reuse.
+    If ``stats`` is given those (train-split) statistics are applied, and a
+    file with another feature count raises DataError; otherwise statistics
+    are computed from this file and stored on the result for reuse.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -176,6 +179,9 @@ def load_csv(path, label_column: str = "label",
             raise ConfigError(f"{path}: no column named {label_column!r} in header")
         label_idx = header.index(label_column)
         feature_idx = [i for i in range(len(header)) if i != label_idx]
+        if stats is not None and len(feature_idx) != len(stats[0]):
+            raise DataError(f"{path}: {len(feature_idx)} feature columns, but the "
+                            f"standardization statistics have {len(stats[0])}")
 
         features, labels = [], []
         for line_no, row in enumerate(reader, start=2):

@@ -19,8 +19,12 @@ folds the batch into BN running statistics or activation-range EMAs) and
 immediately before the optimizer step, so a delta reflects the parameter
 update alone and a zero learning rate yields a delta of exactly zero. The
 student's pair reuses step (b)'s eval-mode sample and teacher logits, which
-the student's update leaves as they are, so an iteration runs four generator
-and four teacher forwards.
+the student's update leaves as they are. Its pre measurement needs no
+forward of its own: the student's training forward observes each
+activation range before it quantizes with that range, and its batch norm
+always uses the copied running statistics, so step (b)'s training logits
+are the eval-mode logits bit for bit. An iteration thus runs four
+generator, four teacher and five student forwards.
 """
 
 from __future__ import annotations
@@ -79,12 +83,18 @@ def _eval_sample(g: ConditionalGenerator, p: MlpNetwork,
         return x, p.forward(x)
 
 
+def _batch_mean_entropy(z_p: Tensor, z_q: Tensor) -> float:
+    """Batch-mean H_info(p_ds) of the logits pair; records no graph."""
+    with no_grad():
+        return float(disagreement_entropy(z_p, z_q).data.mean())
+
+
 def _mean_disagreement_entropy(x: Tensor, z_p: Tensor, q: QuantizedMlp) -> float:
     """Batch-mean H_info(p_ds) of the eval-mode student on ``x`` against the
     teacher's logits ``z_p``; records no graph and mutates nothing."""
     with no_grad():
-        h = disagreement_entropy(z_p, q.forward(x))
-    return float(h.data.mean())
+        z_q = q.forward(x)
+    return _batch_mean_entropy(z_p, z_q)
 
 
 def game_iteration(g: ConditionalGenerator, p: MlpNetwork, q: QuantizedMlp,
@@ -154,9 +164,10 @@ def game_iteration(g: ConditionalGenerator, p: MlpNetwork, q: QuantizedMlp,
         )
 
     # As above: ranges are already observed, so the pair isolates the descent
-    # step on the latent weights.
+    # step on the latent weights. The training logits are the eval-mode ones
+    # (see the module docstring), so the pre measurement reads them.
     q.eval()
-    h_pre_q = _mean_disagreement_entropy(x2, z_p2, q)
+    h_pre_q = _batch_mean_entropy(z_p2, z_q2)
     zero_grads(q.parameters())
     backward(cal_loss)
     cal_opt.step()

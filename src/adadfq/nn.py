@@ -90,9 +90,11 @@ class BatchNormLayer:
         normalized = centered / std
 
         def bw(g):
-            beta._accum(g)
+            # summed here, as _accum's unbroadcast would sum them
+            if beta.requires_grad:
+                beta._accum(g.sum(axis=0))
             if gamma.requires_grad:
-                gamma._accum(g * normalized)
+                gamma._accum((g * normalized).sum(axis=0))
             if not x.requires_grad:
                 return
             g_normalized = g * gamma.data
@@ -211,6 +213,31 @@ class ConditionalGenerator:
         return [self.embedding] + self.body.parameters()
 
 
+def _own_storage(params: list[Tensor]) -> np.ndarray:
+    """Copy ``params`` into one contiguous buffer and rebind each ``p.data`` to
+    its view of it, so one array operation updates them all."""
+    if not params:
+        raise ContractError("an optimizer needs at least one parameter")
+    storage = np.concatenate([p.data.ravel() for p in params])
+    start = 0
+    for p in params:
+        stop = start + p.data.size
+        p.data = storage[start:stop].reshape(p.data.shape)
+        start = stop
+    return storage
+
+
+def _gather_grads(params: list[Tensor], out: np.ndarray) -> np.ndarray:
+    """Every parameter's gradient, in storage order, into ``out``; checks them
+    all before anything is written."""
+    grads = []
+    for p in params:
+        if p.grad is None:
+            raise ContractError("optimizer step with unpopulated gradient")
+        grads.append(p.grad.ravel())
+    return np.concatenate(grads, out=out)
+
+
 class SgdMomentum:
     """SGD with Nesterov momentum in the standard transformed-variable form:
 
@@ -220,6 +247,12 @@ class SgdMomentum:
     This is the usual reformulation of lookahead Nesterov momentum that only
     needs the gradient at the current iterate. Weight decay is added to the
     gradient before the momentum update; at mu = 0 the step is plain SGD.
+
+    The optimizer owns its parameters' storage: it copies them into one
+    contiguous buffer and each ``p.data`` becomes a view of it, so a step is
+    one in-place update over the buffer. Write into ``p.data`` in place;
+    rebinding it detaches the parameter from the optimizer. Each element gets
+    the IEEE operations a per-parameter loop would give it, in the same order.
     """
 
     def __init__(self, params: list[Tensor], lr: float, momentum: float,
@@ -228,39 +261,53 @@ class SgdMomentum:
         self.lr = lr
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.velocity = [np.zeros_like(p.data) for p in self.params]
+        self.storage = _own_storage(self.params)
+        self.velocity = np.zeros_like(self.storage)
+        self._grad = np.empty_like(self.storage)
+        self._scratch = np.empty_like(self.storage)
 
     def step(self) -> None:
-        for p, v in zip(self.params, self.velocity):
-            if p.grad is None:
-                raise ContractError("optimizer step with unpopulated gradient")
-            g = p.grad + self.weight_decay * p.data
-            if self.momentum != 0.0:
-                v *= self.momentum
-                v += g
-                g = g + self.momentum * v
-            p.data -= self.lr * g
+        g, tmp = _gather_grads(self.params, self._grad), self._scratch
+        g += np.multiply(self.storage, self.weight_decay, out=tmp)
+        if self.momentum != 0.0:
+            v = self.velocity
+            v *= self.momentum
+            v += g
+            g += np.multiply(v, self.momentum, out=tmp)
+        g *= self.lr
+        self.storage -= g
 
 
 class AdamOptimizer:
+    """Adam with bias correction. Like ``SgdMomentum``, it owns its
+    parameters' storage (each ``p.data`` is a view of one buffer) and updates
+    every element with one in-place pass of the rule."""
+
     def __init__(self, params: list[Tensor], lr: float):
         self.params = list(params)
         self.lr = lr
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.storage = _own_storage(self.params)
+        self.m = np.zeros_like(self.storage)
+        self.v = np.zeros_like(self.storage)
         self.t = 0
+        self._grad = np.empty_like(self.storage)
+        self._scratch = np.empty_like(self.storage)
 
     def step(self) -> None:
         b1, b2 = ADAM_BETAS
+        g, tmp = _gather_grads(self.params, self._grad), self._scratch
         self.t += 1
-        for p, m, v in zip(self.params, self.m, self.v):
-            if p.grad is None:
-                raise ContractError("optimizer step with unpopulated gradient")
-            g = p.grad
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            m_hat = m / (1.0 - b1 ** self.t)
-            v_hat = v / (1.0 - b2 ** self.t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        m, v = self.m, self.v
+        m *= b1
+        m += np.multiply(g, 1.0 - b1, out=tmp)
+        v *= b2
+        np.multiply(g, 1.0 - b2, out=tmp)
+        tmp *= g
+        v += tmp  # (1 - b2) * g * g
+        m_hat = np.divide(m, 1.0 - b1 ** self.t, out=tmp)
+        denom = np.divide(v, 1.0 - b2 ** self.t, out=g)  # g is spent: reuse it
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        m_hat *= self.lr
+        m_hat /= denom
+        self.storage -= m_hat  # lr * m_hat / (sqrt(v_hat) + eps)

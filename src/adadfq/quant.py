@@ -44,7 +44,10 @@ ACT_EMA_DECAY = 0.9
 
 
 def round_half_away(x: np.ndarray) -> np.ndarray:
-    return np.where(x >= 0.0, np.floor(x + 0.5), np.ceil(x - 0.5))
+    """Round to nearest, ties away from zero: ``floor(x + 0.5)`` for
+    ``x >= 0`` and ``ceil(x - 0.5)`` below, in three ufuncs. An input of
+    ``-0.0`` rounds to ``-0.0``; ``quantize_array`` never makes one."""
+    return np.trunc(x + np.copysign(0.5, x))
 
 
 def quantize_array(x: np.ndarray, lo: float, hi: float, bits: int) -> np.ndarray:
@@ -55,7 +58,8 @@ def quantize_array(x: np.ndarray, lo: float, hi: float, bits: int) -> np.ndarray
         raise DegenerateRangeError(f"quantization range [{lo}, {hi}] is degenerate")
     levels = float(2 ** bits - 1)
     half = float(2 ** (bits - 1))
-    clamped = np.clip(x, lo, hi)
+    clamped = np.minimum(np.maximum(x, lo), hi)
+    # t - half is never -0.0, so round_half_away's signed zero cannot arise
     return round_half_away(levels * (clamped - lo) / (hi - lo) - half)
 
 
@@ -131,7 +135,7 @@ class FakeQuantState:
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    return np.array_equal(a.view(np.int64), b.view(np.int64))
+    return a.shape == b.shape and bool((a.view(np.int64) == b.view(np.int64)).all())
 
 
 class QuantLinear:

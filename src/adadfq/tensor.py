@@ -76,10 +76,13 @@ class Tensor:
         """Build a graph node; collapses to a constant if no parent needs grad
         or recording is off (``no_grad``)."""
         out = Tensor(data)
-        if _grad_enabled and any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._parents = tuple(parents)
-            out._backward_fn = backward_fn
+        if _grad_enabled:
+            for p in parents:
+                if p.requires_grad:
+                    out.requires_grad = True
+                    out._parents = tuple(parents)
+                    out._backward_fn = backward_fn
+                    break
         return out
 
     def _accum(self, g) -> None:
@@ -307,7 +310,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         )
 
     def bw(g):
-        b._accum(g)
+        if b.requires_grad:
+            b._accum(g.sum(axis=0))  # the bits _accum's unbroadcast would give
         if x.requires_grad:
             x._accum(g @ w.data)
         if w.requires_grad:

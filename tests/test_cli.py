@@ -3,6 +3,8 @@ import dataclasses
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -517,6 +519,23 @@ class TestExitCodes:
         assert str(data) in err[0] and "label 3" in err[0]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["eval", "quantize"])
+    def test_feature_count_other_than_the_checkpoint_is_runtime_error(self, workdir, tmp_path,
+                                                                      capsys, command):
+        _, _, out = workdir
+        rows = [row[:2] + row[-1:] for row in read_rows(out / "test.csv")]  # x0, x1, label
+        data = tmp_path / "two_features.csv"
+        write_rows(data, rows)
+        args = ["--ckpt", str(out / "teacher.json"), "--dataset", str(data)]
+        if command == "quantize":
+            args += ["--bits", "3", "--out-dir", str(tmp_path / "out")]
+        capsys.readouterr()
+        assert main([command] + args) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert str(data) in err[0] and "2 feature columns" in err[0] and "have 4" in err[0]
+        assert not (tmp_path / "out").exists()
+
     def test_missing_dataset_is_usage_error(self, workdir):
         _, _, out = workdir
         rc = main(["eval", "--ckpt", str(out / "teacher.json"),
@@ -540,3 +559,23 @@ class TestDeterminism:
             }
 
         assert run("det_a") == run("det_b")
+
+
+class TestModuleEntryPoint:
+    """``python -m adadfq`` runs the command line from a source checkout."""
+
+    @staticmethod
+    def run(*argv):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(adadfq.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "adadfq", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    def test_help_exits_zero(self):
+        done = self.run("--help")
+        assert done.returncode == 0
+        assert "train-teacher" in done.stdout
+
+    def test_unknown_subcommand_is_usage_error(self):
+        assert self.run("no-such-command").returncode == 2

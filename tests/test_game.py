@@ -16,8 +16,8 @@ from adadfq.game import (
     game_iteration,
     run_game,
 )
-from adadfq.nn import AdamOptimizer, ConditionalGenerator, SgdMomentum, make_mlp
-from adadfq.quant import build_quantized_student
+from adadfq.nn import AdamOptimizer, ConditionalGenerator, MlpNetwork, SgdMomentum, make_mlp
+from adadfq.quant import QuantizedMlp, build_quantized_student
 from adadfq.tensor import Tensor
 
 
@@ -212,6 +212,59 @@ class TestHotPath:
             counts.append(0)
             game_iteration(g, p, q, gen_opt, cal_opt, config, rng, i)
         assert counts == [76, 79, 79]
+
+    def test_forwards_per_desk_iteration(self, monkeypatch):
+        """Four generator and four teacher forwards, and five student ones:
+        step (b)'s pre measurement reads the training logits."""
+        config = RunConfig()
+        g, p, q, gen_opt, cal_opt, rng = desk_players(config)
+        calls = {"generator": 0, "teacher": 0, "student": 0}
+
+        def counted(cls, key, only=None):
+            original = cls.forward
+
+            def forward(self, *args):
+                if only is None or self is only:
+                    calls[key] += 1
+                return original(self, *args)
+
+            monkeypatch.setattr(cls, "forward", forward)
+
+        counted(ConditionalGenerator, "generator")
+        counted(MlpNetwork, "teacher", only=p)  # not the generator's body
+        counted(QuantizedMlp, "student")
+        for i in range(3):
+            game_iteration(g, p, q, gen_opt, cal_opt, config, rng, i)
+            assert calls == {"generator": 4 * (i + 1), "teacher": 4 * (i + 1),
+                             "student": 5 * (i + 1)}
+
+    def test_student_pre_measurement_equals_an_eval_forward(self, monkeypatch):
+        """h_info_pre_q, read off step (b)'s training logits, equals the
+        eval-mode measurement of the same iteration bit for bit, the first
+        iteration (whose training forward sets the activation ranges)
+        included."""
+        config = RunConfig()
+        g, p, q, gen_opt, cal_opt, rng = desk_players(config)
+        samples, recomputed = [], []
+        eval_sample, backward = game._eval_sample, game.backward
+
+        def recorded_eval_sample(*args):
+            samples.append(eval_sample(*args))
+            return samples[-1]
+
+        def measuring_backward(loss):
+            if len(samples) == 3:  # step (b): x2 and z_p2 are the latest sample
+                assert not q.training
+                recomputed.append(game._mean_disagreement_entropy(*samples[-1], q))
+            backward(loss)
+
+        monkeypatch.setattr(game, "_eval_sample", recorded_eval_sample)
+        monkeypatch.setattr(game, "backward", measuring_backward)
+        for i in range(3):
+            samples.clear()
+            row = game_iteration(g, p, q, gen_opt, cal_opt, config, rng, i)
+            assert row.h_info_pre_q.hex() == recomputed[-1].hex()
+        assert len(recomputed) == 3
 
     def test_step_a_keeps_no_student_gradient(self, monkeypatch):
         config = RunConfig()

@@ -153,6 +153,117 @@ class TestOptimizers:
         assert expected == pytest.approx(-0.461)
 
 
+# -- one-buffer optimizers against the per-parameter loops they replaced -------
+
+def reference_sgd(params, velocity, lr, momentum, weight_decay):
+    for p, v in zip(params, velocity):
+        g = p.grad + weight_decay * p.data
+        if momentum != 0.0:
+            v *= momentum
+            v += g
+            g = g + momentum * v
+        p.data -= lr * g
+
+
+def reference_adam(params, m_list, v_list, t, lr):
+    b1, b2 = ADAM_BETAS
+    for p, m, v in zip(params, m_list, v_list):
+        g = p.grad
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        m_hat = m / (1.0 - b1 ** t)
+        v_hat = v / (1.0 - b2 ** t)
+        p.data -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+
+
+def mixed_params(seed):
+    rng = np.random.default_rng(seed)
+    return [Tensor(rng.normal(size=shape), requires_grad=True)
+            for shape in ((3, 4), (5,), (1,), (2, 3))]
+
+
+def assert_same_bytes(ours, theirs):
+    for a, b in zip(ours, theirs):
+        assert a.data.shape == b.data.shape
+        assert a.data.tobytes() == b.data.tobytes()
+
+
+each_optimizer = pytest.mark.parametrize("make", [
+    lambda ps: AdamOptimizer(ps, lr=1e-2),
+    lambda ps: SgdMomentum(ps, lr=0.1, momentum=0.9, weight_decay=1e-2),
+], ids=["adam", "sgd"])
+
+
+class TestOneBufferOptimizers:
+    """Three steps of each optimizer match the per-parameter loop bit for bit."""
+
+    @staticmethod
+    def set_grads(seed, *param_lists):
+        rng = np.random.default_rng(seed)
+        for shape_params in zip(*param_lists):
+            g = rng.normal(size=shape_params[0].data.shape)
+            for p in shape_params:
+                p.grad = g.copy()
+
+    @pytest.mark.parametrize("momentum,weight_decay", [(0.0, 0.0), (0.0, 1e-2),
+                                                       (0.9, 0.0), (0.9, 1e-2)])
+    def test_sgd_matches_per_parameter_loop(self, momentum, weight_decay):
+        ours, theirs = mixed_params(0), mixed_params(0)
+        opt = SgdMomentum(ours, lr=0.1, momentum=momentum, weight_decay=weight_decay)
+        velocity = [np.zeros_like(p.data) for p in theirs]
+        for step in range(3):
+            self.set_grads(step, ours, theirs)
+            opt.step()
+            reference_sgd(theirs, velocity, 0.1, momentum, weight_decay)
+            assert_same_bytes(ours, theirs)
+
+    def test_adam_matches_per_parameter_loop(self):
+        ours, theirs = mixed_params(1), mixed_params(1)
+        opt = AdamOptimizer(ours, lr=1e-2)
+        m = [np.zeros_like(p.data) for p in theirs]
+        v = [np.zeros_like(p.data) for p in theirs]
+        for step in range(3):
+            self.set_grads(10 + step, ours, theirs)
+            opt.step()
+            reference_adam(theirs, m, v, step + 1, 1e-2)
+            assert_same_bytes(ours, theirs)
+
+    @each_optimizer
+    def test_parameters_are_views_of_the_optimizer_storage(self, make):
+        params = mixed_params(2)
+        before = [Tensor(p.data.copy()) for p in params]
+        opt = make(params)
+        assert_same_bytes(params, before)
+        assert all(np.shares_memory(p.data, opt.storage) for p in params)
+        params[1].data[0] = 7.0  # an in-place write lands in the optimizer's buffer
+        assert opt.storage[params[0].data.size] == 7.0
+
+    @each_optimizer
+    def test_unpopulated_gradient_writes_nothing(self, make):
+        """The per-parameter loop had already moved the parameters before the
+        missing gradient; the check now runs before any write."""
+        params, fresh = mixed_params(3), mixed_params(3)
+        opt, fresh_opt = make(params), make(fresh)
+        self.set_grads(4, params, fresh)
+        missing, params[2].grad = params[2].grad, None
+        before = [Tensor(p.data.copy()) for p in params]
+        with pytest.raises(ContractError, match="unpopulated gradient"):
+            opt.step()
+        assert_same_bytes(params, before)
+        # nor did the optimizer's own state move: the retried step is a first step
+        params[2].grad = missing
+        opt.step()
+        fresh_opt.step()
+        assert_same_bytes(params, fresh)
+
+    @each_optimizer
+    def test_no_parameters_rejected(self, make):
+        with pytest.raises(ContractError, match="at least one parameter"):
+            make([])
+
+
 def test_teacher_converges_on_separable_data():
     train_raw, _ = make_blobs(3, 60, 4, 0.05, seed=0)
     train, _ = standardize(train_raw)

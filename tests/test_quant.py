@@ -58,6 +58,46 @@ class TestQuantizeValue:
         assert np.all(np.diff(codes[order]) >= 0)
 
 
+def reference_quantize(x, lo, hi, bits):
+    """The mapping as first written: np.clip, then np.where rounding."""
+    levels, half = float(2 ** bits - 1), float(2 ** (bits - 1))
+    t = levels * (np.clip(x, lo, hi) - lo) / (hi - lo) - half
+    return np.where(t >= 0.0, np.floor(t + 0.5), np.ceil(t - 0.5))
+
+
+class TestQuantizeArrayMatchesReference:
+    @staticmethod
+    def probes(lo, hi, bits):
+        levels, half = 2 ** bits - 1, 2 ** (bits - 1)
+        step = (hi - lo) / levels
+        grid = lo + step * np.arange(levels + 1)
+        ties = lo + step * (np.arange(levels) + 0.5)
+        return np.concatenate([
+            grid, ties, np.arange(-half, half) + 0.5, np.arange(-half, half, dtype=float),
+            [lo, hi, np.nextafter(lo, hi), np.nextafter(hi, lo), lo - 1.0, hi + 1.0,
+             0.0, -0.0, 1e-300, -1e-300, 5e-324, -5e-324, 1e-17, -1e-17],
+            np.random.default_rng(bits).uniform(lo - 0.5, hi + 0.5, size=64),
+        ])
+
+    @pytest.mark.parametrize("bits", [2, 3, 4])
+    @pytest.mark.parametrize("lo_hi", ["unit", "code_grid", "shifted", "odd"])
+    def test_bit_for_bit_after_dequantization(self, bits, lo_hi):
+        half = 2 ** (bits - 1)
+        # "code_grid" makes the scaled value equal the input, so the +-k+0.5
+        # probes are exact rounding ties
+        lo, hi = {"unit": (-1.0, 1.0), "code_grid": (-half, half - 1.0),
+                  "shifted": (0.0, 2.0 ** bits - 1.0), "odd": (-0.37, 1.91)}[lo_hi]
+        x = self.probes(lo, hi, bits)
+        codes, expected = quantize_array(x, lo, hi, bits), reference_quantize(x, lo, hi, bits)
+        np.testing.assert_array_equal(codes, expected)
+        assert (dequantize_array(codes, lo, hi, bits).tobytes()
+                == dequantize_array(expected, lo, hi, bits).tobytes())
+
+    def test_ties_round_away_from_zero(self):
+        x = np.array([-2.5, -1.5, -0.5, 0.5, 1.5, 2.5])
+        np.testing.assert_array_equal(quantize_array(x, -4.0, 3.0, 3), [-3, -2, -1, 1, 2, 3])
+
+
 class TestDequantize:
     @pytest.mark.parametrize("bits", [2, 3, 4, 8])
     def test_code_boundaries_map_to_range_boundaries(self, bits):
