@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import CheckpointFormatError
 from .nn import MlpNetwork, make_mlp
-from .quant import ACT_EMA_DECAY, QuantizedMlp, build_quantized_student
+from .quant import ACT_EMA_DECAY, MAX_BITS, QuantizedMlp, build_quantized_student
 
 FORMAT_VERSION = 1
 
@@ -183,11 +183,13 @@ def _check_sections(doc: dict, path) -> None:
                                     "input_dim and num_classes and a list of them, hidden")
     if doc["kind"] == "student" and not (
             isinstance(quant, dict) and _count(quant.get("bits"), least=2)
+            and quant["bits"] <= MAX_BITS
             and quant.get("act_ema_decay") == ACT_EMA_DECAY
             and isinstance(quant.get("act_ranges"), list)
             and all(map(_act_range, quant["act_ranges"]))):
         raise CheckpointFormatError(f"{path}: student checkpoint without a valid quant section "
-                                    f"(bits >= 2, act_ema_decay {ACT_EMA_DECAY}, act_ranges)")
+                                    f"(bits in [2, {MAX_BITS}], act_ema_decay {ACT_EMA_DECAY}, "
+                                    "act_ranges)")
 
 
 def load_checkpoint(path):

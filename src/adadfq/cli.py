@@ -30,6 +30,7 @@ from .data import (
     load_csv,
     make_blobs,
     make_rings,
+    require_finite,
     sample_noise_and_labels,
     save_csv,
     standardize,
@@ -310,6 +311,7 @@ def cmd_report_similarity(args) -> int:
             raise DataError(f"{args.samples}: non-numeric or ragged sample rows") from None
     if features.ndim != 2:
         raise DataError(f"{args.samples}: no sample rows after the header")
+    require_finite(args.samples, features)
     if features.shape[1] != teacher.input_dim:
         raise ContractError(
             f"sample dump width {features.shape[1]} does not match network input {teacher.input_dim}"

@@ -18,12 +18,13 @@ behind that boundary:
 
     fact                                    checked by
     0 <= lambda_l < lambda_u <= 1           RunConfig
-    alpha_ds, alpha_as, beta, gamma >= 0    RunConfig
-    bits >= 2                               RunConfig; the loader, for a student
+    step sizes, loss weights in [0, inf)    RunConfig
+    2 <= bits <= quant.MAX_BITS             RunConfig; the loader, for a student
     batch_size >= 2 (batch statistics)      RunConfig
     dataset keys in range, none ignored     RunConfig
     dataset CSV exists and parses           train-teacher, data.load_csv
-    CSV labels >= 0                         data.load_csv
+    CSV and sample-dump values finite       data.load_csv; report-similarity
+    CSV labels integers in [0, 2**63)       data.load_csv
     CSV feature count = the statistics'     data.load_csv (eval, quantize)
     CSV labels are exactly 0..C-1, C >= 2   train-teacher (cli._build_dataset)
     CSV labels < the network's class count  cli.evaluate_network (eval, quantize)
@@ -40,6 +41,7 @@ import os
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
+from .quant import MAX_BITS
 
 # The dataset keys each dataset kind reads. A key the chosen kind does not
 # read must keep its default, so no setting is silently ignored.
@@ -91,8 +93,8 @@ class RunConfig:
         self._check_dataset_keys()
         self.hidden_widths(self.teacher_hidden)
         self.hidden_widths(self.gen_hidden)
-        if self.bits < 2:
-            raise ConfigError(f"bit width must be >= 2, got {self.bits}")
+        if not 2 <= self.bits <= MAX_BITS:
+            raise ConfigError(f"bit width must be in [2, {MAX_BITS}], got {self.bits}")
         for key, least in (("classes", 2), ("per_class", 5), ("dim", 2),
                            ("teacher_epochs", 1), ("teacher_batch", 2), ("epochs", 1),
                            ("iterations_per_epoch", 1), ("batch_size", 2), ("noise_dim", 1),
@@ -103,8 +105,8 @@ class RunConfig:
             raise ConfigError(f"spread must be finite and > 0, got {self.spread}")
         for key in ("teacher_lr", "gen_lr", "cal_lr", "cal_weight_decay",
                     "alpha_ds", "alpha_as", "beta", "gamma", "aux_ce"):
-            if not getattr(self, key) >= 0.0:  # NaN fails too
-                raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
+            if not 0.0 <= getattr(self, key) < math.inf:  # NaN fails too
+                raise ConfigError(f"{key} must be finite and >= 0, got {getattr(self, key)}")
         if not 0.0 <= self.cal_momentum < 1.0:
             raise ConfigError(f"cal_momentum must be in [0, 1), got {self.cal_momentum}")
         if not 0.0 <= self.lambda_l < self.lambda_u <= 1.0:

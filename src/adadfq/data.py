@@ -157,12 +157,23 @@ def save_csv(ds: Dataset, path, label_column: str = "label") -> None:
               header=[f"x{i}" for i in range(ds.dim)] + [label_column])
 
 
+def require_finite(path, table: np.ndarray) -> None:
+    """Raise DataError naming the first line of ``path`` (a file with one
+    header line and then one line per row of ``table``) that holds a NaN or
+    an infinity. The line is looked for only once the check has failed."""
+    finite = np.isfinite(table)
+    if not finite.all():
+        line = int(np.argmin(finite.all(axis=1))) + 2
+        raise DataError(f"{path}:{line}: non-finite value")
+
+
 def load_csv(path, label_column: str = "label",
              stats: tuple[np.ndarray, np.ndarray] | None = None) -> Dataset:
     """Parse a comma-separated file with a header row into a standardized dataset.
 
-    Labels must be non-negative integers; a row that breaks this raises
-    DataError naming the file and line.
+    Every value must be a finite number and every label a non-negative
+    integer below 2**63; a row that breaks this raises DataError naming the
+    file and line.
 
     If ``stats`` is given those (train-split) statistics are applied, and a
     file with another feature count raises DataError; otherwise statistics
@@ -183,24 +194,26 @@ def load_csv(path, label_column: str = "label",
             raise DataError(f"{path}: {len(feature_idx)} feature columns, but the "
                             f"standardization statistics have {len(stats[0])}")
 
-        features, labels = [], []
+        rows = []
         for line_no, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise DataError(f"{path}:{line_no}: expected {len(header)} fields, got {len(row)}")
             try:
-                features.append([float(row[i]) for i in feature_idx])
-                label = float(row[label_idx])
-                if label != int(label):
-                    raise ValueError
+                rows.append([float(v) for v in row])
             except ValueError:
-                raise DataError(f"{path}:{line_no}: non-numeric or non-integer-label row") from None
-            if label < 0:
-                raise DataError(f"{path}:{line_no}: negative label {int(label)}")
-            labels.append(int(label))
+                raise DataError(f"{path}:{line_no}: non-numeric row") from None
 
-    if not features:
+    if not rows:
         raise DataError(f"{path}: no data rows after the header")
-    ds = Dataset(np.asarray(features), np.asarray(labels, dtype=np.int64), "loaded", f"csv({path})")
+    table = np.asarray(rows)
+    require_finite(path, table)
+    labels = table[:, label_idx]
+    bad = ~((labels >= 0.0) & (labels == np.trunc(labels)) & (labels < 2.0 ** 63))
+    if bad.any():
+        i = int(bad.argmax())
+        kind = "negative" if labels[i] < 0.0 else "non-integer or oversized"
+        raise DataError(f"{path}:{i + 2}: {kind} label {float(labels[i])}")
+    ds = Dataset(table[:, feature_idx], labels.astype(np.int64), "loaded", f"csv({path})")
     if stats is not None:
         return apply_standardization(ds, stats)
     ds, computed = standardize(ds)

@@ -1,14 +1,19 @@
 """MLP networks, batch normalization with running statistics, and optimizers.
 
-The teacher and student share one architecture; the generator puts a label
-embedding in front of the same MLP body to map (noise, one-hot label) to
-sample space. All parameters are plain :class:`~adadfq.tensor.Tensor` leaves.
+The teacher, the student and the generator are all MlpNetworks. The student
+has the teacher's layers with fake-quantized stand-ins (see ``quant.py``);
+the generator puts a label embedding in front of its own layers to map
+(noise, one-hot label) to sample space. All parameters are plain
+:class:`~adadfq.tensor.Tensor` leaves.
 
-Layer protocol: every layer has ``forward`` and ``named_parameters()`` (its
-own, unprefixed names); batch norm also has ``named_buffers()``.
-:class:`MlpNetwork` is the one place that walks the layers: it prefixes the
-names with ``layers.{i}.``, lists the parameters in that order and holds the
-train/eval flag. The quantized student subclasses it (see ``quant.py``).
+Layer protocol: every layer has ``forward(x, training)`` and
+``named_parameters()`` (its own, unprefixed names); batch norm also has
+``named_buffers()``. ``MlpNetwork.forward`` is the package's one layer walk:
+it hands its train/eval flag to every layer, and each layer reads the flag
+its own way (batch norm picks batch or running statistics, a quantized
+linear observes its activation range, a linear or ReLU ignores it). The
+network prefixes the names with ``layers.{i}.`` and lists the parameters in
+that order.
 
 Batch-norm conventions, fixed here so downstream statistics losses are
 well-defined:
@@ -39,7 +44,7 @@ class LinearLayer:
         self.weight = Tensor(rng.uniform(-bound, bound, size=(out_dim, in_dim)), requires_grad=True)
         self.bias = Tensor(np.zeros(out_dim), requires_grad=True)
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, training: bool) -> Tensor:
         return linear(x, self.weight, self.bias)
 
     def named_parameters(self) -> dict[str, Tensor]:
@@ -116,7 +121,7 @@ class BatchNormLayer:
 
 
 class Relu:
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, training: bool) -> Tensor:
         return x.relu()
 
     def named_parameters(self) -> dict[str, Tensor]:
@@ -148,20 +153,17 @@ class MlpNetwork:
 
     def forward(self, x: Tensor) -> Tensor:
         self.bn_inputs = []
-        out = x
         for layer in self.layers:
             if isinstance(layer, BatchNormLayer):
-                self.bn_inputs.append(out)
-                out = layer.forward(out, self.training)
-            else:
-                out = layer.forward(out)
-        return out
+                self.bn_inputs.append(x)
+            x = layer.forward(x, self.training)
+        return x
 
     def bn_layers(self) -> list[BatchNormLayer]:
         return [l for l in self.layers if isinstance(l, BatchNormLayer)]
 
     def parameters(self) -> list[Tensor]:
-        return [p for layer in self.layers for p in layer.named_parameters().values()]
+        return list(self.named_parameters().values())
 
     def named_parameters(self) -> dict[str, Tensor]:
         return {f"layers.{i}.{k}": p for i, layer in enumerate(self.layers)
@@ -186,31 +188,23 @@ def make_mlp(input_dim: int, hidden: tuple[int, ...], output_dim: int,
     return MlpNetwork(layers)
 
 
-class ConditionalGenerator:
-    """Maps (noise z, one-hot label y) to sample space via a label embedding."""
+class ConditionalGenerator(MlpNetwork):
+    """Maps (noise z, one-hot label y) to sample space: the label's embedding
+    row is appended to ``z`` and the result walks the MLP's layers."""
 
     def __init__(self, noise_dim: int, num_classes: int, sample_dim: int,
                  rng: np.random.Generator, embed_dim: int, hidden: tuple[int, ...]):
         self.embedding = Tensor(rng.normal(0.0, 1.0, size=(num_classes, embed_dim)),
                                 requires_grad=True)
-        self.body = make_mlp(noise_dim + embed_dim, hidden, sample_dim, rng)
-
-    def train(self):
-        self.body.train()
-        return self
-
-    def eval(self):
-        self.body.eval()
-        return self
+        super().__init__(make_mlp(noise_dim + embed_dim, hidden, sample_dim, rng).layers)
 
     def forward(self, z: Tensor, y: Tensor) -> Tensor:
         """Precondition: ``y`` holds one-hot rows, as ``sample_noise_and_labels``
-        builds them. The body rejects a ``z`` of the wrong width."""
-        emb = y.matmul(self.embedding)
-        return self.body.forward(concat_cols([z, emb]))
+        builds them. The first layer rejects a ``z`` of the wrong width."""
+        return super().forward(concat_cols([z, y.matmul(self.embedding)]))
 
-    def parameters(self) -> list[Tensor]:
-        return [self.embedding] + self.body.parameters()
+    def named_parameters(self) -> dict[str, Tensor]:
+        return {"embedding": self.embedding, **super().named_parameters()}
 
 
 def _own_storage(params: list[Tensor]) -> np.ndarray:

@@ -17,14 +17,13 @@ once per optimizer step, with no invalidation call after a checkpoint load
 or an in-place write. A degenerate range (min == max, e.g. a constant
 tensor) passes through unquantized.
 
-The student is the teacher's MlpNetwork with each LinearLayer swapped for a
-QuantLinear by ``build_quantized_student``; it shares the network's layer
-protocol, parameter names, train/eval flag and widths, and reads its bit
-width off its QuantLinears. Two rules differ from the teacher: a QuantLinear
-observes its output into the activation range's exponential moving average
-only while the student is training (eval leaves every range as it is), and
-batch norm always normalizes with the running statistics copied from the
-teacher, never with batch statistics.
+The student is the teacher's MlpNetwork, walked by the same forward, with
+each LinearLayer swapped for a QuantLinear and each batch norm for a
+FixedStatsBatchNorm by ``build_quantized_student``. Its two rules live in
+those layers: a QuantLinear observes its output into the activation range's
+exponential moving average only in training mode (eval leaves every range
+as it is), and a FixedStatsBatchNorm always normalizes with the running
+statistics copied from the teacher, never with batch statistics.
 """
 
 from __future__ import annotations
@@ -41,6 +40,9 @@ from .tensor import Tensor, linear
 # Decay of the activation ranges' exponential moving average. Checkpoints
 # record it; the loader accepts no other value.
 ACT_EMA_DECAY = 0.9
+# Widest bit width; RunConfig and the checkpoint loader reject wider ones. At
+# 32 bits the codes and their rounding are still exact in float64.
+MAX_BITS = 32
 
 
 def round_half_away(x: np.ndarray) -> np.ndarray:
@@ -138,7 +140,7 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and bool((a.view(np.int64) == b.view(np.int64)).all())
 
 
-class QuantLinear:
+class QuantLinear(LinearLayer):
     """Linear layer holding latent full-precision weights.
 
     Forward fake-quantizes the weights over their dynamic per-tensor range and
@@ -166,43 +168,43 @@ class QuantLinear:
             return self.weight
         return _ste(self.weight, out_data, mask)
 
-    def forward(self, x: Tensor, observe: bool) -> Tensor:
+    def forward(self, x: Tensor, training: bool) -> Tensor:
         out = linear(x, self._quantized_weight(), self.bias)
-        if observe:
+        if training:
             self.act_state.observe(out.data)
         if self.act_state.has_range:
             out = fake_quant(out, self.act_state.observed_min,
                              self.act_state.observed_max, self.bits)
         return out
 
-    def named_parameters(self) -> dict[str, Tensor]:
-        return {"weight": self.weight, "bias": self.bias}
+
+class FixedStatsBatchNorm(BatchNormLayer):
+    """A copy of ``source`` that normalizes with its running statistics in
+    both modes, so a student forward never changes them."""
+
+    def __init__(self, source: BatchNormLayer):
+        self.gamma = Tensor(source.gamma.data.copy(), requires_grad=True)
+        self.beta = Tensor(source.beta.data.copy(), requires_grad=True)
+        self.running_mean = source.running_mean.copy()
+        self.running_var = source.running_var.copy()
+
+    def forward(self, x: Tensor, training: bool) -> Tensor:
+        return super().forward(x, False)
 
 
 class QuantizedMlp(MlpNetwork):
-    """Student network: teacher architecture with fake-quantized linears.
-
-    ``forward`` follows the two student rules in the module docstring, so
-    batch norm never updates its copied running statistics. A new student
-    starts in eval mode. Trainable state is the latent linear weights plus
-    the batch-norm affine parameters.
-    """
+    """Student network: the teacher's architecture with the layers above. A
+    new student starts in eval mode. Trainable state is the latent linear
+    weights plus the batch-norm affine parameters."""
 
     def __init__(self, layers: list):
         super().__init__(layers)
         self.bits = layers[0].bits
         self.training = False
 
-    def forward(self, x: Tensor) -> Tensor:
-        out = x
-        for layer in self.layers:
-            if isinstance(layer, QuantLinear):
-                out = layer.forward(out, observe=self.training)
-            elif isinstance(layer, BatchNormLayer):
-                out = layer.forward(out, training=False)
-            else:
-                out = layer.forward(out)
-        return out
+    # The walk itself, not a super() call, so a per-method profile
+    # (perfbench/layers.py) counts a student forward once, under its own name.
+    forward = MlpNetwork.forward
 
     def quant_linears(self) -> list[QuantLinear]:
         return [l for l in self.layers if isinstance(l, QuantLinear)]
@@ -213,20 +215,16 @@ class QuantizedMlp(MlpNetwork):
 
 def build_quantized_student(teacher: MlpNetwork, bits: int) -> QuantizedMlp:
     """Clone the teacher into a fake-quantized ``bits``-wide student with shared
-    architecture. ``bits >= 2`` is the caller's to ensure: ``RunConfig`` checks
-    it for the commands and the checkpoint loader for a saved student."""
+    architecture. ``2 <= bits <= MAX_BITS`` is the caller's to ensure:
+    ``RunConfig`` checks it for the commands and the checkpoint loader for a
+    saved student. Exact types, so a student's layers are not requantized."""
     layers: list = []
     for layer in teacher.layers:
-        if isinstance(layer, LinearLayer):
+        if type(layer) is LinearLayer:
             layers.append(QuantLinear(layer, bits))
-        elif isinstance(layer, BatchNormLayer):
-            bn = BatchNormLayer(layer.gamma.data.size)
-            bn.gamma = Tensor(layer.gamma.data.copy(), requires_grad=True)
-            bn.beta = Tensor(layer.beta.data.copy(), requires_grad=True)
-            bn.running_mean = layer.running_mean.copy()
-            bn.running_var = layer.running_var.copy()
-            layers.append(bn)
-        elif isinstance(layer, Relu):
+        elif type(layer) is BatchNormLayer:
+            layers.append(FixedStatsBatchNorm(layer))
+        elif type(layer) is Relu:
             layers.append(Relu())
         else:
             raise ContractError(f"cannot quantize layer of type {type(layer).__name__}")

@@ -1,6 +1,8 @@
+import contextlib
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -8,6 +10,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import adadfq
 from adadfq.checkpoint import load_checkpoint, norm_stats_from
@@ -341,8 +345,11 @@ class TestReportSimilarity:
 
 class TestExitCodes:
     @pytest.mark.parametrize("dump", ["", "sample_index,label,x0\n",
-                                      "sample_index,label,x0\n0,1,abc\n"],
-                             ids=["empty", "header_only", "non_numeric"])
+                                      "sample_index,label,x0\n0,1,abc\n",
+                                      "sample_index,label,x0,x1,x2,x3\n0,1,0.5,nan,1.0,0.0\n",
+                                      "sample_index,label,x0,x1,x2,x3\n0,1,0,0,0,0\n"
+                                      "1,2,0.5,-0.5,1e400,0.0\n"],
+                             ids=["empty", "header_only", "non_numeric", "nan", "overflow"])
     def test_malformed_sample_dump_is_runtime_error(self, workdir, dfq_out, tmp_path,
                                                     capsys, dump):
         _, _, out = workdir
@@ -364,13 +371,19 @@ class TestExitCodes:
                                       "cal_weight_decay = -1", "aux_ce = -1",
                                       "spread = 0", "spread = -1", "spread = nan",
                                       "spread = inf", "classes = 1", "per_class = 4", "dim = 1",
-                                      "dataset = moons"],
+                                      "dataset = moons", "bits = 2000", "teacher_lr = inf",
+                                      "gen_lr = inf", "cal_lr = inf", "cal_weight_decay = inf",
+                                      "alpha_ds = inf", "alpha_as = inf", "beta = inf",
+                                      "gamma = inf", "aux_ce = inf"],
                              ids=["teacher_hidden", "gen_hidden", "bits", "batch_size",
                                   "teacher_batch", "teacher_epochs", "sample_dump",
                                   "noise_dim", "embed_dim", "teacher_lr", "gen_lr", "cal_lr",
                                   "cal_momentum", "cal_weight_decay", "aux_ce",
                                   "spread_zero", "spread_negative", "spread_nan", "spread_inf",
-                                  "classes", "per_class", "dim", "dataset"])
+                                  "classes", "per_class", "dim", "dataset", "bits_2000",
+                                  "teacher_lr_inf", "gen_lr_inf", "cal_lr_inf",
+                                  "cal_weight_decay_inf", "alpha_ds_inf", "alpha_as_inf",
+                                  "beta_inf", "gamma_inf", "aux_ce_inf"])
     def test_out_of_range_config_is_usage_error(self, workdir, tmp_path, capsys,
                                                 command, line):
         _, _, out = workdir
@@ -429,15 +442,54 @@ class TestExitCodes:
         _, cfg_path, out = workdir
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")  # loading it first would exit 3
-        args = ["--ckpt", str(bad), "--bits", "1", "--out-dir", str(tmp_path / "out")]
-        if command == "quantize":
-            args += ["--dataset", str(out / "test.csv")]
-        else:
-            args += ["--config", str(cfg_path)]
-        rc = main([command] + args)
-        assert rc == 2
+        for bits in ("1", "2000"):
+            args = ["--ckpt", str(bad), "--bits", bits, "--out-dir", str(tmp_path / "out")]
+            if command == "quantize":
+                args += ["--dataset", str(out / "test.csv")]
+            else:
+                args += ["--config", str(cfg_path)]
+            rc = main([command] + args)
+            assert rc == 2, bits
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and err[0].startswith("error: ") and "bit width" in err[0]
+            assert not (tmp_path / "out").exists()
+
+    def test_student_checkpoint_wider_than_max_bits_is_runtime_error(self, dfq_out, workdir,
+                                                                     tmp_path, capsys):
+        _, _, out = workdir
+        doc = json.loads((dfq_out / "student_dfq_3bit.json").read_text())
+        doc["quant"]["bits"] = 2000
+        student = tmp_path / "student_2000bit.json"
+        student.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["eval", "--ckpt", str(student), "--dataset", str(out / "test.csv")]) == 3
         err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ") and "bit width" in err[0]
+        assert len(err) == 1 and str(student) in err[0] and "bits in [2, 32]" in err[0]
+
+    @pytest.mark.parametrize("column", ["feature", "label"])
+    @pytest.mark.parametrize("cell", ["nan", "inf", "1e400"])
+    @pytest.mark.parametrize("command", ["train-teacher", "eval", "quantize"])
+    def test_non_finite_csv_cell_is_runtime_error(self, workdir, tmp_path, capsys,
+                                                  command, cell, column):
+        _, _, out = workdir
+        rows = read_rows(out / "test.csv")
+        rows[3][-1 if column == "label" else 1] = cell
+        data = tmp_path / "non_finite.csv"
+        write_rows(data, rows)
+        if command == "train-teacher":
+            cfg = tmp_path / "c.cfg"
+            cfg.write_text(f"dataset = csv\ncsv_path = {data}\n")
+            args = ["--config", str(cfg)]
+        else:
+            args = ["--ckpt", str(out / "teacher.json"), "--dataset", str(data)]
+        if command != "eval":
+            args += ["--out-dir", str(tmp_path / "out")]
+        if command == "quantize":
+            args += ["--bits", "3"]
+        capsys.readouterr()
+        assert main([command] + args) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and f"{data}:4: non-finite value" in err[0]
         assert not (tmp_path / "out").exists()
 
     def test_missing_config_file_is_usage_error(self, tmp_path):
@@ -458,9 +510,6 @@ class TestExitCodes:
         assert rc == 3
 
     def test_missing_csv_dataset_names_path(self, tmp_path):
-        import contextlib
-        import io
-
         p = tmp_path / "c.cfg"
         p.write_text("dataset = csv\ncsv_path = /missing/data.csv\n")
         err = io.StringIO()
@@ -541,6 +590,51 @@ class TestExitCodes:
         rc = main(["eval", "--ckpt", str(out / "teacher.json"),
                    "--dataset", "/does/not/exist.csv"])
         assert rc == 2
+
+
+# Cells no eval dataset may hold: each row's features and its label must be
+# finite numbers, and the label an integer class of the 3-class teacher.
+FAULTY_FEATURES = ["", "nan", "inf", "-inf", "1e400", "abc"]
+FAULTY_LABELS = FAULTY_FEATURES + ["1.5", "-1", "3", "1e300"]
+
+
+@st.composite
+def eval_csv_rows(draw):
+    """Up to five rows of four features and a label, each row either valid or
+    with one fault: a faulty feature, a faulty label, or a ragged length.
+    Returns the rows and whether every row is valid."""
+    rows, valid = [], True
+    for _ in range(draw(st.integers(0, 5))):
+        row = [repr(draw(st.floats(-5.0, 5.0))) for _ in range(4)]
+        row.append(draw(st.sampled_from(["0", "1", "2", "2.0"])))
+        fault = draw(st.sampled_from([None, None, None, "feature", "label", "ragged"]))
+        if fault == "feature":
+            row[draw(st.integers(0, 3))] = draw(st.sampled_from(FAULTY_FEATURES))
+        elif fault == "label":
+            row[4] = draw(st.sampled_from(FAULTY_LABELS))
+        elif fault == "ragged":
+            row = (row + ["0"])[:draw(st.sampled_from([0, 3, 4, 6]))]
+        rows.append(row)
+        valid = valid and fault is None
+    return rows, valid and bool(rows)
+
+
+class TestFuzzEval:
+    @given(eval_csv_rows())
+    @settings(max_examples=60, deadline=None)
+    def test_generated_csv_exits_cleanly(self, workdir, case):
+        """Any generated CSV ends in exit 0 (only when every value is valid)
+        or exit 3 with one stderr line, never in a traceback."""
+        root, _, out = workdir
+        rows, valid = case
+        data = root / "fuzz.csv"
+        data.write_text("x0,x1,x2,x3,label\n" + "".join(",".join(r) + "\n" for r in rows))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(["eval", "--ckpt", str(out / "teacher.json"), "--dataset", str(data)])
+        assert rc == (0 if valid else 3), (rows, err.getvalue())
+        assert len(err.getvalue().strip().splitlines()) == (0 if valid else 1)
+        assert "Traceback" not in err.getvalue()
 
 
 class TestDeterminism:

@@ -168,6 +168,21 @@ class TestCsvRoundTrip:
         with pytest.raises(DataError):
             load_csv(path)
 
+    @pytest.mark.parametrize("row", ["1.0,{},1", "{},2.0,1", "1.0,2.0,{}"],
+                             ids=["feature", "first_feature", "label"])
+    @pytest.mark.parametrize("cell", ["nan", "-inf", "1e400"])
+    def test_non_finite_value_reports_line(self, tmp_path, row, cell):
+        path = tmp_path / "d.csv"
+        path.write_text("x0,x1,label\n1.0,2.0,0\n" + row.format(cell) + "\n")
+        with pytest.raises(DataError, match=":3: non-finite value"):
+            load_csv(path)
+
+    def test_label_beyond_int64_reports_line(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("x0,x1,label\n1.0,2.0,0\n1.0,2.0,1e300\n")
+        with pytest.raises(DataError, match=":3: non-integer or oversized label"):
+            load_csv(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("")

@@ -231,7 +231,7 @@ class TestHotPath:
             monkeypatch.setattr(cls, "forward", forward)
 
         counted(ConditionalGenerator, "generator")
-        counted(MlpNetwork, "teacher", only=p)  # not the generator's body
+        counted(MlpNetwork, "teacher", only=p)  # not the generator
         counted(QuantizedMlp, "student")
         for i in range(3):
             game_iteration(g, p, q, gen_opt, cal_opt, config, rng, i)

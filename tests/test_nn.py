@@ -43,7 +43,7 @@ class TestForward:
         layer = LinearLayer(2, 2, rng)
         layer.weight.data[...] = [[1.0, 2.0], [3.0, 4.0]]
         layer.bias.data[...] = [0.5, -0.5]
-        out = layer.forward(Tensor([[1.0, 1.0]]))
+        out = layer.forward(Tensor([[1.0, 1.0]]), False)
         np.testing.assert_allclose(out.data, [[3.5, 6.5]])
 
     def test_width_mismatch(self):
@@ -104,6 +104,13 @@ class TestGenerator:
         z = Tensor(np.random.default_rng(4).normal(size=(16, 64)))
         y = Tensor(np.eye(4)[np.random.default_rng(5).integers(0, 4, 16)])
         assert g.forward(z, y).data.shape == (16, 8)
+
+    def test_parameters_follow_named_parameters(self):
+        g = self.make()
+        named = g.named_parameters()
+        assert list(named)[:3] == ["embedding", "layers.0.weight", "layers.0.bias"]
+        assert [id(p) for p in g.parameters()] == [id(p) for p in named.values()]
+        assert g.parameters()[0] is g.embedding
 
 
 class TestOptimizers:

@@ -199,6 +199,23 @@ class TestBuildQuantizedStudent:
         t_acc = evaluate_network(net, test)["accuracy"]
         assert q_acc < t_acc
 
+    def test_train_forward_keeps_buffers_and_matches_eval(self, trained_teacher):
+        """Training mode only observes activation ranges: batch norm keeps the
+        copied statistics bit for bit, and once a batch is observed its
+        training logits are the eval-mode ones bit for bit."""
+        net, _, test = trained_teacher
+        student = build_quantized_student(net, 3).train()
+        before = {k: b.copy() for k, b in student.named_buffers().items()}
+        student.forward(Tensor(test.features[:64]))  # sets the ranges
+        x = Tensor(test.features[64:128])
+        train_logits = student.forward(x).data  # moves them, then quantizes
+        for name, buf in student.named_buffers().items():
+            assert buf.tobytes() == before[name].tobytes(), name
+        ranges = [(s.observed_min, s.observed_max) for s in student.act_states()]
+        eval_logits = student.eval().forward(x).data
+        assert train_logits.tobytes() == eval_logits.tobytes()
+        assert [(s.observed_min, s.observed_max) for s in student.act_states()] == ranges
+
     def test_bn_running_stats_copied_not_shared(self, trained_teacher):
         net, _, _ = trained_teacher
         student = build_quantized_student(net, 3)
@@ -216,7 +233,7 @@ class TestWeightMemo:
     def layer():
         layer = QuantLinear(LinearLayer(5, 3, np.random.default_rng(0)), 3)
         x = Tensor(np.random.default_rng(1).normal(size=(4, 5)))
-        layer.forward(x, observe=False)  # fills the memo
+        layer.forward(x, False)  # fills the memo
         return layer, x
 
     @staticmethod
@@ -224,7 +241,7 @@ class TestWeightMemo:
         w = layer.weight
         fresh = fake_quant(w, float(w.data.min()), float(w.data.max()), layer.bits)
         expected = x.matmul(fresh.T) + layer.bias  # no activation range observed yet
-        out = layer.forward(x, observe=False)
+        out = layer.forward(x, False)
         np.testing.assert_array_equal(out.data, expected.data)
         grads = []
         for root in (out, expected):
@@ -236,7 +253,7 @@ class TestWeightMemo:
     def test_after_sgd_step(self):
         layer, x = self.layer()
         opt = SgdMomentum([layer.weight, layer.bias], lr=0.5, momentum=0.9, weight_decay=0.0)
-        backward((layer.forward(x, observe=False) ** 2).sum())
+        backward((layer.forward(x, False) ** 2).sum())
         opt.step()
         self.assert_matches_fresh_quantization(layer, x)
 
@@ -269,10 +286,10 @@ class TestWeightMemo:
         original = quant._fake_quant_arrays
         monkeypatch.setattr(quant, "_fake_quant_arrays",
                             lambda *a: calls.append(1) or original(*a))
-        layer.forward(x, observe=False)
-        layer.forward(x, observe=False)
+        layer.forward(x, False)
+        layer.forward(x, False)
         assert len(calls) == 0
         layer.weight.data[1, 1] += 1e-3
-        layer.forward(x, observe=False)
-        layer.forward(x, observe=False)
+        layer.forward(x, False)
+        layer.forward(x, False)
         assert len(calls) == 1
