@@ -19,6 +19,13 @@ toward their conditioning label through cross-entropy on both ``p_ds`` and
 ``p_as``, and anchors batch statistics to the teacher's stored batch-norm
 running statistics. The student's calibration loss (to be minimized) is the
 batch mean of ``1 - h'``.
+
+A degenerate batch, one whose every entropy sits at ln C (a student that
+tracks the teacher exactly, as at wide bit widths), has ``h' = 0`` with a
+zero gradient, joined to the graph. The calibration loss is then 1 and the
+student's step applies only momentum and weight decay. The generator's
+margin term is constant on such a batch, so only the ``beta`` and ``gamma``
+terms move it.
 """
 
 from __future__ import annotations
@@ -56,13 +63,14 @@ def normalize_entropy(h_info: Tensor, num_classes: int) -> Tensor:
 
     The minimum is taken over the batch and treated as a constant. If the
     whole batch already sits at the maximum, returns all zeros rather than
-    dividing by zero.
+    dividing by zero: ``h_info * 0.0``, so a loss built on them still reaches
+    every parameter behind ``h_info``, with a zero gradient.
     """
     h_max = float(np.log(num_classes))
-    h_min = float(h_info.data.min())
+    h_min = float(np.minimum.reduce(h_info.data, axis=None))
     denom = h_max - h_min
     if denom < _DEGENERATE_EPS:
-        return Tensor(np.zeros_like(h_info.data))
+        return h_info * 0.0
     return (h_info - h_min) / denom
 
 
@@ -147,7 +155,8 @@ def loss_bns(bn_inputs: list[Tensor], bn_layers: list[BatchNormLayer]) -> Tensor
         std = np.sqrt(var + BN_EPS)
         d_mean = mu + (-layer.running_mean)
         d_std = std + (-np.sqrt(layer.running_var + BN_EPS))
-        total = total + (d_mean ** 2).sum() + (d_std ** 2).sum()
+        total = (total + np.add.reduce(d_mean ** 2, axis=None)
+                 + np.add.reduce(d_std ** 2, axis=None))
         sites.append((x, n, centered, std, d_mean, d_std))
 
     def bw(g):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -47,7 +48,7 @@ class SeededRng:
 
 def box_muller(gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     """Standard normals from uniforms: r = sqrt(-2 ln u1), angle 2*pi*u2."""
-    n = int(np.prod(shape))
+    n = math.prod(shape)
     m = (n + 1) // 2
     u1 = 1.0 - gen.random(m)  # (0, 1]; keeps the log finite
     u2 = gen.random(m)

@@ -24,7 +24,10 @@ forward of its own: the student's training forward observes each
 activation range before it quantizes with that range, and its batch norm
 always uses the copied running statistics, so step (b)'s training logits
 are the eval-mode logits bit for bit. An iteration thus runs four
-generator, four teacher and five student forwards.
+generator, four teacher and five student forwards. Only step (a)'s teacher
+forward records its batch-norm inputs, because the generator's objective
+reads them; every other forward passes ``record_bn_inputs`` False, so
+no network keeps a graph that nothing reads.
 """
 
 from __future__ import annotations
@@ -80,7 +83,7 @@ def _eval_sample(g: ConditionalGenerator, p: MlpNetwork,
     """Samples for (z, y) and the teacher's logits on them, as constants."""
     with no_grad():
         x = g.forward(z, y)
-        return x, p.forward(x)
+        return x, p.forward(x, False)
 
 
 def _batch_mean_entropy(z_p: Tensor, z_q: Tensor) -> float:
@@ -93,7 +96,7 @@ def _mean_disagreement_entropy(x: Tensor, z_p: Tensor, q: QuantizedMlp) -> float
     """Batch-mean H_info(p_ds) of the eval-mode student on ``x`` against the
     teacher's logits ``z_p``; records no graph and mutates nothing."""
     with no_grad():
-        z_q = q.forward(x)
+        z_q = q.forward(x, False)
     return _batch_mean_entropy(z_p, z_q)
 
 
@@ -117,10 +120,10 @@ def game_iteration(g: ConditionalGenerator, p: MlpNetwork, q: QuantizedMlp,
         param.requires_grad = False
     try:
         x = g.forward(z1, y1)
-        if not np.all(np.isfinite(x.data)):
+        if not np.logical_and.reduce(np.isfinite(x.data), axis=None):
             raise NumericError(f"non-finite generated samples at iteration {iteration}")
-        z_p = p.forward(x)
-        z_q = q.forward(x)
+        z_p = p.forward(x)  # records the bn_inputs the objective reads
+        z_q = q.forward(x, False)
         score = generator_objective(z_p, z_q, y1, p.bn_inputs, p.bn_layers(), config)
         gen_loss = -score
         if not np.isfinite(gen_loss.data):
@@ -150,11 +153,11 @@ def game_iteration(g: ConditionalGenerator, p: MlpNetwork, q: QuantizedMlp,
     # ---- (b) student calibration step --------------------------------------
     z2, y2 = sample_noise_and_labels(rng, config.batch_size, config.noise_dim, num_classes)
     x2, z_p2 = _eval_sample(g, p, z2, y2)  # shared with the measurement pair
-    if not np.all(np.isfinite(x2.data)):
+    if not np.logical_and.reduce(np.isfinite(x2.data), axis=None):
         raise NumericError(f"non-finite generated samples at iteration {iteration}")
 
     q.train()
-    z_q2 = q.forward(x2)  # observes this batch into the activation-range EMAs
+    z_q2 = q.forward(x2, False)  # observes this batch into the activation-range EMAs
     cal_loss = calibration_objective(z_p2, z_q2)
     if config.aux_ce != 0.0:
         cal_loss = cal_loss + config.aux_ce * cross_entropy_from_logits(z_q2, y2)

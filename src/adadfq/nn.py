@@ -11,9 +11,12 @@ Layer protocol: every layer has ``forward(x, training)`` and
 ``named_buffers()``. ``MlpNetwork.forward`` is the package's one layer walk:
 it hands its train/eval flag to every layer, and each layer reads the flag
 its own way (batch norm picks batch or running statistics, a quantized
-linear observes its activation range, a linear or ReLU ignores it). The
-network prefixes the names with ``layers.{i}.`` and lists the parameters in
-that order.
+linear observes its activation range, a linear or ReLU ignores it). It
+runs each batch norm -> ReLU -> linear run of layers as one node
+(``bn_relu_linear``), which reaches the layers through the halves of their
+forwards that build no node: ``BatchNormLayer._normalize`` and
+``LinearLayer._weight_arrays`` and ``_activate``. The network prefixes the
+names with ``layers.{i}.`` and lists the parameters in that order.
 
 Batch-norm conventions, fixed here so downstream statistics losses are
 well-defined:
@@ -29,8 +32,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError
-from .tensor import Tensor, _unbroadcast, concat_cols, linear
+from .errors import ContractError, DimensionError
+from .tensor import Tensor, concat_cols, linear
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
@@ -47,6 +50,18 @@ class LinearLayer:
     def forward(self, x: Tensor, training: bool) -> Tensor:
         return linear(x, self.weight, self.bias)
 
+    # The two hooks of ``bn_relu_linear``; a quantized layer overrides both.
+
+    def _weight_arrays(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """The weight the product uses and the mask its gradient passes
+        through (None: all of it)."""
+        return self.weight.data, None
+
+    def _activate(self, out: np.ndarray, training: bool) -> tuple[np.ndarray, np.ndarray | None]:
+        """The layer's output from its product, and the mask the output's
+        gradient passes through (None: all of it)."""
+        return out, None
+
     def named_parameters(self) -> dict[str, Tensor]:
         return {"weight": self.weight, "bias": self.bias}
 
@@ -54,9 +69,9 @@ class LinearLayer:
 def _batch_moments(x: np.ndarray):
     """Row count, column means, centred rows and biased column variances."""
     n = float(x.shape[0])
-    mu = x.sum(axis=0) / n
+    mu = np.add.reduce(x, axis=0) / n
     centered = x + (-mu)
-    return n, mu, centered, (centered ** 2).sum(axis=0) / n
+    return n, mu, centered, np.add.reduce(centered ** 2, axis=0) / n
 
 
 def _backprop_batch_moments(x: Tensor, n: float, centered: np.ndarray, std: np.ndarray,
@@ -65,10 +80,10 @@ def _backprop_batch_moments(x: Tensor, n: float, centered: np.ndarray, std: np.n
     into ``x``. Adds to ``x`` as the unfused graph did: the variance's
     centring first, then the mean's column sum."""
     g_sq_sum = g_std * 0.5 / std / n
-    g_centered = np.broadcast_to(np.expand_dims(g_sq_sum, 0), centered.shape) * 2 * centered
+    g_centered = g_sq_sum * 2 * centered
     x._accum(g_centered)
-    g_mu = g_mu + -_unbroadcast(g_centered, g_mu.shape)
-    x._accum(np.broadcast_to(np.expand_dims(g_mu / n, 0), centered.shape))
+    g_mu = g_mu + -np.add.reduce(g_centered, axis=0)
+    x._accum(np.broadcast_to(g_mu / n, centered.shape))
 
 
 class BatchNormLayer:
@@ -82,6 +97,12 @@ class BatchNormLayer:
         """``(x - mu) / sqrt(var + BN_EPS) * gamma + beta`` as one node; ``mu``
         and ``var`` are the batch's (folded into the running statistics) in
         training and the running statistics in eval."""
+        out, bw = self._normalize(x, training)
+        return Tensor._op(out, (x, self.gamma, self.beta), bw)
+
+    def _normalize(self, x: Tensor, training: bool):
+        """The forward's output array, and the routine that takes its
+        gradient into ``beta``, ``gamma`` and ``x``, in that order."""
         gamma, beta = self.gamma, self.beta
         if training:
             n, mu, centered, var = _batch_moments(x.data)
@@ -97,9 +118,9 @@ class BatchNormLayer:
         def bw(g):
             # summed here, as _accum's unbroadcast would sum them
             if beta.requires_grad:
-                beta._accum(g.sum(axis=0))
+                beta._accum(np.add.reduce(g, axis=0))
             if gamma.requires_grad:
-                gamma._accum((g * normalized).sum(axis=0))
+                gamma._accum(np.add.reduce(g * normalized, axis=0))
             if not x.requires_grad:
                 return
             g_normalized = g * gamma.data
@@ -108,10 +129,10 @@ class BatchNormLayer:
             if training:
                 _backprop_batch_moments(
                     x, n, centered, std,
-                    _unbroadcast(-g_normalized * centered / (std ** 2), std.shape),
-                    -_unbroadcast(g_centered, mu.shape))
+                    np.add.reduce(-g_normalized * centered / (std ** 2), axis=0),
+                    -np.add.reduce(g_centered, axis=0))
 
-        return Tensor._op(normalized * gamma.data + beta.data, (x, gamma, beta), bw)
+        return normalized * gamma.data + beta.data, bw
 
     def named_parameters(self) -> dict[str, Tensor]:
         return {"gamma": self.gamma, "beta": self.beta}
@@ -128,12 +149,55 @@ class Relu:
         return {}
 
 
+def bn_relu_linear(bn: BatchNormLayer | None, layer: LinearLayer, x: Tensor,
+                   training: bool) -> Tensor:
+    """``layer`` after ``bn`` and a ReLU as one node; with ``bn`` None, just
+    ``layer``. Each layer does what its own forward does, through its hooks
+    (``BatchNormLayer._normalize``, ``LinearLayer._weight_arrays`` and
+    ``_activate``). The backward masks the output gradient, routes it into the
+    bias, then back through the ReLU into the batch norm's ``beta``, ``gamma``
+    and ``x``, and last into the weight through its mask."""
+    weight, bias = layer.weight, layer.bias
+    if bn is None:
+        r = x.data
+        if r.ndim != 2 or r.shape[1] != weight.data.shape[1]:
+            raise DimensionError(f"linear expects a 2-D input of width "
+                                 f"{weight.data.shape[1]}, got {r.shape}")
+    else:
+        h, bn_bw = bn._normalize(x, training)
+        positive = h > 0.0
+        r = np.where(positive, h, 0.0)
+    w, w_mask = layer._weight_arrays()
+    out, out_mask = layer._activate(r @ w.T + bias.data, training)
+
+    def bw(g):
+        if out_mask is not None:
+            g = g * out_mask
+        if bias.requires_grad:
+            bias._accum(np.add.reduce(g, axis=0))
+        if bn is None:
+            if x.requires_grad:
+                x._accum(g @ w)
+        elif x.requires_grad or bn.gamma.requires_grad or bn.beta.requires_grad:
+            bn_bw((g @ w) * positive)
+        if weight.requires_grad:
+            g_w = (r.T @ g).T
+            weight._accum(g_w if w_mask is None else g_w * w_mask)
+
+    parents = (x, weight, bias) if bn is None else (x, bn.gamma, bn.beta, weight, bias)
+    return Tensor._op(out, parents, bw)
+
+
 class MlpNetwork:
     """Ordered layers with a train/eval flag and batch-norm input hooks.
 
-    After each ``forward``, ``bn_inputs`` holds the input activation of every
-    BatchNormLayer in layer order (one entry per BN site). The widths are read
-    off the first and last (linear) layers; the first rejects another width.
+    ``forward`` runs each ``BatchNormLayer -> Relu -> LinearLayer`` run of
+    layers as one ``bn_relu_linear`` node, with the same bits as the layers
+    one by one. A forward with ``record_bn_inputs`` (the default) leaves in
+    ``bn_inputs`` the input of every BatchNormLayer in layer order (one graph
+    node per BN site); any other forward leaves it empty, so it holds no
+    graph that nothing reads. The widths are read off the first and last
+    (linear) layers; the first rejects another width.
     """
 
     def __init__(self, layers: list):
@@ -151,12 +215,22 @@ class MlpNetwork:
         self.training = False
         return self
 
-    def forward(self, x: Tensor) -> Tensor:
-        self.bn_inputs = []
-        for layer in self.layers:
+    def forward(self, x: Tensor, record_bn_inputs: bool = True) -> Tensor:
+        self.bn_inputs = bn_inputs = []
+        layers, training = self.layers, self.training
+        i, blocks_end = 0, len(layers) - 2
+        while i < len(layers):
+            layer = layers[i]
             if isinstance(layer, BatchNormLayer):
-                self.bn_inputs.append(x)
-            x = layer.forward(x, self.training)
+                if record_bn_inputs:
+                    bn_inputs.append(x)
+                if (i < blocks_end and type(layers[i + 1]) is Relu
+                        and isinstance(layers[i + 2], LinearLayer)):
+                    x = bn_relu_linear(layer, layers[i + 2], x, training)
+                    i += 3
+                    continue
+            x = layer.forward(x, training)
+            i += 1
         return x
 
     def bn_layers(self) -> list[BatchNormLayer]:
@@ -200,8 +274,9 @@ class ConditionalGenerator(MlpNetwork):
 
     def forward(self, z: Tensor, y: Tensor) -> Tensor:
         """Precondition: ``y`` holds one-hot rows, as ``sample_noise_and_labels``
-        builds them. The first layer rejects a ``z`` of the wrong width."""
-        return super().forward(concat_cols([z, y.matmul(self.embedding)]))
+        builds them. The first layer rejects a ``z`` of the wrong width.
+        Records no ``bn_inputs``: nothing reads the generator's."""
+        return super().forward(concat_cols([z, y.matmul(self.embedding)]), False)
 
     def named_parameters(self) -> dict[str, Tensor]:
         return {"embedding": self.embedding, **super().named_parameters()}

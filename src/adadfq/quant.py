@@ -17,13 +17,22 @@ once per optimizer step, with no invalidation call after a checkpoint load
 or an in-place write. A degenerate range (min == max, e.g. a constant
 tensor) passes through unquantized.
 
+``_fake_quant_arrays`` is the fake-quant the weights and the activations
+share: ``quantize_array`` then the dequantization, operation for operation,
+but worked in place on one temporary of its own (the input is never
+written). Its STE mask is ``clamped == x``, which equals
+``(x >= lo) & (x <= hi)`` for every finite ``x`` and is False for NaN.
+
 The student is the teacher's MlpNetwork, walked by the same forward, with
 each LinearLayer swapped for a QuantLinear and each batch norm for a
 FixedStatsBatchNorm by ``build_quantized_student``. Its two rules live in
 those layers: a QuantLinear observes its output into the activation range's
 exponential moving average only in training mode (eval leaves every range
 as it is), and a FixedStatsBatchNorm always normalizes with the running
-statistics copied from the teacher, never with batch statistics.
+statistics copied from the teacher, never with batch statistics. A
+QuantLinear is one graph node (weight STE, linear and activation
+fake-quant), and so is each batch norm -> ReLU -> QuantLinear block
+(``nn.bn_relu_linear``).
 """
 
 from __future__ import annotations
@@ -33,8 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DegenerateRangeError
-from .nn import BatchNormLayer, LinearLayer, MlpNetwork, Relu
-from .tensor import Tensor, linear
+from .nn import BatchNormLayer, LinearLayer, MlpNetwork, Relu, bn_relu_linear
+from .tensor import Tensor
 
 
 # Decay of the activation ranges' exponential moving average. Checkpoints
@@ -65,10 +74,6 @@ def quantize_array(x: np.ndarray, lo: float, hi: float, bits: int) -> np.ndarray
     return round_half_away(levels * (clamped - lo) / (hi - lo) - half)
 
 
-def _dequantize_unchecked(codes: np.ndarray, lo: float, hi: float, bits: int) -> np.ndarray:
-    return (codes + 2 ** (bits - 1)) * (hi - lo) / float(2 ** bits - 1) + lo
-
-
 def dequantize_array(codes: np.ndarray, lo: float, hi: float, bits: int) -> np.ndarray:
     if lo >= hi:
         raise DegenerateRangeError(f"quantization range [{lo}, {hi}] is degenerate")
@@ -76,7 +81,7 @@ def dequantize_array(codes: np.ndarray, lo: float, hi: float, bits: int) -> np.n
     codes = np.asarray(codes, dtype=np.float64)
     if np.any(codes < -half) or np.any(codes > half - 1):
         raise ContractError(f"code outside [{-half}, {half - 1}] for {bits}-bit grid")
-    return _dequantize_unchecked(codes, lo, hi, bits)
+    return (codes + 2 ** (bits - 1)) * (hi - lo) / float(2 ** bits - 1) + lo
 
 
 def quantize_value(x: float, lo: float, hi: float, bits: int) -> int:
@@ -89,9 +94,25 @@ def dequantize_value(code: int, lo: float, hi: float, bits: int) -> float:
 
 def _fake_quant_arrays(x: np.ndarray, lo: float, hi: float, bits: int):
     """Quantize-dequantize of ``x`` and its STE mask; needs ``lo < hi``.
-    quantize_array's codes are in range, so no range check is needed."""
-    out = _dequantize_unchecked(quantize_array(x, lo, hi, bits), lo, hi, bits)
-    return out, (x >= lo) & (x <= hi)
+    The operations of quantize_array and dequantize_array in their order,
+    in place on the clamped copy; its codes are in range, so dequantize's
+    range check is left out."""
+    levels = float(2 ** bits - 1)
+    half = float(2 ** (bits - 1))
+    out = np.maximum(x, lo)
+    np.minimum(out, hi, out=out)
+    mask = out == x  # lo <= x <= hi
+    out -= lo
+    out *= levels
+    out /= hi - lo
+    out -= half
+    out += np.copysign(0.5, out)  # round_half_away
+    np.trunc(out, out=out)
+    out += half
+    out *= hi - lo
+    out /= levels
+    out += lo
+    return out, mask
 
 
 def _ste(x: Tensor, out_data: np.ndarray, mask: np.ndarray) -> Tensor:
@@ -119,8 +140,8 @@ class FakeQuantState:
     observed_max: float | None = None
 
     def observe(self, batch: np.ndarray) -> None:
-        lo = float(batch.min())
-        hi = float(batch.max())
+        lo = float(np.minimum.reduce(batch, axis=None))
+        hi = float(np.maximum.reduce(batch, axis=None))
         if self.observed_min is None:
             self.observed_min, self.observed_max = lo, hi
         else:
@@ -137,15 +158,17 @@ class FakeQuantState:
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and bool((a.view(np.int64) == b.view(np.int64)).all())
+    return a.shape == b.shape and bool(
+        np.logical_and.reduce(a.view(np.int64) == b.view(np.int64), axis=None))
 
 
 class QuantLinear(LinearLayer):
     """Linear layer holding latent full-precision weights.
 
     Forward fake-quantizes the weights over their dynamic per-tensor range and
-    the output activations over the EMA-tracked range. The bias stays full
-    precision.
+    the output activations over the EMA-tracked range, in one graph node whose
+    backward applies the activation mask and then the weight mask. The bias
+    stays full precision.
     """
 
     def __init__(self, source: LinearLayer, bits: int):
@@ -155,27 +178,33 @@ class QuantLinear(LinearLayer):
         self.act_state = FakeQuantState()
         self._memo: tuple | None = None  # (latent copy, weight data, STE mask)
 
-    def _quantized_weight(self) -> Tensor:
+    def _weight_arrays(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """The fake-quantized weight and its STE mask, from the memo."""
         w = self.weight.data
         if self._memo is None or not _same_bits(w, self._memo[0]):
-            lo, hi = float(w.min()), float(w.max())
+            lo = float(np.minimum.reduce(w, axis=None))
+            hi = float(np.maximum.reduce(w, axis=None))
             if lo >= hi:
                 self._memo = (w.copy(), None, None)
             else:
                 self._memo = (w.copy(), *_fake_quant_arrays(w, lo, hi, self.bits))
         _, out_data, mask = self._memo
         if out_data is None:
-            return self.weight
-        return _ste(self.weight, out_data, mask)
+            return w, None
+        return out_data, mask
+
+    def _activate(self, out: np.ndarray, training: bool) -> tuple[np.ndarray, np.ndarray | None]:
+        """Observes ``out`` in training, then fake-quantizes it over the
+        activation range once there is one."""
+        state = self.act_state
+        if training:
+            state.observe(out)
+        if not state.has_range:
+            return out, None
+        return _fake_quant_arrays(out, state.observed_min, state.observed_max, self.bits)
 
     def forward(self, x: Tensor, training: bool) -> Tensor:
-        out = linear(x, self._quantized_weight(), self.bias)
-        if training:
-            self.act_state.observe(out.data)
-        if self.act_state.has_range:
-            out = fake_quant(out, self.act_state.observed_min,
-                             self.act_state.observed_max, self.bits)
-        return out
+        return bn_relu_linear(None, self, x, training)
 
 
 class FixedStatsBatchNorm(BatchNormLayer):
@@ -188,8 +217,8 @@ class FixedStatsBatchNorm(BatchNormLayer):
         self.running_mean = source.running_mean.copy()
         self.running_var = source.running_var.copy()
 
-    def forward(self, x: Tensor, training: bool) -> Tensor:
-        return super().forward(x, False)
+    def _normalize(self, x: Tensor, training: bool):
+        return super()._normalize(x, False)
 
 
 class QuantizedMlp(MlpNetwork):

@@ -16,12 +16,21 @@ constant, with the same bits. Forwards that are only read run there.
 Fused nodes. The hot composites are single nodes with a hand-written
 backward: ``linear`` (``x @ w.T + b``), ``softmax_entropy``
 (``entropy_rows(softmax(.))``), ``cross_entropy_from_logits`` (log-softmax
-with the batch-mean cross-entropy), batch norm in ``nn.BatchNormLayer`` and
-the statistics loss ``adaptability.loss_bns``. Same-bits rule: each runs the
-numpy operations of the composite it replaces, on the same operands and in
-the same order, and accumulates into each parent in the order the composite
-did, so every output byte is the composite's. The tests keep the composites
-as the reference and compare bit for bit.
+with the batch-mean cross-entropy), batch norm in ``nn.BatchNormLayer``, the
+network block ``nn.bn_relu_linear`` (batch norm, ReLU and a linear layer,
+which ``MlpNetwork.forward`` runs as one node), the student's
+``quant.QuantLinear`` (weight straight-through estimator, linear and
+activation fake-quant) and the statistics loss ``adaptability.loss_bns``.
+Same-bits rule: each runs the numpy operations of the composite it replaces,
+on the same operands and in the same order, and accumulates into each parent
+in the order the composite did, so every output byte is the composite's. The
+tests keep the composites as the reference and compare bit for bit.
+
+Hot-path numpy calls skip numpy's Python-level wrappers: ``np.add.reduce``
+stands for ``ndarray.sum``, ``np.maximum.reduce`` for ``.max``, ``[..., None]``
+for ``np.expand_dims``, and an elementwise op broadcasts its operands itself
+instead of through ``np.broadcast_to``. Each is the same ufunc loop the
+wrapper would run, so the bits are the same.
 """
 
 from __future__ import annotations
@@ -50,10 +59,10 @@ def no_grad():
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a broadcast gradient back down to the original operand shape."""
     while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
+        grad = np.add.reduce(grad, axis=0)
     for axis, extent in enumerate(shape):
         if extent == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
+            grad = np.add.reduce(grad, axis=axis, keepdims=True)
     return grad
 
 
@@ -243,7 +252,7 @@ class Tensor:
     # -- reductions --------------------------------------------------------
 
     def sum(self, axis: int | None = None, keepdims: bool = False) -> "Tensor":
-        out_data = self.data.sum(axis=axis, keepdims=keepdims)
+        out_data = np.add.reduce(self.data, axis=axis, keepdims=keepdims)
 
         def bw(g):
             if axis is not None and not keepdims:
@@ -311,7 +320,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     def bw(g):
         if b.requires_grad:
-            b._accum(g.sum(axis=0))  # the bits _accum's unbroadcast would give
+            b._accum(np.add.reduce(g, axis=0))  # the bits _accum's unbroadcast would give
         if x.requires_grad:
             x._accum(g @ w.data)
         if w.requires_grad:
@@ -323,11 +332,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 def _shifted_exp(logits: Tensor, name: str):
     """Max-shifted logits, their exponentials and the row sums of those."""
     ld = logits.data
-    if not np.all(np.isfinite(ld)):
+    if not np.logical_and.reduce(np.isfinite(ld), axis=None):
         raise NumericError(f"{name} received non-finite logits")
-    shift = ld + (-ld.max(axis=-1, keepdims=True))
+    shift = ld + (-np.maximum.reduce(ld, axis=-1, keepdims=True))
     e = np.exp(shift)
-    return shift, e, e.sum(axis=-1, keepdims=True)
+    return shift, e, np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def softmax_entropy(logits: Tensor) -> Tensor:
@@ -340,27 +349,26 @@ def softmax_entropy(logits: Tensor) -> Tensor:
         logp = np.where(positive, np.log(np.where(positive, p, 1.0)), 0.0)
 
     def bw(g):
-        gp = np.expand_dims(g, -1) * np.where(positive, -(logp + 1.0), 0.0)
-        gs = _unbroadcast(-gp * e / (s ** 2), s.shape)
-        logits._accum((gp / s + np.broadcast_to(gs, e.shape)) * e)
+        gp = g[..., None] * np.where(positive, -(logp + 1.0), 0.0)
+        gs = np.add.reduce(-gp * e / (s ** 2), axis=-1, keepdims=True)
+        logits._accum((gp / s + gs) * e)
 
-    return Tensor._op(-(p * logp).sum(axis=-1), (logits,), bw)
+    return Tensor._op(-np.add.reduce(p * logp, axis=-1), (logits,), bw)
 
 
 def cross_entropy_from_logits(logits: Tensor, y: Tensor) -> Tensor:
     """Batch mean of -log softmax(logits)[y] as one node; y is one-hot and
     receives no gradient."""
     shift, e, s = _shifted_exp(logits, "log_softmax")
-    rows = (y.data * (shift + (-np.log(s)))).sum(axis=1)
+    rows = np.add.reduce(y.data * (shift + (-np.log(s))), axis=1)
     count = float(rows.size)
 
     def bw(g):
-        g_rows = np.broadcast_to(-g / count, rows.shape)
-        g_log = np.broadcast_to(np.expand_dims(g_rows, 1), shift.shape) * y.data
-        g_sum = -_unbroadcast(g_log, s.shape) / s
-        logits._accum(g_log + np.broadcast_to(g_sum, e.shape) * e)
+        g_log = (-g / count) * y.data  # every row's gradient is -g / count
+        g_sum = -np.add.reduce(g_log, axis=1, keepdims=True) / s
+        logits._accum(g_log + g_sum * e)
 
-    return Tensor._op(-(rows.sum() / count), (logits,), bw)
+    return Tensor._op(-(np.add.reduce(rows, axis=None) / count), (logits,), bw)
 
 
 def backward(loss: Tensor) -> None:

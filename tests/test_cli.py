@@ -18,6 +18,7 @@ from adadfq.checkpoint import load_checkpoint, norm_stats_from
 from adadfq.cli import RunConfig, evaluate_network, main, parse_config
 from adadfq.data import Dataset, load_csv
 from adadfq.errors import ConfigError
+from adadfq.quant import MAX_BITS
 from adadfq.tensor import Tensor
 
 SMALL_CONFIG = """
@@ -207,6 +208,19 @@ class TestDfq:
         np.testing.assert_allclose(m, m.T, atol=1e-12)
         np.testing.assert_allclose(np.diag(m), 0.0, atol=1e-12)
         assert m.min() >= 0.0
+
+    @pytest.mark.parametrize("bits", range(2, MAX_BITS + 1))
+    def test_every_bit_width_runs(self, workdir, tmp_path, bits):
+        """From about 20 bits up the student tracks the teacher so closely
+        that whole batches are degenerate (every entropy at ln C); the game
+        must still step through them."""
+        _, cfg_path, out = workdir
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(cfg_path.read_text() + "epochs = 1\niterations_per_epoch = 2\n"
+                       "sample_dump = 4\n")
+        rc = main(["dfq", "--ckpt", str(out / "teacher.json"), "--config", str(cfg),
+                   "--bits", str(bits), "--seed", "0", "--out-dir", str(tmp_path / "dfq")])
+        assert rc == 0
 
     def test_data_free_never_opens_dataset_files(self, workdir, monkeypatch):
         # run dfq with open() instrumented: no .csv may be read

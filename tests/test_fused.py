@@ -4,7 +4,9 @@ The composites below are the graphs the package built before the nodes were
 fused; they stay here as the reference. A fused node must give the same
 forward bytes, the same bytes in every input gradient and, for batch norm,
 the same running statistics, and its gradient must pass a finite-difference
-check.
+check. The network block (batch norm -> ReLU -> linear, and the student's
+QuantLinear) is checked against its layers' own nodes; the in-place
+fake-quant against quantize_array and dequantize_array.
 """
 
 import copy
@@ -13,7 +15,24 @@ import numpy as np
 import pytest
 
 from adadfq.adaptability import loss_bns
-from adadfq.nn import BN_EPS, BN_MOMENTUM, BatchNormLayer, Relu, make_mlp
+from adadfq.nn import (
+    BN_EPS,
+    BN_MOMENTUM,
+    BatchNormLayer,
+    LinearLayer,
+    Relu,
+    bn_relu_linear,
+    make_mlp,
+)
+from adadfq.quant import (
+    FixedStatsBatchNorm,
+    QuantLinear,
+    _fake_quant_arrays,
+    _ste,
+    dequantize_array,
+    fake_quant,
+    quantize_array,
+)
 from adadfq.tensor import (
     Tensor,
     backward,
@@ -52,6 +71,38 @@ def composite_softmax_entropy(logits):
 
 def composite_cross_entropy(logits, y):
     return -(y * log_softmax(logits)).sum(axis=1).mean()
+
+
+def reference_fake_quant_arrays(x, lo, hi, bits):
+    """What _fake_quant_arrays computed before it worked in place."""
+    codes = quantize_array(x, lo, hi, bits)
+    return dequantize_array(codes, lo, hi, bits), (x >= lo) & (x <= hi)
+
+
+def composite_linear_layer(layer, x, training):
+    """A LinearLayer's or a QuantLinear's forward as separate nodes: the
+    weight's straight-through node, ``linear`` and ``fake_quant``."""
+    if not isinstance(layer, QuantLinear):
+        return linear(x, layer.weight, layer.bias)
+    w = layer.weight.data
+    lo, hi = float(w.min()), float(w.max())
+    weight = layer.weight
+    if lo < hi:
+        weight = _ste(weight, *reference_fake_quant_arrays(w, lo, hi, layer.bits))
+    out = linear(x, weight, layer.bias)
+    state = layer.act_state
+    if training:
+        state.observe(out.data)
+    if state.has_range:
+        out = fake_quant(out, state.observed_min, state.observed_max, layer.bits)
+    return out
+
+
+def composite_block(bn, layer, x, training):
+    """``bn_relu_linear`` as the layers' own nodes."""
+    if bn is not None:
+        x = Relu().forward(bn.forward(x, training), training)
+    return composite_linear_layer(layer, x, training)
 
 
 def composite_loss_bns(bn_inputs, bn_layers):
@@ -210,6 +261,156 @@ class TestLossBns:
         layers = [bn_layer(rng, 3), bn_layer(rng, 2)]
         inputs = leaves(rng, (5, 3), (5, 2))
         assert check_gradients(lambda: loss_bns(inputs, layers), inputs) < 1e-6
+
+
+class TestBlock:
+    """``bn_relu_linear`` against ``composite_block``: each side has its own
+    copy of the layers, and the same input bytes."""
+
+    @staticmethod
+    def layers(rng, kind, bits=3):
+        bn, layer = bn_layer(rng, 5), LinearLayer(5, 4, rng)
+        if kind == "student":
+            bn, layer = FixedStatsBatchNorm(bn), QuantLinear(layer, bits)
+        return bn, layer
+
+    @staticmethod
+    def params(bn, layer):
+        bn_params = [] if bn is None else [bn.gamma, bn.beta]
+        return bn_params, [layer.weight, layer.bias]
+
+    def assert_same_bits(self, bn, layer, training, rng, x_requires_grad=True):
+        results = []
+        x_data = rng.normal(0.3, 1.5, size=(6, 5))
+        weight = rng.normal(size=(6, 4))
+        for block, (bn_copy, layer_copy) in ((bn_relu_linear, (bn, layer)),
+                                             (composite_block, copy.deepcopy((bn, layer)))):
+            x = Tensor(x_data.copy(), requires_grad=x_requires_grad)
+            bn_params, layer_params = self.params(bn_copy, layer_copy)
+            out = block(bn_copy, layer_copy, x, training)
+            backward((out * weight).sum())
+            grads = [t.grad for t in [x, *bn_params, *layer_params]]
+            state = [] if bn_copy is None else [bn_copy.running_mean, bn_copy.running_var]
+            if isinstance(layer_copy, QuantLinear):
+                act = layer_copy.act_state
+                state.append(np.array([act.observed_min, act.observed_max], dtype=float))
+            results.append((out.data, grads, state))
+        (out_f, grads_f, state_f), (out_c, grads_c, state_c) = results
+        np.testing.assert_array_equal(out_f, out_c)
+        assert [g is None for g in grads_f] == [g is None for g in grads_c]
+        for gf, gc in zip(grads_f, grads_c):
+            if gf is not None:
+                np.testing.assert_array_equal(gf, gc)
+        for sf, sc in zip(state_f, state_c):
+            np.testing.assert_array_equal(sf, sc)
+        return grads_f
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_teacher_block_in_eval_mode(self, seed):
+        rng = np.random.default_rng(seed)
+        self.assert_same_bits(*self.layers(rng, "teacher"), False, rng)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_generator_block_in_train_mode(self, seed):
+        rng = np.random.default_rng(seed)
+        self.assert_same_bits(*self.layers(rng, "teacher"), True, rng)
+
+    @pytest.mark.parametrize("frozen", [False, True], ids=["unfrozen", "frozen"])
+    @pytest.mark.parametrize("act_range", [None, (-0.8, 0.9)], ids=["no_range", "range"])
+    @pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_student_block(self, seed, training, act_range, frozen):
+        rng = np.random.default_rng(seed)
+        bn, layer = self.layers(rng, "student")
+        if act_range is not None:  # narrow enough to clip some outputs
+            layer.act_state.observed_min, layer.act_state.observed_max = act_range
+        bn_params, layer_params = self.params(bn, layer)
+        for p in bn_params + layer_params:
+            p.requires_grad = not frozen
+        grads = self.assert_same_bits(bn, layer, training, rng)
+        assert all((g is None) == frozen for g in grads[1:])
+
+    @pytest.mark.parametrize("with_bn", [False, True], ids=["quant_linear", "block"])
+    def test_student_with_a_constant_weight(self, with_bn):
+        """A degenerate weight range passes the weight through unquantized."""
+        rng = np.random.default_rng(9)
+        bn, layer = self.layers(rng, "student")
+        layer.weight.data[...] = 0.25
+        layer.act_state.observed_min, layer.act_state.observed_max = -0.5, 0.5
+        self.assert_same_bits(bn if with_bn else None, layer, True, rng)
+
+    @pytest.mark.parametrize("bits", [2, 3, 32])
+    def test_quant_linear_alone(self, bits):
+        """The student's first layer: a QuantLinear with no block around it,
+        on a constant input (step (b)'s samples)."""
+        rng = np.random.default_rng(10)
+        _, layer = self.layers(rng, "student", bits)
+        layer.act_state.observed_min, layer.act_state.observed_max = -1.0, 1.2
+        self.assert_same_bits(None, layer, True, rng, x_requires_grad=False)
+
+    @pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
+    def test_gradient(self, training):
+        rng = np.random.default_rng(11)
+        bn, layer = bn_layer(rng, 3), LinearLayer(3, 2, rng)
+        x = Tensor(rng.normal(0.2, 1.0, size=(5, 3)), requires_grad=True)
+        weight = rng.normal(size=(5, 2))
+        params = [x, bn.gamma, bn.beta, layer.weight, layer.bias]
+
+        def f():
+            # train mode folds each call into the running statistics; keep
+            # them fixed, as every call must be the same function
+            stats = bn.running_mean.copy(), bn.running_var.copy()
+            out = bn_relu_linear(bn, layer, x, training)
+            bn.running_mean, bn.running_var = stats
+            return (out * weight).sum()
+
+        assert check_gradients(f, params) < 1e-6
+
+
+class TestFakeQuantArrays:
+    """The in-place fake-quant against quantize_array + dequantize_array and
+    the three-comparison mask, bit for bit, on ties, signed zeros, the range
+    ends and one ulp either side of them."""
+
+    @staticmethod
+    def edge_values(lo, hi, bits):
+        levels, half = 2.0 ** bits - 1, 2.0 ** (bits - 1)
+        # x whose scaled value lo + (t + half) * (hi - lo) / levels sits at a
+        # tie t = +-k + 0.5 (exactly so when hi - lo == levels)
+        ties = [lo + (half + k + 0.5) * (hi - lo) / levels for k in (-3, -2, -1, 0, 1, 2)]
+        ties += [lo + (half - k - 0.5) * (hi - lo) / levels for k in (0, 1, 2)]
+        ends = [lo, hi, np.nextafter(lo, -np.inf), np.nextafter(lo, np.inf),
+                np.nextafter(hi, -np.inf), np.nextafter(hi, np.inf)]
+        far = [lo - 10.0, hi + 10.0, 0.0, -0.0]
+        return np.array(ties + ends + far, dtype=float)
+
+    @pytest.mark.parametrize("bits", [2, 3, 4, 32])
+    @pytest.mark.parametrize("lo,hi", [(0.0, None), (-1.3, 2.7), (-0.0, 0.75), (-2.5, 0.0)])
+    def test_same_bits_as_quantize_then_dequantize(self, bits, lo, hi):
+        if hi is None:  # hi - lo == levels: the scaled values are exact
+            hi = 2.0 ** bits - 1
+        rng = np.random.default_rng(bits)
+        x = np.concatenate([self.edge_values(lo, hi, bits),
+                            rng.uniform(lo - 1.0, hi + 1.0, size=64)])
+        before = x.copy()
+        out, mask = _fake_quant_arrays(x, lo, hi, bits)
+        ref_out, ref_mask = reference_fake_quant_arrays(x, lo, hi, bits)
+        np.testing.assert_array_equal(out.view(np.int64), ref_out.view(np.int64))
+        np.testing.assert_array_equal(mask, ref_mask)
+        np.testing.assert_array_equal(x.view(np.int64), before.view(np.int64))
+
+    def test_ties_round_away_from_zero(self):
+        # 3 bits on [0, 7]: the code is x - 4, so x = 4 +- 0.5 are ties
+        out, _ = _fake_quant_arrays(np.array([4.5, 3.5, 5.5, 2.5]), 0.0, 7.0, 3)
+        np.testing.assert_array_equal(out, [5.0, 3.0, 6.0, 2.0])
+
+    def test_nan_is_masked_out(self):
+        x = np.array([np.nan, 0.5])
+        out, mask = _fake_quant_arrays(x, 0.0, 1.0, 3)
+        ref_out, ref_mask = reference_fake_quant_arrays(x, 0.0, 1.0, 3)
+        np.testing.assert_array_equal(mask, ref_mask)
+        np.testing.assert_array_equal(out, ref_out)
+        assert mask.tolist() == [False, True]
 
 
 def test_shared_batch_norm_inputs_accumulate_in_the_composite_order():

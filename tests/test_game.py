@@ -17,7 +17,7 @@ from adadfq.game import (
     run_game,
 )
 from adadfq.nn import AdamOptimizer, ConditionalGenerator, MlpNetwork, SgdMomentum, make_mlp
-from adadfq.quant import QuantizedMlp, build_quantized_student
+from adadfq.quant import FakeQuantState, QuantizedMlp, build_quantized_student
 from adadfq.tensor import Tensor
 
 
@@ -168,6 +168,36 @@ class TestRunGame:
         assert aux[0].loss_gen == plain[0].loss_gen  # step (a) ignores the weight
         assert aux[0].loss_cal > plain[0].loss_cal
 
+    def test_degenerate_batch_mid_run_leaves_a_finite_row(self, teacher):
+        """After iteration 3 the student becomes the teacher at 32 bits, so
+        iteration 4's batches are degenerate: every disagreement entropy sits
+        at ln C and h' is all zero. The student's step still runs (momentum
+        and weight decay) and the row is finite."""
+        config = small_config()
+        rng = SeededRng(config.seed)
+        g = ConditionalGenerator(config.noise_dim, teacher.output_dim,
+                                 teacher.input_dim, rng.substream("generator_init"),
+                                 config.embed_dim, (16, 16))
+        q = build_quantized_student(teacher, 3)
+        student_after = {}
+
+        def make_student_exact(row):
+            if row.iter == 3:
+                for mine, theirs in zip(q.parameters(), teacher.parameters()):
+                    mine.data[...] = theirs.data  # in place: the optimizer owns the storage
+                for layer in q.quant_linears():
+                    layer.bits = 32
+                    layer.act_state = FakeQuantState()
+            student_after[row.iter] = [p.data.copy() for p in q.parameters()]
+
+        trace = run_game(g, teacher, q, config, row_callback=make_student_exact)
+        assert len(trace) == 10
+        row = trace[4]
+        assert row.hprime_min == row.hprime_max == 0.0
+        assert row.loss_cal == 1.0
+        assert all(np.isfinite(v) for v in row.as_dict().values())
+        assert any(not np.array_equal(a, b) for a, b in zip(student_after[3], student_after[4]))
+
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             RunConfig(epochs=0)
@@ -194,9 +224,9 @@ def desk_players(config):
 class TestHotPath:
     def test_recorded_nodes_per_desk_iteration(self, monkeypatch):
         """Fused nodes keep the desk iteration's graph at this size; un-fusing
-        a composite adds nodes and fails here. The first iteration has no
-        activation range yet, so its student forward skips three fake-quant
-        nodes."""
+        a composite adds nodes and fails here. The activation fake-quant sits
+        inside each student node, so the first iteration, which has no
+        activation range yet, records as many nodes as the others."""
         counts = []
         op = Tensor.__dict__["_op"].__func__
 
@@ -211,7 +241,7 @@ class TestHotPath:
         for i in range(3):
             counts.append(0)
             game_iteration(g, p, q, gen_opt, cal_opt, config, rng, i)
-        assert counts == [76, 79, 79]
+        assert counts == [54, 54, 54]
 
     def test_forwards_per_desk_iteration(self, monkeypatch):
         """Four generator and four teacher forwards, and five student ones:
