@@ -38,14 +38,14 @@ from .quant import (
     fake_quant,
     quantize_value,
 )
-from .tensor import Tensor, backward, check_gradients, log_softmax, softmax
+from .tensor import Tensor, backward, log_softmax, softmax
 
 __all__ = [
     "AdamOptimizer", "BatchNormLayer", "ConditionalGenerator", "EquilibriumReport",
     "FakeQuantState", "LinearLayer", "MlpNetwork", "RunConfig", "SeededRng",
     "SgdMomentum", "Tensor", "TraceRow",
     "agreement_vector", "backward", "build_quantized_student",
-    "calibration_objective", "check_gradients", "classify_samples",
+    "calibration_objective", "classify_samples",
     "dequantize_value", "disagreement_vector", "equilibrium_report", "fake_quant",
     "generator_objective", "info_entropy", "load_csv", "log_softmax", "loss_as",
     "loss_bal", "loss_bns", "loss_ds", "make_blobs", "make_mlp", "make_rings",

@@ -1,7 +1,8 @@
 """Command-line entry points and report emission.
 
 Subcommands: train-teacher, quantize, dfq, eval, report-similarity.
-Exit codes: 0 success, 2 usage/config errors, 3 runtime/numeric errors.
+Exit codes: 0 success, 2 usage/config errors (a path that is missing or of
+the wrong kind too), 3 runtime/numeric errors.
 Verbosity via the ADADFQ_LOG environment variable (DEBUG/INFO/WARNING).
 
 The dfq command is structurally data-free: it reads only the teacher
@@ -64,8 +65,6 @@ def _build_dataset(cfg: RunConfig) -> tuple[Dataset, Dataset]:
         return make_blobs(cfg.classes, cfg.per_class, cfg.dim, cfg.spread, cfg.seed)
     if cfg.dataset == "rings":
         return make_rings(cfg.classes, cfg.per_class, cfg.seed)
-    if not os.path.exists(cfg.csv_path):
-        raise FileNotFoundError(f"dataset file not found: {cfg.csv_path}")
     full = load_csv(cfg.csv_path, cfg.label_column)
     present = np.unique(full.labels)
     if present.size < 2 or present[-1] != present.size - 1:
@@ -179,8 +178,6 @@ def cmd_train_teacher(args) -> int:
 
 
 def _load_eval_dataset(path: str, label_column: str, doc: dict) -> Dataset:
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"dataset file not found: {path}")
     stats = ckpt.norm_stats_from(doc)
     return load_csv(path, label_column, stats=stats)
 
@@ -299,8 +296,6 @@ def cmd_report_similarity(args) -> int:
     if shapes[0] != shapes[1]:
         raise ContractError(f"{args.student_ckpt}: student (input_dim, classes) {shapes[1]} "
                             f"does not match the teacher's {shapes[0]}")
-    if not os.path.exists(args.samples):
-        raise FileNotFoundError(f"sample dump not found: {args.samples}")
     with open(args.samples, newline="") as fh:
         reader = csv.reader(fh)
         if next(reader, None) is None:
@@ -379,7 +374,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as e:
+    except (ConfigError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except AdadfqError as e:

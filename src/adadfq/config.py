@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError
@@ -147,8 +146,6 @@ def _read_config(path: str | None) -> dict:
     values = {}
     if path is None:
         return values
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"config file not found: {path}")
     types = {f.name: type(f.default) for f in fields(RunConfig)}
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):

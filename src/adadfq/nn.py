@@ -6,17 +6,21 @@ the generator puts a label embedding in front of its own layers to map
 (noise, one-hot label) to sample space. All parameters are plain
 :class:`~adadfq.tensor.Tensor` leaves.
 
-Layer protocol: every layer has ``forward(x, training)`` and
-``named_parameters()`` (its own, unprefixed names); batch norm also has
-``named_buffers()``. ``MlpNetwork.forward`` is the package's one layer walk:
-it hands its train/eval flag to every layer, and each layer reads the flag
-its own way (batch norm picks batch or running statistics, a quantized
-linear observes its activation range, a linear or ReLU ignores it). It
-runs each batch norm -> ReLU -> linear run of layers as one node
-(``bn_relu_linear``), which reaches the layers through the halves of their
-forwards that build no node: ``BatchNormLayer._normalize`` and
-``LinearLayer._weight_arrays`` and ``_activate``. The network prefixes the
-names with ``layers.{i}.`` and lists the parameters in that order.
+Layer protocol: a network's one node builder is ``bn_relu_linear``, which
+runs a batch norm -> ReLU -> linear block, or a lone linear layer, as one
+graph node. It reaches the layers through three hooks that build no node:
+``BatchNormLayer._normalize``, ``LinearLayer._weight_array`` and
+``LinearLayer._activate``. A quantized layer overrides the last two, and a
+fixed-statistics batch norm the first. Every layer also has
+``named_parameters()`` (its own, unprefixed names), and batch norm has
+``named_buffers()``. ``MlpNetwork.forward`` is the package's one layer walk.
+It hands its train/eval flag to every block, and each layer reads the flag
+its own way: batch norm picks batch or running statistics, a quantized
+linear observes its activation range, and a linear layer ignores it. The
+walk needs ``make_mlp``'s layout: a linear layer, then (batch norm, ReLU,
+linear) repeated. The network prefixes the names with ``layers.{i}.`` and
+lists the parameters in that order; a ReLU has no parameters but keeps its
+index.
 
 Batch-norm conventions, fixed here so downstream statistics losses are
 well-defined:
@@ -33,7 +37,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .tensor import Tensor, concat_cols, linear
+from .tensor import Tensor, concat_cols
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
@@ -47,15 +51,11 @@ class LinearLayer:
         self.weight = Tensor(rng.uniform(-bound, bound, size=(out_dim, in_dim)), requires_grad=True)
         self.bias = Tensor(np.zeros(out_dim), requires_grad=True)
 
-    def forward(self, x: Tensor, training: bool) -> Tensor:
-        return linear(x, self.weight, self.bias)
-
     # The two hooks of ``bn_relu_linear``; a quantized layer overrides both.
 
-    def _weight_arrays(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """The weight the product uses and the mask its gradient passes
-        through (None: all of it)."""
-        return self.weight.data, None
+    def _weight_array(self) -> np.ndarray:
+        """The weight the product uses."""
+        return self.weight.data
 
     def _activate(self, out: np.ndarray, training: bool) -> tuple[np.ndarray, np.ndarray | None]:
         """The layer's output from its product, and the mask the output's
@@ -93,16 +93,12 @@ class BatchNormLayer:
         self.running_mean = np.zeros(dim)
         self.running_var = np.ones(dim)
 
-    def forward(self, x: Tensor, training: bool) -> Tensor:
-        """``(x - mu) / sqrt(var + BN_EPS) * gamma + beta`` as one node; ``mu``
-        and ``var`` are the batch's (folded into the running statistics) in
-        training and the running statistics in eval."""
-        out, bw = self._normalize(x, training)
-        return Tensor._op(out, (x, self.gamma, self.beta), bw)
-
     def _normalize(self, x: Tensor, training: bool):
-        """The forward's output array, and the routine that takes its
-        gradient into ``beta``, ``gamma`` and ``x``, in that order."""
+        """``(x - mu) / sqrt(var + BN_EPS) * gamma + beta`` as an array, and
+        the routine that takes its gradient into ``beta``, ``gamma`` and
+        ``x``, in that order. ``mu`` and ``var`` are the batch's (folded into
+        the running statistics) in training and the running statistics in
+        eval."""
         gamma, beta = self.gamma, self.beta
         if training:
             n, mu, centered, var = _batch_moments(x.data)
@@ -142,8 +138,8 @@ class BatchNormLayer:
 
 
 class Relu:
-    def forward(self, x: Tensor, training: bool) -> Tensor:
-        return x.relu()
+    """The ReLU between a batch norm and the next linear layer; it runs inside
+    ``bn_relu_linear`` and holds no parameters."""
 
     def named_parameters(self) -> dict[str, Tensor]:
         return {}
@@ -152,11 +148,11 @@ class Relu:
 def bn_relu_linear(bn: BatchNormLayer | None, layer: LinearLayer, x: Tensor,
                    training: bool) -> Tensor:
     """``layer`` after ``bn`` and a ReLU as one node; with ``bn`` None, just
-    ``layer``. Each layer does what its own forward does, through its hooks
-    (``BatchNormLayer._normalize``, ``LinearLayer._weight_arrays`` and
+    ``layer`` (``x @ w.T + b``). Each layer acts through its hooks
+    (``BatchNormLayer._normalize``, ``LinearLayer._weight_array`` and
     ``_activate``). The backward masks the output gradient, routes it into the
     bias, then back through the ReLU into the batch norm's ``beta``, ``gamma``
-    and ``x``, and last into the weight through its mask."""
+    and ``x`` (or straight into ``x``), and last into the weight."""
     weight, bias = layer.weight, layer.bias
     if bn is None:
         r = x.data
@@ -167,7 +163,7 @@ def bn_relu_linear(bn: BatchNormLayer | None, layer: LinearLayer, x: Tensor,
         h, bn_bw = bn._normalize(x, training)
         positive = h > 0.0
         r = np.where(positive, h, 0.0)
-    w, w_mask = layer._weight_arrays()
+    w = layer._weight_array()
     out, out_mask = layer._activate(r @ w.T + bias.data, training)
 
     def bw(g):
@@ -181,8 +177,7 @@ def bn_relu_linear(bn: BatchNormLayer | None, layer: LinearLayer, x: Tensor,
         elif x.requires_grad or bn.gamma.requires_grad or bn.beta.requires_grad:
             bn_bw((g @ w) * positive)
         if weight.requires_grad:
-            g_w = (r.T @ g).T
-            weight._accum(g_w if w_mask is None else g_w * w_mask)
+            weight._accum((r.T @ g).T)
 
     parents = (x, weight, bias) if bn is None else (x, bn.gamma, bn.beta, weight, bias)
     return Tensor._op(out, parents, bw)
@@ -191,13 +186,14 @@ def bn_relu_linear(bn: BatchNormLayer | None, layer: LinearLayer, x: Tensor,
 class MlpNetwork:
     """Ordered layers with a train/eval flag and batch-norm input hooks.
 
-    ``forward`` runs each ``BatchNormLayer -> Relu -> LinearLayer`` run of
-    layers as one ``bn_relu_linear`` node, with the same bits as the layers
-    one by one. A forward with ``record_bn_inputs`` (the default) leaves in
-    ``bn_inputs`` the input of every BatchNormLayer in layer order (one graph
-    node per BN site); any other forward leaves it empty, so it holds no
-    graph that nothing reads. The widths are read off the first and last
-    (linear) layers; the first rejects another width.
+    Precondition: the layers follow ``make_mlp``'s layout, a linear layer
+    and then (batch norm, ReLU, linear) repeated. ``forward`` runs the first
+    linear layer and then each block as one ``bn_relu_linear`` node. A
+    forward with ``record_bn_inputs`` (the default) leaves in ``bn_inputs``
+    the input of every batch norm in layer order (one graph node per BN
+    site); any other forward leaves it empty, so it holds no graph that
+    nothing reads. The widths are read off the first and last (linear)
+    layers; the first rejects another width.
     """
 
     def __init__(self, layers: list):
@@ -218,23 +214,15 @@ class MlpNetwork:
     def forward(self, x: Tensor, record_bn_inputs: bool = True) -> Tensor:
         self.bn_inputs = bn_inputs = []
         layers, training = self.layers, self.training
-        i, blocks_end = 0, len(layers) - 2
-        while i < len(layers):
-            layer = layers[i]
-            if isinstance(layer, BatchNormLayer):
-                if record_bn_inputs:
-                    bn_inputs.append(x)
-                if (i < blocks_end and type(layers[i + 1]) is Relu
-                        and isinstance(layers[i + 2], LinearLayer)):
-                    x = bn_relu_linear(layer, layers[i + 2], x, training)
-                    i += 3
-                    continue
-            x = layer.forward(x, training)
-            i += 1
+        x = bn_relu_linear(None, layers[0], x, training)
+        for bn, layer in zip(layers[1::3], layers[3::3]):
+            if record_bn_inputs:
+                bn_inputs.append(x)
+            x = bn_relu_linear(bn, layer, x, training)
         return x
 
     def bn_layers(self) -> list[BatchNormLayer]:
-        return [l for l in self.layers if isinstance(l, BatchNormLayer)]
+        return self.layers[1::3]
 
     def parameters(self) -> list[Tensor]:
         return list(self.named_parameters().values())

@@ -11,11 +11,14 @@ the training-time gradient is the clipping straight-through estimator: 1
 inside the range, 0 outside.
 
 Weight ranges are the latent weights' dynamic per-tensor min/max. A
-QuantLinear memoizes its fake-quantized weight and STE mask against a copy
-of the latent weight and recomputes them only when the weight's bits change:
-once per optimizer step, with no invalidation call after a checkpoint load
-or an in-place write. A degenerate range (min == max, e.g. a constant
-tensor) passes through unquantized.
+QuantLinear memoizes its fake-quantized weight against a copy of the latent
+weight and recomputes it only when the weight's bits change: once per
+optimizer step, with no invalidation call after a checkpoint load or an
+in-place write. A degenerate range (min == max, e.g. a constant tensor)
+passes through unquantized. The weight's gradient needs no STE mask: over
+its own min and max the clamp changes no finite weight, so the mask would be
+all True, and a non-finite weight makes the logits non-finite, which the
+loss nodes reject (``NumericError``).
 
 ``_fake_quant_arrays`` is the fake-quant the weights and the activations
 share: ``quantize_array`` then the dequantization, operation for operation,
@@ -30,9 +33,9 @@ those layers: a QuantLinear observes its output into the activation range's
 exponential moving average only in training mode (eval leaves every range
 as it is), and a FixedStatsBatchNorm always normalizes with the running
 statistics copied from the teacher, never with batch statistics. A
-QuantLinear is one graph node (weight STE, linear and activation
-fake-quant), and so is each batch norm -> ReLU -> QuantLinear block
-(``nn.bn_relu_linear``).
+QuantLinear is one graph node (fake-quantized weight, linear and activation
+fake-quant), and so is each batch norm -> ReLU -> QuantLinear block; both
+are built by ``nn.bn_relu_linear``.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DegenerateRangeError
-from .nn import BatchNormLayer, LinearLayer, MlpNetwork, Relu, bn_relu_linear
+from .nn import BatchNormLayer, LinearLayer, MlpNetwork, Relu
 from .tensor import Tensor
 
 
@@ -167,8 +170,8 @@ class QuantLinear(LinearLayer):
 
     Forward fake-quantizes the weights over their dynamic per-tensor range and
     the output activations over the EMA-tracked range, in one graph node whose
-    backward applies the activation mask and then the weight mask. The bias
-    stays full precision.
+    backward applies the activation mask; the weight's gradient passes
+    straight through. The bias stays full precision.
     """
 
     def __init__(self, source: LinearLayer, bits: int):
@@ -176,22 +179,18 @@ class QuantLinear(LinearLayer):
         self.bias = Tensor(source.bias.data.copy(), requires_grad=True)
         self.bits = bits
         self.act_state = FakeQuantState()
-        self._memo: tuple | None = None  # (latent copy, weight data, STE mask)
+        self._memo: tuple | None = None  # (latent copy, weight in use)
 
-    def _weight_arrays(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """The fake-quantized weight and its STE mask, from the memo."""
+    def _weight_array(self) -> np.ndarray:
+        """The fake-quantized weight, from the memo."""
         w = self.weight.data
         if self._memo is None or not _same_bits(w, self._memo[0]):
+            latent = w.copy()
             lo = float(np.minimum.reduce(w, axis=None))
             hi = float(np.maximum.reduce(w, axis=None))
-            if lo >= hi:
-                self._memo = (w.copy(), None, None)
-            else:
-                self._memo = (w.copy(), *_fake_quant_arrays(w, lo, hi, self.bits))
-        _, out_data, mask = self._memo
-        if out_data is None:
-            return w, None
-        return out_data, mask
+            self._memo = (latent, latent if lo >= hi
+                          else _fake_quant_arrays(w, lo, hi, self.bits)[0])
+        return self._memo[1]
 
     def _activate(self, out: np.ndarray, training: bool) -> tuple[np.ndarray, np.ndarray | None]:
         """Observes ``out`` in training, then fake-quantizes it over the
@@ -202,9 +201,6 @@ class QuantLinear(LinearLayer):
         if not state.has_range:
             return out, None
         return _fake_quant_arrays(out, state.observed_min, state.observed_max, self.bits)
-
-    def forward(self, x: Tensor, training: bool) -> Tensor:
-        return bn_relu_linear(None, self, x, training)
 
 
 class FixedStatsBatchNorm(BatchNormLayer):

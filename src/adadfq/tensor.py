@@ -14,13 +14,12 @@ Inside ``with no_grad():`` operations record nothing: every result is a
 constant, with the same bits. Forwards that are only read run there.
 
 Fused nodes. The hot composites are single nodes with a hand-written
-backward: ``linear`` (``x @ w.T + b``), ``softmax_entropy``
-(``entropy_rows(softmax(.))``), ``cross_entropy_from_logits`` (log-softmax
-with the batch-mean cross-entropy), batch norm in ``nn.BatchNormLayer``, the
-network block ``nn.bn_relu_linear`` (batch norm, ReLU and a linear layer,
-which ``MlpNetwork.forward`` runs as one node), the student's
-``quant.QuantLinear`` (weight straight-through estimator, linear and
-activation fake-quant) and the statistics loss ``adaptability.loss_bns``.
+backward: ``softmax_entropy`` (``entropy_rows(softmax(.))``),
+``cross_entropy_from_logits`` (log-softmax with the batch-mean
+cross-entropy), the network block ``nn.bn_relu_linear`` (batch norm, ReLU
+and a linear layer, or a lone linear layer ``x @ w.T + b``; the only node a
+network records, for the student's ``quant.QuantLinear`` too) and the
+statistics loss ``adaptability.loss_bns``.
 Same-bits rule: each runs the numpy operations of the composite it replaces,
 on the same operands and in the same order, and accumulates into each parent
 in the order the composite did, so every output byte is the composite's. The
@@ -108,9 +107,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     # -- basic properties --------------------------------------------------
 
     @property
@@ -127,9 +123,6 @@ class Tensor:
             self._accum(g.T)
 
         return Tensor._op(self.data.T, (self,), bw)
-
-    def item(self) -> float:
-        return float(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -182,9 +175,6 @@ class Tensor:
             other._accum(-g * self.data / (other.data ** 2))
 
         return Tensor._op(self.data / other.data, (self, other), bw)
-
-    def __rtruediv__(self, other):
-        return Tensor._wrap(other) / self
 
     def __pow__(self, exponent: float):
         if isinstance(exponent, Tensor):
@@ -311,24 +301,6 @@ def entropy_rows(p: Tensor) -> Tensor:
     return Tensor._op(out_data, (p,), bw)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w.T + b`` as one node."""
-    if x.data.ndim != 2 or x.data.shape[1] != w.data.shape[1]:
-        raise DimensionError(
-            f"linear expects a 2-D input of width {w.data.shape[1]}, got {x.data.shape}"
-        )
-
-    def bw(g):
-        if b.requires_grad:
-            b._accum(np.add.reduce(g, axis=0))  # the bits _accum's unbroadcast would give
-        if x.requires_grad:
-            x._accum(g @ w.data)
-        if w.requires_grad:
-            w._accum((x.data.T @ g).T)
-
-    return Tensor._op(x.data @ w.data.T + b.data, (x, w, b), bw)
-
-
 def _shifted_exp(logits: Tensor, name: str):
     """Max-shifted logits, their exponentials and the row sums of those."""
     ld = logits.data
@@ -406,37 +378,6 @@ def backward(loss: Tensor) -> None:
     for node in topo:
         if node._backward_fn is not None:
             node.grad = None
-
-
-def check_gradients(f, params: list[Tensor], step: float = 1e-5) -> float:
-    """Compare analytic gradients of ``f()`` against central differences.
-
-    Returns the worst relative error over every element of every parameter,
-    with a 1e-8 guard in the denominator. ``f`` must be deterministic.
-    """
-    for p in params:
-        p.zero_grad()
-    loss = f()
-    backward(loss)
-    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
-
-    worst = 0.0
-    for p, a in zip(params, analytic):
-        flat = p.data.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + step
-            hi = float(f().data)
-            flat[i] = orig - step
-            lo = float(f().data)
-            flat[i] = orig
-            numeric = (hi - lo) / (2.0 * step)
-            ref = a.reshape(-1)[i]
-            err = abs(ref - numeric) / max(abs(ref), abs(numeric), 1e-8)
-            worst = max(worst, err)
-    for p in params:
-        p.zero_grad()
-    return worst
 
 
 def zero_grads(params) -> None:

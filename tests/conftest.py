@@ -3,6 +3,37 @@ import numpy as np
 from adadfq.tensor import backward
 
 
+def check_gradients(f, params, step=1e-5, skip_rows=()):
+    """Compare analytic gradients of ``f()`` against central differences.
+
+    Returns the worst relative error over every element of every parameter
+    whose first index is not in ``skip_rows``, with a 1e-8 guard in the
+    denominator. ``f`` must be deterministic.
+    """
+    for p in params:
+        p.zero_grad()
+    backward(f())
+    analytic = [np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params]
+    for p in params:
+        p.zero_grad()
+
+    worst = 0.0
+    for p, a in zip(params, analytic):
+        for i in np.ndindex(p.data.shape):
+            if skip_rows and i[0] in skip_rows:
+                continue
+            orig = p.data[i]
+            p.data[i] = orig + step
+            hi = float(f().data)
+            p.data[i] = orig - step
+            lo = float(f().data)
+            p.data[i] = orig
+            numeric = (hi - lo) / (2.0 * step)
+            err = abs(a[i] - numeric) / max(abs(a[i]), abs(numeric), 1e-8)
+            worst = max(worst, err)
+    return worst
+
+
 def fd_check_skip_rows(loss_fn, param, skip_rows, step=1e-6):
     """Central-difference gradient check that skips the given rows.
 
@@ -12,28 +43,7 @@ def fd_check_skip_rows(loss_fn, param, skip_rows, step=1e-6):
     coordinate, the analog of checking hinge gradients away from the kink.
     Returns the worst relative error.
     """
-    param.zero_grad()
-    backward(loss_fn())
-    analytic = param.grad.copy()
-    param.zero_grad()
-
-    worst = 0.0
-    rows, cols = param.data.shape
-    for r in range(rows):
-        if r in skip_rows:
-            continue
-        for c in range(cols):
-            orig = param.data[r, c]
-            param.data[r, c] = orig + step
-            hi = float(loss_fn().data)
-            param.data[r, c] = orig - step
-            lo = float(loss_fn().data)
-            param.data[r, c] = orig
-            numeric = (hi - lo) / (2.0 * step)
-            ref = analytic[r, c]
-            err = abs(ref - numeric) / max(abs(ref), abs(numeric), 1e-8)
-            worst = max(worst, err)
-    return worst
+    return check_gradients(loss_fn, [param], step, skip_rows)
 
 
 def argmin_entropy_row(z_p, z_q):

@@ -15,7 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from conftest import argmin_entropy_row, fd_check_skip_rows
+from conftest import argmin_entropy_row, check_gradients, fd_check_skip_rows
 
 from adadfq.adaptability import (
     calibration_objective,
@@ -44,7 +44,7 @@ from adadfq.quant import (
     quantize_array,
     quantize_value,
 )
-from adadfq.tensor import Tensor, check_gradients, softmax
+from adadfq.tensor import Tensor, softmax
 
 SEEDS = (0, 1, 2)
 BITS = 3

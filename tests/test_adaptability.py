@@ -3,6 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import argmin_entropy_row, check_gradients, fd_check_skip_rows
+
 from adadfq.adaptability import (
     AGREEMENT,
     DISAGREEMENT,
@@ -25,7 +27,7 @@ from adadfq.adaptability import (
 from adadfq.config import RunConfig
 from adadfq.errors import ConfigError
 from adadfq.nn import BatchNormLayer
-from adadfq.tensor import Tensor, check_gradients, softmax
+from adadfq.tensor import Tensor, softmax
 
 
 def rand_logits(rng, rows=6, cols=4):
@@ -238,8 +240,6 @@ class TestGradients:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_calibration_gradient_away_from_batch_min(self, seed):
-        from conftest import argmin_entropy_row, fd_check_skip_rows
-
         rng = np.random.default_rng(seed + 100)
         z_p = Tensor(rng.normal(size=(4, 3)))
         z_q = Tensor(rng.normal(size=(4, 3)), requires_grad=True)

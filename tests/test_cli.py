@@ -605,6 +605,39 @@ class TestExitCodes:
                    "--dataset", "/does/not/exist.csv"])
         assert rc == 2
 
+    @pytest.mark.parametrize("case", ["eval_ckpt", "eval_dataset", "eval_out", "train_config",
+                                      "train_out_dir", "dfq_out_dir", "similarity_samples"])
+    def test_path_of_the_wrong_kind_is_usage_error(self, workdir, dfq_out, tmp_path, capsys,
+                                                   case):
+        """A directory where a file is read or written, or a file where an
+        output directory goes, ends in one line, and nothing is written."""
+        _, cfg_path, out = workdir
+        a_dir, a_file = tmp_path / "a_dir", tmp_path / "a_file"
+        a_dir.mkdir()
+        a_file.write_text("")
+        teacher, test_csv = str(out / "teacher.json"), str(out / "test.csv")
+        argv = {
+            "eval_ckpt": ["eval", "--ckpt", str(a_dir), "--dataset", test_csv],
+            "eval_dataset": ["eval", "--ckpt", teacher, "--dataset", str(a_dir)],
+            "eval_out": ["eval", "--ckpt", teacher, "--dataset", test_csv, "--out", str(a_dir)],
+            "train_config": ["train-teacher", "--config", str(a_dir),
+                             "--out-dir", str(tmp_path / "out")],
+            "train_out_dir": ["train-teacher", "--config", str(cfg_path),
+                              "--out-dir", str(a_file)],
+            "dfq_out_dir": ["dfq", "--ckpt", teacher, "--config", str(cfg_path),
+                            "--out-dir", str(a_file)],
+            "similarity_samples": ["report-similarity", "--samples", str(a_dir),
+                                   "--ckpt", teacher,
+                                   "--student-ckpt", str(dfq_out / "student_dfq_3bit.json"),
+                                   "--out", str(tmp_path / "out")],
+        }[case]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a_dir", "a_file"]
+        assert not any(a_dir.iterdir()) and a_file.read_text() == ""
+
 
 # Cells no eval dataset may hold: each row's features and its label must be
 # finite numbers, and the label an integer class of the 3-class teacher.
@@ -649,6 +682,22 @@ class TestFuzzEval:
         assert rc == (0 if valid else 3), (rows, err.getvalue())
         assert len(err.getvalue().strip().splitlines()) == (0 if valid else 1)
         assert "Traceback" not in err.getvalue()
+
+
+def test_round_trip_with_no_teacher_hidden_layer_and_three_generator_blocks(tmp_path):
+    """The layer walk at its extremes: a teacher that is one linear layer (no
+    batch norm, so no statistics loss) and a generator with three blocks."""
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(SMALL_CONFIG + "teacher_hidden =\ngen_hidden = 16,16,16\n")
+    teacher_dir, q_dir, dfq_dir = tmp_path / "teacher", tmp_path / "q", tmp_path / "dfq"
+    assert main(["train-teacher", "--config", str(cfg), "--out-dir", str(teacher_dir)]) == 0
+    teacher, test_csv = str(teacher_dir / "teacher.json"), str(teacher_dir / "test.csv")
+    assert json.loads((teacher_dir / "teacher.json").read_text())["architecture"]["hidden"] == []
+    assert main(["quantize", "--ckpt", teacher, "--bits", "3", "--dataset", test_csv,
+                 "--out-dir", str(q_dir)]) == 0
+    assert main(["dfq", "--ckpt", teacher, "--config", str(cfg), "--out-dir", str(dfq_dir)]) == 0
+    assert main(["eval", "--ckpt", str(dfq_dir / "student_dfq_3bit.json"),
+                 "--dataset", test_csv]) == 0
 
 
 class TestDeterminism:

@@ -4,15 +4,18 @@ The composites below are the graphs the package built before the nodes were
 fused; they stay here as the reference. A fused node must give the same
 forward bytes, the same bytes in every input gradient and, for batch norm,
 the same running statistics, and its gradient must pass a finite-difference
-check. The network block (batch norm -> ReLU -> linear, and the student's
-QuantLinear) is checked against its layers' own nodes; the in-place
-fake-quant against quantize_array and dequantize_array.
+check. The network block ``bn_relu_linear`` (batch norm -> ReLU -> linear,
+or a lone linear layer, for the teacher, the generator and the student) is
+checked against the composites of its layers; the in-place fake-quant
+against quantize_array and dequantize_array.
 """
 
 import copy
 
 import numpy as np
 import pytest
+
+from conftest import check_gradients
 
 from adadfq.adaptability import loss_bns
 from adadfq.nn import (
@@ -36,10 +39,8 @@ from adadfq.quant import (
 from adadfq.tensor import (
     Tensor,
     backward,
-    check_gradients,
     cross_entropy_from_logits,
     entropy_rows,
-    linear,
     log_softmax,
     softmax,
     softmax_entropy,
@@ -80,16 +81,17 @@ def reference_fake_quant_arrays(x, lo, hi, bits):
 
 
 def composite_linear_layer(layer, x, training):
-    """A LinearLayer's or a QuantLinear's forward as separate nodes: the
-    weight's straight-through node, ``linear`` and ``fake_quant``."""
+    """A LinearLayer or a QuantLinear as separate nodes: for the latter, the
+    weight's straight-through node (with the three-comparison mask the fused
+    node leaves out), then ``composite_linear`` and ``fake_quant``."""
     if not isinstance(layer, QuantLinear):
-        return linear(x, layer.weight, layer.bias)
+        return composite_linear(x, layer.weight, layer.bias)
     w = layer.weight.data
     lo, hi = float(w.min()), float(w.max())
     weight = layer.weight
     if lo < hi:
         weight = _ste(weight, *reference_fake_quant_arrays(w, lo, hi, layer.bits))
-    out = linear(x, weight, layer.bias)
+    out = composite_linear(x, weight, layer.bias)
     state = layer.act_state
     if training:
         state.observe(out.data)
@@ -99,9 +101,11 @@ def composite_linear_layer(layer, x, training):
 
 
 def composite_block(bn, layer, x, training):
-    """``bn_relu_linear`` as the layers' own nodes."""
+    """``bn_relu_linear`` as separate nodes; a FixedStatsBatchNorm always
+    normalizes with its running statistics."""
     if bn is not None:
-        x = Relu().forward(bn.forward(x, training), training)
+        bn_training = training and not isinstance(bn, FixedStatsBatchNorm)
+        x = composite_batch_norm(bn, x, bn_training).relu()
     return composite_linear_layer(layer, x, training)
 
 
@@ -159,55 +163,110 @@ def bn_layer(rng, dim):
     return layer
 
 
+def block_params(bn, layer):
+    return ([] if bn is None else [bn.gamma, bn.beta]), [layer.weight, layer.bias]
+
+
+def assert_block_same_bits(bn, layer, training, rng, x_requires_grad=True):
+    """``bn_relu_linear`` against ``composite_block``, each on its own copy of
+    the layers and the same input bytes: the output, every gradient, the
+    running statistics and the activation range, bit for bit. Returns the
+    fused side's output and gradients (the input's first)."""
+    out_dim, in_dim = layer.weight.data.shape
+    x_data = rng.normal(0.3, 1.5, size=(6, in_dim))
+    weight = rng.normal(size=(6, out_dim))
+    results = []
+    for block, (bn_copy, layer_copy) in ((bn_relu_linear, (bn, layer)),
+                                         (composite_block, copy.deepcopy((bn, layer)))):
+        x = Tensor(x_data.copy(), requires_grad=x_requires_grad)
+        bn_params, layer_params = block_params(bn_copy, layer_copy)
+        out = block(bn_copy, layer_copy, x, training)
+        backward((out * weight).sum())
+        grads = [t.grad for t in [x, *bn_params, *layer_params]]
+        state = [] if bn_copy is None else [bn_copy.running_mean, bn_copy.running_var]
+        if isinstance(layer_copy, QuantLinear):
+            act = layer_copy.act_state
+            state.append(np.array([act.observed_min, act.observed_max], dtype=float))
+        results.append((out.data, grads, state))
+    (out_f, grads_f, state_f), (out_c, grads_c, state_c) = results
+    np.testing.assert_array_equal(out_f, out_c)
+    assert [g is None for g in grads_f] == [g is None for g in grads_c]
+    for gf, gc in zip(grads_f, grads_c):
+        if gf is not None:
+            np.testing.assert_array_equal(gf, gc)
+    for sf, sc in zip(state_f, state_c):
+        np.testing.assert_array_equal(sf, sc)
+    return out_f, grads_f
+
+
+def block_gradient_error(bn, layer, x, training, rng):
+    """The worst finite-difference error of ``bn_relu_linear``'s gradient
+    into ``x`` and the layers' parameters, under a random upstream weight."""
+    weight = rng.normal(size=(x.data.shape[0], layer.weight.data.shape[0]))
+    bn_params, layer_params = block_params(bn, layer)
+
+    def f():
+        # train mode folds each call into the running statistics; keep
+        # them fixed, as every call must be the same function
+        stats = None if bn is None else (bn.running_mean.copy(), bn.running_var.copy())
+        out = bn_relu_linear(bn, layer, x, training)
+        if stats is not None:
+            bn.running_mean, bn.running_var = stats
+        return (out * weight).sum()
+
+    return check_gradients(f, [x, *bn_params, *layer_params])
+
+
 SEEDS = [0, 1, 2]
 
 
 # -- the nodes ----------------------------------------------------------------
 
 class TestLinear:
+    """A lone LinearLayer, every network's first layer: ``bn_relu_linear``
+    with no batch norm, against ``composite_linear``."""
+
     @pytest.mark.parametrize("seed", SEEDS)
     def test_same_bits(self, seed):
         rng = np.random.default_rng(seed)
-        inputs = leaves(rng, (7, 5), (3, 5), (3,))
-        assert_same_bits(linear, composite_linear, inputs, rng.normal(size=(7, 3)))
+        layer = LinearLayer(5, 3, rng)
+        layer.bias.data[...] = rng.normal(size=3)
+        assert_block_same_bits(None, layer, False, rng)
 
     def test_gradient(self):
         rng = np.random.default_rng(3)
-        inputs = leaves(rng, (4, 5), (3, 5), (3,))
-        weight = rng.normal(size=(4, 3))
-        assert check_gradients(lambda: (linear(*inputs) * weight).sum(), inputs) < 1e-6
+        layer = LinearLayer(5, 3, rng)
+        layer.bias.data[...] = rng.normal(size=3)
+        x = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+        assert block_gradient_error(None, layer, x, False, rng) < 1e-6
 
 
 class TestBatchNorm:
+    """Batch norm in both modes, in a block whose linear layer is the
+    identity and whose ``beta`` is high enough that the ReLU passes every
+    value, so the block's output is the batch norm's: against
+    ``composite_batch_norm``, with the running statistics."""
+
+    @staticmethod
+    def layers(rng):
+        bn, identity = bn_layer(rng, 4), LinearLayer(4, 4, rng)
+        bn.beta.data += 30.0
+        identity.weight.data[...] = np.eye(4)
+        return bn, identity
+
     @pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
     @pytest.mark.parametrize("seed", SEEDS)
     def test_same_bits_and_running_statistics(self, seed, training):
         rng = np.random.default_rng(seed)
-        fused_layer = bn_layer(rng, 4)
-        composite_layer = copy.deepcopy(fused_layer)
-        x = Tensor(rng.normal(1.0, 2.0, size=(6, 4)), requires_grad=True)
-        # gamma and beta are leaves of the layer, so each side keeps its own
-        inputs_f = [x, fused_layer.gamma, fused_layer.beta]
-        inputs_c = [x, composite_layer.gamma, composite_layer.beta]
-        weight = rng.normal(size=(6, 4))
-        out_f, grads_f = run(lambda x, *_: fused_layer.forward(x, training), inputs_f, weight)
-        out_c, grads_c = run(lambda x, *_: composite_batch_norm(composite_layer, x, training),
-                             inputs_c, weight)
-        np.testing.assert_array_equal(out_f, out_c)
-        for gf, gc in zip(grads_f, grads_c):
-            np.testing.assert_array_equal(gf, gc)
-        np.testing.assert_array_equal(fused_layer.running_mean, composite_layer.running_mean)
-        np.testing.assert_array_equal(fused_layer.running_var, composite_layer.running_var)
+        out, _ = assert_block_same_bits(*self.layers(rng), training, rng)
+        assert np.all(out > 0.0)
 
     @pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
     def test_gradient(self, training):
         rng = np.random.default_rng(4)
-        layer = bn_layer(rng, 3)
-        x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
-        weight = rng.normal(size=(5, 3))
-        params = [x, layer.gamma, layer.beta]
-        err = check_gradients(lambda: (layer.forward(x, training) * weight).sum(), params)
-        assert err < 1e-6
+        bn, identity = self.layers(rng)
+        x = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+        assert block_gradient_error(bn, identity, x, training, rng) < 1e-6
 
 
 class TestSoftmaxEntropy:
@@ -264,8 +323,8 @@ class TestLossBns:
 
 
 class TestBlock:
-    """``bn_relu_linear`` against ``composite_block``: each side has its own
-    copy of the layers, and the same input bytes."""
+    """``bn_relu_linear`` on a batch norm -> ReLU -> linear block against
+    ``composite_block``."""
 
     @staticmethod
     def layers(rng, kind, bits=3):
@@ -274,46 +333,15 @@ class TestBlock:
             bn, layer = FixedStatsBatchNorm(bn), QuantLinear(layer, bits)
         return bn, layer
 
-    @staticmethod
-    def params(bn, layer):
-        bn_params = [] if bn is None else [bn.gamma, bn.beta]
-        return bn_params, [layer.weight, layer.bias]
-
-    def assert_same_bits(self, bn, layer, training, rng, x_requires_grad=True):
-        results = []
-        x_data = rng.normal(0.3, 1.5, size=(6, 5))
-        weight = rng.normal(size=(6, 4))
-        for block, (bn_copy, layer_copy) in ((bn_relu_linear, (bn, layer)),
-                                             (composite_block, copy.deepcopy((bn, layer)))):
-            x = Tensor(x_data.copy(), requires_grad=x_requires_grad)
-            bn_params, layer_params = self.params(bn_copy, layer_copy)
-            out = block(bn_copy, layer_copy, x, training)
-            backward((out * weight).sum())
-            grads = [t.grad for t in [x, *bn_params, *layer_params]]
-            state = [] if bn_copy is None else [bn_copy.running_mean, bn_copy.running_var]
-            if isinstance(layer_copy, QuantLinear):
-                act = layer_copy.act_state
-                state.append(np.array([act.observed_min, act.observed_max], dtype=float))
-            results.append((out.data, grads, state))
-        (out_f, grads_f, state_f), (out_c, grads_c, state_c) = results
-        np.testing.assert_array_equal(out_f, out_c)
-        assert [g is None for g in grads_f] == [g is None for g in grads_c]
-        for gf, gc in zip(grads_f, grads_c):
-            if gf is not None:
-                np.testing.assert_array_equal(gf, gc)
-        for sf, sc in zip(state_f, state_c):
-            np.testing.assert_array_equal(sf, sc)
-        return grads_f
-
     @pytest.mark.parametrize("seed", SEEDS)
     def test_teacher_block_in_eval_mode(self, seed):
         rng = np.random.default_rng(seed)
-        self.assert_same_bits(*self.layers(rng, "teacher"), False, rng)
+        assert_block_same_bits(*self.layers(rng, "teacher"), False, rng)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_generator_block_in_train_mode(self, seed):
         rng = np.random.default_rng(seed)
-        self.assert_same_bits(*self.layers(rng, "teacher"), True, rng)
+        assert_block_same_bits(*self.layers(rng, "teacher"), True, rng)
 
     @pytest.mark.parametrize("frozen", [False, True], ids=["unfrozen", "frozen"])
     @pytest.mark.parametrize("act_range", [None, (-0.8, 0.9)], ids=["no_range", "range"])
@@ -324,10 +352,10 @@ class TestBlock:
         bn, layer = self.layers(rng, "student")
         if act_range is not None:  # narrow enough to clip some outputs
             layer.act_state.observed_min, layer.act_state.observed_max = act_range
-        bn_params, layer_params = self.params(bn, layer)
+        bn_params, layer_params = block_params(bn, layer)
         for p in bn_params + layer_params:
             p.requires_grad = not frozen
-        grads = self.assert_same_bits(bn, layer, training, rng)
+        _, grads = assert_block_same_bits(bn, layer, training, rng)
         assert all((g is None) == frozen for g in grads[1:])
 
     @pytest.mark.parametrize("with_bn", [False, True], ids=["quant_linear", "block"])
@@ -337,7 +365,7 @@ class TestBlock:
         bn, layer = self.layers(rng, "student")
         layer.weight.data[...] = 0.25
         layer.act_state.observed_min, layer.act_state.observed_max = -0.5, 0.5
-        self.assert_same_bits(bn if with_bn else None, layer, True, rng)
+        assert_block_same_bits(bn if with_bn else None, layer, True, rng)
 
     @pytest.mark.parametrize("bits", [2, 3, 32])
     def test_quant_linear_alone(self, bits):
@@ -346,25 +374,23 @@ class TestBlock:
         rng = np.random.default_rng(10)
         _, layer = self.layers(rng, "student", bits)
         layer.act_state.observed_min, layer.act_state.observed_max = -1.0, 1.2
-        self.assert_same_bits(None, layer, True, rng, x_requires_grad=False)
+        assert_block_same_bits(None, layer, True, rng, x_requires_grad=False)
+
+    @pytest.mark.parametrize("bits", [2, 3, 32])
+    def test_quant_linear_alone_on_generated_samples(self, bits):
+        """Step (a): the generator's output enters the student's first layer,
+        so its gradient goes back through the fake-quantized weight."""
+        rng = np.random.default_rng(12)
+        _, layer = self.layers(rng, "student", bits)
+        layer.act_state.observed_min, layer.act_state.observed_max = -1.0, 1.2
+        assert_block_same_bits(None, layer, True, rng)
 
     @pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
     def test_gradient(self, training):
         rng = np.random.default_rng(11)
         bn, layer = bn_layer(rng, 3), LinearLayer(3, 2, rng)
         x = Tensor(rng.normal(0.2, 1.0, size=(5, 3)), requires_grad=True)
-        weight = rng.normal(size=(5, 2))
-        params = [x, bn.gamma, bn.beta, layer.weight, layer.bias]
-
-        def f():
-            # train mode folds each call into the running statistics; keep
-            # them fixed, as every call must be the same function
-            stats = bn.running_mean.copy(), bn.running_var.copy()
-            out = bn_relu_linear(bn, layer, x, training)
-            bn.running_mean, bn.running_var = stats
-            return (out * weight).sum()
-
-        assert check_gradients(f, params) < 1e-6
+        assert block_gradient_error(bn, layer, x, training, rng) < 1e-6
 
 
 class TestFakeQuantArrays:
@@ -399,6 +425,17 @@ class TestFakeQuantArrays:
         np.testing.assert_array_equal(mask, ref_mask)
         np.testing.assert_array_equal(x.view(np.int64), before.view(np.int64))
 
+    @pytest.mark.parametrize("bits", [2, 3, 4, 32])
+    @pytest.mark.parametrize("lo,hi", [(0.0, None), (-1.3, 2.7), (-0.0, 0.75), (-2.5, 0.0)])
+    def test_mask_over_own_range_is_all_true(self, bits, lo, hi):
+        """Why a QuantLinear's weight needs no STE mask: over the array's own
+        min and max the clamp changes no value."""
+        if hi is None:
+            hi = 2.0 ** bits - 1
+        x = np.concatenate([self.edge_values(lo, hi, bits), [5e-324, -5e-324]])
+        _, mask = _fake_quant_arrays(x, float(x.min()), float(x.max()), bits)
+        assert mask.all()
+
     def test_ties_round_away_from_zero(self):
         # 3 bits on [0, 7]: the code is x - 4, so x = 4 +- 0.5 are ties
         out, _ = _fake_quant_arrays(np.array([4.5, 3.5, 5.5, 2.5]), 0.0, 7.0, 3)
@@ -413,12 +450,14 @@ class TestFakeQuantArrays:
         assert mask.tolist() == [False, True]
 
 
-def test_shared_batch_norm_inputs_accumulate_in_the_composite_order():
+@pytest.mark.parametrize("hidden", [(), (6,), (6, 6), (6, 6, 6)],
+                         ids=["0_hidden", "1_hidden", "2_hidden", "3_hidden"])
+def test_shared_batch_norm_inputs_accumulate_in_the_composite_order(hidden):
     """The game's hardest case: each BN input of the eval-mode teacher feeds
     both its batch-norm layer and loss_bns, so three gradient contributions
     meet there; the fused graph must add them in the composite's order."""
     rng = np.random.default_rng(8)
-    net = make_mlp(5, (6, 6), 3, rng).eval()
+    net = make_mlp(5, hidden, 3, rng).eval()
     for layer in net.bn_layers():
         layer.running_mean = rng.normal(size=6)
         layer.running_var = rng.uniform(0.5, 2.0, size=6)

@@ -12,6 +12,7 @@ from adadfq.nn import (
     ConditionalGenerator,
     LinearLayer,
     SgdMomentum,
+    bn_relu_linear,
     make_mlp,
 )
 from adadfq.tensor import Tensor, backward, zero_grads
@@ -43,7 +44,7 @@ class TestForward:
         layer = LinearLayer(2, 2, rng)
         layer.weight.data[...] = [[1.0, 2.0], [3.0, 4.0]]
         layer.bias.data[...] = [0.5, -0.5]
-        out = layer.forward(Tensor([[1.0, 1.0]]), False)
+        out = bn_relu_linear(None, layer, Tensor([[1.0, 1.0]]), False)
         np.testing.assert_allclose(out.data, [[3.5, 6.5]])
 
     def test_width_mismatch(self):
@@ -58,24 +59,32 @@ class TestForward:
 
 
 class TestBatchNorm:
+    """The conventions, read through a block whose linear layer is the identity."""
+
+    @staticmethod
+    def block(bn, rows, training):
+        dim = bn.gamma.data.size
+        identity = LinearLayer(dim, dim, np.random.default_rng(0))
+        identity.weight.data[...] = np.eye(dim)
+        return bn_relu_linear(bn, identity, Tensor(rows), training)
+
     def test_eval_at_running_mean_gives_beta(self):
         bn = BatchNormLayer(3)
         bn.running_mean = np.array([1.0, -2.0, 0.5])
         bn.running_var = np.array([4.0, 1.0, 9.0])
-        bn.beta.data[...] = [7.0, 8.0, 9.0]
-        out = bn.forward(Tensor([bn.running_mean.tolist()]), training=False)
+        bn.beta.data[...] = [7.0, 8.0, 9.0]  # positive, so the ReLU passes them
+        out = self.block(bn, [bn.running_mean.tolist()], training=False)
         np.testing.assert_allclose(out.data, [[7.0, 8.0, 9.0]], atol=1e-6)
 
     def test_ema_update_convention(self):
         bn = BatchNormLayer(1)
-        x = Tensor([[0.0], [2.0]])  # batch mean 1, biased var 1
-        bn.forward(x, training=True)
+        self.block(bn, [[0.0], [2.0]], training=True)  # batch mean 1, biased var 1
         assert bn.running_mean[0] == pytest.approx(0.9 * 0.0 + 0.1 * 1.0)
         assert bn.running_var[0] == pytest.approx(0.9 * 1.0 + 0.1 * 1.0)
 
     def test_batch_variance_is_biased(self):
         bn = BatchNormLayer(1)
-        bn.forward(Tensor([[0.0], [1.0]]), training=True)  # biased var 0.25
+        self.block(bn, [[0.0], [1.0]], training=True)  # biased var 0.25
         assert bn.running_var[0] == pytest.approx(0.9 * 1.0 + 0.1 * 0.25)
 
 

@@ -10,7 +10,7 @@ from adadfq.checkpoint import _load_state, save_student
 from adadfq.cli import RunConfig, evaluate_network, train_teacher_network
 from adadfq.data import apply_standardization, make_blobs, standardize
 from adadfq.errors import ContractError, DegenerateRangeError
-from adadfq.nn import LinearLayer, SgdMomentum
+from adadfq.nn import LinearLayer, SgdMomentum, bn_relu_linear
 from adadfq.quant import (
     FakeQuantState,
     QuantLinear,
@@ -225,6 +225,11 @@ class TestBuildQuantizedStudent:
             assert s_buffers[name] is not buf
 
 
+def forward(layer, x):
+    """A QuantLinear alone, in eval mode, as the student's first layer runs."""
+    return bn_relu_linear(None, layer, x, False)
+
+
 class TestWeightMemo:
     """However the latent weight changed, a QuantLinear forward and backward
     match a fresh fake_quant of it bit for bit."""
@@ -233,7 +238,7 @@ class TestWeightMemo:
     def layer():
         layer = QuantLinear(LinearLayer(5, 3, np.random.default_rng(0)), 3)
         x = Tensor(np.random.default_rng(1).normal(size=(4, 5)))
-        layer.forward(x, False)  # fills the memo
+        forward(layer, x)  # fills the memo
         return layer, x
 
     @staticmethod
@@ -241,7 +246,7 @@ class TestWeightMemo:
         w = layer.weight
         fresh = fake_quant(w, float(w.data.min()), float(w.data.max()), layer.bits)
         expected = x.matmul(fresh.T) + layer.bias  # no activation range observed yet
-        out = layer.forward(x, False)
+        out = forward(layer, x)
         np.testing.assert_array_equal(out.data, expected.data)
         grads = []
         for root in (out, expected):
@@ -253,7 +258,7 @@ class TestWeightMemo:
     def test_after_sgd_step(self):
         layer, x = self.layer()
         opt = SgdMomentum([layer.weight, layer.bias], lr=0.5, momentum=0.9, weight_decay=0.0)
-        backward((layer.forward(x, False) ** 2).sum())
+        backward((forward(layer, x) ** 2).sum())
         opt.step()
         self.assert_matches_fresh_quantization(layer, x)
 
@@ -286,10 +291,10 @@ class TestWeightMemo:
         original = quant._fake_quant_arrays
         monkeypatch.setattr(quant, "_fake_quant_arrays",
                             lambda *a: calls.append(1) or original(*a))
-        layer.forward(x, False)
-        layer.forward(x, False)
+        forward(layer, x)
+        forward(layer, x)
         assert len(calls) == 0
         layer.weight.data[1, 1] += 1e-3
-        layer.forward(x, False)
-        layer.forward(x, False)
+        forward(layer, x)
+        forward(layer, x)
         assert len(calls) == 1

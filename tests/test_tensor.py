@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import check_gradients
+
 from adadfq.errors import ContractError, DimensionError, NumericError
 from adadfq.tensor import (
     Tensor,
     backward,
-    check_gradients,
     concat_cols,
     entropy_rows,
     log_softmax,
@@ -152,11 +153,6 @@ class TestMisc:
         backward((concat_cols([a, b]) * 2.0).sum())
         np.testing.assert_allclose(a.grad, 2.0)
         np.testing.assert_allclose(b.grad, 2.0)
-
-    def test_detach_stops_gradient(self):
-        w = Tensor([2.0], requires_grad=True)
-        backward((w.detach() * w).sum())
-        np.testing.assert_allclose(w.grad, [2.0])
 
     def test_zero_grads(self):
         w = Tensor([1.0], requires_grad=True)
