@@ -34,7 +34,7 @@ import numpy as np
 
 from .config import RunConfig
 from .nn import BN_EPS, BatchNormLayer, _backprop_batch_moments, _batch_moments
-from .tensor import Tensor, cross_entropy_from_logits, entropy_rows, softmax, softmax_entropy
+from .tensor import Tensor, cross_entropy_from_logits, softmax, softmax_entropy
 
 DISAGREEMENT = "disagreement"
 AGREEMENT = "agreement"
@@ -47,15 +47,21 @@ def disagreement_vector(z_p: Tensor, z_q: Tensor) -> Tensor:
     return softmax(z_p - z_q)
 
 
-def agreement_vector(z_p: Tensor, z_q: Tensor) -> Tensor:
-    return softmax(z_p + z_q)
-
-
 def info_entropy(p: Tensor) -> Tensor:
-    """Per-row Shannon entropy in nats. Precondition: every row of ``p`` is a
-    distribution; the package only passes softmax outputs, so rows are not
-    re-scanned."""
-    return entropy_rows(p)
+    """Per-row Shannon entropy in nats, with 0*log(0) taken as 0.
+    Precondition: every row of ``p`` is a distribution; the package only
+    passes softmax outputs, so rows are not re-scanned."""
+    pd = p.data
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logp = np.where(pd > 0.0, np.log(np.where(pd > 0.0, pd, 1.0)), 0.0)
+    out_data = -(pd * logp).sum(axis=-1)
+
+    def bw(g):
+        # dH/dp = -(log p + 1); zero where p == 0 (boundary of the simplex).
+        d = np.where(pd > 0.0, -(logp + 1.0), 0.0)
+        p._accum(np.expand_dims(g, -1) * d)
+
+    return Tensor._op(out_data, (p,), bw)
 
 
 def normalize_entropy(h_info: Tensor, num_classes: int) -> Tensor:

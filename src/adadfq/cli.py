@@ -37,7 +37,8 @@ from .data import (
     standardize,
     stratified_split,
 )
-from .errors import AdadfqError, CheckpointFormatError, ConfigError, ContractError, DataError
+from .errors import (AdadfqError, CheckpointFormatError, ConfigError, ContractError, DataError,
+                     utf8_only)
 from .game import TRACE_FIELDS, equilibrium_report, run_game
 from .nn import AdamOptimizer, ConditionalGenerator, MlpNetwork, make_mlp
 from .quant import build_quantized_student
@@ -59,8 +60,8 @@ def _command_config(args) -> RunConfig:
 
 
 def _build_dataset(cfg: RunConfig) -> tuple[Dataset, Dataset]:
-    """The train/test split of the config's dataset; ``RunConfig`` has checked
-    the kind and its keys."""
+    """The train/test split of the config's dataset, as raw rows; ``RunConfig``
+    has checked the kind and its keys."""
     if cfg.dataset == "blobs":
         return make_blobs(cfg.classes, cfg.per_class, cfg.dim, cfg.spread, cfg.seed)
     if cfg.dataset == "rings":
@@ -72,11 +73,9 @@ def _build_dataset(cfg: RunConfig) -> tuple[Dataset, Dataset]:
             f"{cfg.csv_path}: labels must be exactly 0..C-1 with C >= 2, got "
             f"{present.size} distinct label(s) up to {present[-1]}"
         )
-    # deterministic stratified split on the standardized rows
+    # deterministic stratified split on the file's rows
     rng = SeededRng(cfg.seed).substream("data")
-    train, test = stratified_split(full.features, full.labels, full.provenance, rng)
-    train.norm_stats = full.norm_stats
-    return train, test
+    return stratified_split(full.features, full.labels, full.provenance, rng)
 
 
 def _forward_batched(net, features: np.ndarray) -> np.ndarray:
@@ -296,7 +295,8 @@ def cmd_report_similarity(args) -> int:
     if shapes[0] != shapes[1]:
         raise ContractError(f"{args.student_ckpt}: student (input_dim, classes) {shapes[1]} "
                             f"does not match the teacher's {shapes[0]}")
-    with open(args.samples, newline="") as fh:
+    with open(args.samples, newline="", encoding="utf-8") as fh, \
+            utf8_only(args.samples, DataError):
         reader = csv.reader(fh)
         if next(reader, None) is None:
             raise DataError(f"{args.samples}: empty sample dump")

@@ -16,21 +16,24 @@ values raise ConfigError.
 Each fact is checked once, where a bad value can enter, and taken as given
 behind that boundary:
 
-    fact                                    checked by
-    0 <= lambda_l < lambda_u <= 1           RunConfig
-    step sizes, loss weights in [0, inf)    RunConfig
-    2 <= bits <= quant.MAX_BITS             RunConfig; the loader, for a student
-    batch_size >= 2 (batch statistics)      RunConfig
-    dataset keys in range, none ignored     RunConfig
-    dataset CSV exists and parses           train-teacher, data.load_csv
-    CSV and sample-dump values finite       data.load_csv; report-similarity
-    CSV labels integers in [0, 2**63)       data.load_csv
-    CSV feature count = the statistics'     data.load_csv (eval, quantize)
-    CSV labels are exactly 0..C-1, C >= 2   train-teacher (cli._build_dataset)
-    CSV labels < the network's class count  cli.evaluate_network (eval, quantize)
-    checkpoint sections, arrays, EMA decay  checkpoint.load_checkpoint
-    sample dump; student shape = teacher's  report-similarity
-    one-hot labels; p_ds rows sum to 1      built so (sample_noise_and_labels, softmax)
+    fact                                          checked by
+    0 <= lambda_l < lambda_u <= 1                 RunConfig
+    step sizes, loss weights in [0, inf)          RunConfig
+    2 <= bits <= quant.MAX_BITS                   RunConfig; the loader, for a student
+    batch_size >= 2 (batch statistics)            RunConfig
+    dataset keys in range, none ignored           RunConfig
+    dataset CSV exists and parses                 train-teacher, data.load_csv
+    CSV standardized once, from the train split   train-teacher
+    config, CSV and sample dump are UTF-8         config._read_config; data.load_csv;
+                                                  report-similarity
+    CSV and sample-dump values finite             data.load_csv; report-similarity
+    CSV labels integers in [0, 2**63)             data.load_csv
+    CSV feature count = the statistics'           data.load_csv (eval, quantize)
+    CSV labels are exactly 0..C-1, C >= 2         train-teacher (cli._build_dataset)
+    CSV labels < the network's class count        cli.evaluate_network (eval, quantize)
+    checkpoint sections, arrays, EMA decay        checkpoint.load_checkpoint
+    sample dump; student shape = teacher's        report-similarity
+    one-hot labels; p_ds rows sum to 1            built so (sample_noise_and_labels, softmax)
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import hashlib
 import math
 from dataclasses import dataclass, fields
 
-from .errors import ConfigError
+from .errors import ConfigError, utf8_only
 from .quant import MAX_BITS
 
 # The dataset keys each dataset kind reads. A key the chosen kind does not
@@ -147,7 +150,7 @@ def _read_config(path: str | None) -> dict:
     if path is None:
         return values
     types = {f.name: type(f.default) for f in fields(RunConfig)}
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh, utf8_only(path, ConfigError):
         for line_no, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:

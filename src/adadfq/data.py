@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import write_csv
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, utf8_only
 from .tensor import Tensor
 
 RINGS_NOISE = 0.1  # std of the rings' radial noise
@@ -61,9 +61,7 @@ def box_muller(gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
 class Dataset:
     features: np.ndarray  # [N, d] float64
     labels: np.ndarray  # [N] int
-    split: str
     provenance: str
-    norm_stats: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
     def num_samples(self) -> int:
@@ -86,8 +84,8 @@ def stratified_split(features: np.ndarray, labels: np.ndarray, provenance: str,
         train_idx.extend(idx[n_test:])
     train_idx = np.sort(np.asarray(train_idx))
     test_idx = np.sort(np.asarray(test_idx))
-    train = Dataset(features[train_idx], labels[train_idx], "train", provenance)
-    test = Dataset(features[test_idx], labels[test_idx], "test", provenance)
+    train = Dataset(features[train_idx], labels[train_idx], provenance)
+    test = Dataset(features[test_idx], labels[test_idx], provenance)
     return train, test
 
 
@@ -147,8 +145,7 @@ def standardize(ds: Dataset) -> tuple[Dataset, tuple[np.ndarray, np.ndarray]]:
 
 def apply_standardization(ds: Dataset, stats: tuple[np.ndarray, np.ndarray]) -> Dataset:
     mean, std = stats
-    return Dataset((ds.features - mean) / std, ds.labels.copy(), ds.split,
-                   ds.provenance, norm_stats=(np.asarray(mean), np.asarray(std)))
+    return Dataset((ds.features - mean) / std, ds.labels.copy(), ds.provenance)
 
 
 def save_csv(ds: Dataset, path, label_column: str = "label") -> None:
@@ -170,17 +167,17 @@ def require_finite(path, table: np.ndarray) -> None:
 
 def load_csv(path, label_column: str = "label",
              stats: tuple[np.ndarray, np.ndarray] | None = None) -> Dataset:
-    """Parse a comma-separated file with a header row into a standardized dataset.
+    """Parse a comma-separated UTF-8 file with a header row into a dataset.
 
     Every value must be a finite number and every label a non-negative
-    integer below 2**63; a row that breaks this raises DataError naming the
-    file and line.
+    integer below 2**63; a row that breaks this, or a byte that is not
+    UTF-8, raises DataError naming the file (and the line, for a row).
 
     If ``stats`` is given those (train-split) statistics are applied, and a
-    file with another feature count raises DataError; otherwise statistics
-    are computed from this file and stored on the result for reuse.
+    file with another feature count raises DataError; otherwise the rows
+    are returned as they are in the file.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh, utf8_only(path, DataError):
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -214,12 +211,8 @@ def load_csv(path, label_column: str = "label",
         i = int(bad.argmax())
         kind = "negative" if labels[i] < 0.0 else "non-integer or oversized"
         raise DataError(f"{path}:{i + 2}: {kind} label {float(labels[i])}")
-    ds = Dataset(table[:, feature_idx], labels.astype(np.int64), "loaded", f"csv({path})")
-    if stats is not None:
-        return apply_standardization(ds, stats)
-    ds, computed = standardize(ds)
-    ds.norm_stats = computed
-    return ds
+    ds = Dataset(table[:, feature_idx], labels.astype(np.int64), f"csv({path})")
+    return ds if stats is None else apply_standardization(ds, stats)
 
 
 def sample_noise_and_labels(rng: SeededRng, batch: int, noise_dim: int,

@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+import contextlib
+
 
 class AdadfqError(Exception):
     """Base class for all errors raised by this package."""
@@ -31,3 +33,13 @@ class CheckpointFormatError(AdadfqError):
 
 class DataError(AdadfqError):
     """Malformed dataset file."""
+
+
+@contextlib.contextmanager
+def utf8_only(path, error: type[AdadfqError]):
+    """Raise ``error`` naming ``path`` for a byte in the block's reads of it
+    that is not UTF-8, in place of the bare ``UnicodeDecodeError``."""
+    try:
+        yield
+    except UnicodeDecodeError:
+        raise error(f"{path}: not UTF-8 text") from None

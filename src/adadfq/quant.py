@@ -87,14 +87,6 @@ def dequantize_array(codes: np.ndarray, lo: float, hi: float, bits: int) -> np.n
     return (codes + 2 ** (bits - 1)) * (hi - lo) / float(2 ** bits - 1) + lo
 
 
-def quantize_value(x: float, lo: float, hi: float, bits: int) -> int:
-    return int(quantize_array(np.float64(x), lo, hi, bits))
-
-
-def dequantize_value(code: int, lo: float, hi: float, bits: int) -> float:
-    return float(dequantize_array(np.float64(code), lo, hi, bits))
-
-
 def _fake_quant_arrays(x: np.ndarray, lo: float, hi: float, bits: int):
     """Quantize-dequantize of ``x`` and its STE mask; needs ``lo < hi``.
     The operations of quantize_array and dequantize_array in their order,

@@ -13,17 +13,24 @@ relied on by the optimizers, which always zero before a step.
 Inside ``with no_grad():`` operations record nothing: every result is a
 constant, with the same bits. Forwards that are only read run there.
 
+The engine keeps the operations the package records: ``+``, ``-`` (and
+negation), ``*``, ``/``, ``exp``, ``relu``, ``matmul``, ``sum`` and
+``mean``, ``concat_cols``, ``softmax`` and the fused nodes below. A
+broadcast operand's gradient is summed back to its shape (``_unbroadcast``).
+
 Fused nodes. The hot composites are single nodes with a hand-written
-backward: ``softmax_entropy`` (``entropy_rows(softmax(.))``),
-``cross_entropy_from_logits`` (log-softmax with the batch-mean
-cross-entropy), the network block ``nn.bn_relu_linear`` (batch norm, ReLU
-and a linear layer, or a lone linear layer ``x @ w.T + b``; the only node a
-network records, for the student's ``quant.QuantLinear`` too) and the
-statistics loss ``adaptability.loss_bns``.
+backward: ``softmax_entropy`` (the entropy of ``softmax(.)``,
+``adaptability.info_entropy``), ``cross_entropy_from_logits`` (log-softmax
+with the batch-mean cross-entropy), the network block ``nn.bn_relu_linear``
+(batch norm, ReLU and a linear layer, or a lone linear layer
+``x @ w.T + b``; the only node a network records, for the student's
+``quant.QuantLinear`` too) and the statistics loss ``adaptability.loss_bns``.
 Same-bits rule: each runs the numpy operations of the composite it replaces,
 on the same operands and in the same order, and accumulates into each parent
 in the order the composite did, so every output byte is the composite's. The
-tests keep the composites as the reference and compare bit for bit.
+composites stay in the tests as the reference (``tests/test_fused.py``),
+built from this engine and the unfused operations of ``tests/reference.py``
+(transpose, power, log, sqrt and log-softmax), and are compared bit for bit.
 
 Hot-path numpy calls skip numpy's Python-level wrappers: ``np.add.reduce``
 stands for ``ndarray.sum``, ``np.maximum.reduce`` for ``.max``, ``[..., None]``
@@ -113,17 +120,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    @property
-    def T(self) -> "Tensor":
-        def bw(g):
-            self._accum(g.T)
-
-        return Tensor._op(self.data.T, (self,), bw)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -176,34 +172,11 @@ class Tensor:
 
         return Tensor._op(self.data / other.data, (self, other), bw)
 
-    def __pow__(self, exponent: float):
-        if isinstance(exponent, Tensor):
-            raise ContractError("only constant exponents are supported")
-
-        def bw(g):
-            self._accum(g * exponent * self.data ** (exponent - 1))
-
-        return Tensor._op(self.data ** exponent, (self,), bw)
-
     def exp(self):
         out_data = np.exp(self.data)
 
         def bw(g):
             self._accum(g * out_data)
-
-        return Tensor._op(out_data, (self,), bw)
-
-    def log(self):
-        def bw(g):
-            self._accum(g / self.data)
-
-        return Tensor._op(np.log(self.data), (self,), bw)
-
-    def sqrt(self):
-        out_data = np.sqrt(self.data)
-
-        def bw(g):
-            self._accum(g * 0.5 / out_data)
 
         return Tensor._op(out_data, (self,), bw)
 
@@ -235,9 +208,6 @@ class Tensor:
                 other._accum(self.data.T @ g)
 
         return Tensor._op(self.data @ other.data, (self, other), bw)
-
-    def __matmul__(self, other):
-        return self.matmul(other)
 
     # -- reductions --------------------------------------------------------
 
@@ -279,28 +249,6 @@ def softmax(logits: Tensor) -> Tensor:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def log_softmax(logits: Tensor) -> Tensor:
-    if not np.all(np.isfinite(logits.data)):
-        raise NumericError("log_softmax received non-finite logits")
-    shift = logits - Tensor(logits.data.max(axis=-1, keepdims=True))
-    return shift - shift.exp().sum(axis=-1, keepdims=True).log()
-
-
-def entropy_rows(p: Tensor) -> Tensor:
-    """Shannon entropy of each row in nats, with 0*log(0) taken as 0."""
-    pd = p.data
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logp = np.where(pd > 0.0, np.log(np.where(pd > 0.0, pd, 1.0)), 0.0)
-    out_data = -(pd * logp).sum(axis=-1)
-
-    def bw(g):
-        # dH/dp = -(log p + 1); zero where p == 0 (boundary of the simplex).
-        d = np.where(pd > 0.0, -(logp + 1.0), 0.0)
-        p._accum(np.expand_dims(g, -1) * d)
-
-    return Tensor._op(out_data, (p,), bw)
-
-
 def _shifted_exp(logits: Tensor, name: str):
     """Max-shifted logits, their exponentials and the row sums of those."""
     ld = logits.data
@@ -312,7 +260,7 @@ def _shifted_exp(logits: Tensor, name: str):
 
 
 def softmax_entropy(logits: Tensor) -> Tensor:
-    """``entropy_rows(softmax(logits))`` as one node: the entropy of each
+    """``info_entropy(softmax(logits))`` as one node: the entropy of each
     row's softmax, in nats."""
     _, e, s = _shifted_exp(logits, "softmax")
     p = e / s

@@ -42,7 +42,6 @@ from adadfq.quant import (
     build_quantized_student,
     dequantize_array,
     quantize_array,
-    quantize_value,
 )
 from adadfq.tensor import Tensor, softmax
 
@@ -157,8 +156,8 @@ def test_criterion_1_quantizer_exactness():
         lo_code, hi_code = -(2 ** (bits - 1)), 2 ** (bits - 1) - 1
         t_min, t_max = -1.5, 2.5
         # boundary codes exact
-        ok &= quantize_value(t_min, t_min, t_max, bits) == lo_code
-        ok &= quantize_value(t_max, t_min, t_max, bits) == hi_code
+        ok &= quantize_array(np.float64(t_min), t_min, t_max, bits) == lo_code
+        ok &= quantize_array(np.float64(t_max), t_min, t_max, bits) == hi_code
         # dequantized boundaries within 1e-12
         ok &= abs(dequantize_array(np.array([lo_code]), t_min, t_max, bits)[0]
                   - t_min) <= 1e-12
@@ -267,13 +266,13 @@ def test_criterion_3_gradient_suite():
         x2 = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
 
         def gen_loss():
-            zp = x2 @ Tensor(w_p)
-            zq = x2 @ Tensor(w_q)
+            zp = x2.matmul(Tensor(w_p))
+            zq = x2.matmul(Tensor(w_q))
             return generator_objective(zp, zq, Tensor(np.eye(4)[np.arange(6) % 4]),
                                        [x2], [layer], RunConfig())
 
         def cal_loss():
-            return calibration_objective(x2 @ Tensor(w_p), x2 @ Tensor(w_q))
+            return calibration_objective(x2.matmul(Tensor(w_p)), x2.matmul(Tensor(w_q)))
 
         zp0, zq0 = x2.data @ w_p, x2.data @ w_q
         h_prime = normalize_entropy(

@@ -9,7 +9,6 @@ from adadfq.adaptability import (
     AGREEMENT,
     DISAGREEMENT,
     TEACHER_WRONG,
-    agreement_vector,
     calibration_objective,
     classify_samples,
     cross_entropy_from_logits,
@@ -45,12 +44,6 @@ class TestVectors:
         z_q = Tensor([[0.0, 1.0]])
         expected = softmax(Tensor([[2.0, -1.0]])).data
         np.testing.assert_allclose(disagreement_vector(z_p, z_q).data, expected)
-
-    def test_agreement_uses_sum(self):
-        z_p = Tensor([[2.0, 0.0]])
-        z_q = Tensor([[0.0, 1.0]])
-        expected = softmax(Tensor([[2.0, 1.0]])).data
-        np.testing.assert_allclose(agreement_vector(z_p, z_q).data, expected)
 
 
 class TestEntropy:
@@ -140,7 +133,7 @@ class TestLosses:
         rng = np.random.default_rng(4)
         z_p, z_q = rand_logits(rng), rand_logits(rng)
         y = Tensor(np.eye(4)[[2, 0, 3, 1, 2, 0]])
-        p = agreement_vector(z_p, z_q).data
+        p = softmax(z_p + z_q).data
         expected = -np.mean(np.log(p[np.arange(6), y.data.argmax(axis=1)]))
         assert float(loss_as(z_p, z_q, y).data) == pytest.approx(expected, rel=1e-12)
 

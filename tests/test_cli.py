@@ -130,6 +130,33 @@ class TestTrainTeacher:
         assert metrics["test"]["accuracy"] > 0.8
         assert metrics["seed"] == 0
 
+    def test_csv_teacher_scores_its_source_file(self, tmp_path):
+        """A CSV dataset is standardized once, from its train split, so the
+        teacher scores its own source file as it scored the two splits."""
+        rng = np.random.default_rng(0)
+        labels = np.repeat(np.arange(3), 60)
+        features = np.array([100.0, 50.0]) + 2.0 * np.stack([labels, -labels], axis=1)
+        features = features + rng.normal(scale=0.3, size=features.shape)
+        source = tmp_path / "source.csv"
+        write_rows(source, [["x0", "x1", "label"]]
+                   + [[repr(a), repr(b), str(c)]
+                      for (a, b), c in zip(features.tolist(), labels)])
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"dataset = csv\ncsv_path = {source}\nteacher_hidden = 8,8\n"
+                       "teacher_epochs = 100\n")
+        out = tmp_path / "teacher"
+        assert main(["train-teacher", "--config", str(cfg), "--out-dir", str(out)]) == 0
+        report_path = tmp_path / "eval.json"
+        assert main(["eval", "--ckpt", str(out / "teacher.json"), "--dataset", str(source),
+                     "--out", str(report_path)]) == 0
+        metrics = json.loads((out / "teacher_metrics.json").read_text())
+        train, test = metrics["train"], metrics["test"]
+        expected = ((train["accuracy"] * train["num_samples"]
+                     + test["accuracy"] * test["num_samples"])
+                    / (train["num_samples"] + test["num_samples"]))
+        assert json.loads(report_path.read_text())["accuracy"] == pytest.approx(expected)
+        assert float(read_rows(out / "train.csv")[1][0]) > 90.0  # the split keeps raw rows
+
 
 class TestQuantize:
     def test_quantize_reports_accuracy_drop(self, workdir, tmp_path):
@@ -290,7 +317,7 @@ class TestEvaluateNetwork:
     def _balanced(self):
         feats = np.zeros((40, 2))
         labels = np.repeat(np.arange(4), 10)
-        return Dataset(feats, labels, "test", "balanced")
+        return Dataset(feats, labels, "balanced")
 
     def test_constant_predictor_on_balanced_classes(self):
         ds = self._balanced()
@@ -504,6 +531,44 @@ class TestExitCodes:
         assert main([command] + args) == 3
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and f"{data}:4: non-finite value" in err[0]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case, code", [("train_config", 2), ("train_csv", 3),
+                                            ("eval", 3), ("quantize", 3),
+                                            ("similarity", 3)])
+    def test_non_utf8_input_names_the_file(self, workdir, dfq_out, tmp_path, capsys,
+                                           case, code):
+        """One byte that is not UTF-8 in a config file (exit 2), a CSV or a
+        sample dump (exit 3) ends in one line naming the file, and nothing
+        is written."""
+        _, cfg_path, out = workdir
+        source = {"train_config": cfg_path, "train_csv": out / "test.csv",
+                  "eval": out / "test.csv", "quantize": out / "test.csv",
+                  "similarity": dfq_out / "samples.csv"}[case]
+        text = source.read_bytes()
+        bad = tmp_path / ("bad.cfg" if case == "train_config" else "bad.csv")
+        cut = text.index(b"\n") + 3  # inside the first row's first value
+        bad.write_bytes(text[:cut] + b"\xff" + text[cut:])
+        teacher, out_path = str(out / "teacher.json"), str(tmp_path / "out")
+        if case == "train_config":
+            argv = ["train-teacher", "--config", str(bad), "--out-dir", out_path]
+        elif case == "train_csv":
+            cfg = tmp_path / "c.cfg"
+            cfg.write_text(f"dataset = csv\ncsv_path = {bad}\n")
+            argv = ["train-teacher", "--config", str(cfg), "--out-dir", out_path]
+        elif case == "eval":
+            argv = ["eval", "--ckpt", teacher, "--dataset", str(bad), "--out", out_path]
+        elif case == "quantize":
+            argv = ["quantize", "--ckpt", teacher, "--bits", "3", "--dataset", str(bad),
+                    "--out-dir", out_path]
+        else:
+            argv = ["report-similarity", "--samples", str(bad), "--ckpt", teacher,
+                    "--student-ckpt", str(dfq_out / "student_dfq_3bit.json"),
+                    "--out", out_path]
+        capsys.readouterr()
+        assert main(argv) == code
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(bad) in err[0]
         assert not (tmp_path / "out").exists()
 
     def test_missing_config_file_is_usage_error(self, tmp_path):

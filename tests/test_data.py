@@ -136,13 +136,15 @@ class TestCsvRoundTrip:
         np.testing.assert_array_equal(loaded.features, train.features)
         np.testing.assert_array_equal(loaded.labels, train.labels)
 
-    def test_load_standardizes_by_default(self, tmp_path):
+    def test_load_returns_raw_rows_by_default(self, tmp_path):
+        # standardizing is the caller's, from a train split's statistics
         train, _ = make_blobs(3, 20, 4, 1.0, 2)
+        train.features += 100.0
         path = tmp_path / "d.csv"
         save_csv(train, path)
         loaded = load_csv(path)
-        np.testing.assert_allclose(loaded.features.mean(axis=0), 0.0, atol=1e-10)
-        assert loaded.norm_stats is not None
+        np.testing.assert_array_equal(loaded.features, train.features)
+        np.testing.assert_array_equal(loaded.labels, train.labels)
 
     def test_missing_label_column(self, tmp_path):
         path = tmp_path / "d.csv"

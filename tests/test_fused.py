@@ -1,7 +1,8 @@
 """Each fused node against the composite it replaced, bit for bit.
 
 The composites below are the graphs the package built before the nodes were
-fused; they stay here as the reference. A fused node must give the same
+fused; they stay here as the reference, with the unfused operations they
+need from ``reference.py``. A fused node must give the same
 forward bytes, the same bytes in every input gradient and, for batch norm,
 the same running statistics, and its gradient must pass a finite-difference
 check. The network block ``bn_relu_linear`` (batch norm -> ReLU -> linear,
@@ -16,8 +17,9 @@ import numpy as np
 import pytest
 
 from conftest import check_gradients
+from reference import log_softmax, power, sqrt, transpose
 
-from adadfq.adaptability import loss_bns
+from adadfq.adaptability import info_entropy, loss_bns
 from adadfq.nn import (
     BN_EPS,
     BN_MOMENTUM,
@@ -40,8 +42,6 @@ from adadfq.tensor import (
     Tensor,
     backward,
     cross_entropy_from_logits,
-    entropy_rows,
-    log_softmax,
     softmax,
     softmax_entropy,
 )
@@ -50,24 +50,24 @@ from adadfq.tensor import (
 # -- the composites -----------------------------------------------------------
 
 def composite_linear(x, w, b):
-    return x.matmul(w.T) + b
+    return x.matmul(transpose(w)) + b
 
 
 def composite_batch_norm(layer, x, training):
     if training:
         mu = x.mean(axis=0)
-        var = ((x - mu) ** 2).mean(axis=0)
+        var = power(x - mu, 2).mean(axis=0)
         m = BN_MOMENTUM
         layer.running_mean = (1.0 - m) * layer.running_mean + m * mu.data
         layer.running_var = (1.0 - m) * layer.running_var + m * var.data
     else:
         mu = Tensor(layer.running_mean)
         var = Tensor(layer.running_var)
-    return (x - mu) / (var + BN_EPS).sqrt() * layer.gamma + layer.beta
+    return (x - mu) / sqrt(var + BN_EPS) * layer.gamma + layer.beta
 
 
 def composite_softmax_entropy(logits):
-    return entropy_rows(softmax(logits))
+    return info_entropy(softmax(logits))
 
 
 def composite_cross_entropy(logits, y):
@@ -113,11 +113,11 @@ def composite_loss_bns(bn_inputs, bn_layers):
     total = Tensor(0.0)
     for x, layer in zip(bn_inputs, bn_layers):
         mu = x.mean(axis=0)
-        var = ((x - mu) ** 2).mean(axis=0)
-        std = (var + BN_EPS).sqrt()
+        var = power(x - mu, 2).mean(axis=0)
+        std = sqrt(var + BN_EPS)
         target_std = Tensor(np.sqrt(layer.running_var + BN_EPS))
-        total = total + ((mu - Tensor(layer.running_mean)) ** 2).sum() \
-                      + ((std - target_std) ** 2).sum()
+        total = total + power(mu - Tensor(layer.running_mean), 2).sum() \
+                      + power(std - target_std, 2).sum()
     return total
 
 

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import power, transpose
+
 from adadfq import quant
 from adadfq.checkpoint import _load_state, save_student
 from adadfq.cli import RunConfig, evaluate_network, train_teacher_network
@@ -16,10 +18,8 @@ from adadfq.quant import (
     QuantLinear,
     build_quantized_student,
     dequantize_array,
-    dequantize_value,
     fake_quant,
     quantize_array,
-    quantize_value,
 )
 from adadfq.tensor import Tensor, backward, zero_grads
 
@@ -27,23 +27,23 @@ from adadfq.tensor import Tensor, backward, zero_grads
 class TestQuantizeValue:
     @pytest.mark.parametrize("bits", [2, 3, 4, 8])
     def test_lower_boundary(self, bits):
-        assert quantize_value(-1.0, -1.0, 1.0, bits) == -(2 ** (bits - 1))
+        assert quantize_array(np.float64(-1.0), -1.0, 1.0, bits) == -(2 ** (bits - 1))
 
     @pytest.mark.parametrize("bits", [2, 3, 4, 8])
     def test_upper_boundary(self, bits):
-        assert quantize_value(1.0, -1.0, 1.0, bits) == 2 ** (bits - 1) - 1
+        assert quantize_array(np.float64(1.0), -1.0, 1.0, bits) == 2 ** (bits - 1) - 1
 
     def test_2bit_direct_arithmetic(self):
         # round(3 * (1/3) - 2) = round(-1) = -1
-        assert quantize_value(1.0, 0.0, 3.0, 2) == -1
+        assert quantize_array(np.float64(1.0), 0.0, 3.0, 2) == -1
 
     def test_degenerate_range_signalled(self):
         with pytest.raises(DegenerateRangeError):
-            quantize_value(0.5, 1.0, 1.0, 4)
+            quantize_array(np.float64(0.5), 1.0, 1.0, 4)
 
     def test_clamps_out_of_range(self):
-        assert quantize_value(1e308, -1.0, 1.0, 4) == 7
-        assert quantize_value(-1e308, -1.0, 1.0, 4) == -8
+        assert quantize_array(np.float64(1e308), -1.0, 1.0, 4) == 7
+        assert quantize_array(np.float64(-1e308), -1.0, 1.0, 4) == -8
 
     @given(
         st.integers(2, 8),
@@ -101,13 +101,14 @@ class TestQuantizeArrayMatchesReference:
 class TestDequantize:
     @pytest.mark.parametrize("bits", [2, 3, 4, 8])
     def test_code_boundaries_map_to_range_boundaries(self, bits):
-        assert dequantize_value(-(2 ** (bits - 1)), -1.0, 1.0, bits) == pytest.approx(-1.0, abs=1e-12)
-        assert dequantize_value(2 ** (bits - 1) - 1, -1.0, 1.0, bits) == pytest.approx(1.0, abs=1e-12)
+        lo_code, hi_code = np.float64(-(2 ** (bits - 1))), np.float64(2 ** (bits - 1) - 1)
+        assert dequantize_array(lo_code, -1.0, 1.0, bits) == pytest.approx(-1.0, abs=1e-12)
+        assert dequantize_array(hi_code, -1.0, 1.0, bits) == pytest.approx(1.0, abs=1e-12)
 
     def test_round_trip_exhaustive_3bit(self):
         for code in range(-4, 4):
-            theta = dequantize_value(code, -1.0, 1.0, 3)
-            assert quantize_value(theta, -1.0, 1.0, 3) == code
+            theta = dequantize_array(np.float64(code), -1.0, 1.0, 3)
+            assert quantize_array(theta, -1.0, 1.0, 3) == code
 
     @pytest.mark.parametrize("bits", [2, 3, 4, 8])
     def test_round_trip_exhaustive_all_acceptance_widths(self, bits):
@@ -118,12 +119,12 @@ class TestDequantize:
 
     def test_out_of_range_code_rejected(self):
         with pytest.raises(ContractError):
-            dequantize_value(8, -1.0, 1.0, 4)
+            dequantize_array(np.float64(8), -1.0, 1.0, 4)
 
 
 class TestFakeQuant:
     def test_grid_point_unchanged(self):
-        x = Tensor(np.array([dequantize_value(c, -1.0, 1.0, 4) for c in range(-8, 8)]))
+        x = Tensor(dequantize_array(np.arange(-8, 8), -1.0, 1.0, 4))
         out = fake_quant(x, -1.0, 1.0, 4)
         np.testing.assert_allclose(out.data, x.data, atol=1e-12)
 
@@ -245,7 +246,7 @@ class TestWeightMemo:
     def assert_matches_fresh_quantization(layer, x):
         w = layer.weight
         fresh = fake_quant(w, float(w.data.min()), float(w.data.max()), layer.bits)
-        expected = x.matmul(fresh.T) + layer.bias  # no activation range observed yet
+        expected = x.matmul(transpose(fresh)) + layer.bias  # no activation range observed yet
         out = forward(layer, x)
         np.testing.assert_array_equal(out.data, expected.data)
         grads = []
@@ -258,7 +259,7 @@ class TestWeightMemo:
     def test_after_sgd_step(self):
         layer, x = self.layer()
         opt = SgdMomentum([layer.weight, layer.bias], lr=0.5, momentum=0.9, weight_decay=0.0)
-        backward((forward(layer, x) ** 2).sum())
+        backward(power(forward(layer, x), 2).sum())
         opt.step()
         self.assert_matches_fresh_quantization(layer, x)
 
