@@ -95,9 +95,8 @@ def evaluate_network(net, ds: Dataset) -> dict:
                         f"the network's class count {num_classes}")
     pred = np.argmax(logits, axis=1)
     correct = pred == ds.labels
-    confusion = np.zeros((num_classes, num_classes), dtype=int)
-    for t, p in zip(ds.labels, pred):
-        confusion[t, p] += 1
+    confusion = np.bincount(ds.labels * num_classes + pred,
+                            minlength=num_classes * num_classes).reshape(num_classes, num_classes)
     per_class = {
         str(c): float(correct[ds.labels == c].mean()) if np.any(ds.labels == c) else None
         for c in range(num_classes)
@@ -295,7 +294,7 @@ def cmd_report_similarity(args) -> int:
     if shapes[0] != shapes[1]:
         raise ContractError(f"{args.student_ckpt}: student (input_dim, classes) {shapes[1]} "
                             f"does not match the teacher's {shapes[0]}")
-    with open(args.samples, newline="", encoding="utf-8") as fh, \
+    with open(args.samples, newline="", encoding="utf-8-sig") as fh, \
             utf8_only(args.samples, DataError):
         reader = csv.reader(fh)
         if next(reader, None) is None:

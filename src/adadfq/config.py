@@ -24,7 +24,7 @@ behind that boundary:
     dataset keys in range, none ignored           RunConfig
     dataset CSV exists and parses                 train-teacher, data.load_csv
     CSV standardized once, from the train split   train-teacher
-    config, CSV and sample dump are UTF-8         config._read_config; data.load_csv;
+    config, CSV, sample dump UTF-8 (BOM dropped)  config._read_config; data.load_csv;
                                                   report-similarity
     CSV and sample-dump values finite             data.load_csv; report-similarity
     CSV labels integers in [0, 2**63)             data.load_csv
@@ -150,7 +150,7 @@ def _read_config(path: str | None) -> dict:
     if path is None:
         return values
     types = {f.name: type(f.default) for f in fields(RunConfig)}
-    with open(path, encoding="utf-8") as fh, utf8_only(path, ConfigError):
+    with open(path, encoding="utf-8-sig") as fh, utf8_only(path, ConfigError):
         for line_no, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
             if not line:

@@ -167,7 +167,8 @@ def require_finite(path, table: np.ndarray) -> None:
 
 def load_csv(path, label_column: str = "label",
              stats: tuple[np.ndarray, np.ndarray] | None = None) -> Dataset:
-    """Parse a comma-separated UTF-8 file with a header row into a dataset.
+    """Parse a comma-separated UTF-8 file with a header row into a dataset;
+    a leading byte-order mark, as spreadsheet exports write, is dropped.
 
     Every value must be a finite number and every label a non-negative
     integer below 2**63; a row that breaks this, or a byte that is not
@@ -177,7 +178,7 @@ def load_csv(path, label_column: str = "label",
     file with another feature count raises DataError; otherwise the rows
     are returned as they are in the file.
     """
-    with open(path, newline="", encoding="utf-8") as fh, utf8_only(path, DataError):
+    with open(path, newline="", encoding="utf-8-sig") as fh, utf8_only(path, DataError):
         reader = csv.reader(fh)
         try:
             header = next(reader)

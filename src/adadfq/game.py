@@ -72,7 +72,9 @@ class TraceRow:
     hprime_frac_in: float  # fraction of the batch inside [lambda_l, lambda_u]
 
     def as_dict(self):
-        return asdict(self)
+        """The fields in declaration order; they are all scalars, so no
+        deep copy (``dataclasses.asdict``) is needed."""
+        return dict(vars(self))
 
 
 TRACE_FIELDS = [f.name for f in fields(TraceRow)]

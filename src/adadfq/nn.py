@@ -11,7 +11,9 @@ runs a batch norm -> ReLU -> linear block, or a lone linear layer, as one
 graph node. It reaches the layers through three hooks that build no node:
 ``BatchNormLayer._normalize``, ``LinearLayer._weight_array`` and
 ``LinearLayer._activate``. A quantized layer overrides the last two, and a
-fixed-statistics batch norm the first. Every layer also has
+fixed-statistics batch norm the first. Masks are backward-only state: the
+block builds its ReLU mask, and asks ``_activate`` for the output's mask,
+only when its node records (``tensor.records``). Every layer also has
 ``named_parameters()`` (its own, unprefixed names), and batch norm has
 ``named_buffers()``. ``MlpNetwork.forward`` is the package's one layer walk.
 It hands its train/eval flag to every block, and each layer reads the flag
@@ -37,7 +39,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError, DimensionError
-from .tensor import Tensor, concat_cols
+from .tensor import Tensor, concat_cols, records
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
@@ -57,9 +59,11 @@ class LinearLayer:
         """The weight the product uses."""
         return self.weight.data
 
-    def _activate(self, out: np.ndarray, training: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    def _activate(self, out: np.ndarray, training: bool,
+                  recording: bool) -> tuple[np.ndarray, np.ndarray | None]:
         """The layer's output from its product, and the mask the output's
-        gradient passes through (None: all of it)."""
+        gradient passes through (None: all of it, or a node that does not
+        record, whose backward never runs)."""
         return out, None
 
     def named_parameters(self) -> dict[str, Tensor]:
@@ -145,6 +149,15 @@ class Relu:
         return {}
 
 
+def _relu(h: np.ndarray) -> np.ndarray:
+    """``np.where(h > 0.0, h, 0.0)``, bit for bit, without its branch:
+    ``fmax`` maps NaN to 0.0 but may keep ``-0.0``, which ``+ 0.0`` makes
+    ``+0.0`` (see ``tensor``'s hot-path notes)."""
+    r = np.fmax(h, 0.0)
+    r += 0.0
+    return r
+
+
 def bn_relu_linear(bn: BatchNormLayer | None, layer: LinearLayer, x: Tensor,
                    training: bool) -> Tensor:
     """``layer`` after ``bn`` and a ReLU as one node; with ``bn`` None, just
@@ -152,8 +165,14 @@ def bn_relu_linear(bn: BatchNormLayer | None, layer: LinearLayer, x: Tensor,
     (``BatchNormLayer._normalize``, ``LinearLayer._weight_array`` and
     ``_activate``). The backward masks the output gradient, routes it into the
     bias, then back through the ReLU into the batch norm's ``beta``, ``gamma``
-    and ``x`` (or straight into ``x``), and last into the weight."""
+    and ``x`` (or straight into ``x``), and last into the weight.
+
+    The masks (the ReLU's ``h > 0.0`` and the layer's output mask) are built
+    only when the node ``records``; a block under ``no_grad`` or over frozen
+    inputs gives the same output bytes and builds neither."""
     weight, bias = layer.weight, layer.bias
+    parents = (x, weight, bias) if bn is None else (x, bn.gamma, bn.beta, weight, bias)
+    recording = records(parents)
     if bn is None:
         r = x.data
         if r.ndim != 2 or r.shape[1] != weight.data.shape[1]:
@@ -161,10 +180,10 @@ def bn_relu_linear(bn: BatchNormLayer | None, layer: LinearLayer, x: Tensor,
                                  f"{weight.data.shape[1]}, got {r.shape}")
     else:
         h, bn_bw = bn._normalize(x, training)
-        positive = h > 0.0
-        r = np.where(positive, h, 0.0)
+        positive = h > 0.0 if recording else None
+        r = _relu(h)
     w = layer._weight_array()
-    out, out_mask = layer._activate(r @ w.T + bias.data, training)
+    out, out_mask = layer._activate(r @ w.T + bias.data, training, recording)
 
     def bw(g):
         if out_mask is not None:
@@ -179,7 +198,6 @@ def bn_relu_linear(bn: BatchNormLayer | None, layer: LinearLayer, x: Tensor,
         if weight.requires_grad:
             weight._accum((r.T @ g).T)
 
-    parents = (x, weight, bias) if bn is None else (x, bn.gamma, bn.beta, weight, bias)
     return Tensor._op(out, parents, bw)
 
 
@@ -270,29 +288,36 @@ class ConditionalGenerator(MlpNetwork):
         return {"embedding": self.embedding, **super().named_parameters()}
 
 
+def _views(buffer: np.ndarray, params: list[Tensor]) -> list[np.ndarray]:
+    """Consecutive views of the 1-D ``buffer``, one shaped like each parameter."""
+    views, start = [], 0
+    for p in params:
+        stop = start + p.data.size
+        views.append(buffer[start:stop].reshape(p.data.shape))
+        start = stop
+    return views
+
+
 def _own_storage(params: list[Tensor]) -> np.ndarray:
     """Copy ``params`` into one contiguous buffer and rebind each ``p.data`` to
     its view of it, so one array operation updates them all."""
     if not params:
         raise ContractError("an optimizer needs at least one parameter")
     storage = np.concatenate([p.data.ravel() for p in params])
-    start = 0
-    for p in params:
-        stop = start + p.data.size
-        p.data = storage[start:stop].reshape(p.data.shape)
-        start = stop
+    for p, view in zip(params, _views(storage, params)):
+        p.data = view
     return storage
 
 
-def _gather_grads(params: list[Tensor], out: np.ndarray) -> np.ndarray:
-    """Every parameter's gradient, in storage order, into ``out``; checks them
-    all before anything is written."""
-    grads = []
+def _gather_grads(params: list[Tensor], views: list[np.ndarray]) -> None:
+    """Copy every parameter's gradient into its view of an optimizer's
+    gradient buffer (``_views``), once each, whatever the gradient's memory
+    order; checks them all before anything is written."""
     for p in params:
         if p.grad is None:
             raise ContractError("optimizer step with unpopulated gradient")
-        grads.append(p.grad.ravel())
-    return np.concatenate(grads, out=out)
+    for p, view in zip(params, views):
+        view[...] = p.grad
 
 
 class SgdMomentum:
@@ -321,10 +346,12 @@ class SgdMomentum:
         self.storage = _own_storage(self.params)
         self.velocity = np.zeros_like(self.storage)
         self._grad = np.empty_like(self.storage)
+        self._grad_views = _views(self._grad, self.params)
         self._scratch = np.empty_like(self.storage)
 
     def step(self) -> None:
-        g, tmp = _gather_grads(self.params, self._grad), self._scratch
+        _gather_grads(self.params, self._grad_views)
+        g, tmp = self._grad, self._scratch
         g += np.multiply(self.storage, self.weight_decay, out=tmp)
         if self.momentum != 0.0:
             v = self.velocity
@@ -348,11 +375,13 @@ class AdamOptimizer:
         self.v = np.zeros_like(self.storage)
         self.t = 0
         self._grad = np.empty_like(self.storage)
+        self._grad_views = _views(self._grad, self.params)
         self._scratch = np.empty_like(self.storage)
 
     def step(self) -> None:
         b1, b2 = ADAM_BETAS
-        g, tmp = _gather_grads(self.params, self._grad), self._scratch
+        _gather_grads(self.params, self._grad_views)
+        g, tmp = self._grad, self._scratch
         self.t += 1
         m, v = self.m, self.v
         m *= b1

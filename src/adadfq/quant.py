@@ -24,7 +24,10 @@ loss nodes reject (``NumericError``).
 share: ``quantize_array`` then the dequantization, operation for operation,
 but worked in place on one temporary of its own (the input is never
 written). Its STE mask is ``clamped == x``, which equals
-``(x >= lo) & (x <= hi)`` for every finite ``x`` and is False for NaN.
+``(x >= lo) & (x <= hi)`` for every finite ``x`` and is False for NaN. The
+mask is built only where a backward will read it: never for the memoized
+weight, and for an activation only when the block's node records
+(``tensor.records``), so a forward under ``no_grad`` builds none.
 
 The student is the teacher's MlpNetwork, walked by the same forward, with
 each LinearLayer swapped for a QuantLinear and each batch norm for a
@@ -87,16 +90,17 @@ def dequantize_array(codes: np.ndarray, lo: float, hi: float, bits: int) -> np.n
     return (codes + 2 ** (bits - 1)) * (hi - lo) / float(2 ** bits - 1) + lo
 
 
-def _fake_quant_arrays(x: np.ndarray, lo: float, hi: float, bits: int):
-    """Quantize-dequantize of ``x`` and its STE mask; needs ``lo < hi``.
-    The operations of quantize_array and dequantize_array in their order,
-    in place on the clamped copy; its codes are in range, so dequantize's
-    range check is left out."""
+def _fake_quant_arrays(x: np.ndarray, lo: float, hi: float, bits: int,
+                       with_mask: bool = True):
+    """Quantize-dequantize of ``x`` and its STE mask (None unless
+    ``with_mask``); needs ``lo < hi``. The operations of quantize_array and
+    dequantize_array in their order, in place on the clamped copy; its codes
+    are in range, so dequantize's range check is left out."""
     levels = float(2 ** bits - 1)
     half = float(2 ** (bits - 1))
     out = np.maximum(x, lo)
     np.minimum(out, hi, out=out)
-    mask = out == x  # lo <= x <= hi
+    mask = out == x if with_mask else None  # lo <= x <= hi
     out -= lo
     out *= levels
     out /= hi - lo
@@ -181,18 +185,21 @@ class QuantLinear(LinearLayer):
             lo = float(np.minimum.reduce(w, axis=None))
             hi = float(np.maximum.reduce(w, axis=None))
             self._memo = (latent, latent if lo >= hi
-                          else _fake_quant_arrays(w, lo, hi, self.bits)[0])
+                          else _fake_quant_arrays(w, lo, hi, self.bits, with_mask=False)[0])
         return self._memo[1]
 
-    def _activate(self, out: np.ndarray, training: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    def _activate(self, out: np.ndarray, training: bool,
+                  recording: bool) -> tuple[np.ndarray, np.ndarray | None]:
         """Observes ``out`` in training, then fake-quantizes it over the
-        activation range once there is one."""
+        activation range once there is one; the STE mask only if the node
+        is ``recording``."""
         state = self.act_state
         if training:
             state.observe(out)
         if not state.has_range:
             return out, None
-        return _fake_quant_arrays(out, state.observed_min, state.observed_max, self.bits)
+        return _fake_quant_arrays(out, state.observed_min, state.observed_max, self.bits,
+                                  with_mask=recording)
 
 
 class FixedStatsBatchNorm(BatchNormLayer):

@@ -37,6 +37,19 @@ stands for ``ndarray.sum``, ``np.maximum.reduce`` for ``.max``, ``[..., None]``
 for ``np.expand_dims``, and an elementwise op broadcasts its operands itself
 instead of through ``np.broadcast_to``. Each is the same ufunc loop the
 wrapper would run, so the bits are the same.
+
+Fewer array passes in the block. ``nn.bn_relu_linear``'s ReLU is
+``np.fmax(h, 0.0)`` followed by ``+= 0.0``, in place of the branching
+``np.where(h > 0.0, h, 0.0)``, which costs several times more per element.
+``fmax`` maps NaN to 0.0 as the ``where`` does, but it alone is not enough:
+numpy's SIMD loops return ``-0.0`` for some lanes of ``fmax(-0.0, 0.0)``
+(seen on numpy 2.4.6, contiguous and strided), where the ``where`` gives
+``+0.0``. Adding ``0.0`` turns ``-0.0`` into ``+0.0`` under IEEE rules and
+leaves every other value as it is, so the two are equal bit for bit. The
+``records`` rule: a node builds backward-only state (the ReLU's ``h > 0.0``
+mask, the activation fake-quant's STE mask) only when ``records(parents)``
+holds, the same predicate ``Tensor._op`` applies, so a forward under
+``no_grad`` or over frozen inputs builds no mask.
 """
 
 from __future__ import annotations
@@ -60,6 +73,17 @@ def no_grad():
         yield
     finally:
         _grad_enabled = previous
+
+
+def records(parents) -> bool:
+    """Whether ``Tensor._op`` records a node over ``parents``: grad mode is on
+    (not ``no_grad``) and some parent requires grad. A node builds the state
+    only its backward reads, such as a mask, when this holds."""
+    if _grad_enabled:
+        for p in parents:
+            if p.requires_grad:
+                return True
+    return False
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -88,16 +112,12 @@ class Tensor:
 
     @staticmethod
     def _op(data: np.ndarray, parents, backward_fn) -> "Tensor":
-        """Build a graph node; collapses to a constant if no parent needs grad
-        or recording is off (``no_grad``)."""
+        """Build a graph node; collapses to a constant unless it ``records``."""
         out = Tensor(data)
-        if _grad_enabled:
-            for p in parents:
-                if p.requires_grad:
-                    out.requires_grad = True
-                    out._parents = tuple(parents)
-                    out._backward_fn = backward_fn
-                    break
+        if records(parents):
+            out.requires_grad = True
+            out._parents = tuple(parents)
+            out._backward_fn = backward_fn
         return out
 
     def _accum(self, g) -> None:

@@ -113,6 +113,11 @@ class TestParseConfig:
         with pytest.raises(dataclasses.FrozenInstanceError):
             RunConfig().bits = 1
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_bytes(b"\xef\xbb\xbfbits = 4\n")
+        assert parse_config(str(p)) == RunConfig(bits=4)
+
 
 def test_package_exports_resolve():
     assert all(hasattr(adadfq, name) for name in adadfq.__all__)
@@ -327,6 +332,25 @@ class TestEvaluateNetwork:
         ds = self._balanced()
         assert evaluate_network(self._Perfect(ds.labels), ds)["accuracy"] == 1.0
 
+    def test_confusion_matches_the_counting_loop(self):
+        """The vectorized count against the per-row loop it replaced, over
+        more rows than one evaluation batch and a class with no rows."""
+        class _Identity:
+            def forward(self, x):
+                return Tensor(x.data)
+
+        rng = np.random.default_rng(0)
+        labels = rng.integers(0, 4, size=3000)
+        labels[labels == 2] = 0
+        ds = Dataset(rng.normal(size=(3000, 5)), labels, "random")
+        pred = ds.features.argmax(axis=1)
+        want = np.zeros((5, 5), dtype=int)
+        for t, p in zip(labels, pred):
+            want[t, p] += 1
+        got = evaluate_network(_Identity(), ds)["confusion"]
+        assert got == want.tolist()
+        assert all(type(n) is int for row in got for n in row)
+
 
 class TestEval:
     def test_matches_recorded_teacher_metrics_exactly(self, workdir, tmp_path):
@@ -382,6 +406,18 @@ class TestReportSimilarity:
                    "--out", str(out_path)])
         assert rc == 0
         assert out_path.read_text() == (ddir / "similarity.csv").read_text()
+
+    def test_dump_with_byte_order_mark(self, workdir, dfq_out, tmp_path):
+        _, _, out = workdir
+        marked = tmp_path / "samples.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + (dfq_out / "samples.csv").read_bytes())
+        out_path = tmp_path / "sim.csv"
+        rc = main(["report-similarity", "--samples", str(marked),
+                   "--ckpt", str(out / "teacher.json"),
+                   "--student-ckpt", str(dfq_out / "student_dfq_3bit.json"),
+                   "--out", str(out_path)])
+        assert rc == 0
+        assert out_path.read_bytes() == (dfq_out / "similarity.csv").read_bytes()
 
 
 class TestExitCodes:
@@ -570,6 +606,43 @@ class TestExitCodes:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and str(bad) in err[0]
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case, code", [("config", 2), ("csv", 3)])
+    def test_byte_order_mark_is_read_as_text(self, workdir, tmp_path, capsys, case, code):
+        """A BOM-prefixed config or label-first CSV runs as the plain file
+        does (both once failed on the mark glued to the first name); a cut
+        mark is not UTF-8 and ends in one line naming the file."""
+        _, cfg_path, out = workdir
+        rows = read_rows(out / "test.csv")
+        order = [rows[0].index("label")] + [i for i, h in enumerate(rows[0]) if h != "label"]
+        text = ("bits = 4\n" + cfg_path.read_text() if case == "config" else
+                "".join(",".join(r[i] for i in order) + "\n" for r in rows)).encode()
+        plain, marked, cut = (tmp_path / n for n in ("plain", "marked", "cut"))
+        plain.write_bytes(text)
+        marked.write_bytes(b"\xef\xbb\xbf" + text)
+        cut.write_bytes(b"\xef\xbb" + text)
+        teacher = str(out / "teacher.json")
+
+        def run(path, out_path):
+            if case == "config":
+                argv = ["dfq", "--ckpt", teacher, "--config", str(path), "--seed", "0",
+                        "--out-dir", str(out_path)]
+                report = "trace.csv"
+            else:
+                out_path.mkdir()
+                argv = ["eval", "--ckpt", teacher, "--dataset", str(path),
+                        "--out", str(out_path / "eval.json")]
+                report = "eval.json"
+            return main(argv), out_path / report
+
+        rc_plain, plain_report = run(plain, tmp_path / "out_plain")
+        rc_marked, marked_report = run(marked, tmp_path / "out_marked")
+        assert rc_plain == rc_marked == 0
+        assert marked_report.read_bytes() == plain_report.read_bytes()
+        capsys.readouterr()
+        assert run(cut, tmp_path / "out_cut")[0] == code
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(cut) in err[0]
 
     def test_missing_config_file_is_usage_error(self, tmp_path):
         rc = main(["train-teacher", "--config", "/does/not/exist.cfg",

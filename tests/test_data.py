@@ -197,6 +197,23 @@ class TestCsvRoundTrip:
         with pytest.raises(DataError, match="no data rows"):
             load_csv(path)
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        # spreadsheet exports start with one; the label is the first column,
+        # where the mark would otherwise hide its name
+        text = "label,x0,x1\n0,1.0,2.0\n1,3.0,4.0\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        got, want = load_csv(marked), load_csv(plain)
+        np.testing.assert_array_equal(got.features, want.features)
+        np.testing.assert_array_equal(got.labels, want.labels)
+
+    def test_truncated_byte_order_mark_is_not_utf8(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"\xef\xbblabel,x0\n0,1.0\n")
+        with pytest.raises(DataError, match="not UTF-8"):
+            load_csv(path)
+
 
 class TestSampleNoiseAndLabels:
     def test_shapes_and_one_hot(self):

@@ -11,6 +11,7 @@ checked against the composites of its layers; the in-place fake-quant
 against quantize_array and dequantize_array.
 """
 
+import contextlib
 import copy
 
 import numpy as np
@@ -26,6 +27,7 @@ from adadfq.nn import (
     BatchNormLayer,
     LinearLayer,
     Relu,
+    _relu,
     bn_relu_linear,
     make_mlp,
 )
@@ -42,6 +44,7 @@ from adadfq.tensor import (
     Tensor,
     backward,
     cross_entropy_from_logits,
+    no_grad,
     softmax,
     softmax_entropy,
 )
@@ -391,6 +394,99 @@ class TestBlock:
         bn, layer = bn_layer(rng, 3), LinearLayer(3, 2, rng)
         x = Tensor(rng.normal(0.2, 1.0, size=(5, 3)), requires_grad=True)
         assert block_gradient_error(bn, layer, x, training, rng) < 1e-6
+
+
+class TestRelu:
+    """The block's branch-free ReLU against ``np.where(h > 0.0, h, 0.0)``, bit
+    for bit. numpy's SIMD ``fmax`` keeps ``-0.0`` in some lanes, so a
+    ``-0.0`` goes to every index of every short length, contiguous and
+    strided, with the other special values."""
+
+    SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-310, -1e-310]
+
+    @staticmethod
+    def assert_same_bits(h):
+        want = np.where(h > 0.0, h, 0.0)
+        got = _relu(h)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("step", [1, 2], ids=["contiguous", "strided"])
+    @pytest.mark.parametrize("fill", [1.0, -1.0, "normal"])
+    def test_special_values_at_every_index(self, step, fill):
+        rng = np.random.default_rng(14)
+        for n in range(1, 80):
+            for value in self.SPECIAL:
+                for i in range(n):
+                    h = (rng.normal(size=n * step) if fill == "normal"
+                         else np.full(n * step, fill))[::step]
+                    h[i] = value
+                    self.assert_same_bits(h)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_wide_batch(self, order):
+        """A 64x256 batch with every special value scattered through it."""
+        rng = np.random.default_rng(15)
+        h = rng.normal(size=(64, 256))
+        spots = rng.choice(h.size, size=(len(self.SPECIAL), 40), replace=False)
+        for value, at in zip(self.SPECIAL, spots):
+            h.flat[at] = value
+        self.assert_same_bits(np.asarray(h, order=order))
+
+
+class TestNoMaskWithoutRecording:
+    """A node that does not record builds no mask and gives the bytes of one
+    that does."""
+
+    @pytest.mark.parametrize("bits", [2, 3, 32])
+    def test_fake_quant_arrays_without_a_mask(self, bits):
+        rng = np.random.default_rng(bits)
+        x = rng.uniform(-2.0, 2.0, size=(8, 5))
+        out, mask = _fake_quant_arrays(x, -1.0, 1.5, bits)
+        bare, no_mask = _fake_quant_arrays(x, -1.0, 1.5, bits, with_mask=False)
+        assert mask is not None and no_mask is None
+        assert bare.tobytes() == out.tobytes()
+
+    @pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
+    def test_activate_returns_no_mask(self, training):
+        rng = np.random.default_rng(16)
+        layers = [QuantLinear(LinearLayer(5, 4, rng), 3) for _ in range(2)]
+        for layer in layers:
+            layer.act_state.observed_min, layer.act_state.observed_max = -0.8, 0.9
+        out = rng.normal(size=(6, 4))
+        got, mask = layers[0]._activate(out, training, False)
+        want, recorded_mask = layers[1]._activate(out, training, True)
+        assert mask is None and recorded_mask is not None
+        assert got.tobytes() == want.tobytes()
+        assert layers[0].act_state == layers[1].act_state
+
+    @pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
+    @pytest.mark.parametrize("kind", ["teacher", "student", "quant_linear"])
+    def test_no_grad_block_gives_the_recorded_bytes(self, kind, training):
+        """Under ``no_grad`` the block records nothing and builds no mask, but
+        its output, running statistics and activation range are those of a
+        recording block."""
+        rng = np.random.default_rng(17)
+        bn, layer = TestBlock.layers(rng, "teacher" if kind == "teacher" else "student")
+        if kind == "quant_linear":
+            bn = None
+        if kind != "teacher":
+            layer.act_state.observed_min, layer.act_state.observed_max = -0.8, 0.9
+        x_data = rng.normal(0.3, 1.5, size=(6, 5))
+        results = []
+        for recording, (bn_copy, layer_copy) in ((True, (bn, layer)),
+                                                 (False, copy.deepcopy((bn, layer)))):
+            x = Tensor(x_data.copy(), requires_grad=True)
+            with contextlib.nullcontext() if recording else no_grad():
+                out = bn_relu_linear(bn_copy, layer_copy, x, training)
+            assert out.requires_grad == recording
+            state = [] if bn_copy is None else [bn_copy.running_mean, bn_copy.running_var]
+            if kind != "teacher":
+                act = layer_copy.act_state
+                state.append(np.array([act.observed_min, act.observed_max]))
+            results.append([out.data, *state])
+        for recorded, bare in zip(*results):
+            assert recorded.tobytes() == bare.tobytes()
 
 
 class TestFakeQuantArrays:

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import warnings
 
 import numpy as np
@@ -57,6 +58,10 @@ class TestRunGame:
         trace, _, _ = play(teacher, small_config())
         d = trace[0].as_dict()
         assert list(d.keys()) == TRACE_FIELDS
+        # the shallow copy holds what dataclasses.asdict's deep copy held
+        assert list(d.items()) == list(dataclasses.asdict(trace[0]).items())
+        d["iter"] = -1
+        assert trace[0].iter == 0
 
     def test_counts_partition_batch(self, teacher):
         trace, _, _ = play(teacher, small_config())

@@ -12,6 +12,8 @@ from adadfq.nn import (
     ConditionalGenerator,
     LinearLayer,
     SgdMomentum,
+    _gather_grads,
+    _views,
     bn_relu_linear,
     make_mlp,
 )
@@ -273,6 +275,32 @@ class TestOneBufferOptimizers:
         opt.step()
         fresh_opt.step()
         assert_same_bytes(params, fresh)
+
+    def test_gather_copies_gradients_of_any_memory_order(self):
+        """A weight gradient ``(r.T @ g).T`` is F-ordered; the gather writes it,
+        a transposed view and a strided one into the buffer as ``ravel``
+        and ``concatenate`` lay them out."""
+        rng = np.random.default_rng(5)
+        params = mixed_params(5)
+        r, g = rng.normal(size=(6, 4)), rng.normal(size=(6, 3))
+        params[0].grad = (r.T @ g).T
+        params[1].grad = rng.normal(size=10)[::2]
+        params[2].grad = rng.normal(size=1)
+        params[3].grad = rng.normal(size=(3, 2)).T
+        assert params[0].grad.flags.f_contiguous and not params[0].grad.flags.c_contiguous
+        out = np.empty(sum(p.data.size for p in params))
+        _gather_grads(params, _views(out, params))
+        want = np.concatenate([p.grad.ravel() for p in params])
+        assert out.tobytes() == want.tobytes()
+
+    def test_gather_checks_every_gradient_before_writing(self):
+        params = mixed_params(6)
+        for p in params[:-1]:
+            p.grad = np.ones_like(p.data)
+        out = np.full(sum(p.data.size for p in params), -1.0)
+        with pytest.raises(ContractError, match="unpopulated gradient"):
+            _gather_grads(params, _views(out, params))
+        assert np.all(out == -1.0)
 
     @each_optimizer
     def test_no_parameters_rejected(self, make):

@@ -291,7 +291,7 @@ class TestWeightMemo:
         calls = []
         original = quant._fake_quant_arrays
         monkeypatch.setattr(quant, "_fake_quant_arrays",
-                            lambda *a: calls.append(1) or original(*a))
+                            lambda *a, **k: calls.append(1) or original(*a, **k))
         forward(layer, x)
         forward(layer, x)
         assert len(calls) == 0
