@@ -52,13 +52,14 @@ def _decode_array(section: dict, name: str) -> np.ndarray:
 
 @contextlib.contextmanager
 def atomic_writer(path):
-    """Yield a text handle on a temp file beside ``path``. On success the temp
-    file replaces ``path``; on failure it is removed and ``path`` is left as
-    it was. Lines end as written (``newline=""``), so CSV rows keep their
-    ``\r\n`` terminators."""
+    """Yield a UTF-8 text handle on a temp file beside ``path``, whatever the
+    locale, as every reader expects. On success the temp file replaces
+    ``path``; on failure it is removed and ``path`` is left as it was. Lines
+    end as written (``newline=""``), so CSV rows keep their ``\r\n``
+    terminators."""
     tmp = os.fspath(path) + ".tmp"
     try:
-        with open(tmp, "w", newline="") as fh:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -149,7 +150,7 @@ def save_student(path, net: QuantizedMlp, norm_stats=None, metadata: dict | None
 
 def _read(path) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise CheckpointFormatError(f"{path}: not a valid checkpoint: {e}") from None

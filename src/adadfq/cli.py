@@ -319,6 +319,14 @@ def cmd_report_similarity(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _utf8_word(value: str) -> str:
+    """A command-line word as UTF-8 text, whatever the locale: a C locale
+    decodes the bytes of ``é`` into two surrogate escapes, which would never
+    match the UTF-8 header of a CSV. Bytes that are not UTF-8 are a usage
+    error (argparse reports the ``ValueError``)."""
+    return os.fsencode(value).decode("utf-8")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="adadfq",
@@ -336,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--bits", type=int, required=True)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--label-column", default="label")
+    p.add_argument("--label-column", default="label", type=_utf8_word)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_quantize)
 
@@ -351,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a checkpoint on a CSV dataset")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--dataset", required=True)
-    p.add_argument("--label-column", default="label")
+    p.add_argument("--label-column", default="label", type=_utf8_word)
     p.add_argument("--out")
     p.set_defaults(func=cmd_eval)
 

@@ -35,6 +35,11 @@ class DataError(AdadfqError):
     """Malformed dataset file."""
 
 
+class WorkerError(AdadfqError):
+    """The game's trace worker ended without a reply, or failed with an
+    error that is not the package's."""
+
+
 @contextlib.contextmanager
 def utf8_only(path, error: type[AdadfqError]):
     """Raise ``error`` naming ``path`` for a byte in the block's reads of it

@@ -175,18 +175,19 @@ class QuantLinear(LinearLayer):
         self.bias = Tensor(source.bias.data.copy(), requires_grad=True)
         self.bits = bits
         self.act_state = FakeQuantState()
-        self._memo: tuple | None = None  # (latent copy, weight in use)
+        self._memo: tuple | None = None  # (latent copy, bit width, weight in use)
 
     def _weight_array(self) -> np.ndarray:
         """The fake-quantized weight, from the memo."""
         w = self.weight.data
-        if self._memo is None or not _same_bits(w, self._memo[0]):
+        if (self._memo is None or self._memo[1] != self.bits
+                or not _same_bits(w, self._memo[0])):
             latent = w.copy()
             lo = float(np.minimum.reduce(w, axis=None))
             hi = float(np.maximum.reduce(w, axis=None))
-            self._memo = (latent, latent if lo >= hi
+            self._memo = (latent, self.bits, latent if lo >= hi
                           else _fake_quant_arrays(w, lo, hi, self.bits, with_mask=False)[0])
-        return self._memo[1]
+        return self._memo[2]
 
     def _activate(self, out: np.ndarray, training: bool,
                   recording: bool) -> tuple[np.ndarray, np.ndarray | None]:

@@ -860,11 +860,12 @@ class TestModuleEntryPoint:
     """``python -m adadfq`` runs the command line from a source checkout."""
 
     @staticmethod
-    def run(*argv):
+    def run(*argv, env=(), flags=()):
+        """``python [flags] -m adadfq argv`` with ``env`` added to the environment."""
         src = os.path.dirname(os.path.dirname(os.path.abspath(adadfq.__file__)))
-        env = dict(os.environ)
+        env = {**os.environ, **dict(env)}
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        return subprocess.run([sys.executable, "-m", "adadfq", *argv], env=env,
+        return subprocess.run([sys.executable, *flags, "-m", "adadfq", *argv], env=env,
                               capture_output=True, text=True, timeout=60)
 
     def test_help_exits_zero(self):
@@ -874,3 +875,46 @@ class TestModuleEntryPoint:
 
     def test_unknown_subcommand_is_usage_error(self):
         assert self.run("no-such-command").returncode == 2
+
+
+class TestEncoding:
+    """Every file the package writes or reads is UTF-8, whatever the locale."""
+
+    C_LOCALE = {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
+
+    def test_non_ascii_label_column_under_the_c_locale(self, tmp_path):
+        cfg, out = tmp_path / "run.cfg", tmp_path / "t"
+        cfg.write_text("classes = 3\nper_class = 20\ndim = 4\nteacher_hidden = 8\n"
+                       "teacher_epochs = 1\nlabel_column = étiquette\n", encoding="utf-8")
+        run = TestModuleEntryPoint.run
+        done = run("train-teacher", "--config", str(cfg), "--out-dir", str(out),
+                   env=self.C_LOCALE)
+        assert done.returncode == 0, done.stderr
+        header = (out / "test.csv").read_bytes().split(b"\r\n", 1)[0]
+        assert header == "x0,x1,x2,x3,étiquette".encode("utf-8")
+        done = run("eval", "--ckpt", str(out / "teacher.json"), "--dataset",
+                   str(out / "test.csv"), "--label-column", "étiquette", env=self.C_LOCALE)
+        assert done.returncode == 0, done.stderr
+
+    def test_commands_name_every_encoding(self, tmp_path):
+        """No file the five commands open takes the locale's encoding."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(SMALL_CONFIG)
+        t, d = tmp_path / "t", tmp_path / "dfq"
+        student = str(d / "student_dfq_3bit.json")
+        runs = [
+            ["train-teacher", "--config", str(cfg), "--out-dir", str(t)],
+            ["quantize", "--ckpt", str(t / "teacher.json"), "--bits", "3",
+             "--dataset", str(t / "test.csv"), "--out-dir", str(tmp_path / "naive")],
+            ["dfq", "--ckpt", str(t / "teacher.json"), "--config", str(cfg),
+             "--out-dir", str(d)],
+            ["eval", "--ckpt", student, "--dataset", str(t / "test.csv")],
+            ["report-similarity", "--samples", str(d / "samples.csv"), "--ckpt",
+             str(t / "teacher.json"), "--student-ckpt", student,
+             "--out", str(tmp_path / "sim.csv")],
+        ]
+        for argv in runs:
+            done = TestModuleEntryPoint.run(
+                *argv, flags=("-X", "warn_default_encoding", "-W", "error::EncodingWarning"))
+            assert done.returncode == 0, (argv[0], done.stderr)
+            assert "EncodingWarning" not in done.stderr

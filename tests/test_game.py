@@ -1,14 +1,21 @@
 import copy
+import ctypes
 import dataclasses
+import os
+import signal
+import subprocess
+import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
 
 from adadfq import game
-from adadfq.cli import RunConfig, parse_config, train_teacher_network
+from adadfq.checkpoint import save_student
+from adadfq.cli import RunConfig, main, parse_config, train_teacher_network
 from adadfq.data import SeededRng, make_blobs, standardize
-from adadfq.errors import ConfigError, ContractError, NumericError
+from adadfq.errors import ConfigError, ContractError, NumericError, WorkerError
 from adadfq.game import (
     TRACE_FIELDS,
     EquilibriumReport,
@@ -210,16 +217,21 @@ class TestRunGame:
             RunConfig(batch_size=1)
 
 
-def desk_players(config):
-    """The desk game's players at ``config``'s sizes, set up as ``run_game``
-    sets them up, with an untrained teacher (4 classes in 8-d, 64x64)."""
+def desk_networks(config):
+    """The desk game's generator, teacher and student at ``config``'s sizes,
+    with an untrained teacher (4 classes in 8-d, 64x64)."""
     rng = SeededRng(config.seed)
     teacher = make_mlp(8, (64, 64), 4, rng.substream("teacher_init")).eval()
-    for param in teacher.parameters():
-        param.requires_grad = False
     g = ConditionalGenerator(config.noise_dim, 4, 8, rng.substream("generator_init"),
                              embed_dim=config.embed_dim, hidden=(64, 64))
-    q = build_quantized_student(teacher, config.bits)
+    return g, teacher, build_quantized_student(teacher, config.bits)
+
+
+def desk_players(config):
+    """``desk_networks`` set up as ``run_game`` sets them up."""
+    g, teacher, q = desk_networks(config)
+    for param in teacher.parameters():
+        param.requires_grad = False
     gen_opt = AdamOptimizer(g.parameters(), lr=config.gen_lr)
     cal_opt = SgdMomentum(q.parameters(), lr=config.cal_lr, momentum=config.cal_momentum,
                           weight_decay=config.cal_weight_decay)
@@ -329,6 +341,387 @@ class TestHotPath:
         with pytest.raises(NumericError, match="objective failed"):
             game_iteration(g, p, q, gen_opt, cal_opt, config, rng, 0)
         assert all(param.requires_grad for param in q.parameters())
+
+
+def hex_rows(trace):
+    """Every field of every row, floats as ``float.hex``."""
+    return [[v.hex() if isinstance(v, float) else v for v in r.as_dict().values()]
+            for r in trace]
+
+
+def in_process_game(config, mutate=None):
+    """``run_game``'s loop without a worker: the reference path. ``mutate(row,
+    q)`` runs after each row, as a ``row_callback`` would."""
+    g, p, q, gen_opt, cal_opt, rng = desk_players(config)
+    trace = []
+    for i in range(config.epochs * config.iterations_per_epoch):
+        trace.append(game_iteration(g, p, q, gen_opt, cal_opt, config, rng, i))
+        if mutate is not None:
+            mutate(trace[-1], q)
+    return trace, q
+
+
+def worker_game(config, row_callback=None, mutate=None):
+    g, p, q = desk_networks(config)
+    if mutate is not None:
+        row_callback = lambda row: mutate(row, q)  # noqa: E731
+    return run_game(g, p, q, config, row_callback), q
+
+
+def widen_after_row_1(row, q):
+    """A ``row_callback`` that sets the student to 8 bits after row 1."""
+    if row.iter == 1:
+        for layer in q.quant_linears():
+            layer.bits = 8
+
+
+def short(**kw):
+    return RunConfig(**{"epochs": 1, "iterations_per_epoch": 4, **kw})
+
+
+def runnable(path, tasks):
+    """A ``/proc/loadavg`` stand-in with ``tasks`` runnable now."""
+    path.write_text(f"0.50 0.40 0.30 {tasks}/120 4242\n")
+    return str(path)
+
+
+@pytest.fixture
+def alone(monkeypatch, tmp_path):
+    """``run_game`` sees one OS thread, one runnable task and two CPUs, so it
+    forks its worker whatever threads (a BLAS pool, say) this test process
+    runs and whatever else the machine runs."""
+    tasks = tmp_path / "task"
+    (tasks / "1").mkdir(parents=True)
+    monkeypatch.setattr(game, "_THREADS_DIR", str(tasks))
+    monkeypatch.setattr(game, "_LOADAVG", runnable(tmp_path / "loadavg", 1))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pid of every child ``os.fork`` makes in this process."""
+    pids = []
+    fork = os.fork
+
+    def spy():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", spy)
+    return pids
+
+
+def in_child_only(monkeypatch, act):
+    """Make the trace measurement call ``act()`` in any process but this one."""
+    parent, measure = os.getpid(), game._mean_disagreement_entropy
+
+    def measured(*args):
+        if os.getpid() != parent:
+            act()
+        return measure(*args)
+
+    monkeypatch.setattr(game, "_mean_disagreement_entropy", measured)
+
+
+def raise_numeric_error():
+    raise NumericError("non-finite logits (injected)")
+
+
+def kill_this_process():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def reaped(pid):
+    with pytest.raises(ChildProcessError):
+        os.waitpid(pid, os.WNOHANG)
+    return True
+
+
+@pytest.mark.usefixtures("alone")
+class TestTraceWorker:
+    @pytest.mark.parametrize("kw, mutate", [
+        ({}, None), ({"aux_ce": 0.5}, None), ({"beta": 0.0}, None), ({"gamma": 0.0}, None),
+        ({"bits": 2}, None), ({"bits": 4}, None), ({}, widen_after_row_1),
+    ], ids=["desk", "aux_ce", "beta0", "gamma0", "bits2", "bits4", "callback_sets_bits"])
+    def test_rows_and_student_bytes_match_the_in_process_path(self, kw, mutate, forks,
+                                                              tmp_path):
+        config = short(**kw)
+        reference, q_ref = in_process_game(config, mutate)
+        assert forks == []
+        trace, q = worker_game(config, mutate=mutate)
+        assert len(forks) == 1
+        assert hex_rows(trace) == hex_rows(reference)
+        save_student(tmp_path / "ref.json", q_ref)
+        save_student(tmp_path / "worker.json", q)
+        assert (tmp_path / "ref.json").read_bytes() == (tmp_path / "worker.json").read_bytes()
+
+    def test_parent_side_forwards_per_iteration(self, monkeypatch, forks):
+        """Under ``run_game`` the parent runs two generator, two teacher and
+        three student forwards per iteration; the worker runs the rest."""
+        config = short()
+        g, p, q = desk_networks(config)
+        calls = {"generator": 0, "teacher": 0, "student": 0}
+
+        def counted(cls, key, only=None):
+            original = cls.forward
+
+            def forward(self, *args):
+                if only is None or self is only:
+                    calls[key] += 1
+                return original(self, *args)
+
+            monkeypatch.setattr(cls, "forward", forward)
+
+        counted(ConditionalGenerator, "generator")
+        counted(MlpNetwork, "teacher", only=p)
+        counted(QuantizedMlp, "student")
+        run_game(g, p, q, config)
+        assert len(forks) == 1
+        assert calls == {"generator": 2 * 4, "teacher": 2 * 4, "student": 3 * 4}
+
+    def test_child_error_reaches_the_caller(self, monkeypatch, forks):
+        in_child_only(monkeypatch, raise_numeric_error)
+        with pytest.raises(NumericError) as raised:
+            worker_game(short())
+        assert type(raised.value) is NumericError
+        assert str(raised.value) == "non-finite logits (injected)"
+        assert len(forks) == 1 and reaped(forks[0])
+
+    def test_child_error_comes_before_a_later_parent_error(self, monkeypatch, forks):
+        """In-process, the generator's pre measurement raises before step (b)
+        runs; the worker's error keeps that place."""
+        def failing_objective(*args):
+            raise NumericError("step (b) failed")
+
+        in_child_only(monkeypatch, raise_numeric_error)
+        monkeypatch.setattr(game, "calibration_objective", failing_objective)
+        with pytest.raises(NumericError, match="injected"):
+            worker_game(short())
+        assert len(forks) == 1 and reaped(forks[0])
+
+    def test_a_dead_child_ends_the_run(self, monkeypatch, forks):
+        in_child_only(monkeypatch, kill_this_process)
+        with pytest.raises(WorkerError, match="ended without a reply"):
+            worker_game(short())
+        assert len(forks) == 1 and reaped(forks[0])
+
+    @pytest.mark.parametrize("act, message", [
+        (raise_numeric_error, "error: non-finite logits (injected)"),
+        (kill_this_process, "ended without a reply"),
+    ])
+    def test_dfq_exits_3_with_one_line(self, monkeypatch, forks, tmp_path, capsys, act,
+                                       message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("classes = 3\nper_class = 20\ndim = 4\nteacher_hidden = 8,8\n"
+                       "teacher_epochs = 2\ngen_hidden = 8,8\nepochs = 1\n"
+                       "iterations_per_epoch = 3\nbatch_size = 4\nnoise_dim = 4\n")
+        assert main(["train-teacher", "--config", str(cfg), "--out-dir",
+                     str(tmp_path / "t")]) == 0
+        capsys.readouterr()
+        in_child_only(monkeypatch, act)
+        rc = main(["dfq", "--ckpt", str(tmp_path / "t" / "teacher.json"), "--config",
+                   str(cfg), "--out-dir", str(tmp_path / "dfq")])
+        lines = capsys.readouterr().err.splitlines()
+        assert rc == 3
+        assert len(lines) == 1 and message in lines[0], lines
+        assert len(forks) == 1 and reaped(forks[0])
+
+    def test_child_ignores_sigint(self, monkeypatch, forks):
+        """A Ctrl-C reaches the whole process group; the parent handles it."""
+        config = short()
+        reference, _ = in_process_game(config)
+        in_child_only(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGINT))
+        trace, _ = worker_game(config)
+        assert len(forks) == 1
+        assert hex_rows(trace) == hex_rows(reference)
+
+    def test_a_ctrl_c_at_the_fork_does_not_reach_the_child(self, monkeypatch, forks):
+        """SIGINT is blocked across the fork: one that reaches the child
+        before it ignores the signal is dropped, not raised in the caller's
+        code (which would unwind this test in the child)."""
+        config = short()
+        reference, _ = in_process_game(config)
+        fork = os.fork
+
+        def interrupted_fork():
+            pid = fork()
+            if pid == 0:
+                try:
+                    os.kill(os.getpid(), signal.SIGINT)
+                except KeyboardInterrupt:
+                    os._exit(99)  # raised here: the parent sees no reply
+            return pid
+
+        monkeypatch.setattr(os, "fork", interrupted_fork)
+        trace, _ = worker_game(config)
+        assert hex_rows(trace) == hex_rows(reference)
+        assert not signal.pthread_sigmask(signal.SIG_BLOCK, set()) & {signal.SIGINT}
+
+    def test_child_is_reaped_after_a_normal_run(self, forks):
+        worker_game(short())
+        assert len(forks) == 1 and reaped(forks[0])
+
+    def test_child_is_reaped_after_an_error_in_step_b(self, monkeypatch, forks):
+        objective, calls = game.calibration_objective, []
+
+        def failing_objective(*args):
+            calls.append(1)
+            if len(calls) == 3:
+                raise NumericError("calibration failed at the third step")
+            return objective(*args)
+
+        monkeypatch.setattr(game, "calibration_objective", failing_objective)
+        with pytest.raises(NumericError, match="third step"):
+            worker_game(short())
+        assert len(forks) == 1 and reaped(forks[0])
+
+    def test_child_is_reaped_after_row_callback_raises(self, forks):
+        def stop(row):
+            if row.iter == 1:
+                raise KeyError("stop")
+
+        with pytest.raises(KeyError):
+            worker_game(short(), row_callback=stop)
+        assert len(forks) == 1 and reaped(forks[0])
+
+
+def start_native_thread():
+    """A thread that Python's ``threading`` does not know of, as a BLAS pool's
+    are: libc's ``sleep`` run by ``pthread_create``. Returns its stopper."""
+    libc = ctypes.CDLL(None)
+    libc.pthread_create.argtypes = [ctypes.POINTER(ctypes.c_ulong), ctypes.c_void_p,
+                                    ctypes.c_void_p, ctypes.c_void_p]
+    libc.pthread_cancel.argtypes = [ctypes.c_ulong]
+    libc.pthread_join.argtypes = [ctypes.c_ulong, ctypes.c_void_p]
+    for call in (libc.pthread_create, libc.pthread_cancel, libc.pthread_join):
+        call.restype = ctypes.c_int
+    tid = ctypes.c_ulong()
+    sleep = ctypes.cast(libc.sleep, ctypes.c_void_p)  # sleep(60): the argument is 60
+    assert libc.pthread_create(ctypes.byref(tid), None, sleep, 60) == 0
+
+    def stop():
+        assert libc.pthread_cancel(tid) == 0
+        assert libc.pthread_join(tid, None) == 0
+
+    return stop
+
+
+class TestWorkerSelection:
+    """``run_game`` forks only on Linux, from a process of one OS thread,
+    with a second CPU; otherwise it measures in-process, with the same rows."""
+
+    def test_without_fork_the_game_runs_in_process(self, monkeypatch, alone):
+        config = short()
+        reference, _ = in_process_game(config)
+        monkeypatch.delattr(os, "fork")
+        trace, _ = worker_game(config)
+        assert hex_rows(trace) == hex_rows(reference)
+
+    def test_with_one_cpu_the_game_runs_in_process(self, monkeypatch, alone, forks):
+        config = short()
+        reference, _ = in_process_game(config)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        trace, _ = worker_game(config)
+        assert forks == []
+        assert hex_rows(trace) == hex_rows(reference)
+
+    def test_beside_another_busy_task_the_game_runs_in_process(self, monkeypatch, tmp_path,
+                                                                  alone, forks):
+        """Two tasks runnable on two CPUs: the child would take a core
+        from the other one (two dfq runs side by side, say)."""
+        config = short()
+        reference, _ = in_process_game(config)
+        monkeypatch.setattr(game, "_LOADAVG", runnable(tmp_path / "busy", 2))
+        trace, _ = worker_game(config)
+        assert forks == []
+        assert hex_rows(trace) == hex_rows(reference)
+
+    @pytest.mark.parametrize("text", ["", "0.50 0.40 0.30\n", "0.50 0.40 0.30 x/120 1\n"])
+    def test_an_unreadable_load_runs_in_process(self, monkeypatch, tmp_path, alone, forks,
+                                               text):
+        (tmp_path / "odd").write_text(text)
+        monkeypatch.setattr(game, "_LOADAVG", str(tmp_path / "odd"))
+        worker_game(short())
+        monkeypatch.setattr(game, "_LOADAVG", str(tmp_path / "missing"))
+        worker_game(short())
+        assert forks == []
+
+    def test_with_a_second_thread_the_game_runs_in_process(self, monkeypatch, tmp_path,
+                                                           forks):
+        config = short()
+        reference, _ = in_process_game(config)
+        monkeypatch.setattr(game, "_LOADAVG", runnable(tmp_path / "loadavg", 1))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        done = threading.Event()
+        other = threading.Thread(target=done.wait)
+        other.start()
+        try:
+            trace, _ = worker_game(config)
+        finally:
+            done.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert forks == []
+        assert hex_rows(trace) == hex_rows(reference)
+
+    def test_with_a_second_native_thread_the_game_runs_in_process(self, monkeypatch, tmp_path,
+                                                                  forks):
+        """``threading.active_count()`` is 1 here; the process has two OS
+        threads, and Python 3.12 would warn about a fork."""
+        config = short()
+        reference, _ = in_process_game(config)
+        monkeypatch.setattr(game, "_LOADAVG", runnable(tmp_path / "loadavg", 1))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        stop = start_native_thread()
+        try:
+            assert threading.active_count() == 1
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                trace, _ = worker_game(config)
+        finally:
+            stop()
+        assert forks == []
+        assert not [w for w in caught if "fork" in str(w.message)]
+        assert hex_rows(trace) == hex_rows(reference)
+
+    def test_a_process_of_one_thread_forks_without_a_warning(self, tmp_path):
+        """The real thread count, in a process whose BLAS runs no pool: ``dfq``
+        forks its worker where the affinity mask holds a second CPU (with
+        the machine's load read as one runnable task, so other work on it
+        does not decide), and Python (3.12 on) raises no fork-with-threads
+        warning."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("classes = 3\nper_class = 20\ndim = 4\nteacher_hidden = 8,8\n"
+                       "teacher_epochs = 2\ngen_hidden = 8,8\nepochs = 1\n"
+                       "iterations_per_epoch = 3\nbatch_size = 4\nnoise_dim = 4\n")
+        assert main(["train-teacher", "--config", str(cfg), "--out-dir",
+                     str(tmp_path / "t")]) == 0
+        script = "\n".join([
+            "import os, sys, warnings",
+            "from adadfq import game",
+            "from adadfq.cli import main",
+            f"game._LOADAVG = {runnable(tmp_path / 'loadavg', 1)!r}",
+            "pids, fork = [], os.fork",
+            "os.fork = lambda: pids.append(fork()) or pids[-1]",
+            "with warnings.catch_warnings(record=True) as caught:",
+            "    warnings.simplefilter('always')",
+            "    rc = main(sys.argv[1:])",
+            "print(rc, len(pids), len(os.sched_getaffinity(0)),",
+            "      sum('fork' in str(w.message) for w in caught))",
+        ])
+        src = os.path.dirname(os.path.dirname(os.path.abspath(game.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = "1"
+        done = subprocess.run(
+            [sys.executable, "-c", script, "dfq", "--ckpt", str(tmp_path / "t" / "teacher.json"),
+             "--config", str(cfg), "--out-dir", str(tmp_path / "dfq")],
+            env=env, capture_output=True, text=True, timeout=120)
+        rc, forked, cpus, warned = map(int, done.stdout.splitlines()[-1].split())
+        assert (rc, warned) == (0, 0), done.stderr
+        assert forked == (1 if cpus > 1 else 0)
 
 
 def fake_row(i, **kw):

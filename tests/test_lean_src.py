@@ -14,6 +14,7 @@ import sys
 import pytest
 
 import adadfq
+from adadfq import game
 from adadfq.cli import main
 
 PACKAGE_DIR = os.path.dirname(os.path.abspath(adadfq.__file__))
@@ -31,6 +32,8 @@ ALLOWED = {
     "tensor._unbroadcast": "softmax's gradient needs it; no command broadcasts a gradient",
     "tensor.Tensor.__repr__": "for a reader at the prompt or in a failing test",
     "config.parse_config": "a config file to a RunConfig in one call, for the tests",
+    # runs, but only in the forked child, where the profiler does not see it
+    "game._TraceWorker._serve": "the trace worker's loop, run in the forked child only",
 }
 
 CONFIG = """
@@ -110,13 +113,21 @@ def called(tmp_path_factory):
         if event == "call":
             seen.add(frame.f_code)
 
-    for argv in runs:
-        sys.setprofile(profile)
-        try:
-            rc = main(argv)
-        finally:
-            sys.setprofile(None)
-        assert rc == 0, argv
+    # dfq forks its trace worker as in a process of one OS thread with two
+    # idle CPUs, whatever threads (a BLAS pool, say) this test process runs
+    (root / "task" / "1").mkdir(parents=True)
+    (root / "loadavg").write_text("0.50 0.40 0.30 1/120 4242\n")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(game, "_THREADS_DIR", str(root / "task"))
+        patch.setattr(game, "_LOADAVG", str(root / "loadavg"))
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        for argv in runs:
+            sys.setprofile(profile)
+            try:
+                rc = main(argv)
+            finally:
+                sys.setprofile(None)
+            assert rc == 0, argv
     return seen
 
 

@@ -299,3 +299,8 @@ class TestWeightMemo:
         forward(layer, x)
         forward(layer, x)
         assert len(calls) == 1
+
+    def test_weight_requantized_when_the_bit_width_changes(self):
+        layer, x = self.layer()
+        layer.bits = 2
+        self.assert_matches_fresh_quantization(layer, x)
