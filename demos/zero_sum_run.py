@@ -13,9 +13,8 @@ roughly cancel.
 import numpy as np
 
 from adadfq.cli import RunConfig, evaluate_network, train_teacher_network
-from adadfq.data import SeededRng, make_blobs, standardize, apply_standardization
-from adadfq.game import equilibrium_report, run_game
-from adadfq.nn import ConditionalGenerator
+from adadfq.data import make_blobs, standardize, apply_standardization
+from adadfq.game import equilibrium_report, make_players, run_game
 from adadfq.quant import build_quantized_student
 from adadfq.tensor import Tensor
 
@@ -55,11 +54,8 @@ print(f"naive 3-bit accuracy:  {n_acc:.3f}  (drop {100 * (t_acc - n_acc):.1f} po
 # From here on, only the teacher's weights and BN statistics are used; the
 # dataset never appears again. 1200 iterations keeps the demo under a minute.
 
-game_cfg = RunConfig(epochs=24, iterations_per_epoch=50, seed=SEED, cal_lr=1e-3)
-rng = SeededRng(SEED)
-generator = ConditionalGenerator(game_cfg.noise_dim, 4, 8, rng.substream("generator_init"),
-                                 game_cfg.embed_dim, game_cfg.hidden_widths(game_cfg.gen_hidden))
-student = build_quantized_student(teacher, 3)
+game_cfg = RunConfig(epochs=24, iterations_per_epoch=50, seed=SEED, cal_lr=1e-3, bits=3)
+generator, student = make_players(teacher, game_cfg)
 
 trace = run_game(generator, teacher, student, game_cfg)
 

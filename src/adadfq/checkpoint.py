@@ -5,7 +5,9 @@ Parameter and buffer arrays are serialized as base64-wrapped little-endian
 logits round-trip without drift. Loads are strict: a checkpoint must hold
 exactly the network's parameters and buffers, with its shapes and finite
 values, and well-formed architecture, quant and norm_stats sections, or
-loading raises CheckpointFormatError. The architecture section is written
+loading raises CheckpointFormatError. The architecture is checked against
+the arrays' shapes before a network is built from it, so a load allocates
+no more than the file holds. The architecture section is written
 from the network itself: the hidden widths are the output sizes of every
 linear layer but the last, so a saved file always matches its weights.
 
@@ -20,8 +22,8 @@ import base64
 import contextlib
 import csv
 import json
-import math
 import os
+import sys
 
 import numpy as np
 
@@ -87,27 +89,35 @@ def write_csv(path, rows, header=None) -> None:
                                for v in row]) + "\r\n")
 
 
-def _load_state(net, doc: dict, path) -> None:
-    """Copy the checkpoint's arrays into ``net``. The names must be exactly the
-    network's parameters and buffers, with the network's shapes and finite
-    values."""
-    params = {k: p.data for k, p in net.named_parameters().items()}
-    for section, targets in (("params", params), ("buffers", net.named_buffers())):
+def _decoded(doc: dict, path) -> dict[str, dict[str, np.ndarray]]:
+    """The arrays of the params and buffers sections, decoded, each finite."""
+    arrays = {}
+    for section in ("params", "buffers"):
         payload = doc.get(section)
         if not isinstance(payload, dict):
             raise CheckpointFormatError(f"{path}: missing {section} section")
+        arrays[section] = {name: _decode_array(payload, name) for name in payload}
+        for name, value in arrays[section].items():
+            if not np.all(np.isfinite(value)):
+                raise CheckpointFormatError(f"{path}: {name!r} holds non-finite values")
+    return arrays
+
+
+def _load_state(net, arrays: dict, path) -> None:
+    """Copy the decoded arrays into ``net``. The names must be exactly the
+    network's parameters and buffers, with the network's shapes."""
+    params = {k: p.data for k, p in net.named_parameters().items()}
+    for section, targets in (("params", params), ("buffers", net.named_buffers())):
+        payload = arrays[section]
         missing, unknown = targets.keys() - payload.keys(), payload.keys() - targets.keys()
         if missing or unknown:
             raise CheckpointFormatError(f"{path}: {section} do not match the architecture "
                                         f"(missing {sorted(missing)}, unknown {sorted(unknown)})")
         for name, target in targets.items():
-            value = _decode_array(payload, name)
-            if value.shape != target.shape:
+            if payload[name].shape != target.shape:
                 raise CheckpointFormatError(
-                    f"{path}: {name!r} has shape {value.shape}, want {target.shape}")
-            if not np.all(np.isfinite(value)):
-                raise CheckpointFormatError(f"{path}: {name!r} holds non-finite values")
-            target[...] = value
+                    f"{path}: {name!r} has shape {payload[name].shape}, want {target.shape}")
+            target[...] = payload[name]
 
 
 def _save(path, kind: str, net, norm_stats, metadata, **sections) -> None:
@@ -168,11 +178,13 @@ def _count(v, least: int = 1) -> bool:
 
 
 def _act_range(rg) -> bool:
-    """Finite numbers, or both None for a site that never observed a batch."""
+    """Numbers finite as float64 (an int is compared exactly, so 10**400 is
+    not), or both None for a site that never observed a batch."""
     if not isinstance(rg, dict):
         return False
     pair = [rg.get("min"), rg.get("max")]
-    return pair == [None, None] or all(type(v) in (int, float) and math.isfinite(v) for v in pair)
+    return pair == [None, None] or all(
+        type(v) in (int, float) and abs(v) <= sys.float_info.max for v in pair)
 
 
 def _check_sections(doc: dict, path) -> None:
@@ -205,7 +217,15 @@ def load_checkpoint(path):
         raise CheckpointFormatError(f"{path}: unsupported checkpoint kind {doc.get('kind')!r}")
     _check_sections(doc, path)
     norm_stats_from(doc)  # checked here, so no command fails on it after its work
+    arrays = _decoded(doc, path)
     arch = doc["architecture"]
+    # The widths must be the weights' (linear layer k is make_mlp's layers.{3k})
+    # before a network is built from them: a load allocates what the file holds.
+    dims = [arch["input_dim"], *arch["hidden"], arch["num_classes"]]
+    for k, shape in enumerate(zip(dims[1:], dims)):
+        if getattr(arrays["params"].get(f"layers.{3 * k}.weight"), "shape", None) != shape:
+            raise CheckpointFormatError(f"{path}: architecture widths {dims} do not "
+                                        "match the weights' shapes")
     rng = np.random.default_rng(0)  # shapes only; weights are overwritten below
     net = make_mlp(arch["input_dim"], tuple(arch["hidden"]), arch["num_classes"], rng)
     if doc["kind"] == "student":
@@ -216,8 +236,9 @@ def load_checkpoint(path):
         if len(ranges) != len(states):
             raise CheckpointFormatError(f"{path}: activation range count mismatch")
         for st, rg in zip(states, ranges):
-            st.observed_min, st.observed_max = rg["min"], rg["max"]
-    _load_state(net, doc, path)
+            if rg["min"] is not None:
+                st.observed_min, st.observed_max = float(rg["min"]), float(rg["max"])
+    _load_state(net, arrays, path)
     return net.eval(), doc
 
 

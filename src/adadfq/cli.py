@@ -13,7 +13,6 @@ opens any dataset file.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import os
@@ -23,7 +22,7 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from .adaptability import disagreement_vector
-from .config import RunConfig, _read_config, parse_config  # noqa: F401 (parse_config re-exported)
+from .config import RunConfig, read_config
 from .data import (
     Dataset,
     SeededRng,
@@ -31,16 +30,14 @@ from .data import (
     load_csv,
     make_blobs,
     make_rings,
-    require_finite,
     sample_noise_and_labels,
     save_csv,
     standardize,
     stratified_split,
 )
-from .errors import (AdadfqError, CheckpointFormatError, ConfigError, ContractError, DataError,
-                     utf8_only)
-from .game import TRACE_FIELDS, equilibrium_report, run_game
-from .nn import AdamOptimizer, ConditionalGenerator, MlpNetwork, make_mlp
+from .errors import AdadfqError, CheckpointFormatError, ConfigError, ContractError, DataError
+from .game import TRACE_FIELDS, equilibrium_report, make_players, run_game
+from .nn import AdamOptimizer, MlpNetwork, make_mlp
 from .quant import build_quantized_student
 from .tensor import Tensor, backward, cross_entropy_from_logits, no_grad, zero_grads
 
@@ -52,7 +49,7 @@ EVAL_BATCH = 256  # rows per read-only forward
 def _command_config(args) -> RunConfig:
     """The command's config with its --seed and --bits applied, range-checked
     as a whole before the command reads or writes anything."""
-    values = _read_config(getattr(args, "config", None))
+    values = read_config(getattr(args, "config", None))
     for key in ("seed", "bits"):
         if getattr(args, key, None) is not None:
             values[key] = getattr(args, key)
@@ -175,11 +172,6 @@ def cmd_train_teacher(args) -> int:
     return 0
 
 
-def _load_eval_dataset(path: str, label_column: str, doc: dict) -> Dataset:
-    stats = ckpt.norm_stats_from(doc)
-    return load_csv(path, label_column, stats=stats)
-
-
 def _load_teacher(path: str):
     teacher, doc = ckpt.load_checkpoint(path)
     if doc["kind"] != "teacher":
@@ -192,7 +184,7 @@ def cmd_quantize(args) -> int:
     teacher, doc = _load_teacher(args.ckpt)
     student = build_quantized_student(teacher, bits)
 
-    ds = _load_eval_dataset(args.dataset, args.label_column, doc)
+    ds = load_csv(args.dataset, args.label_column, stats=ckpt.norm_stats_from(doc))
     # Observe activation ranges over the provided data, then score in eval mode.
     _forward_batched(student.train(), ds.features)
     student.eval()
@@ -230,13 +222,7 @@ def cmd_dfq(args) -> int:
     teacher, doc = _load_teacher(args.ckpt)
     num_classes, input_dim = teacher.output_dim, teacher.input_dim
 
-    rng = SeededRng(cfg.seed)
-    generator = ConditionalGenerator(
-        cfg.noise_dim, num_classes, input_dim, rng.substream("generator_init"),
-        embed_dim=cfg.embed_dim, hidden=cfg.hidden_widths(cfg.gen_hidden),
-    )
-    student = build_quantized_student(teacher, cfg.bits)
-
+    generator, student = make_players(teacher, cfg)
     os.makedirs(args.out_dir, exist_ok=True)
     trace = run_game(generator, teacher, student, cfg)
     ckpt.write_csv(os.path.join(args.out_dir, "trace.csv"),
@@ -278,7 +264,7 @@ def cmd_dfq(args) -> int:
 
 def cmd_eval(args) -> int:
     net, doc = ckpt.load_checkpoint(args.ckpt)
-    ds = _load_eval_dataset(args.dataset, args.label_column, doc)
+    ds = load_csv(args.dataset, args.label_column, stats=ckpt.norm_stats_from(doc))
     report = evaluate_network(net, ds)
     if args.out:
         _write_json(args.out, report)
@@ -294,18 +280,7 @@ def cmd_report_similarity(args) -> int:
     if shapes[0] != shapes[1]:
         raise ContractError(f"{args.student_ckpt}: student (input_dim, classes) {shapes[1]} "
                             f"does not match the teacher's {shapes[0]}")
-    with open(args.samples, newline="", encoding="utf-8-sig") as fh, \
-            utf8_only(args.samples, DataError):
-        reader = csv.reader(fh)
-        if next(reader, None) is None:
-            raise DataError(f"{args.samples}: empty sample dump")
-        try:
-            features = np.asarray([[float(v) for v in row[2:]] for row in reader])
-        except ValueError:
-            raise DataError(f"{args.samples}: non-numeric or ragged sample rows") from None
-    if features.ndim != 2:
-        raise DataError(f"{args.samples}: no sample rows after the header")
-    require_finite(args.samples, features)
+    features = load_csv(args.samples, "label").features[:, 1:]  # drop sample_index
     if features.shape[1] != teacher.input_dim:
         raise ContractError(
             f"sample dump width {features.shape[1]} does not match network input {teacher.input_dim}"

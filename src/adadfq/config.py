@@ -24,9 +24,8 @@ behind that boundary:
     dataset keys in range, none ignored           RunConfig
     dataset CSV exists and parses                 train-teacher, data.load_csv
     CSV standardized once, from the train split   train-teacher
-    config, CSV, sample dump UTF-8 (BOM dropped)  config._read_config; data.load_csv;
-                                                  report-similarity
-    CSV and sample-dump values finite             data.load_csv; report-similarity
+    config, CSV, sample dump UTF-8 (BOM dropped)  config.read_config; data.load_csv
+    CSV and sample-dump values finite             data.load_csv
     CSV labels integers in [0, 2**63)             data.load_csv
     CSV feature count = the statistics'           data.load_csv (eval, quantize)
     CSV labels are exactly 0..C-1, C >= 2         train-teacher (cli._build_dataset)
@@ -143,7 +142,7 @@ class RunConfig:
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 
-def _read_config(path: str | None) -> dict:
+def read_config(path: str | None) -> dict:
     """The settings of the config file at ``path`` (none for None), each
     parsed to its key's type; ranges are checked by ``RunConfig`` itself."""
     values = {}
@@ -169,8 +168,3 @@ def _read_config(path: str | None) -> dict:
                     f"{path}:{line_no}: cannot parse {value!r} as {types[key].__name__}"
                 ) from None
     return values
-
-
-def parse_config(path: str | None) -> RunConfig:
-    """The config file at ``path`` (the defaults for None), range-checked."""
-    return RunConfig(**_read_config(path))

@@ -155,16 +155,6 @@ def save_csv(ds: Dataset, path, label_column: str = "label") -> None:
               header=[f"x{i}" for i in range(ds.dim)] + [label_column])
 
 
-def require_finite(path, table: np.ndarray) -> None:
-    """Raise DataError naming the first line of ``path`` (a file with one
-    header line and then one line per row of ``table``) that holds a NaN or
-    an infinity. The line is looked for only once the check has failed."""
-    finite = np.isfinite(table)
-    if not finite.all():
-        line = int(np.argmin(finite.all(axis=1))) + 2
-        raise DataError(f"{path}:{line}: non-finite value")
-
-
 def load_csv(path, label_column: str = "label",
              stats: tuple[np.ndarray, np.ndarray] | None = None) -> Dataset:
     """Parse a comma-separated UTF-8 file with a header row into a dataset;
@@ -205,7 +195,9 @@ def load_csv(path, label_column: str = "label",
     if not rows:
         raise DataError(f"{path}: no data rows after the header")
     table = np.asarray(rows)
-    require_finite(path, table)
+    finite = np.isfinite(table)
+    if not finite.all():  # name the first line that holds a NaN or an infinity
+        raise DataError(f"{path}:{int(np.argmin(finite.all(axis=1))) + 2}: non-finite value")
     labels = table[:, label_idx]
     bad = ~((labels >= 0.0) & (labels == np.trunc(labels)) & (labels < 2.0 ** 63))
     if bad.any():

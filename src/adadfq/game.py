@@ -5,9 +5,12 @@ generator takes one ascent step on its objective over a fresh (noise, label)
 batch. (b) With the updated generator frozen, the student takes one descent
 step on the calibration loss over a second fresh batch; reusing the
 generator's batch would couple the two objectives' expectations, so each
-player gets its own draw. The teacher is never touched: ``run_game`` freezes
-its parameters, so gradients flow through it to the samples but no teacher
-weight gradient is computed.
+player gets its own draw. The teacher is never touched: a game's state
+freezes its parameters, so gradients flow through it to the samples but no
+teacher weight gradient is computed.
+
+One game is one ``GameState``, whose players ``make_players`` builds;
+``game_iteration(state)`` plays one iteration and ``run_game`` them all.
 
 The trajectory gains are measured on unnormalized disagreement entropy
 H_info(p_ds): delta_g is the change in the batch mean across the generator's
@@ -38,14 +41,12 @@ per iteration. The worker runs the pair: two of each. Its life:
 
 * *fork*: lazily, at the first hand-off inside ``game_iteration``, so the
   child is a copy-on-write image of the players and no network is pickled;
-* *hand-off*: each iteration the parent copies into one shared anonymous
-  ``mmap`` what the game moved since: the generator's Adam storage and BN
-  running statistics, ``z1`` and ``y1``, and the student's SGD storage,
-  activation ranges and bit widths. It then writes a command byte on a
-  pipe. After the generator's step it copies the new Adam storage into the
-  same place, once the child has taken the old one out. The child runs the
-  same functions on the same state, so every output byte is the in-process
-  path's;
+* *hand-off*: each iteration the parent copies what the game moved since
+  (``_mirrored``) into one shared anonymous ``mmap`` and writes a command
+  byte on a pipe. After the generator's step it copies in the new
+  parameters, once the child has taken the old ones out. The child runs
+  the same functions on the same state, so every output byte is the
+  in-process path's;
 * *collect*: the parent reads the two floats back before it builds the
   row. An ``AdadfqError`` the child raised is raised in the parent with
   its class and message, and it takes the place of an error the parent
@@ -63,12 +64,12 @@ thread (native threads such as a BLAS pool count; ``perfbench`` pins BLAS
 to one thread, an unpinned numpy starts a pool), when fewer tasks are
 runnable than there are CPUs in its affinity mask (on one CPU, or beside
 another busy run, the fork only adds work). It decides once per run.
-Otherwise, and whenever ``game_iteration`` is called without a worker,
-the pair is measured in-process, which is the reference the worker is
-tested against. The rows match it as long as ``row_callback`` changes
-only what the worker mirrors; a callback that changes the teacher, the
-student's copied batch-norm statistics, or swaps a parameter's array for
-another is not seen by the worker.
+Otherwise the pair is measured in-process, as it is by any state without
+a worker; that is the reference the worker is tested against. The rows
+match it as long as ``row_callback`` changes only what the worker mirrors;
+a callback that changes the teacher, the student's copied batch-norm
+statistics, or swaps a parameter's array for another is not seen by the
+worker.
 """
 
 from __future__ import annotations
@@ -90,7 +91,7 @@ from .config import RunConfig
 from .data import SeededRng, sample_noise_and_labels
 from .errors import AdadfqError, ContractError, NumericError, WorkerError
 from .nn import AdamOptimizer, ConditionalGenerator, MlpNetwork, SgdMomentum
-from .quant import QuantizedMlp
+from .quant import QuantizedMlp, build_quantized_student
 from .tensor import Tensor, backward, cross_entropy_from_logits, no_grad, zero_grads
 
 
@@ -123,6 +124,38 @@ class TraceRow:
 TRACE_FIELDS = [f.name for f in fields(TraceRow)]
 
 
+def make_players(teacher: MlpNetwork,
+                 config: RunConfig) -> tuple[ConditionalGenerator, QuantizedMlp]:
+    """The generator (``noise_dim``, ``embed_dim``, ``gen_hidden``, drawn from
+    ``seed``) and the ``bits``-wide student of a game against ``teacher``."""
+    g = ConditionalGenerator(config.noise_dim, teacher.output_dim, teacher.input_dim,
+                             SeededRng(config.seed).substream("generator_init"),
+                             embed_dim=config.embed_dim,
+                             hidden=config.hidden_widths(config.gen_hidden))
+    return g, build_quantized_student(teacher, config.bits)
+
+
+class GameState:
+    """Generator ``g`` and student ``q`` against teacher ``p``: the players,
+    ``config``, both optimizers, the noise and label streams, the next
+    iteration's index and the trace worker (None: measure in-process).
+    Making one freezes the teacher's parameters for good."""
+
+    def __init__(self, g: ConditionalGenerator, p: MlpNetwork, q: QuantizedMlp,
+                 config: RunConfig, worker: _TraceWorker | None = None):
+        self.g, self.p, self.q, self.config, self.worker = g, p, q, config, worker
+        self.gen_opt = AdamOptimizer(g.parameters(), lr=config.gen_lr)
+        self.cal_opt = SgdMomentum(q.parameters(), lr=config.cal_lr,
+                                   momentum=config.cal_momentum,
+                                   weight_decay=config.cal_weight_decay)
+        self.rng = SeededRng(config.seed)
+        self.iteration = 0
+        p.eval()
+        for param in p.parameters():
+            param.requires_grad = False
+            param.zero_grad()
+
+
 def _eval_sample(g: ConditionalGenerator, p: MlpNetwork,
                  z: Tensor, y: Tensor) -> tuple[Tensor, Tensor]:
     """Samples for (z, y) and the teacher's logits on them, as constants."""
@@ -145,6 +178,29 @@ def _mean_disagreement_entropy(x: Tensor, z_p: Tensor, q: QuantizedMlp) -> float
     return _batch_mean_entropy(z_p, z_q)
 
 
+def _mirrored(state: GameState, z: Tensor, y: Tensor) -> list[tuple[np.ndarray, object]]:
+    """What the trace worker mirrors, in slot order, as (the parent's array,
+    the setter that puts a copy into the child's players, or None to copy
+    into that array). The slot's layout and every hand-off read this one
+    list, so a player state the game changes belongs here. The generator's
+    parameters come first: after its step, they alone are handed over."""
+    layers = state.q.quant_linears()
+
+    def set_quant(rows):
+        for layer, (lo, hi, bits) in zip(layers, rows.tolist()):
+            layer.act_state.observed_min, layer.act_state.observed_max = lo, hi
+            layer.bits = int(bits)
+
+    # Each student layer's activation range and bit width. A range of None is
+    # NaN here, which has_range rejects as it does None.
+    quant = [(layer.act_state.observed_min, layer.act_state.observed_max, layer.bits)
+             for layer in layers]
+    return [(state.gen_opt.storage, None),
+            *((a, None) for bn in state.g.bn_layers() for a in (bn.running_mean, bn.running_var)),
+            (z.data, None), (y.data, None), (state.cal_opt.storage, None),
+            (np.array(quant, dtype=np.float64), set_quant)]
+
+
 # Bytes read from the reply pipe at once; an error report is cut to this size,
 # which is within PIPE_BUF, so the child writes it in one piece.
 _REPLY_BYTES = 4096
@@ -153,37 +209,29 @@ _REPLY_BYTES = 4096
 class _TraceWorker:
     """The forked child that measures h_info_pre_g and h_info_post_g (see the
     module docstring). Commands on the pipe: ``a`` (the pre state is in the
-    slot) and ``b`` (the post Adam storage is). Replies: ``k`` (the child has
-    copied the pre state out), ``r`` (both floats are in the slot), or ``e``
-    and a report, after which the child ignores commands until EOF."""
+    slot) and ``b`` (the generator's parameters after its step are). Replies:
+    ``k`` (the child has copied the pre state out), ``r`` (both floats are in
+    the slot), or ``e`` and a report, after which the child ignores commands
+    until EOF."""
 
     def __init__(self):
         self._pid: int | None = None  # forked at the first hand-off
         self._in_flight = False  # handed over, not yet collected
 
-    def hand_pre(self, g: ConditionalGenerator, p: MlpNetwork, q: QuantizedMlp,
-                 z: Tensor, y: Tensor, gen_opt: AdamOptimizer, cal_opt: SgdMomentum) -> None:
-        """Hand over the state h_info_pre_g reads; forks at the first call."""
+    def hand_pre(self, state: GameState, z: Tensor, y: Tensor) -> None:
+        """Hand over what h_info_pre_g reads (``_mirrored``); forks at the first call."""
+        self._mirror = _mirrored(state, z, y)
         if self._pid is None:
-            self._start(g, p, q, z, y, gen_opt, cal_opt)
-        np.copyto(self._gen, gen_opt.storage)
-        for bn, (mean, var) in zip(g.bn_layers(), self._stats):
-            np.copyto(mean, bn.running_mean)
-            np.copyto(var, bn.running_var)
-        np.copyto(self._z, z.data)
-        np.copyto(self._y, y.data)
-        np.copyto(self._student, cal_opt.storage)
-        for pair, st in zip(self._ranges, q.act_states()):
-            # NaN for a site without a range: has_range is then False, as for None
-            pair[...] = (st.observed_min, st.observed_max) if st.has_range else np.nan
-        self._bits[:] = [layer.bits for layer in q.quant_linears()]
+            self._start(state, z, y)
+        for view, (array, _) in zip(self._slot, self._mirror):
+            np.copyto(view, array)
         self._send(b"a")
         self._in_flight = True
 
-    def hand_post(self, gen_opt: AdamOptimizer) -> None:
-        """Hand over the Adam storage after the generator's step."""
-        self._receive(b"k")  # the slot's pre storage is no longer read
-        np.copyto(self._gen, gen_opt.storage)
+    def hand_post(self) -> None:
+        """Hand over the generator's parameters after its step."""
+        self._receive(b"k")  # the slot's pre parameters are no longer read
+        np.copyto(self._slot[0], self._mirror[0][0])
         self._send(b"b")
 
     def collect(self) -> tuple[float, float]:
@@ -206,23 +254,17 @@ class _TraceWorker:
             os.close(self._replies)
             os.waitpid(self._pid, 0)
 
-    def _start(self, g, p, q, z, y, gen_opt, cal_opt) -> None:
+    def _start(self, state: GameState, z: Tensor, y: Tensor) -> None:
         """Make the shared slot and both pipes, then fork. The child serves
         and leaves through ``os._exit``; it never returns from here."""
         import mmap  # only a forked game needs these; the package does not
         import signal
 
-        layout = [gen_opt.storage, *(a for bn in g.bn_layers()
-                                     for a in (bn.running_mean, bn.running_var)),
-                  z.data, y.data, cal_opt.storage, np.empty((len(q.act_states()), 2)),
-                  np.empty(len(q.quant_linears())), np.empty(2)]
+        layout = [array for array, _ in self._mirror] + [np.empty(2)]
         sizes = [a.size for a in layout]
         flat = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)), dtype=np.float64)
-        views = [v.reshape(a.shape)
-                 for v, a in zip(np.split(flat, np.cumsum(sizes)[:-1]), layout)]
-        (self._gen, *stats, self._z, self._y, self._student, self._ranges, self._bits,
-         self._results) = views
-        self._stats = list(zip(stats[::2], stats[1::2]))
+        *self._slot, self._results = [
+            v.reshape(a.shape) for v, a in zip(np.split(flat, np.cumsum(sizes)[:-1]), layout)]
         commands, self._commands = os.pipe()
         self._replies, replies = os.pipe()
         # A SIGINT that lands during the fork waits: the child ignores it
@@ -236,7 +278,7 @@ class _TraceWorker:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             raise
         if self._pid == 0:
-            self._serve(signal, mask, g, p, q, gen_opt, cal_opt, commands, replies)
+            self._serve(signal, mask, state, z, y, commands, replies)
         os.close(commands)
         os.close(replies)
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
@@ -268,39 +310,34 @@ class _TraceWorker:
         if expected:
             raise WorkerError(f"the trace worker (pid {self._pid}) ended without a reply")
 
-    def _serve(self, signal, mask, g, p, q, gen_opt, cal_opt,
+    def _serve(self, signal, mask, state: GameState, z: Tensor, y: Tensor,
                commands: int, replies: int) -> None:
-        """The child's loop. The players are its copy-on-write image; each
-        command copies the slot into their storage and measures as the
-        in-process path does. The BN statistics and ``z1``, ``y1`` are read
-        from the slot in place: the parent rewrites them only after it has
-        collected."""
+        """The child's loop. The players and the first hand-off's ``z``,
+        ``y`` are its copy-on-write image; ``a`` copies every entry of
+        ``_mirrored`` out of the slot into them, ``b`` the first, and each
+        measures as the in-process path does."""
         status = 1
         try:
             signal.signal(signal.SIGINT, signal.SIG_IGN)
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             os.close(self._commands)
             os.close(self._replies)
-            for bn, (mean, var) in zip(g.bn_layers(), self._stats):
-                bn.running_mean, bn.running_var = mean, var
-            z, y = Tensor(self._z), Tensor(self._y)
-            states, layers = q.act_states(), q.quant_linears()
             failed = False
             while command := os.read(commands, 1):
                 if failed:
                     continue  # the parent has the report; wait for its EOF
                 try:
                     pre = command == b"a"
-                    np.copyto(gen_opt.storage, self._gen)
+                    handed = len(self._slot) if pre else 1  # ``b``: the first entry alone
+                    for view, (array, put) in zip(self._slot[:handed], self._mirror):
+                        if put is None:
+                            np.copyto(array, view)
+                        else:
+                            put(view)
                     if pre:
-                        np.copyto(cal_opt.storage, self._student)
-                        for st, (lo, hi) in zip(states, self._ranges.tolist()):
-                            st.observed_min, st.observed_max = lo, hi
-                        for layer, bits in zip(layers, self._bits.tolist()):
-                            layer.bits = int(bits)
                         os.write(replies, b"k")
                     self._results[0 if pre else 1] = _mean_disagreement_entropy(
-                        *_eval_sample(g, p, z, y), q)
+                        *_eval_sample(state.g, state.p, z, y), state.q)
                     if not pre:
                         os.write(replies, b"r")
                 except Exception as e:
@@ -337,13 +374,13 @@ def _trace_worker() -> _TraceWorker | None:
             else None)
 
 
-def game_iteration(g: ConditionalGenerator, p: MlpNetwork, q: QuantizedMlp,
-                   gen_opt: AdamOptimizer, cal_opt: SgdMomentum,
-                   config: RunConfig, rng: SeededRng, iteration: int,
-                   worker: _TraceWorker | None = None) -> TraceRow:
-    """One generator ascent step plus one student calibration step. With a
-    ``worker``, the generator's measurement pair runs in it; without one
-    (the default), in this process."""
+def game_iteration(state: GameState) -> TraceRow:
+    """Play iteration ``state.iteration`` (one generator ascent step plus
+    one student calibration step) and advance the index. With a worker on
+    the state, the generator's measurement pair runs in it; without one, in
+    this process."""
+    g, p, q, config, rng = state.g, state.p, state.q, state.config, state.rng
+    worker, iteration = state.worker, state.iteration
     num_classes = p.output_dim
 
     # ---- (a) generator step ------------------------------------------------
@@ -352,7 +389,7 @@ def game_iteration(g: ConditionalGenerator, p: MlpNetwork, q: QuantizedMlp,
     q.eval()
     p.eval()
     g.train()
-    # The student is frozen for this step, as run_game freezes the teacher:
+    # The student is frozen for this step, as GameState freezes the teacher:
     # gradients flow through it to x, and none is kept for its parameters,
     # which step (b) would zero anyway.
     q_params = q.parameters()
@@ -379,17 +416,17 @@ def game_iteration(g: ConditionalGenerator, p: MlpNetwork, q: QuantizedMlp,
         if worker is None:
             h_pre_g = _mean_disagreement_entropy(*_eval_sample(g, p, z1, y1), q)
         else:
-            worker.hand_pre(g, p, q, z1, y1, gen_opt, cal_opt)
+            worker.hand_pre(state, z1, y1)
         zero_grads(g.parameters())
         backward(gen_loss)
     finally:
         for param in q_params:
             param.requires_grad = True
-    gen_opt.step()
+    state.gen_opt.step()
     if worker is None:
         h_post_g = _mean_disagreement_entropy(*_eval_sample(g, p, z1, y1), q)
     else:
-        worker.hand_post(gen_opt)
+        worker.hand_post()
 
     # per-sample diagnostics from the training batch, before the student moves
     with no_grad():
@@ -419,11 +456,12 @@ def game_iteration(g: ConditionalGenerator, p: MlpNetwork, q: QuantizedMlp,
     h_pre_q = _batch_mean_entropy(z_p2, z_q2)
     zero_grads(q.parameters())
     backward(cal_loss)
-    cal_opt.step()
+    state.cal_opt.step()
     h_post_q = _mean_disagreement_entropy(x2, z_p2, q)
     if worker is not None:
         h_pre_g, h_post_g = worker.collect()
 
+    state.iteration = iteration + 1
     return TraceRow(
         iter=iteration,
         epoch=iteration // config.iterations_per_epoch,
@@ -449,46 +487,24 @@ def game_iteration(g: ConditionalGenerator, p: MlpNetwork, q: QuantizedMlp,
 
 def run_game(g: ConditionalGenerator, p: MlpNetwork, q: QuantizedMlp,
              config: RunConfig, row_callback=None) -> list[TraceRow]:
-    """Run the full alternation; deterministic given the config seed.
-
-    Reads the game's settings straight off the run configuration: ``epochs``
-    times ``iterations_per_epoch`` iterations over batches of ``batch_size``
-    noise vectors of width ``noise_dim``; Adam at ``gen_lr`` for the
-    generator; SGD with ``cal_lr``, ``cal_momentum`` and ``cal_weight_decay``
-    for the student, whose calibration loss adds ``aux_ce`` times the label
-    cross-entropy; the six paper hyperparameters for the generator's
-    objective; and ``seed`` for the noise and label streams. The other keys
-    (dataset, teacher, generator architecture, bit width) are the caller's.
-
-    Freezes the teacher's parameters for good. ``row_callback``, when
-    given, receives each TraceRow as it is produced so long runs can stream
-    their trace to disk.
-
-    Owns the trace worker (see the module docstring): one where
-    ``_trace_worker`` finds the fork safe, forked at the first iteration and
-    reaped on any exit; none otherwise.
-    """
-    rng = SeededRng(config.seed)
-    gen_opt = AdamOptimizer(g.parameters(), lr=config.gen_lr)
-    cal_opt = SgdMomentum(q.parameters(), lr=config.cal_lr,
-                          momentum=config.cal_momentum,
-                          weight_decay=config.cal_weight_decay)
-    p.eval()
-    for param in p.parameters():
-        param.requires_grad = False
-        param.zero_grad()
+    """Play ``epochs`` times ``iterations_per_epoch`` iterations of one
+    ``GameState``; deterministic given the config seed. The game reads its
+    settings straight off ``config``; the players' own are the caller's
+    (``make_players``). ``row_callback``, when given, receives each TraceRow
+    as it is produced. Owns the trace worker: one where ``_trace_worker``
+    finds the fork safe, forked at the first iteration and reaped on any
+    exit; none otherwise."""
+    state = GameState(g, p, q, config, _trace_worker())
     trace: list[TraceRow] = []
-    total = config.epochs * config.iterations_per_epoch
-    worker = _trace_worker()
     try:
-        for i in range(total):
-            row = game_iteration(g, p, q, gen_opt, cal_opt, config, rng, i, worker)
+        for _ in range(config.epochs * config.iterations_per_epoch):
+            row = game_iteration(state)
             trace.append(row)
             if row_callback is not None:
                 row_callback(row)
     finally:
-        if worker is not None:
-            worker.close()
+        if state.worker is not None:
+            state.worker.close()
     return trace
 
 

@@ -7,7 +7,6 @@ Lines are written straight to the real stdout so they survive capture.
 """
 
 import hashlib
-import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -31,13 +30,12 @@ from adadfq.adaptability import (
 )
 from adadfq.cli import RunConfig, evaluate_network, main, train_teacher_network
 from adadfq.data import (
-    SeededRng,
     apply_standardization,
     make_blobs,
     standardize,
 )
-from adadfq.game import run_game
-from adadfq.nn import BatchNormLayer, ConditionalGenerator
+from adadfq.game import make_players, run_game
+from adadfq.nn import BatchNormLayer
 from adadfq.quant import (
     build_quantized_student,
     dequantize_array,
@@ -85,12 +83,8 @@ def _naive_student(teacher, test):
 
 
 def _play(teacher, seed, **kw):
-    config = RunConfig(**{**GAME_KW, "seed": seed, **kw})
-    rng = SeededRng(seed)
-    g = ConditionalGenerator(config.noise_dim, teacher.output_dim,
-                             teacher.input_dim, rng.substream("generator_init"),
-                             config.embed_dim, config.hidden_widths(config.gen_hidden))
-    q = build_quantized_student(teacher, BITS)
+    config = RunConfig(**{**GAME_KW, "bits": BITS, "seed": seed, **kw})
+    g, q = make_players(teacher, config)
     trace = run_game(g, teacher, q, config)
     q.eval()
     return trace, q

@@ -163,13 +163,16 @@ STATE_MUTATIONS = {
         _encoded(np.full(16, np.nan))),
     "missing_input_dim": lambda d: d["architecture"].pop("input_dim"),
     "non_list_hidden": lambda d: d["architecture"].update(hidden="16"),
+    "oversized_hidden_width": lambda d: d["architecture"].update(hidden=[2 ** 63]),
     "short_norm_stats_mean": lambda d: d["norm_stats"].update(mean=_encoded([0.0, 0.0])),
     "zero_norm_stats_std": lambda d: d["norm_stats"].update(std=_encoded(np.zeros(4))),
     "missing_quant_bits": lambda d: d["quant"].pop("bits"),
     "non_dict_act_range": lambda d: d["quant"]["act_ranges"].__setitem__(0, [0.0, 1.0]),
     "other_act_ema_decay": lambda d: d["quant"].update(act_ema_decay=0.5),
+    "oversized_act_range": lambda d: d["quant"]["act_ranges"][0].update(max=10 ** 400),
 }
-STUDENT_MUTATIONS = {"missing_quant_bits", "non_dict_act_range", "other_act_ema_decay"}
+STUDENT_MUTATIONS = {"missing_quant_bits", "non_dict_act_range", "other_act_ema_decay",
+                     "oversized_act_range"}
 
 
 @pytest.mark.parametrize("mutation", sorted(STATE_MUTATIONS))

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 import adadfq
 from adadfq.checkpoint import load_checkpoint, norm_stats_from
-from adadfq.cli import RunConfig, evaluate_network, main, parse_config
+from adadfq.cli import RunConfig, evaluate_network, main
+from adadfq.config import read_config
 from adadfq.data import Dataset, load_csv
 from adadfq.errors import ConfigError
 from adadfq.quant import MAX_BITS
@@ -64,36 +65,36 @@ def workdir(tmp_path_factory):
 
 class TestParseConfig:
     def test_defaults_without_file(self):
-        cfg = parse_config(None)
+        cfg = RunConfig(**read_config(None))
         assert cfg.bits == 3 and cfg.lambda_u == 0.8
 
     def test_overrides_and_comments(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text("bits = 4  # comment\n\nseed=7\n")
-        cfg = parse_config(str(p))
+        cfg = RunConfig(**read_config(str(p)))
         assert cfg.bits == 4 and cfg.seed == 7
 
     def test_unknown_key_reports_line(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text("bits = 4\nnot_a_key = 1\n")
         with pytest.raises(ConfigError, match=":2"):
-            parse_config(str(p))
+            RunConfig(**read_config(str(p)))
 
     def test_bad_value_type(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text("bits = three\n")
         with pytest.raises(ConfigError, match="bits|three"):
-            parse_config(str(p))
+            RunConfig(**read_config(str(p)))
 
     def test_invalid_margin_combination(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text("lambda_l = 0.9\nlambda_u = 0.1\n")
         with pytest.raises(ConfigError):
-            parse_config(str(p))
+            RunConfig(**read_config(str(p)))
 
     def test_missing_file(self):
         with pytest.raises(FileNotFoundError):
-            parse_config("/nonexistent/path.cfg")
+            RunConfig(**read_config("/nonexistent/path.cfg"))
 
     def test_config_hash_sensitivity(self):
         assert RunConfig().config_hash() != RunConfig(bits=4).config_hash()
@@ -107,7 +108,7 @@ class TestParseConfig:
     def test_every_key_parses(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text("".join(f"{f.name} = {f.default}\n" for f in dataclasses.fields(RunConfig)))
-        assert parse_config(str(p)) == RunConfig()
+        assert RunConfig(**read_config(str(p))) == RunConfig()
 
     def test_config_is_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -116,7 +117,7 @@ class TestParseConfig:
     def test_byte_order_mark_is_dropped(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_bytes(b"\xef\xbb\xbfbits = 4\n")
-        assert parse_config(str(p)) == RunConfig(bits=4)
+        assert RunConfig(**read_config(str(p))) == RunConfig(bits=4)
 
 
 def test_package_exports_resolve():
@@ -421,14 +422,19 @@ class TestReportSimilarity:
 
 
 class TestExitCodes:
-    @pytest.mark.parametrize("dump", ["", "sample_index,label,x0\n",
-                                      "sample_index,label,x0\n0,1,abc\n",
-                                      "sample_index,label,x0,x1,x2,x3\n0,1,0.5,nan,1.0,0.0\n",
-                                      "sample_index,label,x0,x1,x2,x3\n0,1,0,0,0,0\n"
-                                      "1,2,0.5,-0.5,1e400,0.0\n"],
-                             ids=["empty", "header_only", "non_numeric", "nan", "overflow"])
+    @pytest.mark.parametrize("dump, message", [
+        ("", ": empty file"),
+        ("sample_index,label,x0\n", ": no data rows"),
+        ("sample_index,label,x0\n0,1,abc\n", ":2: non-numeric row"),
+        ("sample_index,label,x0,x1,x2,x3\n0,1,0.5,nan,1.0,0.0\n", ":2: non-finite value"),
+        ("sample_index,label,x0,x1,x2,x3\n0,1,0,0,0,0\n1,2,0.5,-0.5,1e400,0.0\n",
+         ":3: non-finite value"),
+        ("sample_index,label,x0,x1,x2,x3\n0,1,0,0,0,0\n1,2,0.5,-0.5\n",
+         ":3: expected 6 fields, got 4"),
+    ], ids=["empty", "header_only", "non_numeric", "nan", "overflow", "ragged"])
     def test_malformed_sample_dump_is_runtime_error(self, workdir, dfq_out, tmp_path,
-                                                    capsys, dump):
+                                                    capsys, dump, message):
+        """Each ends in one line that names the file, and the row if there is one."""
         _, _, out = workdir
         samples = tmp_path / "samples.csv"
         samples.write_text(dump)
@@ -437,7 +443,8 @@ class TestExitCodes:
                    "--student-ckpt", str(dfq_out / "student_dfq_3bit.json"),
                    "--out", str(tmp_path / "sim.csv")])
         assert rc == 3
-        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and f"{samples}{message}" in err[0], err
 
     @pytest.mark.parametrize("command", ["train-teacher", "dfq"])
     @pytest.mark.parametrize("line", ["teacher_hidden = 0,8", "gen_hidden = 16,-4",

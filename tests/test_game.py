@@ -1,4 +1,3 @@
-import copy
 import ctypes
 import dataclasses
 import os
@@ -13,19 +12,22 @@ import pytest
 
 from adadfq import game
 from adadfq.checkpoint import save_student
-from adadfq.cli import RunConfig, main, parse_config, train_teacher_network
+from adadfq.cli import RunConfig, main, train_teacher_network
+from adadfq.config import read_config
 from adadfq.data import SeededRng, make_blobs, standardize
 from adadfq.errors import ConfigError, ContractError, NumericError, WorkerError
 from adadfq.game import (
     TRACE_FIELDS,
     EquilibriumReport,
+    GameState,
     TraceRow,
     equilibrium_report,
     game_iteration,
+    make_players,
     run_game,
 )
-from adadfq.nn import AdamOptimizer, ConditionalGenerator, MlpNetwork, SgdMomentum, make_mlp
-from adadfq.quant import FakeQuantState, QuantizedMlp, build_quantized_student
+from adadfq.nn import ConditionalGenerator, MlpNetwork, make_mlp
+from adadfq.quant import FakeQuantState, QuantizedMlp
 from adadfq.tensor import Tensor
 
 
@@ -40,18 +42,14 @@ def teacher():
 
 def small_config(**kw):
     base = dict(epochs=2, iterations_per_epoch=5, batch_size=8,
-                noise_dim=16, seed=0, cal_lr=1e-3)
+                noise_dim=16, gen_hidden="16,16", seed=0, cal_lr=1e-3)
     base.update(kw)
     return RunConfig(**base)
 
 
-def play(teacher, config):
-    rng = SeededRng(config.seed)
-    g = ConditionalGenerator(config.noise_dim, teacher.output_dim,
-                             teacher.input_dim, rng.substream("generator_init"),
-                             config.embed_dim, (16, 16))
-    q = build_quantized_student(teacher, 3)
-    return run_game(g, teacher, q, config), g, q
+def play(teacher, config, row_callback=None):
+    g, q = make_players(teacher, config)
+    return run_game(g, teacher, q, config, row_callback), g, q
 
 
 class TestRunGame:
@@ -112,11 +110,7 @@ class TestRunGame:
 
     def test_both_players_move(self, teacher):
         config = small_config()
-        rng = SeededRng(config.seed)
-        g = ConditionalGenerator(config.noise_dim, teacher.output_dim,
-                                 teacher.input_dim, rng.substream("generator_init"),
-                                 config.embed_dim, (16, 16))
-        q = build_quantized_student(teacher, 3)
+        g, q = make_players(teacher, config)
         g_before = [p.data.copy() for p in g.parameters()]
         q_before = [p.data.copy() for p in q.parameters()]
         run_game(g, teacher, q, config)
@@ -125,13 +119,7 @@ class TestRunGame:
 
     def test_row_callback_streams_all_rows(self, teacher):
         seen = []
-        config = small_config()
-        rng = SeededRng(config.seed)
-        g = ConditionalGenerator(config.noise_dim, teacher.output_dim,
-                                 teacher.input_dim, rng.substream("generator_init"),
-                                 config.embed_dim, (16, 16))
-        q = build_quantized_student(teacher, 3)
-        trace = run_game(g, teacher, q, config, row_callback=seen.append)
+        trace, _, _ = play(teacher, small_config(), seen.append)
         assert seen == trace
 
     def test_delta_fields_consistent(self, teacher):
@@ -142,11 +130,7 @@ class TestRunGame:
 
     def test_zero_learning_rates_are_a_no_op(self, teacher):
         config = small_config(epochs=1, gen_lr=0.0, cal_lr=0.0, cal_weight_decay=0.0)
-        rng = SeededRng(config.seed)
-        g = ConditionalGenerator(config.noise_dim, teacher.output_dim,
-                                 teacher.input_dim, rng.substream("generator_init"),
-                                 config.embed_dim, (16, 16))
-        q = build_quantized_student(teacher, 3)
+        g, q = make_players(teacher, config)
         g_before = [p.data.copy() for p in g.parameters()]
         q_before = [p.data.copy() for p in q.parameters()]
         trace = run_game(g, teacher, q, config)
@@ -161,20 +145,16 @@ class TestRunGame:
         from adadfq.errors import AdadfqError
 
         config = small_config()
-        rng = SeededRng(config.seed)
-        g = ConditionalGenerator(config.noise_dim, teacher.output_dim,
-                                 teacher.input_dim, rng.substream("generator_init"),
-                                 config.embed_dim, (16, 16))
+        g, q = make_players(teacher, config)
         # poison the output-layer bias so generated samples are non-finite
         g.parameters()[-1].data[...] = np.nan
-        q = build_quantized_student(teacher, 3)
         with pytest.raises(AdadfqError):
             run_game(g, teacher, q, config)
 
     def test_aux_ce_adds_to_calibration_loss_only(self, teacher, tmp_path):
         cfg_path = tmp_path / "c.cfg"
         cfg_path.write_text("aux_ce = 0.5\n")
-        assert parse_config(str(cfg_path)).aux_ce == 0.5
+        assert RunConfig(**read_config(str(cfg_path))).aux_ce == 0.5
         plain, _, _ = play(teacher, small_config(epochs=1, iterations_per_epoch=1))
         aux, _, _ = play(teacher, small_config(epochs=1, iterations_per_epoch=1, aux_ce=0.5))
         assert aux[0].loss_gen == plain[0].loss_gen  # step (a) ignores the weight
@@ -186,11 +166,7 @@ class TestRunGame:
         at ln C and h' is all zero. The student's step still runs (momentum
         and weight decay) and the row is finite."""
         config = small_config()
-        rng = SeededRng(config.seed)
-        g = ConditionalGenerator(config.noise_dim, teacher.output_dim,
-                                 teacher.input_dim, rng.substream("generator_init"),
-                                 config.embed_dim, (16, 16))
-        q = build_quantized_student(teacher, 3)
+        g, q = make_players(teacher, config)
         student_after = {}
 
         def make_student_exact(row):
@@ -220,22 +196,26 @@ class TestRunGame:
 def desk_networks(config):
     """The desk game's generator, teacher and student at ``config``'s sizes,
     with an untrained teacher (4 classes in 8-d, 64x64)."""
-    rng = SeededRng(config.seed)
-    teacher = make_mlp(8, (64, 64), 4, rng.substream("teacher_init")).eval()
-    g = ConditionalGenerator(config.noise_dim, 4, 8, rng.substream("generator_init"),
-                             embed_dim=config.embed_dim, hidden=(64, 64))
-    return g, teacher, build_quantized_student(teacher, config.bits)
+    teacher = make_mlp(8, (64, 64), 4, SeededRng(config.seed).substream("teacher_init")).eval()
+    g, q = make_players(teacher, config)
+    return g, teacher, q
 
 
-def desk_players(config):
-    """``desk_networks`` set up as ``run_game`` sets them up."""
-    g, teacher, q = desk_networks(config)
-    for param in teacher.parameters():
-        param.requires_grad = False
-    gen_opt = AdamOptimizer(g.parameters(), lr=config.gen_lr)
-    cal_opt = SgdMomentum(q.parameters(), lr=config.cal_lr, momentum=config.cal_momentum,
-                          weight_decay=config.cal_weight_decay)
-    return g, teacher, q, gen_opt, cal_opt, SeededRng(config.seed)
+class TestGameState:
+    def test_each_iteration_plays_the_next_index(self):
+        config = RunConfig(iterations_per_epoch=2)
+        state = GameState(*desk_networks(config), config)
+        rows = [game_iteration(state) for _ in range(3)]
+        assert [(r.iter, r.epoch) for r in rows] == [(0, 0), (1, 0), (2, 1)]
+        assert state.iteration == 3
+
+    def test_players_come_from_the_config(self, teacher):
+        config = small_config(bits=4, embed_dim=5)
+        (g, q), (again, _) = make_players(teacher, config), make_players(teacher, config)
+        assert g.embedding.shape == (3, 5) and q.bits == 4
+        assert [layer.weight.shape for layer in g.layers[::3]] == [(16, 21), (16, 16), (4, 16)]
+        assert all(np.array_equal(a.data, b.data)
+                   for a, b in zip(g.parameters(), again.parameters()))
 
 
 class TestHotPath:
@@ -254,17 +234,17 @@ class TestHotPath:
 
         monkeypatch.setattr(Tensor, "_op", staticmethod(counting_op))
         config = RunConfig()
-        g, p, q, gen_opt, cal_opt, rng = desk_players(config)
-        for i in range(3):
+        state = GameState(*desk_networks(config), config)
+        for _ in range(3):
             counts.append(0)
-            game_iteration(g, p, q, gen_opt, cal_opt, config, rng, i)
+            game_iteration(state)
         assert counts == [54, 54, 54]
 
     def test_forwards_per_desk_iteration(self, monkeypatch):
         """Four generator and four teacher forwards, and five student ones:
         step (b)'s pre measurement reads the training logits."""
         config = RunConfig()
-        g, p, q, gen_opt, cal_opt, rng = desk_players(config)
+        state = GameState(*desk_networks(config), config)
         calls = {"generator": 0, "teacher": 0, "student": 0}
 
         def counted(cls, key, only=None):
@@ -278,10 +258,10 @@ class TestHotPath:
             monkeypatch.setattr(cls, "forward", forward)
 
         counted(ConditionalGenerator, "generator")
-        counted(MlpNetwork, "teacher", only=p)  # not the generator
+        counted(MlpNetwork, "teacher", only=state.p)  # not the generator
         counted(QuantizedMlp, "student")
         for i in range(3):
-            game_iteration(g, p, q, gen_opt, cal_opt, config, rng, i)
+            game_iteration(state)
             assert calls == {"generator": 4 * (i + 1), "teacher": 4 * (i + 1),
                              "student": 5 * (i + 1)}
 
@@ -291,7 +271,7 @@ class TestHotPath:
         iteration (whose training forward sets the activation ranges)
         included."""
         config = RunConfig()
-        g, p, q, gen_opt, cal_opt, rng = desk_players(config)
+        state = GameState(*desk_networks(config), config)
         samples, recomputed = [], []
         eval_sample, backward = game._eval_sample, game.backward
 
@@ -301,46 +281,46 @@ class TestHotPath:
 
         def measuring_backward(loss):
             if len(samples) == 3:  # step (b): x2 and z_p2 are the latest sample
-                assert not q.training
-                recomputed.append(game._mean_disagreement_entropy(*samples[-1], q))
+                assert not state.q.training
+                recomputed.append(game._mean_disagreement_entropy(*samples[-1], state.q))
             backward(loss)
 
         monkeypatch.setattr(game, "_eval_sample", recorded_eval_sample)
         monkeypatch.setattr(game, "backward", measuring_backward)
-        for i in range(3):
+        for _ in range(3):
             samples.clear()
-            row = game_iteration(g, p, q, gen_opt, cal_opt, config, rng, i)
+            row = game_iteration(state)
             assert row.h_info_pre_q.hex() == recomputed[-1].hex()
         assert len(recomputed) == 3
 
     def test_step_a_keeps_no_student_gradient(self, monkeypatch):
         config = RunConfig()
-        g, p, q, gen_opt, cal_opt, rng = desk_players(config)
+        state = GameState(*desk_networks(config), config)
         seen = []
         backward = game.backward
 
         def observed_backward(loss):
             backward(loss)
-            seen.append([param.grad for param in q.parameters()])
+            seen.append([param.grad for param in state.q.parameters()])
 
         monkeypatch.setattr(game, "backward", observed_backward)
-        game_iteration(g, p, q, gen_opt, cal_opt, config, rng, 0)
+        game_iteration(state)
         assert len(seen) == 2
         assert all(grad is None for grad in seen[0])  # step (a)
         assert all(grad is not None for grad in seen[1])  # step (b)
 
     def test_student_freeze_is_undone_when_step_a_raises(self, monkeypatch):
         config = RunConfig()
-        g, p, q, gen_opt, cal_opt, rng = desk_players(config)
+        state = GameState(*desk_networks(config), config)
 
         def failing_objective(*args):
-            assert not any(param.requires_grad for param in q.parameters())
+            assert not any(param.requires_grad for param in state.q.parameters())
             raise NumericError("objective failed")
 
         monkeypatch.setattr(game, "generator_objective", failing_objective)
         with pytest.raises(NumericError, match="objective failed"):
-            game_iteration(g, p, q, gen_opt, cal_opt, config, rng, 0)
-        assert all(param.requires_grad for param in q.parameters())
+            game_iteration(state)
+        assert all(param.requires_grad for param in state.q.parameters())
 
 
 def hex_rows(trace):
@@ -352,13 +332,13 @@ def hex_rows(trace):
 def in_process_game(config, mutate=None):
     """``run_game``'s loop without a worker: the reference path. ``mutate(row,
     q)`` runs after each row, as a ``row_callback`` would."""
-    g, p, q, gen_opt, cal_opt, rng = desk_players(config)
+    state = GameState(*desk_networks(config), config)
     trace = []
-    for i in range(config.epochs * config.iterations_per_epoch):
-        trace.append(game_iteration(g, p, q, gen_opt, cal_opt, config, rng, i))
+    for _ in range(config.epochs * config.iterations_per_epoch):
+        trace.append(game_iteration(state))
         if mutate is not None:
-            mutate(trace[-1], q)
-    return trace, q
+            mutate(trace[-1], state.q)
+    return trace, state.q
 
 
 def worker_game(config, row_callback=None, mutate=None):

@@ -31,7 +31,6 @@ ALLOWED = {
     "quant.dequantize_array": "the quantizer's reference inverse",
     "tensor._unbroadcast": "softmax's gradient needs it; no command broadcasts a gradient",
     "tensor.Tensor.__repr__": "for a reader at the prompt or in a failing test",
-    "config.parse_config": "a config file to a RunConfig in one call, for the tests",
     # runs, but only in the forked child, where the profiler does not see it
     "game._TraceWorker._serve": "the trace worker's loop, run in the forked child only",
 }

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from reference import power, transpose
 
 from adadfq import quant
-from adadfq.checkpoint import _load_state, save_student
+from adadfq.checkpoint import _decoded, _load_state, save_student
 from adadfq.cli import RunConfig, evaluate_network, train_teacher_network
 from adadfq.data import apply_standardization, make_blobs, standardize
 from adadfq.errors import ContractError, DegenerateRangeError
@@ -280,7 +280,7 @@ class TestWeightMemo:
         path = tmp_path / "s.json"
         save_student(path, other)
         student.forward(x)  # fills every memo
-        _load_state(student, json.loads(path.read_text()), path)
+        _load_state(student, _decoded(json.loads(path.read_text()), path), path)
         np.testing.assert_array_equal(student.forward(x).data, other.forward(x).data)
         for layer in student.quant_linears():
             h = Tensor(np.random.default_rng(2).normal(size=(4, layer.weight.data.shape[1])))
