@@ -12,11 +12,10 @@ roughly cancel.
 
 import numpy as np
 
-from adadfq.cli import RunConfig, evaluate_network, train_teacher_network
+from adadfq.cli import RunConfig, evaluate_network, observe_ranges, train_teacher_network
 from adadfq.data import make_blobs, standardize, apply_standardization
 from adadfq.game import equilibrium_report, make_players, run_game
 from adadfq.quant import build_quantized_student
-from adadfq.tensor import Tensor
 
 SEED = 0
 
@@ -40,11 +39,7 @@ print(f"teacher test accuracy: {t_acc:.3f}")
 # ranges on the test features, then freeze and score. The drop below is the
 # damage we want to undo without data.
 
-naive = build_quantized_student(teacher, 3)
-naive.train()
-for start in range(0, test.num_samples, 256):
-    naive.forward(Tensor(test.features[start:start + 256]))
-naive.eval()
+naive = observe_ranges(build_quantized_student(teacher, 3), test.features)
 n_acc = evaluate_network(naive, test)["accuracy"]
 print(f"naive 3-bit accuracy:  {n_acc:.3f}  (drop {100 * (t_acc - n_acc):.1f} points)")
 

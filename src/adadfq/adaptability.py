@@ -147,9 +147,9 @@ def loss_bns(bn_inputs: list[Tensor], bn_layers: list[BatchNormLayer]) -> Tensor
     Per BN site: ||mean_batch - running_mean||^2 + ||std_batch - running_std||^2,
     where both stds come from biased variances, square-rooted with batch norm's
     ``BN_EPS`` guard (so the distance stays differentiable at zero variance).
-    Preconditions: the two lists are one network's ``bn_inputs`` and
-    ``bn_layers()``, and each batch has at least 2 rows (``RunConfig`` checks
-    ``batch_size >= 2``).
+    Preconditions: ``bn_inputs`` is what one network's ``forward`` appended
+    to the list it was given and ``bn_layers`` that network's, and each batch
+    has at least 2 rows (``RunConfig`` checks ``batch_size >= 2``).
 
     One node over all sites; the sum runs in site order as
     ``(total + mean term) + std term``.

@@ -5,11 +5,13 @@ Parameter and buffer arrays are serialized as base64-wrapped little-endian
 logits round-trip without drift. Loads are strict: a checkpoint must hold
 exactly the network's parameters and buffers, with its shapes and finite
 values, and well-formed architecture, quant and norm_stats sections, or
-loading raises CheckpointFormatError. The architecture is checked against
-the arrays' shapes before a network is built from it, so a load allocates
-no more than the file holds. The architecture section is written
-from the network itself: the hidden widths are the output sizes of every
-linear layer but the last, so a saved file always matches its weights.
+loading raises a CheckpointFormatError that names the file. The
+architecture is checked against the arrays' shapes before a network is
+built from it, so a load allocates no more than the file holds. The
+architecture section is written from the network itself: the hidden widths
+are the output sizes of every linear layer but the last, so a saved file
+always matches its weights. A student's one bit width is read off its
+layers, which must agree.
 
 Every file the package writes goes through ``atomic_writer``: a temp file in
 the target directory, renamed into place once it is complete. Every CSV file
@@ -27,8 +29,8 @@ import sys
 
 import numpy as np
 
-from .errors import CheckpointFormatError
-from .nn import MlpNetwork, make_mlp
+from .errors import CheckpointFormatError, ContractError
+from .nn import MlpNetwork, layer_prefix, make_mlp
 from .quant import ACT_EMA_DECAY, MAX_BITS, QuantizedMlp, build_quantized_student
 
 FORMAT_VERSION = 1
@@ -89,21 +91,21 @@ def write_csv(path, rows, header=None) -> None:
                                for v in row]) + "\r\n")
 
 
-def _decoded(doc: dict, path) -> dict[str, dict[str, np.ndarray]]:
+def _decoded(doc: dict) -> dict[str, dict[str, np.ndarray]]:
     """The arrays of the params and buffers sections, decoded, each finite."""
     arrays = {}
     for section in ("params", "buffers"):
         payload = doc.get(section)
         if not isinstance(payload, dict):
-            raise CheckpointFormatError(f"{path}: missing {section} section")
+            raise CheckpointFormatError(f"missing {section} section")
         arrays[section] = {name: _decode_array(payload, name) for name in payload}
         for name, value in arrays[section].items():
             if not np.all(np.isfinite(value)):
-                raise CheckpointFormatError(f"{path}: {name!r} holds non-finite values")
+                raise CheckpointFormatError(f"{name!r} holds non-finite values")
     return arrays
 
 
-def _load_state(net, arrays: dict, path) -> None:
+def _load_state(net, arrays: dict) -> None:
     """Copy the decoded arrays into ``net``. The names must be exactly the
     network's parameters and buffers, with the network's shapes."""
     params = {k: p.data for k, p in net.named_parameters().items()}
@@ -111,29 +113,26 @@ def _load_state(net, arrays: dict, path) -> None:
         payload = arrays[section]
         missing, unknown = targets.keys() - payload.keys(), payload.keys() - targets.keys()
         if missing or unknown:
-            raise CheckpointFormatError(f"{path}: {section} do not match the architecture "
+            raise CheckpointFormatError(f"{section} do not match the architecture "
                                         f"(missing {sorted(missing)}, unknown {sorted(unknown)})")
         for name, target in targets.items():
             if payload[name].shape != target.shape:
                 raise CheckpointFormatError(
-                    f"{path}: {name!r} has shape {payload[name].shape}, want {target.shape}")
+                    f"{name!r} has shape {payload[name].shape}, want {target.shape}")
             target[...] = payload[name]
 
 
 def _save(path, kind: str, net, norm_stats, metadata, **sections) -> None:
-    """Write the document both checkpoint kinds share, plus ``sections``.
-    The hidden widths are read off the network's ``.weight`` shapes."""
-    params = net.named_parameters()
-    widths = [p.shape[0] for k, p in params.items() if k.endswith(".weight")]
+    """Write the document both checkpoint kinds share, plus ``sections``."""
     doc = {
         "version": FORMAT_VERSION,
         "kind": kind,
         "architecture": {
             "input_dim": net.input_dim,
-            "hidden": widths[:-1],
+            "hidden": [layer.weight.shape[0] for layer in net.linears[:-1]],
             "num_classes": net.output_dim,
         },
-        "params": {k: _encode_array(v.data) for k, v in params.items()},
+        "params": {k: _encode_array(v.data) for k, v in net.named_parameters().items()},
         "buffers": {k: _encode_array(v) for k, v in net.named_buffers().items()},
         "metadata": metadata or {},
         **sections,
@@ -149,8 +148,11 @@ def save_teacher(path, net: MlpNetwork, norm_stats=None, metadata: dict | None =
 
 
 def save_student(path, net: QuantizedMlp, norm_stats=None, metadata: dict | None = None) -> None:
+    bits = {layer.bits for layer in net.linears}
+    if len(bits) != 1:
+        raise ContractError(f"a saved student has one bit width; its layers have {sorted(bits)}")
     quant = {
-        "bits": net.bits,
+        "bits": bits.pop(),
         "act_ema_decay": ACT_EMA_DECAY,
         "act_ranges": [{"min": st.observed_min, "max": st.observed_max}
                        for st in net.act_states()],
@@ -163,13 +165,14 @@ def _read(path) -> dict:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise CheckpointFormatError(f"{path}: not a valid checkpoint: {e}") from None
+        raise CheckpointFormatError(f"not a valid checkpoint: {e}") from None
     if not isinstance(doc, dict) or "version" not in doc:
-        raise CheckpointFormatError(f"{path}: missing version field")
+        raise CheckpointFormatError("missing version field")
     if doc["version"] != FORMAT_VERSION:
         raise CheckpointFormatError(
-            f"{path}: unsupported checkpoint version {doc['version']} (want {FORMAT_VERSION})"
-        )
+            f"unsupported checkpoint version {doc['version']} (want {FORMAT_VERSION})")
+    if doc.get("kind") not in ("teacher", "student"):
+        raise CheckpointFormatError(f"unsupported checkpoint kind {doc.get('kind')!r}")
     return doc
 
 
@@ -187,12 +190,12 @@ def _act_range(rg) -> bool:
         type(v) in (int, float) and abs(v) <= sys.float_info.max for v in pair)
 
 
-def _check_sections(doc: dict, path) -> None:
+def _check_sections(doc: dict) -> None:
     arch, quant = doc.get("architecture"), doc.get("quant")
     if not (isinstance(arch, dict) and _count(arch.get("input_dim"))
             and _count(arch.get("num_classes")) and isinstance(arch.get("hidden"), list)
             and all(map(_count, arch["hidden"]))):
-        raise CheckpointFormatError(f"{path}: architecture needs positive integers "
+        raise CheckpointFormatError("architecture needs positive integers "
                                     "input_dim and num_classes and a list of them, hidden")
     if doc["kind"] == "student" and not (
             isinstance(quant, dict) and _count(quant.get("bits"), least=2)
@@ -200,7 +203,7 @@ def _check_sections(doc: dict, path) -> None:
             and quant.get("act_ema_decay") == ACT_EMA_DECAY
             and isinstance(quant.get("act_ranges"), list)
             and all(map(_act_range, quant["act_ranges"]))):
-        raise CheckpointFormatError(f"{path}: student checkpoint without a valid quant section "
+        raise CheckpointFormatError(f"student checkpoint without a valid quant section "
                                     f"(bits in [2, {MAX_BITS}], act_ema_decay {ACT_EMA_DECAY}, "
                                     "act_ranges)")
 
@@ -210,35 +213,35 @@ def load_checkpoint(path):
 
     The document keeps metadata, architecture, and norm stats accessible to
     callers; the network is fully reconstructed, including quantization state
-    for students.
+    for students. Every format error names ``path``.
     """
-    doc = _read(path)
-    if doc.get("kind") not in ("teacher", "student"):
-        raise CheckpointFormatError(f"{path}: unsupported checkpoint kind {doc.get('kind')!r}")
-    _check_sections(doc, path)
-    norm_stats_from(doc)  # checked here, so no command fails on it after its work
-    arrays = _decoded(doc, path)
-    arch = doc["architecture"]
-    # The widths must be the weights' (linear layer k is make_mlp's layers.{3k})
-    # before a network is built from them: a load allocates what the file holds.
-    dims = [arch["input_dim"], *arch["hidden"], arch["num_classes"]]
-    for k, shape in enumerate(zip(dims[1:], dims)):
-        if getattr(arrays["params"].get(f"layers.{3 * k}.weight"), "shape", None) != shape:
-            raise CheckpointFormatError(f"{path}: architecture widths {dims} do not "
-                                        "match the weights' shapes")
-    rng = np.random.default_rng(0)  # shapes only; weights are overwritten below
-    net = make_mlp(arch["input_dim"], tuple(arch["hidden"]), arch["num_classes"], rng)
-    if doc["kind"] == "student":
-        quant = doc["quant"]
-        net = build_quantized_student(net, quant["bits"])
-        ranges = quant["act_ranges"]
-        states = net.act_states()
-        if len(ranges) != len(states):
-            raise CheckpointFormatError(f"{path}: activation range count mismatch")
-        for st, rg in zip(states, ranges):
-            if rg["min"] is not None:
-                st.observed_min, st.observed_max = float(rg["min"]), float(rg["max"])
-    _load_state(net, arrays, path)
+    try:
+        doc = _read(path)
+        _check_sections(doc)
+        norm_stats_from(doc)  # checked here, so no command fails on it after its work
+        arrays = _decoded(doc)
+        arch = doc["architecture"]
+        # The widths must be the weights' before a network is built from them:
+        # a load allocates what the file holds.
+        dims = [arch["input_dim"], *arch["hidden"], arch["num_classes"]]
+        for k, shape in enumerate(zip(dims[1:], dims)):
+            if getattr(arrays["params"].get(f"{layer_prefix(k)}weight"), "shape", None) != shape:
+                raise CheckpointFormatError(f"architecture widths {dims} do not "
+                                            "match the weights' shapes")
+        rng = np.random.default_rng(0)  # shapes only; weights are overwritten below
+        net = make_mlp(arch["input_dim"], tuple(arch["hidden"]), arch["num_classes"], rng)
+        if doc["kind"] == "student":
+            quant = doc["quant"]
+            net = build_quantized_student(net, quant["bits"])
+            states = net.act_states()
+            if len(quant["act_ranges"]) != len(states):
+                raise CheckpointFormatError("activation range count mismatch")
+            for st, rg in zip(states, quant["act_ranges"]):
+                if rg["min"] is not None:
+                    st.observed_min, st.observed_max = float(rg["min"]), float(rg["max"])
+        _load_state(net, arrays)
+    except CheckpointFormatError as e:
+        raise CheckpointFormatError(f"{path}: {e}") from None
     return net.eval(), doc
 
 

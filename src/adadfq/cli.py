@@ -38,7 +38,7 @@ from .data import (
 from .errors import AdadfqError, CheckpointFormatError, ConfigError, ContractError, DataError
 from .game import TRACE_FIELDS, equilibrium_report, make_players, run_game
 from .nn import AdamOptimizer, MlpNetwork, make_mlp
-from .quant import build_quantized_student
+from .quant import QuantizedMlp, build_quantized_student
 from .tensor import Tensor, backward, cross_entropy_from_logits, no_grad, zero_grads
 
 log = logging.getLogger("adadfq")
@@ -81,6 +81,13 @@ def _forward_batched(net, features: np.ndarray) -> np.ndarray:
         for start in range(0, features.shape[0], EVAL_BATCH):
             outs.append(net.forward(Tensor(features[start : start + EVAL_BATCH])).data)
     return np.concatenate(outs)
+
+
+def observe_ranges(student: QuantizedMlp, features: np.ndarray) -> QuantizedMlp:
+    """The naive student's activation ranges, observed on real rows by one
+    training-mode forward per ``EVAL_BATCH`` rows; returns it in eval mode."""
+    _forward_batched(student.train(), features)
+    return student.eval()
 
 
 def evaluate_network(net, ds: Dataset) -> dict:
@@ -182,12 +189,8 @@ def _load_teacher(path: str):
 def cmd_quantize(args) -> int:
     bits = _command_config(args).bits
     teacher, doc = _load_teacher(args.ckpt)
-    student = build_quantized_student(teacher, bits)
-
     ds = load_csv(args.dataset, args.label_column, stats=ckpt.norm_stats_from(doc))
-    # Observe activation ranges over the provided data, then score in eval mode.
-    _forward_batched(student.train(), ds.features)
-    student.eval()
+    student = observe_ranges(build_quantized_student(teacher, bits), ds.features)
     report = {
         "bits": bits,
         "naive_quantized": evaluate_network(student, ds),
@@ -273,7 +276,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_report_similarity(args) -> int:
-    teacher, tdoc = ckpt.load_checkpoint(args.ckpt)
+    teacher, _ = _load_teacher(args.ckpt)
     student, _ = ckpt.load_checkpoint(args.student_ckpt)
     # the one place two independently saved networks meet
     shapes = [(n.input_dim, n.output_dim) for n in (teacher, student)]

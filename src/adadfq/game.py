@@ -28,9 +28,8 @@ activation range before it quantizes with that range, and its batch norm
 always uses the copied running statistics, so step (b)'s training logits
 are the eval-mode logits bit for bit. An iteration thus runs four
 generator, four teacher and five student forwards. Only step (a)'s teacher
-forward records its batch-norm inputs, because the generator's objective
-reads them; every other forward passes ``record_bn_inputs`` False, so
-no network keeps a graph that nothing reads.
+forward collects its batch-norm inputs, into a list it hands to the
+generator's objective, the one reader of them.
 
 Where the forwards run. The generator's pair, h_info_pre_g and
 h_info_post_g, feeds only the trace, so ``run_game`` hands it to a worker
@@ -161,7 +160,7 @@ def _eval_sample(g: ConditionalGenerator, p: MlpNetwork,
     """Samples for (z, y) and the teacher's logits on them, as constants."""
     with no_grad():
         x = g.forward(z, y)
-        return x, p.forward(x, False)
+        return x, p.forward(x)
 
 
 def _batch_mean_entropy(z_p: Tensor, z_q: Tensor) -> float:
@@ -174,7 +173,7 @@ def _mean_disagreement_entropy(x: Tensor, z_p: Tensor, q: QuantizedMlp) -> float
     """Batch-mean H_info(p_ds) of the eval-mode student on ``x`` against the
     teacher's logits ``z_p``; records no graph and mutates nothing."""
     with no_grad():
-        z_q = q.forward(x, False)
+        z_q = q.forward(x)
     return _batch_mean_entropy(z_p, z_q)
 
 
@@ -184,7 +183,7 @@ def _mirrored(state: GameState, z: Tensor, y: Tensor) -> list[tuple[np.ndarray, 
     into that array). The slot's layout and every hand-off read this one
     list, so a player state the game changes belongs here. The generator's
     parameters come first: after its step, they alone are handed over."""
-    layers = state.q.quant_linears()
+    layers = state.q.linears
 
     def set_quant(rows):
         for layer, (lo, hi, bits) in zip(layers, rows.tolist()):
@@ -196,11 +195,13 @@ def _mirrored(state: GameState, z: Tensor, y: Tensor) -> list[tuple[np.ndarray, 
     quant = [(layer.act_state.observed_min, layer.act_state.observed_max, layer.bits)
              for layer in layers]
     return [(state.gen_opt.storage, None),
-            *((a, None) for bn in state.g.bn_layers() for a in (bn.running_mean, bn.running_var)),
+            *((a, None) for bn in state.g.bn_layers for a in (bn.running_mean, bn.running_var)),
             (z.data, None), (y.data, None), (state.cal_opt.storage, None),
             (np.array(quant, dtype=np.float64), set_quant)]
 
 
+# A dead child, whether a write to it breaks or a read for its reply meets EOF.
+_ENDED = "the trace worker (pid {}) ended without a reply"
 # Bytes read from the reply pipe at once; an error report is cut to this size,
 # which is within PIPE_BUF, so the child writes it in one piece.
 _REPLY_BYTES = 4096
@@ -287,7 +288,7 @@ class _TraceWorker:
         try:
             os.write(self._commands, command)
         except BrokenPipeError:
-            raise WorkerError(f"the trace worker (pid {self._pid}) has ended") from None
+            raise WorkerError(_ENDED.format(self._pid)) from None
 
     def _receive(self, expected: bytes) -> None:
         """Read the child's next reply, which should be ``expected``; with
@@ -308,7 +309,7 @@ class _TraceWorker:
                 raise error(message)
             raise WorkerError(f"the trace worker failed: {name}: {message}")
         if expected:
-            raise WorkerError(f"the trace worker (pid {self._pid}) ended without a reply")
+            raise WorkerError(_ENDED.format(self._pid))
 
     def _serve(self, signal, mask, state: GameState, z: Tensor, y: Tensor,
                commands: int, replies: int) -> None:
@@ -399,9 +400,10 @@ def game_iteration(state: GameState) -> TraceRow:
         x = g.forward(z1, y1)
         if not np.logical_and.reduce(np.isfinite(x.data), axis=None):
             raise NumericError(f"non-finite generated samples at iteration {iteration}")
-        z_p = p.forward(x)  # records the bn_inputs the objective reads
-        z_q = q.forward(x, False)
-        score = generator_objective(z_p, z_q, y1, p.bn_inputs, p.bn_layers(), config)
+        bn_inputs: list[Tensor] = []
+        z_p = p.forward(x, bn_inputs)
+        z_q = q.forward(x)
+        score = generator_objective(z_p, z_q, y1, bn_inputs, p.bn_layers, config)
         gen_loss = -score
         if not np.isfinite(gen_loss.data):
             raise NumericError(
@@ -440,7 +442,7 @@ def game_iteration(state: GameState) -> TraceRow:
         raise NumericError(f"non-finite generated samples at iteration {iteration}")
 
     q.train()
-    z_q2 = q.forward(x2, False)  # observes this batch into the activation-range EMAs
+    z_q2 = q.forward(x2)  # observes this batch into the activation-range EMAs
     cal_loss = calibration_objective(z_p2, z_q2)
     if config.aux_ce != 0.0:
         cal_loss = cal_loss + config.aux_ce * cross_entropy_from_logits(z_q2, y2)

@@ -15,14 +15,14 @@ fixed-statistics batch norm the first. Masks are backward-only state: the
 block builds its ReLU mask, and asks ``_activate`` for the output's mask,
 only when its node records (``tensor.records``). Every layer also has
 ``named_parameters()`` (its own, unprefixed names), and batch norm has
-``named_buffers()``. ``MlpNetwork.forward`` is the package's one layer walk.
-It hands its train/eval flag to every block, and each layer reads the flag
-its own way: batch norm picks batch or running statistics, a quantized
-linear observes its activation range, and a linear layer ignores it. The
-walk needs ``make_mlp``'s layout: a linear layer, then (batch norm, ReLU,
-linear) repeated. The network prefixes the names with ``layers.{i}.`` and
-lists the parameters in that order; a ReLU has no parameters but keeps its
-index.
+``named_buffers()``. An ``MlpNetwork`` is its linear layers and the batch
+norms between them; ``forward``, the package's one layer walk, runs the
+first linear layer, then each (batch norm, linear) pair as one block, with
+the network's train/eval flag, which each layer reads its own way: batch
+norm picks batch or running statistics, a quantized linear observes its
+activation range, and a linear layer ignores it. A caller that needs the
+batch norms' inputs passes ``forward`` a list to append them to. Checkpoint
+names keep the format's first, flat layout (``layer_prefix``).
 
 Batch-norm conventions, fixed here so downstream statistics losses are
 well-defined:
@@ -141,14 +141,6 @@ class BatchNormLayer:
         return {"running_mean": self.running_mean, "running_var": self.running_var}
 
 
-class Relu:
-    """The ReLU between a batch norm and the next linear layer; it runs inside
-    ``bn_relu_linear`` and holds no parameters."""
-
-    def named_parameters(self) -> dict[str, Tensor]:
-        return {}
-
-
 def _relu(h: np.ndarray) -> np.ndarray:
     """``np.where(h > 0.0, h, 0.0)``, bit for bit, without its branch:
     ``fmax`` maps NaN to 0.0 but may keep ``-0.0``, which ``+ 0.0`` makes
@@ -201,25 +193,21 @@ def bn_relu_linear(bn: BatchNormLayer | None, layer: LinearLayer, x: Tensor,
     return Tensor._op(out, parents, bw)
 
 
+def layer_prefix(k: int, norm: bool = False) -> str:
+    """The checkpoint prefix of linear layer ``k``, ``layers.{3k}.``, or with
+    ``norm`` of batch norm ``k``, ``layers.{3k+1}.``; ``3k+2`` was a ReLU's."""
+    return f"layers.{3 * k + int(norm)}."
+
+
 class MlpNetwork:
-    """Ordered layers with a train/eval flag and batch-norm input hooks.
+    """Linear layers, a batch norm and a ReLU before each but the first, and a
+    train/eval flag. The first layer's width is the input's; it rejects another."""
 
-    Precondition: the layers follow ``make_mlp``'s layout, a linear layer
-    and then (batch norm, ReLU, linear) repeated. ``forward`` runs the first
-    linear layer and then each block as one ``bn_relu_linear`` node. A
-    forward with ``record_bn_inputs`` (the default) leaves in ``bn_inputs``
-    the input of every batch norm in layer order (one graph node per BN
-    site); any other forward leaves it empty, so it holds no graph that
-    nothing reads. The widths are read off the first and last (linear)
-    layers; the first rejects another width.
-    """
-
-    def __init__(self, layers: list):
-        self.layers = layers
-        self.input_dim = layers[0].weight.shape[1]
-        self.output_dim = layers[-1].weight.shape[0]
+    def __init__(self, linears: list[LinearLayer], bn_layers: list[BatchNormLayer]):
+        self.linears, self.bn_layers = linears, bn_layers
+        self.input_dim = linears[0].weight.shape[1]
+        self.output_dim = linears[-1].weight.shape[0]
         self.training = True
-        self.bn_inputs: list[Tensor] = []
 
     def train(self):
         self.training = True
@@ -229,43 +217,40 @@ class MlpNetwork:
         self.training = False
         return self
 
-    def forward(self, x: Tensor, record_bn_inputs: bool = True) -> Tensor:
-        self.bn_inputs = bn_inputs = []
-        layers, training = self.layers, self.training
-        x = bn_relu_linear(None, layers[0], x, training)
-        for bn, layer in zip(layers[1::3], layers[3::3]):
-            if record_bn_inputs:
+    def forward(self, x: Tensor, bn_inputs: list[Tensor] | None = None) -> Tensor:
+        """One ``bn_relu_linear`` node per linear layer; each batch norm's input
+        is appended to ``bn_inputs``, if one is given."""
+        linears, training = self.linears, self.training
+        x = bn_relu_linear(None, linears[0], x, training)
+        for bn, layer in zip(self.bn_layers, linears[1:]):
+            if bn_inputs is not None:
                 bn_inputs.append(x)
             x = bn_relu_linear(bn, layer, x, training)
         return x
-
-    def bn_layers(self) -> list[BatchNormLayer]:
-        return self.layers[1::3]
 
     def parameters(self) -> list[Tensor]:
         return list(self.named_parameters().values())
 
     def named_parameters(self) -> dict[str, Tensor]:
-        return {f"layers.{i}.{k}": p for i, layer in enumerate(self.layers)
-                for k, p in layer.named_parameters().items()}
+        """Each layer's parameters under its ``layer_prefix``, in the walk's
+        order: linear layer k, then batch norm k."""
+        layers = [(layer_prefix(0), self.linears[0])]
+        for k, (bn, layer) in enumerate(zip(self.bn_layers, self.linears[1:])):
+            layers += [(layer_prefix(k, norm=True), bn), (layer_prefix(k + 1), layer)]
+        return {prefix + name: p for prefix, layer in layers
+                for name, p in layer.named_parameters().items()}
 
     def named_buffers(self) -> dict[str, np.ndarray]:
-        return {f"layers.{i}.{k}": b for i, layer in enumerate(self.layers)
-                if isinstance(layer, BatchNormLayer) for k, b in layer.named_buffers().items()}
+        return {layer_prefix(k, norm=True) + name: b for k, bn in enumerate(self.bn_layers)
+                for name, b in bn.named_buffers().items()}
 
 
 def make_mlp(input_dim: int, hidden: tuple[int, ...], output_dim: int,
              rng: np.random.Generator) -> MlpNetwork:
     """d -> hidden... -> output with BN+ReLU after each hidden linear layer."""
-    layers: list = []
-    prev = input_dim
-    for width in hidden:
-        layers.append(LinearLayer(prev, width, rng))
-        layers.append(BatchNormLayer(width))
-        layers.append(Relu())
-        prev = width
-    layers.append(LinearLayer(prev, output_dim, rng))
-    return MlpNetwork(layers)
+    dims = [input_dim, *hidden, output_dim]
+    return MlpNetwork([LinearLayer(a, b, rng) for a, b in zip(dims, dims[1:])],
+                      [BatchNormLayer(width) for width in hidden])
 
 
 class ConditionalGenerator(MlpNetwork):
@@ -276,13 +261,13 @@ class ConditionalGenerator(MlpNetwork):
                  rng: np.random.Generator, embed_dim: int, hidden: tuple[int, ...]):
         self.embedding = Tensor(rng.normal(0.0, 1.0, size=(num_classes, embed_dim)),
                                 requires_grad=True)
-        super().__init__(make_mlp(noise_dim + embed_dim, hidden, sample_dim, rng).layers)
+        body = make_mlp(noise_dim + embed_dim, hidden, sample_dim, rng)
+        super().__init__(body.linears, body.bn_layers)
 
     def forward(self, z: Tensor, y: Tensor) -> Tensor:
         """Precondition: ``y`` holds one-hot rows, as ``sample_noise_and_labels``
-        builds them. The first layer rejects a ``z`` of the wrong width.
-        Records no ``bn_inputs``: nothing reads the generator's."""
-        return super().forward(concat_cols([z, y.matmul(self.embedding)]), False)
+        builds them. The first layer rejects a ``z`` of the wrong width."""
+        return super().forward(concat_cols([z, y.matmul(self.embedding)]))
 
     def named_parameters(self) -> dict[str, Tensor]:
         return {"embedding": self.embedding, **super().named_parameters()}

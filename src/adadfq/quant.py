@@ -29,16 +29,17 @@ mask is built only where a backward will read it: never for the memoized
 weight, and for an activation only when the block's node records
 (``tensor.records``), so a forward under ``no_grad`` builds none.
 
-The student is the teacher's MlpNetwork, walked by the same forward, with
-each LinearLayer swapped for a QuantLinear and each batch norm for a
-FixedStatsBatchNorm by ``build_quantized_student``. Its two rules live in
-those layers: a QuantLinear observes its output into the activation range's
-exponential moving average only in training mode (eval leaves every range
-as it is), and a FixedStatsBatchNorm always normalizes with the running
-statistics copied from the teacher, never with batch statistics. A
-QuantLinear is one graph node (fake-quantized weight, linear and activation
-fake-quant), and so is each batch norm -> ReLU -> QuantLinear block; both
-are built by ``nn.bn_relu_linear``.
+The student is the teacher's MlpNetwork, walked by the same forward:
+``build_quantized_student`` maps its linear layers to QuantLinears and its
+batch norms to FixedStatsBatchNorms. Its two rules live in those layers: a
+QuantLinear observes its output into the activation range's exponential
+moving average only in training mode (eval leaves every range as it is),
+and a FixedStatsBatchNorm always normalizes with the running statistics
+copied from the teacher, never with batch statistics. A QuantLinear is one
+graph node (fake-quantized weight, linear and activation fake-quant), and so
+is each batch norm -> ReLU -> QuantLinear block; both are built by
+``nn.bn_relu_linear``. Each QuantLinear holds its own bit width, and the
+student has no other copy of it: a checkpoint reads the width off the layers.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DegenerateRangeError
-from .nn import BatchNormLayer, LinearLayer, MlpNetwork, Relu
+from .nn import BatchNormLayer, LinearLayer, MlpNetwork
 from .tensor import Tensor
 
 
@@ -218,39 +219,25 @@ class FixedStatsBatchNorm(BatchNormLayer):
 
 
 class QuantizedMlp(MlpNetwork):
-    """Student network: the teacher's architecture with the layers above. A
-    new student starts in eval mode. Trainable state is the latent linear
-    weights plus the batch-norm affine parameters."""
-
-    def __init__(self, layers: list):
-        super().__init__(layers)
-        self.bits = layers[0].bits
-        self.training = False
+    """Student network: the teacher's architecture with the layers above.
+    Trainable state is the latent linear weights plus the batch-norm affine
+    parameters."""
 
     # The walk itself, not a super() call, so a per-method profile
     # (perfbench/layers.py) counts a student forward once, under its own name.
     forward = MlpNetwork.forward
 
-    def quant_linears(self) -> list[QuantLinear]:
-        return [l for l in self.layers if isinstance(l, QuantLinear)]
-
     def act_states(self) -> list[FakeQuantState]:
-        return [l.act_state for l in self.quant_linears()]
+        return [layer.act_state for layer in self.linears]
 
 
 def build_quantized_student(teacher: MlpNetwork, bits: int) -> QuantizedMlp:
     """Clone the teacher into a fake-quantized ``bits``-wide student with shared
     architecture. ``2 <= bits <= MAX_BITS`` is the caller's to ensure:
     ``RunConfig`` checks it for the commands and the checkpoint loader for a
-    saved student. Exact types, so a student's layers are not requantized."""
-    layers: list = []
-    for layer in teacher.layers:
-        if type(layer) is LinearLayer:
-            layers.append(QuantLinear(layer, bits))
-        elif type(layer) is BatchNormLayer:
-            layers.append(FixedStatsBatchNorm(layer))
-        elif type(layer) is Relu:
-            layers.append(Relu())
-        else:
-            raise ContractError(f"cannot quantize layer of type {type(layer).__name__}")
-    return QuantizedMlp(layers)
+    saved student. A student is not a teacher: its layers are not requantized.
+    The student starts in eval mode."""
+    if isinstance(teacher, QuantizedMlp):
+        raise ContractError("cannot quantize a student; pass its teacher")
+    return QuantizedMlp([QuantLinear(layer, bits) for layer in teacher.linears],
+                        [FixedStatsBatchNorm(bn) for bn in teacher.bn_layers]).eval()

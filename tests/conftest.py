@@ -3,6 +3,13 @@ import numpy as np
 from adadfq.tensor import backward
 
 
+def error_line(capsys) -> str:
+    """The one line a failed command printed to stderr."""
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    return err[0]
+
+
 def check_gradients(f, params, step=1e-5, skip_rows=()):
     """Compare analytic gradients of ``f()`` against central differences.
 

@@ -28,7 +28,7 @@ from adadfq.adaptability import (
     margin_terms,
     normalize_entropy,
 )
-from adadfq.cli import RunConfig, evaluate_network, main, train_teacher_network
+from adadfq.cli import RunConfig, evaluate_network, main, observe_ranges, train_teacher_network
 from adadfq.data import (
     apply_standardization,
     make_blobs,
@@ -73,15 +73,6 @@ def _train_desk_teacher(seed):
     return net, train, test
 
 
-def _naive_student(teacher, test):
-    q = build_quantized_student(teacher, BITS)
-    q.train()
-    for start in range(0, test.num_samples, 256):
-        q.forward(Tensor(test.features[start:start + 256]))
-    q.eval()
-    return q
-
-
 def _play(teacher, seed, **kw):
     config = RunConfig(**{**GAME_KW, "bits": BITS, "seed": seed, **kw})
     g, q = make_players(teacher, config)
@@ -108,8 +99,8 @@ def _desk_game(seed, name):
     res = {}
     if name == "full":
         res["teacher_acc"] = evaluate_network(teacher, test)["accuracy"]
-        res["naive_acc"] = evaluate_network(_naive_student(teacher, test),
-                                            test)["accuracy"]
+        naive = observe_ranges(build_quantized_student(teacher, BITS), test.features)
+        res["naive_acc"] = evaluate_network(naive, test)["accuracy"]
     trace, student = _play(teacher, seed, **DESK_VARIANTS[name])
     res["acc"] = evaluate_network(student, test)["accuracy"]
     if name == "full":

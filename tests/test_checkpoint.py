@@ -4,8 +4,11 @@ import json
 import numpy as np
 import pytest
 
+from conftest import error_line
+
 from adadfq.checkpoint import (
     FORMAT_VERSION,
+    _encode_array,
     load_checkpoint,
     norm_stats_from,
     save_student,
@@ -13,7 +16,7 @@ from adadfq.checkpoint import (
 )
 from adadfq.cli import RunConfig, main, train_teacher_network
 from adadfq.data import make_blobs, standardize
-from adadfq.errors import CheckpointFormatError
+from adadfq.errors import CheckpointFormatError, ContractError
 from adadfq.nn import make_mlp
 from adadfq.quant import build_quantized_student
 from adadfq.tensor import Tensor
@@ -76,7 +79,7 @@ class TestStudentRoundTrip:
         save_student(path, student)
         loaded, doc = load_checkpoint(path)
         assert doc["kind"] == "student"
-        assert loaded.bits == 3
+        assert [layer.bits for layer in loaded.linears] == [3, 3]
         for a, b in zip(loaded.act_states(), student.act_states()):
             assert (a.observed_min, a.observed_max) == (b.observed_min, b.observed_max)
         ranges = [(st.observed_min, st.observed_max) for st in student.act_states()]
@@ -84,6 +87,22 @@ class TestStudentRoundTrip:
         np.testing.assert_array_equal(loaded.forward(x).data, student.forward(x).data)
         for net in (student, loaded):
             assert [(st.observed_min, st.observed_max) for st in net.act_states()] == ranges
+
+    def test_bit_width_is_read_off_the_layers(self, teacher, tmp_path):
+        net, _, train = teacher
+        student, path = build_quantized_student(net, 3), tmp_path / "s.json"
+        for layer in student.linears:
+            layer.bits = 8
+        save_student(path, student)
+        loaded, doc = load_checkpoint(path)
+        assert doc["quant"]["bits"] == 8 and [layer.bits for layer in loaded.linears] == [8, 8]
+        x = Tensor(train.features[:16])
+        np.testing.assert_array_equal(loaded.forward(x).data, student.forward(x).data)
+        student.linears[0].bits = 4  # mixed widths: the file's one width would be wrong
+        path.unlink()
+        with pytest.raises(ContractError, match=r"\[4, 8\]"):
+            save_student(path, student)
+        assert not path.exists()
 
 
 def test_architecture_is_read_off_the_network(tmp_path):
@@ -99,7 +118,7 @@ def test_architecture_is_read_off_the_network(tmp_path):
         loaded, _ = load_checkpoint(path)
         assert (loaded.input_dim, loaded.output_dim) == (arch["input_dim"], arch["num_classes"])
         if kind == "student":
-            assert loaded.bits == doc["quant"]["bits"] == 3
+            assert doc["quant"]["bits"] == 3 and [lin.bits for lin in loaded.linears] == [3] * 3
 
 
 class TestFormatErrors:
@@ -139,12 +158,6 @@ class TestFormatErrors:
             load_checkpoint(path)
 
 
-def _encoded(values) -> dict:
-    a = np.asarray(values, dtype=np.float64)
-    return {"shape": list(a.shape),
-            "data": base64.b64encode(a.astype("<f8").tobytes()).decode("ascii")}
-
-
 # Mutations of a saved checkpoint (hidden=(16,): layers 0 linear, 1 BN, 3
 # linear; input_dim 4). Those in STUDENT_MUTATIONS apply to a 3-bit student
 # with observed activation ranges, the rest to the teacher.
@@ -160,12 +173,14 @@ STATE_MUTATIONS = {
         data=base64.b64encode(bytes(12)).decode("ascii")),
     "wrong_shape": lambda d: d["params"]["layers.0.weight"].update(shape=[4, 16]),
     "non_finite_value": lambda d: d["buffers"]["layers.1.running_var"].update(
-        _encoded(np.full(16, np.nan))),
+        _encode_array(np.full(16, np.nan))),
     "missing_input_dim": lambda d: d["architecture"].pop("input_dim"),
     "non_list_hidden": lambda d: d["architecture"].update(hidden="16"),
     "oversized_hidden_width": lambda d: d["architecture"].update(hidden=[2 ** 63]),
-    "short_norm_stats_mean": lambda d: d["norm_stats"].update(mean=_encoded([0.0, 0.0])),
-    "zero_norm_stats_std": lambda d: d["norm_stats"].update(std=_encoded(np.zeros(4))),
+    "short_norm_stats_mean": lambda d: d["norm_stats"].update(mean=_encode_array([0.0, 0.0])),
+    "zero_norm_stats_std": lambda d: d["norm_stats"].update(std=_encode_array(np.zeros(4))),
+    "truncated_norm_stats_std": lambda d: d["norm_stats"]["std"].update(
+        data=d["norm_stats"]["std"]["data"][:8]),
     "missing_quant_bits": lambda d: d["quant"].pop("bits"),
     "non_dict_act_range": lambda d: d["quant"]["act_ranges"].__setitem__(0, [0.0, 1.0]),
     "other_act_ema_decay": lambda d: d["quant"].update(act_ema_decay=0.5),
@@ -192,6 +207,5 @@ def test_malformed_state_is_a_format_error(teacher, tmp_path, capsys, mutation):
         load_checkpoint(path)
     # the checkpoint is read before the (absent) dataset, so exit 3 is the load
     rc = main(["eval", "--ckpt", str(path), "--dataset", str(tmp_path / "absent.csv")])
-    err = capsys.readouterr().err.strip().splitlines()
     assert rc == 3
-    assert len(err) == 1 and err[0].startswith("error: ")
+    assert error_line(capsys).startswith(f"error: {path}: ")

@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import error_line
+
 import adadfq
 from adadfq.checkpoint import load_checkpoint, norm_stats_from
 from adadfq.cli import RunConfig, evaluate_network, main
@@ -177,14 +179,9 @@ class TestQuantize:
         assert report["naive_quantized"]["accuracy"] <= report["teacher"]["accuracy"]
         assert (qdir / "student_naive_3bit.json").exists()
 
-    def test_rejects_student_checkpoint(self, workdir, tmp_path):
-        root, cfg_path, out = workdir
-        ddir = root / "dfq_for_reject"
-        rc = main(["dfq", "--ckpt", str(out / "teacher.json"),
-                   "--config", str(cfg_path), "--seed", "0",
-                   "--out-dir", str(ddir)])
-        assert rc == 0
-        rc = main(["quantize", "--ckpt", str(ddir / "student_dfq_3bit.json"),
+    def test_rejects_student_checkpoint(self, workdir, dfq_out, tmp_path):
+        _, _, out = workdir
+        rc = main(["quantize", "--ckpt", str(dfq_out / "student_dfq_3bit.json"),
                    "--bits", "3", "--dataset", str(out / "test.csv"),
                    "--out-dir", str(tmp_path / "bad")])
         assert rc == 3
@@ -443,8 +440,7 @@ class TestExitCodes:
                    "--student-ckpt", str(dfq_out / "student_dfq_3bit.json"),
                    "--out", str(tmp_path / "sim.csv")])
         assert rc == 3
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and f"{samples}{message}" in err[0], err
+        assert f"{samples}{message}" in error_line(capsys)
 
     @pytest.mark.parametrize("command", ["train-teacher", "dfq"])
     @pytest.mark.parametrize("line", ["teacher_hidden = 0,8", "gen_hidden = 16,-4",
@@ -478,8 +474,7 @@ class TestExitCodes:
             args += ["--ckpt", str(out / "teacher.json")]
         rc = main([command] + args)
         assert rc == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
+        error_line(capsys)
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("config, key", [
@@ -494,8 +489,7 @@ class TestExitCodes:
         p.write_text(config)
         rc = main(["train-teacher", "--config", str(p), "--out-dir", str(tmp_path / "out")])
         assert rc == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ") and key in err[0]
+        assert key in error_line(capsys)
         assert not (tmp_path / "out").exists()
 
     def test_student_of_another_class_count_is_runtime_error(self, tmp_path, capsys):
@@ -517,8 +511,15 @@ class TestExitCodes:
                    "--ckpt", str(teachers[4] / "teacher.json"),
                    "--student-ckpt", str(student), "--out", str(tmp_path / "sim.csv")])
         assert rc == 3
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ") and str(student) in err[0]
+        assert str(student) in error_line(capsys)
+        assert not (tmp_path / "sim.csv").exists()
+
+    def test_similarity_against_a_student_is_runtime_error(self, dfq_out, tmp_path, capsys):
+        student = dfq_out / "student_dfq_3bit.json"
+        assert main(["report-similarity", "--samples", str(dfq_out / "samples.csv"),
+                     "--ckpt", str(student), "--student-ckpt", str(student),
+                     "--out", str(tmp_path / "sim.csv")]) == 3
+        assert f"{student}: expected a teacher checkpoint" in error_line(capsys)
         assert not (tmp_path / "sim.csv").exists()
 
     @pytest.mark.parametrize("command", ["quantize", "dfq"])
@@ -534,8 +535,7 @@ class TestExitCodes:
                 args += ["--config", str(cfg_path)]
             rc = main([command] + args)
             assert rc == 2, bits
-            err = capsys.readouterr().err.strip().splitlines()
-            assert len(err) == 1 and err[0].startswith("error: ") and "bit width" in err[0]
+            assert "bit width" in error_line(capsys)
             assert not (tmp_path / "out").exists()
 
     def test_student_checkpoint_wider_than_max_bits_is_runtime_error(self, dfq_out, workdir,
@@ -547,8 +547,8 @@ class TestExitCodes:
         student.write_text(json.dumps(doc))
         capsys.readouterr()
         assert main(["eval", "--ckpt", str(student), "--dataset", str(out / "test.csv")]) == 3
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and str(student) in err[0] and "bits in [2, 32]" in err[0]
+        line = error_line(capsys)
+        assert str(student) in line and "bits in [2, 32]" in line
 
     @pytest.mark.parametrize("column", ["feature", "label"])
     @pytest.mark.parametrize("cell", ["nan", "inf", "1e400"])
@@ -572,8 +572,7 @@ class TestExitCodes:
             args += ["--bits", "3"]
         capsys.readouterr()
         assert main([command] + args) == 3
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and f"{data}:4: non-finite value" in err[0]
+        assert f"{data}:4: non-finite value" in error_line(capsys)
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("case, code", [("train_config", 2), ("train_csv", 3),
@@ -610,8 +609,7 @@ class TestExitCodes:
                     "--out", out_path]
         capsys.readouterr()
         assert main(argv) == code
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ") and str(bad) in err[0]
+        assert str(bad) in error_line(capsys)
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("case, code", [("config", 2), ("csv", 3)])
@@ -648,8 +646,7 @@ class TestExitCodes:
         assert marked_report.read_bytes() == plain_report.read_bytes()
         capsys.readouterr()
         assert run(cut, tmp_path / "out_cut")[0] == code
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ") and str(cut) in err[0]
+        assert str(cut) in error_line(capsys)
 
     def test_missing_config_file_is_usage_error(self, tmp_path):
         rc = main(["train-teacher", "--config", "/does/not/exist.cfg",
@@ -695,9 +692,8 @@ class TestExitCodes:
                      "teacher_hidden = 8,8\n")
         rc = main(["train-teacher", "--config", str(p), "--out-dir", str(tmp_path / "out")])
         assert rc == 3
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
-        assert str(data) in err[0] and fault in err[0]
+        line = error_line(capsys)
+        assert str(data) in line and fault in line
         assert not (tmp_path / "out").exists()
 
     def test_single_class_dataset_is_usage_error(self, tmp_path, capsys):
@@ -705,8 +701,7 @@ class TestExitCodes:
         p.write_text("classes = 1\n")
         rc = main(["train-teacher", "--config", str(p), "--out-dir", str(tmp_path / "out")])
         assert rc == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
+        error_line(capsys)
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["eval", "quantize"])
@@ -722,9 +717,8 @@ class TestExitCodes:
             args += ["--bits", "3", "--out-dir", str(tmp_path / "out")]
         capsys.readouterr()
         assert main([command] + args) == 3
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
-        assert str(data) in err[0] and "label 3" in err[0]
+        line = error_line(capsys)
+        assert str(data) in line and "label 3" in line
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["eval", "quantize"])
@@ -739,9 +733,8 @@ class TestExitCodes:
             args += ["--bits", "3", "--out-dir", str(tmp_path / "out")]
         capsys.readouterr()
         assert main([command] + args) == 3
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
-        assert str(data) in err[0] and "2 feature columns" in err[0] and "have 4" in err[0]
+        line = error_line(capsys)
+        assert str(data) in line and "2 feature columns" in line and "have 4" in line
         assert not (tmp_path / "out").exists()
 
     def test_missing_dataset_is_usage_error(self, workdir):
@@ -778,8 +771,7 @@ class TestExitCodes:
         }[case]
         capsys.readouterr()
         assert main(argv) == 2
-        err = capsys.readouterr().err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
+        error_line(capsys)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a_dir", "a_file"]
         assert not any(a_dir.iterdir()) and a_file.read_text() == ""
 

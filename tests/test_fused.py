@@ -26,7 +26,6 @@ from adadfq.nn import (
     BN_MOMENTUM,
     BatchNormLayer,
     LinearLayer,
-    Relu,
     _relu,
     bn_relu_linear,
     make_mlp,
@@ -554,26 +553,22 @@ def test_shared_batch_norm_inputs_accumulate_in_the_composite_order(hidden):
     meet there; the fused graph must add them in the composite's order."""
     rng = np.random.default_rng(8)
     net = make_mlp(5, hidden, 3, rng).eval()
-    for layer in net.bn_layers():
+    for layer in net.bn_layers:
         layer.running_mean = rng.normal(size=6)
         layer.running_var = rng.uniform(0.5, 2.0, size=6)
     y = Tensor(np.eye(3)[rng.integers(0, 3, size=8)])
     x = Tensor(rng.normal(size=(8, 5)), requires_grad=True)
 
     def composite_forward(inp):
-        bn_inputs, out = [], inp
-        for layer in net.layers:
-            if isinstance(layer, BatchNormLayer):
-                bn_inputs.append(out)
-                out = composite_batch_norm(layer, out, training=False)
-            elif isinstance(layer, Relu):
-                out = out.relu()
-            else:
-                out = composite_linear(out, layer.weight, layer.bias)
+        bn_inputs, out = [], composite_block(None, net.linears[0], inp, False)
+        for bn, layer in zip(net.bn_layers, net.linears[1:]):
+            bn_inputs.append(out)
+            out = composite_block(bn, layer, out, False)
         return out, bn_inputs
 
     def fused_forward(inp):
-        return net.forward(inp), net.bn_inputs
+        bn_inputs = []
+        return net.forward(inp, bn_inputs), bn_inputs
 
     results = []
     for forward, ce, bns, entropy in (
@@ -584,7 +579,7 @@ def test_shared_batch_norm_inputs_accumulate_in_the_composite_order(hidden):
         for p in net.parameters():
             p.zero_grad()
         z, bn_inputs = forward(x)
-        score = entropy(z).mean() - 0.5 * ce(z, y) - 0.1 * bns(bn_inputs, net.bn_layers())
+        score = entropy(z).mean() - 0.5 * ce(z, y) - 0.1 * bns(bn_inputs, net.bn_layers)
         backward(-score)
         results.append([score.data.copy(), x.grad.copy()]
                        + [p.grad.copy() for p in net.parameters()])

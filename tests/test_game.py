@@ -173,7 +173,7 @@ class TestRunGame:
             if row.iter == 3:
                 for mine, theirs in zip(q.parameters(), teacher.parameters()):
                     mine.data[...] = theirs.data  # in place: the optimizer owns the storage
-                for layer in q.quant_linears():
+                for layer in q.linears:
                     layer.bits = 32
                     layer.act_state = FakeQuantState()
             student_after[row.iter] = [p.data.copy() for p in q.parameters()]
@@ -212,8 +212,8 @@ class TestGameState:
     def test_players_come_from_the_config(self, teacher):
         config = small_config(bits=4, embed_dim=5)
         (g, q), (again, _) = make_players(teacher, config), make_players(teacher, config)
-        assert g.embedding.shape == (3, 5) and q.bits == 4
-        assert [layer.weight.shape for layer in g.layers[::3]] == [(16, 21), (16, 16), (4, 16)]
+        assert g.embedding.shape == (3, 5) and [layer.bits for layer in q.linears] == [4] * 3
+        assert [layer.weight.shape for layer in g.linears] == [(16, 21), (16, 16), (4, 16)]
         assert all(np.array_equal(a.data, b.data)
                    for a, b in zip(g.parameters(), again.parameters()))
 
@@ -351,7 +351,7 @@ def worker_game(config, row_callback=None, mutate=None):
 def widen_after_row_1(row, q):
     """A ``row_callback`` that sets the student to 8 bits after row 1."""
     if row.iter == 1:
-        for layer in q.quant_linears():
+        for layer in q.linears:
             layer.bits = 8
 
 
@@ -486,6 +486,15 @@ class TestTraceWorker:
         with pytest.raises(WorkerError, match="ended without a reply"):
             worker_game(short())
         assert len(forks) == 1 and reaped(forks[0])
+
+    def test_a_write_to_a_dead_child_reads_as_a_missing_reply(self):
+        """A child that dies before the parent's next command says what a read would."""
+        worker, (read_end, worker_commands) = game._TraceWorker(), os.pipe()
+        os.close(read_end)
+        worker._pid, worker._commands = 4242, worker_commands
+        with pytest.raises(WorkerError, match=r"\(pid 4242\) ended without a reply"):
+            worker._send(b"b")
+        os.close(worker_commands)
 
     @pytest.mark.parametrize("act, message", [
         (raise_numeric_error, "error: non-finite logits (injected)"),

@@ -56,8 +56,18 @@ class TestForward:
 
     def test_bn_hooks_one_per_bn_layer(self):
         net = make_mlp(4, (8, 8), 3, np.random.default_rng(0))
-        net.forward(Tensor(np.zeros((4, 4))))
-        assert len(net.bn_inputs) == len(net.bn_layers()) == 2
+        bn_inputs = []
+        net.forward(Tensor(np.zeros((4, 4))), bn_inputs)
+        assert len(bn_inputs) == len(net.bn_layers) == 2
+
+    def test_names_keep_the_flat_layout(self):
+        """Linear layer k is ``layers.{3k}``, then batch norm k ``layers.{3k+1}``."""
+        net = make_mlp(4, (8, 8), 3, np.random.default_rng(0))
+        assert list(net.named_parameters()) == [
+            f"layers.{i}.{name}" for i in (0, 1, 3, 4, 6)
+            for name in (("gamma", "beta") if i % 3 else ("weight", "bias"))]
+        assert list(net.named_buffers()) == [
+            f"layers.{i}.{name}" for i in (1, 4) for name in ("running_mean", "running_var")]
 
 
 class TestBatchNorm:

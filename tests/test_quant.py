@@ -179,6 +179,10 @@ class TestBuildQuantizedStudent:
         for name, p in student.named_parameters().items():
             np.testing.assert_array_equal(p.data, teacher_params[name].data)
 
+    def test_a_student_is_not_requantized(self, trained_teacher):
+        with pytest.raises(ContractError, match="student"):
+            build_quantized_student(build_quantized_student(trained_teacher[0], 3), 4)
+
     def test_32bit_matches_teacher_logits(self, trained_teacher):
         net, _, test = trained_teacher
         student = build_quantized_student(net, 32)
@@ -280,9 +284,9 @@ class TestWeightMemo:
         path = tmp_path / "s.json"
         save_student(path, other)
         student.forward(x)  # fills every memo
-        _load_state(student, _decoded(json.loads(path.read_text()), path), path)
+        _load_state(student, _decoded(json.loads(path.read_text())))
         np.testing.assert_array_equal(student.forward(x).data, other.forward(x).data)
-        for layer in student.quant_linears():
+        for layer in student.linears:
             h = Tensor(np.random.default_rng(2).normal(size=(4, layer.weight.data.shape[1])))
             self.assert_matches_fresh_quantization(layer, h)
 
