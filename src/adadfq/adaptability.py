@@ -18,7 +18,8 @@ The generator's score (to be maximized) keeps ``h'`` inside a margin
 toward their conditioning label through cross-entropy on both ``p_ds`` and
 ``p_as``, and anchors batch statistics to the teacher's stored batch-norm
 running statistics. The student's calibration loss (to be minimized) is the
-batch mean of ``1 - h'``.
+batch mean of ``1 - h'``. Both objectives take ``h'``, as the paper defines
+them; the caller computes it once per batch and reads its statistics off it.
 
 A degenerate batch, one whose every entropy sits at ln C (a student that
 tracks the teacher exactly, as at wide bit widths), has ``h' = 0`` with a
@@ -83,10 +84,6 @@ def normalize_entropy(h_info: Tensor, num_classes: int) -> Tensor:
 def disagreement_entropy(z_p: Tensor, z_q: Tensor) -> Tensor:
     """``info_entropy(disagreement_vector(z_p, z_q))`` as one node."""
     return softmax_entropy(z_p - z_q)
-
-
-def normalized_disagreement_entropy(z_p: Tensor, z_q: Tensor) -> Tensor:
-    return normalize_entropy(disagreement_entropy(z_p, z_q), z_p.data.shape[1])
 
 
 def classify_samples(z_p: np.ndarray, z_q: np.ndarray, y: np.ndarray) -> list[str]:
@@ -173,17 +170,17 @@ def loss_bns(bn_inputs: list[Tensor], bn_layers: list[BatchNormLayer]) -> Tensor
     return Tensor._op(total, tuple(bn_inputs), bw)
 
 
-def generator_objective(z_p: Tensor, z_q: Tensor, y: Tensor,
+def generator_objective(h_prime: Tensor, z_p: Tensor, z_q: Tensor, y: Tensor,
                         bn_inputs: list[Tensor], bn_layers: list[BatchNormLayer],
                         hp: RunConfig) -> Tensor:
     """Scalar the generator ascends; the training loop minimizes its negation.
 
-    ``hp`` is the run configuration; the objective reads the paper's six
+    ``h_prime`` is the normalized disagreement entropy of ``z_p`` and ``z_q``;
+    ``hp`` is the run configuration, and the objective reads the paper's six
     hyperparameters off it: the margin bounds ``lambda_l``/``lambda_u``, the
     balance weights ``alpha_ds``/``alpha_as`` and the term weights ``beta``
     (balance) and ``gamma`` (BN statistics). A zero weight drops its term.
     """
-    h_prime = normalized_disagreement_entropy(z_p, z_q)
     score = margin_terms(h_prime, hp.lambda_l, hp.lambda_u)
     if hp.beta != 0.0:
         bal = loss_bal(loss_ds(z_p, z_q, y), loss_as(z_p, z_q, y),
@@ -194,11 +191,10 @@ def generator_objective(z_p: Tensor, z_q: Tensor, y: Tensor,
     return score
 
 
-def calibration_objective(z_p: Tensor, z_q: Tensor) -> Tensor:
+def calibration_objective(h_prime: Tensor) -> Tensor:
     """Batch mean of 1 - h'; minimizing drags the student's logits toward the
     teacher's (h' -> 1 needs p_ds -> uniform, i.e. z_q -> z_p up to a shift).
 
-    The caller must ensure only z_q carries gradient (generator frozen).
+    The caller must ensure only the student carries gradient (generator frozen).
     """
-    h_prime = normalized_disagreement_entropy(z_p, z_q)
     return (1.0 - h_prime).mean()

@@ -179,16 +179,16 @@ def cmd_train_teacher(args) -> int:
     return 0
 
 
-def _load_teacher(path: str):
-    teacher, doc = ckpt.load_checkpoint(path)
-    if doc["kind"] != "teacher":
-        raise CheckpointFormatError(f"{path}: expected a teacher checkpoint")
-    return teacher, doc
+def _load(path: str, kind: str):
+    net, doc = ckpt.load_checkpoint(path)
+    if doc["kind"] != kind:
+        raise CheckpointFormatError(f"{path}: expected a {kind} checkpoint")
+    return net, doc
 
 
 def cmd_quantize(args) -> int:
     bits = _command_config(args).bits
-    teacher, doc = _load_teacher(args.ckpt)
+    teacher, doc = _load(args.ckpt, "teacher")
     ds = load_csv(args.dataset, args.label_column, stats=ckpt.norm_stats_from(doc))
     student = observe_ranges(build_quantized_student(teacher, bits), ds.features)
     report = {
@@ -222,7 +222,7 @@ def _l1_similarity(pds: np.ndarray) -> np.ndarray:
 
 def cmd_dfq(args) -> int:
     cfg = _command_config(args)
-    teacher, doc = _load_teacher(args.ckpt)
+    teacher, doc = _load(args.ckpt, "teacher")
     num_classes, input_dim = teacher.output_dim, teacher.input_dim
 
     generator, student = make_players(teacher, cfg)
@@ -276,8 +276,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_report_similarity(args) -> int:
-    teacher, _ = _load_teacher(args.ckpt)
-    student, _ = ckpt.load_checkpoint(args.student_ckpt)
+    teacher, _ = _load(args.ckpt, "teacher")
+    student, _ = _load(args.student_ckpt, "student")
     # the one place two independently saved networks meet
     shapes = [(n.input_dim, n.output_dim) for n in (teacher, student)]
     if shapes[0] != shapes[1]:

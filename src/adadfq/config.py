@@ -10,8 +10,8 @@ so every ``RunConfig`` that exists, whether it came from a file, the command
 line, a test or a demo, is in range.
 
 Config files are flat ``key = value`` lines; ``#`` starts a comment.
-Unknown keys, values that do not parse as the key's type and out-of-range
-values raise ConfigError.
+Unknown keys, a key set a second time, values that do not parse as the
+key's type and out-of-range values raise ConfigError.
 
 Each fact is checked once, where a bad value can enter, and taken as given
 behind that boundary:
@@ -26,12 +26,14 @@ behind that boundary:
     CSV standardized once, from the train split   train-teacher
     config, CSV, sample dump UTF-8 (BOM dropped)  config.read_config; data.load_csv
     CSV and sample-dump values finite             data.load_csv
+    CSV header names each column once             data.load_csv
     CSV labels integers in [0, 2**63)             data.load_csv
     CSV feature count = the statistics'           data.load_csv (eval, quantize)
     CSV labels are exactly 0..C-1, C >= 2         train-teacher (cli._build_dataset)
     CSV labels < the network's class count        cli.evaluate_network (eval, quantize)
     checkpoint sections, arrays, EMA decay        checkpoint.load_checkpoint
     sample dump; student shape = teacher's        report-similarity
+    checkpoint kind a command expects             cli._load
     one-hot labels; p_ds rows sum to 1            built so (sample_noise_and_labels, softmax)
 """
 
@@ -161,6 +163,8 @@ def read_config(path: str | None) -> dict:
             value = value.strip()
             if key not in types:
                 raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
+            if key in values:  # the earlier setting would be silently dropped
+                raise ConfigError(f"{path}:{line_no}: {key!r} is set a second time")
             try:
                 values[key] = types[key](value)
             except ValueError:

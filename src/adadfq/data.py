@@ -175,6 +175,9 @@ def load_csv(path, label_column: str = "label",
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
+        for i, name in enumerate(header):
+            if name in header[:i]:
+                raise DataError(f"{path}: column {name!r} appears twice in the header")
         if label_column not in header:
             raise ConfigError(f"{path}: no column named {label_column!r} in header")
         label_idx = header.index(label_column)

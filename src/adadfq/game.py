@@ -31,6 +31,11 @@ generator, four teacher and five student forwards. Only step (a)'s teacher
 forward collects its batch-norm inputs, into a list it hands to the
 generator's objective, the one reader of them.
 
+Each training batch's disagreement entropy is computed once: step (a)'s h'
+feeds the generator's objective and the row's ``hprime_*`` fields, and
+h_info_pre_q is the mean of the entropies step (b)'s calibration loss is
+built on.
+
 Where the forwards run. The generator's pair, h_info_pre_g and
 h_info_post_g, feeds only the trace, so ``run_game`` hands it to a worker
 on another core: a child process forked from the game, ``_TraceWorker``.
@@ -84,7 +89,7 @@ from .adaptability import (
     classify_samples,
     disagreement_entropy,
     generator_objective,
-    normalized_disagreement_entropy,
+    normalize_entropy,
 )
 from .config import RunConfig
 from .data import SeededRng, sample_noise_and_labels
@@ -163,18 +168,11 @@ def _eval_sample(g: ConditionalGenerator, p: MlpNetwork,
         return x, p.forward(x)
 
 
-def _batch_mean_entropy(z_p: Tensor, z_q: Tensor) -> float:
-    """Batch-mean H_info(p_ds) of the logits pair; records no graph."""
-    with no_grad():
-        return float(disagreement_entropy(z_p, z_q).data.mean())
-
-
 def _mean_disagreement_entropy(x: Tensor, z_p: Tensor, q: QuantizedMlp) -> float:
     """Batch-mean H_info(p_ds) of the eval-mode student on ``x`` against the
     teacher's logits ``z_p``; records no graph and mutates nothing."""
     with no_grad():
-        z_q = q.forward(x)
-    return _batch_mean_entropy(z_p, z_q)
+        return float(disagreement_entropy(z_p, q.forward(x)).data.mean())
 
 
 def _mirrored(state: GameState, z: Tensor, y: Tensor) -> list[tuple[np.ndarray, object]]:
@@ -393,7 +391,7 @@ def game_iteration(state: GameState) -> TraceRow:
     # The student is frozen for this step, as GameState freezes the teacher:
     # gradients flow through it to x, and none is kept for its parameters,
     # which step (b) would zero anyway.
-    q_params = q.parameters()
+    q_params = state.cal_opt.params
     for param in q_params:
         param.requires_grad = False
     try:
@@ -403,7 +401,8 @@ def game_iteration(state: GameState) -> TraceRow:
         bn_inputs: list[Tensor] = []
         z_p = p.forward(x, bn_inputs)
         z_q = q.forward(x)
-        score = generator_objective(z_p, z_q, y1, bn_inputs, p.bn_layers, config)
+        h_prime = normalize_entropy(disagreement_entropy(z_p, z_q), num_classes)
+        score = generator_objective(h_prime, z_p, z_q, y1, bn_inputs, p.bn_layers, config)
         gen_loss = -score
         if not np.isfinite(gen_loss.data):
             raise NumericError(
@@ -419,7 +418,7 @@ def game_iteration(state: GameState) -> TraceRow:
             h_pre_g = _mean_disagreement_entropy(*_eval_sample(g, p, z1, y1), q)
         else:
             worker.hand_pre(state, z1, y1)
-        zero_grads(g.parameters())
+        zero_grads(state.gen_opt.params)
         backward(gen_loss)
     finally:
         for param in q_params:
@@ -431,9 +430,8 @@ def game_iteration(state: GameState) -> TraceRow:
         worker.hand_post()
 
     # per-sample diagnostics from the training batch, before the student moves
-    with no_grad():
-        h_prime = normalized_disagreement_entropy(z_p, z_q)
     kinds = classify_samples(z_p.data, z_q.data, y1.data)
+    h = h_prime.data
 
     # ---- (b) student calibration step --------------------------------------
     z2, y2 = sample_noise_and_labels(rng, config.batch_size, config.noise_dim, num_classes)
@@ -443,7 +441,8 @@ def game_iteration(state: GameState) -> TraceRow:
 
     q.train()
     z_q2 = q.forward(x2)  # observes this batch into the activation-range EMAs
-    cal_loss = calibration_objective(z_p2, z_q2)
+    h_info2 = disagreement_entropy(z_p2, z_q2)
+    cal_loss = calibration_objective(normalize_entropy(h_info2, num_classes))
     if config.aux_ce != 0.0:
         cal_loss = cal_loss + config.aux_ce * cross_entropy_from_logits(z_q2, y2)
     if not np.isfinite(cal_loss.data):
@@ -453,10 +452,10 @@ def game_iteration(state: GameState) -> TraceRow:
 
     # As above: ranges are already observed, so the pair isolates the descent
     # step on the latent weights. The training logits are the eval-mode ones
-    # (see the module docstring), so the pre measurement reads them.
+    # (see the module docstring), so the pre measurement reads their entropies.
     q.eval()
-    h_pre_q = _batch_mean_entropy(z_p2, z_q2)
-    zero_grads(q.parameters())
+    h_pre_q = float(h_info2.data.mean())
+    zero_grads(q_params)
     backward(cal_loss)
     state.cal_opt.step()
     h_post_q = _mean_disagreement_entropy(x2, z_p2, q)
@@ -478,12 +477,10 @@ def game_iteration(state: GameState) -> TraceRow:
         n_disagree=kinds.count("disagreement"),
         n_agree=kinds.count("agreement"),
         n_teacher_wrong=kinds.count("teacher_wrong"),
-        hprime_min=float(h_prime.data.min()),
-        hprime_mean=float(h_prime.data.mean()),
-        hprime_max=float(h_prime.data.max()),
-        hprime_frac_in=float(
-            ((h_prime.data >= config.lambda_l) & (h_prime.data <= config.lambda_u)).mean()
-        ),
+        hprime_min=float(h.min()),
+        hprime_mean=float(h.mean()),
+        hprime_max=float(h.max()),
+        hprime_frac_in=float(((h >= config.lambda_l) & (h <= config.lambda_u)).mean()),
     )
 
 

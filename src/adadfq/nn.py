@@ -305,7 +305,22 @@ def _gather_grads(params: list[Tensor], views: list[np.ndarray]) -> None:
         view[...] = p.grad
 
 
-class SgdMomentum:
+class _Optimizer:
+    """What both optimizers hold. An optimizer owns its parameters' storage:
+    it copies them into one contiguous buffer and each ``p.data`` becomes a
+    view of it, so a step is one in-place update over the buffer. Write into
+    ``p.data`` in place; rebinding it detaches the parameter from the optimizer."""
+
+    def __init__(self, params: list[Tensor], lr: float):
+        self.params = list(params)
+        self.lr = lr
+        self.storage = _own_storage(self.params)
+        self._grad = np.empty_like(self.storage)
+        self._grad_views = _views(self._grad, self.params)
+        self._scratch = np.empty_like(self.storage)
+
+
+class SgdMomentum(_Optimizer):
     """SGD with Nesterov momentum in the standard transformed-variable form:
 
         v <- mu * v + g
@@ -314,25 +329,16 @@ class SgdMomentum:
     This is the usual reformulation of lookahead Nesterov momentum that only
     needs the gradient at the current iterate. Weight decay is added to the
     gradient before the momentum update; at mu = 0 the step is plain SGD.
-
-    The optimizer owns its parameters' storage: it copies them into one
-    contiguous buffer and each ``p.data`` becomes a view of it, so a step is
-    one in-place update over the buffer. Write into ``p.data`` in place;
-    rebinding it detaches the parameter from the optimizer. Each element gets
-    the IEEE operations a per-parameter loop would give it, in the same order.
+    Each element gets the IEEE operations a per-parameter loop would give
+    it, in the same order.
     """
 
     def __init__(self, params: list[Tensor], lr: float, momentum: float,
                  weight_decay: float):
-        self.params = list(params)
-        self.lr = lr
+        super().__init__(params, lr)
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.storage = _own_storage(self.params)
         self.velocity = np.zeros_like(self.storage)
-        self._grad = np.empty_like(self.storage)
-        self._grad_views = _views(self._grad, self.params)
-        self._scratch = np.empty_like(self.storage)
 
     def step(self) -> None:
         _gather_grads(self.params, self._grad_views)
@@ -347,21 +353,14 @@ class SgdMomentum:
         self.storage -= g
 
 
-class AdamOptimizer:
-    """Adam with bias correction. Like ``SgdMomentum``, it owns its
-    parameters' storage (each ``p.data`` is a view of one buffer) and updates
-    every element with one in-place pass of the rule."""
+class AdamOptimizer(_Optimizer):
+    """Adam with bias correction; updates every element with one in-place pass of the rule."""
 
     def __init__(self, params: list[Tensor], lr: float):
-        self.params = list(params)
-        self.lr = lr
-        self.storage = _own_storage(self.params)
+        super().__init__(params, lr)
         self.m = np.zeros_like(self.storage)
         self.v = np.zeros_like(self.storage)
         self.t = 0
-        self._grad = np.empty_like(self.storage)
-        self._grad_views = _views(self._grad, self.params)
-        self._scratch = np.empty_like(self.storage)
 
     def step(self) -> None:
         b1, b2 = ADAM_BETAS

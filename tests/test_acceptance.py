@@ -18,6 +18,7 @@ from conftest import argmin_entropy_row, check_gradients, fd_check_skip_rows
 
 from adadfq.adaptability import (
     calibration_objective,
+    disagreement_entropy,
     disagreement_vector,
     generator_objective,
     info_entropy,
@@ -253,11 +254,13 @@ def test_criterion_3_gradient_suite():
         def gen_loss():
             zp = x2.matmul(Tensor(w_p))
             zq = x2.matmul(Tensor(w_q))
-            return generator_objective(zp, zq, Tensor(np.eye(4)[np.arange(6) % 4]),
+            h_prime = normalize_entropy(disagreement_entropy(zp, zq), 4)
+            return generator_objective(h_prime, zp, zq, Tensor(np.eye(4)[np.arange(6) % 4]),
                                        [x2], [layer], RunConfig())
 
         def cal_loss():
-            return calibration_objective(x2.matmul(Tensor(w_p)), x2.matmul(Tensor(w_q)))
+            zp, zq = x2.matmul(Tensor(w_p)), x2.matmul(Tensor(w_q))
+            return calibration_objective(normalize_entropy(disagreement_entropy(zp, zq), 4))
 
         zp0, zq0 = x2.data @ w_p, x2.data @ w_q
         h_prime = normalize_entropy(

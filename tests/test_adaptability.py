@@ -12,6 +12,7 @@ from adadfq.adaptability import (
     calibration_objective,
     classify_samples,
     cross_entropy_from_logits,
+    disagreement_entropy,
     disagreement_vector,
     generator_objective,
     info_entropy,
@@ -21,7 +22,6 @@ from adadfq.adaptability import (
     loss_ds,
     margin_terms,
     normalize_entropy,
-    normalized_disagreement_entropy,
 )
 from adadfq.config import RunConfig
 from adadfq.errors import ConfigError
@@ -31,6 +31,11 @@ from adadfq.tensor import Tensor, softmax
 
 def rand_logits(rng, rows=6, cols=4):
     return Tensor(rng.normal(size=(rows, cols)))
+
+
+def h_prime_of(z_p, z_q):
+    """The objectives' input, as the game computes it."""
+    return normalize_entropy(disagreement_entropy(z_p, z_q), z_p.data.shape[1])
 
 
 class TestVectors:
@@ -175,8 +180,8 @@ class TestObjectives:
         z_p = rand_logits(rng)
         near = z_p + Tensor(0.01 * rng.normal(size=z_p.data.shape))
         far = Tensor(rng.normal(scale=5.0, size=z_p.data.shape))
-        assert float(calibration_objective(z_p, near).data) < float(
-            calibration_objective(z_p, far).data
+        assert float(calibration_objective(h_prime_of(z_p, near)).data) < float(
+            calibration_objective(h_prime_of(z_p, far)).data
         )
 
     def test_generator_objective_drops_terms_at_zero_weight(self):
@@ -184,8 +189,8 @@ class TestObjectives:
         z_p, z_q = rand_logits(rng), rand_logits(rng)
         y = Tensor(np.eye(4)[[0, 1, 2, 3, 0, 1]])
         hp_off = RunConfig(beta=0.0, gamma=0.0)
-        score = generator_objective(z_p, z_q, y, [], [], hp_off)
-        h_prime = normalized_disagreement_entropy(z_p, z_q)
+        h_prime = h_prime_of(z_p, z_q)
+        score = generator_objective(h_prime, z_p, z_q, y, [], [], hp_off)
         expected = margin_terms(h_prime, hp_off.lambda_l, hp_off.lambda_u)
         assert float(score.data) == pytest.approx(float(expected.data))
 
@@ -197,7 +202,7 @@ class TestObjectives:
         z_p, z_q = rand_logits(rng), rand_logits(rng)
         y = Tensor(np.eye(4)[[0, 1, 2, 3, 0, 1]])
         hp = RunConfig(lambda_l=0.0, lambda_u=1.0, beta=0.0, gamma=0.0)
-        score = generator_objective(z_p, z_q, y, [], [], hp)
+        score = generator_objective(h_prime_of(z_p, z_q), z_p, z_q, y, [], [], hp)
         assert float(score.data) == 0.0
 
     def test_hyperparams_validation(self):
@@ -239,6 +244,6 @@ class TestGradients:
         skip = {argmin_entropy_row(z_p, z_q)}
 
         def loss():
-            return calibration_objective(z_p, z_q)
+            return calibration_objective(h_prime_of(z_p, z_q))
 
         assert fd_check_skip_rows(loss, z_q, skip, step=1e-6) < 1e-4

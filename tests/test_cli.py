@@ -42,6 +42,15 @@ sample_dump = 12
 """
 
 
+def with_settings(config: str, settings: str) -> str:
+    """``config`` with the lines of ``settings`` in place of its own lines
+    for those keys: a config file sets each key once."""
+    keys = {line.split("=", 1)[0].strip() for line in settings.splitlines()}
+    kept = [line for line in config.splitlines(keepends=True)
+            if line.split("=", 1)[0].strip() not in keys]
+    return "".join(kept) + settings
+
+
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
@@ -120,6 +129,16 @@ class TestParseConfig:
         p = tmp_path / "c.cfg"
         p.write_bytes(b"\xef\xbb\xbfbits = 4\n")
         assert RunConfig(**read_config(str(p))) == RunConfig(bits=4)
+
+    def test_key_set_twice_reports_the_second_line(self, tmp_path, capsys):
+        p = tmp_path / "c.cfg"
+        p.write_text("bits = 3\nseed = 1\nbits = 5\n")
+        with pytest.raises(ConfigError, match=r"c\.cfg:3: 'bits' is set a second time"):
+            read_config(str(p))
+        assert main(["train-teacher", "--config", str(p), "--out-dir",
+                     str(tmp_path / "out")]) == 2
+        assert f"{p}:3:" in error_line(capsys)
+        assert not (tmp_path / "out").exists()
 
 
 def test_package_exports_resolve():
@@ -246,8 +265,8 @@ class TestDfq:
         must still step through them."""
         _, cfg_path, out = workdir
         cfg = tmp_path / "tiny.cfg"
-        cfg.write_text(cfg_path.read_text() + "epochs = 1\niterations_per_epoch = 2\n"
-                       "sample_dump = 4\n")
+        cfg.write_text(with_settings(cfg_path.read_text(), "epochs = 1\n"
+                                     "iterations_per_epoch = 2\nsample_dump = 4\n"))
         rc = main(["dfq", "--ckpt", str(out / "teacher.json"), "--config", str(cfg),
                    "--bits", str(bits), "--seed", "0", "--out-dir", str(tmp_path / "dfq")])
         assert rc == 0
@@ -428,7 +447,10 @@ class TestExitCodes:
          ":3: non-finite value"),
         ("sample_index,label,x0,x1,x2,x3\n0,1,0,0,0,0\n1,2,0.5,-0.5\n",
          ":3: expected 6 fields, got 4"),
-    ], ids=["empty", "header_only", "non_numeric", "nan", "overflow", "ragged"])
+        ("sample_index,label,x0,x1,x2,label\n0,1,0.5,-0.5,1.0,0\n",
+         ": column 'label' appears twice in the header"),
+    ], ids=["empty", "header_only", "non_numeric", "nan", "overflow", "ragged",
+            "repeated_column"])
     def test_malformed_sample_dump_is_runtime_error(self, workdir, dfq_out, tmp_path,
                                                     capsys, dump, message):
         """Each ends in one line that names the file, and the row if there is one."""
@@ -468,7 +490,7 @@ class TestExitCodes:
                                                 command, line):
         _, _, out = workdir
         p = tmp_path / "c.cfg"
-        p.write_text(SMALL_CONFIG + line + "\n")
+        p.write_text(with_settings(SMALL_CONFIG, line + "\n"))
         args = ["--config", str(p), "--out-dir", str(tmp_path / "out")]
         if command == "dfq":
             args += ["--ckpt", str(out / "teacher.json")]
@@ -496,7 +518,7 @@ class TestExitCodes:
         teachers = {}
         for classes in (4, 3):
             p = tmp_path / f"c{classes}.cfg"
-            p.write_text(SMALL_CONFIG + f"classes = {classes}\nteacher_epochs = 2\n")
+            p.write_text(with_settings(SMALL_CONFIG, f"classes = {classes}\nteacher_epochs = 2\n"))
             teachers[classes] = tmp_path / f"t{classes}"
             assert main(["train-teacher", "--config", str(p),
                          "--out-dir", str(teachers[classes])]) == 0
@@ -512,6 +534,15 @@ class TestExitCodes:
                    "--student-ckpt", str(student), "--out", str(tmp_path / "sim.csv")])
         assert rc == 3
         assert str(student) in error_line(capsys)
+        assert not (tmp_path / "sim.csv").exists()
+
+    def test_similarity_of_a_teacher_as_student_is_runtime_error(self, workdir, dfq_out,
+                                                                 tmp_path, capsys):
+        teacher = workdir[2] / "teacher.json"
+        assert main(["report-similarity", "--samples", str(dfq_out / "samples.csv"),
+                     "--ckpt", str(teacher), "--student-ckpt", str(teacher),
+                     "--out", str(tmp_path / "sim.csv")]) == 3
+        assert f"{teacher}: expected a student checkpoint" in error_line(capsys)
         assert not (tmp_path / "sim.csv").exists()
 
     def test_similarity_against_a_student_is_runtime_error(self, dfq_out, tmp_path, capsys):
@@ -825,7 +856,7 @@ def test_round_trip_with_no_teacher_hidden_layer_and_three_generator_blocks(tmp_
     """The layer walk at its extremes: a teacher that is one linear layer (no
     batch norm, so no statistics loss) and a generator with three blocks."""
     cfg = tmp_path / "c.cfg"
-    cfg.write_text(SMALL_CONFIG + "teacher_hidden =\ngen_hidden = 16,16,16\n")
+    cfg.write_text(with_settings(SMALL_CONFIG, "teacher_hidden =\ngen_hidden = 16,16,16\n"))
     teacher_dir, q_dir, dfq_dir = tmp_path / "teacher", tmp_path / "q", tmp_path / "dfq"
     assert main(["train-teacher", "--config", str(cfg), "--out-dir", str(teacher_dir)]) == 0
     teacher, test_csv = str(teacher_dir / "teacher.json"), str(teacher_dir / "test.csv")

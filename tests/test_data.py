@@ -152,6 +152,13 @@ class TestCsvRoundTrip:
         with pytest.raises(ConfigError, match="label"):
             load_csv(path)
 
+    def test_repeated_column_is_rejected(self, tmp_path):
+        """A second ``label`` column would otherwise load as a feature."""
+        path = tmp_path / "d.csv"
+        path.write_text("label,x0,label\n0,1.5,1\n1,2.5,0\n")
+        with pytest.raises(DataError, match=r"d\.csv: column 'label' appears twice"):
+            load_csv(path)
+
     def test_ragged_row_reports_line(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("x0,x1,label\n1.0,2.0,0\n1.0,0\n")

@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from adadfq import game
+from adadfq import adaptability, game, tensor
 from adadfq.checkpoint import save_student
 from adadfq.cli import RunConfig, main, train_teacher_network
 from adadfq.config import read_config
@@ -264,6 +264,33 @@ class TestHotPath:
             game_iteration(state)
             assert calls == {"generator": 4 * (i + 1), "teacher": 4 * (i + 1),
                              "student": 5 * (i + 1)}
+
+    def test_each_entropy_once_per_desk_iteration(self, monkeypatch):
+        """Five entropies (the two training batches' and the three
+        measurements'), two normalizations (one per training batch), and no
+        parameter list rebuilt: the game reads them off its optimizers."""
+        config = RunConfig()
+        state = GameState(*desk_networks(config), config)
+        calls = {"softmax_entropy": 0, "normalize_entropy": 0, "parameters": 0}
+
+        def count(owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        for module in (tensor, adaptability, game):
+            for name in ("softmax_entropy", "normalize_entropy"):
+                if hasattr(module, name):  # a binding of the one function
+                    count(module, name)
+        count(MlpNetwork, "parameters")
+        for i in range(1, 4):
+            game_iteration(state)
+            assert calls == {"softmax_entropy": 5 * i, "normalize_entropy": 2 * i,
+                             "parameters": 0}
 
     def test_student_pre_measurement_equals_an_eval_forward(self, monkeypatch):
         """h_info_pre_q, read off step (b)'s training logits, equals the
