@@ -180,14 +180,20 @@ def _count(v, least: int = 1) -> bool:
     return type(v) is int and v >= least
 
 
-def _act_range(rg) -> bool:
+def _act_range(rg, bits: int) -> bool:
     """Numbers finite as float64 (an int is compared exactly, so 10**400 is
-    not), or both None for a site that never observed a batch."""
+    not), with min <= max and a width that stays finite times the ``bits``
+    grid's 2**bits - 1 levels (the fake-quant's largest intermediate value);
+    or both None for a site that never observed a batch."""
     if not isinstance(rg, dict):
         return False
     pair = [rg.get("min"), rg.get("max")]
-    return pair == [None, None] or all(
-        type(v) in (int, float) and abs(v) <= sys.float_info.max for v in pair)
+    if pair == [None, None]:
+        return True
+    if not all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in pair):
+        return False
+    lo, hi = map(float, pair)
+    return lo <= hi and (hi - lo) * float(2 ** bits - 1) <= sys.float_info.max
 
 
 def _check_sections(doc: dict) -> None:
@@ -202,10 +208,10 @@ def _check_sections(doc: dict) -> None:
             and quant["bits"] <= MAX_BITS
             and quant.get("act_ema_decay") == ACT_EMA_DECAY
             and isinstance(quant.get("act_ranges"), list)
-            and all(map(_act_range, quant["act_ranges"]))):
+            and all(_act_range(rg, quant["bits"]) for rg in quant["act_ranges"])):
         raise CheckpointFormatError(f"student checkpoint without a valid quant section "
                                     f"(bits in [2, {MAX_BITS}], act_ema_decay {ACT_EMA_DECAY}, "
-                                    "act_ranges)")
+                                    "act_ranges with finite min <= max)")
 
 
 def load_checkpoint(path):

@@ -39,7 +39,7 @@ from .errors import AdadfqError, CheckpointFormatError, ConfigError, ContractErr
 from .game import TRACE_FIELDS, equilibrium_report, make_players, run_game
 from .nn import AdamOptimizer, MlpNetwork, make_mlp
 from .quant import QuantizedMlp, build_quantized_student
-from .tensor import Tensor, backward, cross_entropy_from_logits, no_grad, zero_grads
+from .tensor import Tensor, backward, cross_entropy_from_logits, no_grad
 
 log = logging.getLogger("adadfq")
 
@@ -70,6 +70,12 @@ def _build_dataset(cfg: RunConfig) -> tuple[Dataset, Dataset]:
             f"{cfg.csv_path}: labels must be exactly 0..C-1 with C >= 2, got "
             f"{present.size} distinct label(s) up to {present[-1]}"
         )
+    if full.dim == 0:
+        raise DataError(f"{cfg.csv_path}: no feature column besides {cfg.label_column!r}")
+    counts = np.bincount(full.labels)
+    if counts.min() < 2:  # every class needs a row in each half of the split
+        raise DataError(f"{cfg.csv_path}: class {counts.argmin()} has one row, "
+                        "the train/test split needs two")
     # deterministic stratified split on the file's rows
     rng = SeededRng(cfg.seed).substream("data")
     return stratified_split(full.features, full.labels, full.provenance, rng)
@@ -134,7 +140,6 @@ def train_teacher_network(train: Dataset, cfg: RunConfig) -> MlpNetwork:
             x = Tensor(train.features[idx])
             y = Tensor(onehot[idx])
             loss = cross_entropy_from_logits(net.forward(x), y)
-            zero_grads(net.parameters())
             backward(loss)
             opt.step()
         log.debug("teacher epoch %d done", epoch)

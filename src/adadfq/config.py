@@ -30,8 +30,10 @@ behind that boundary:
     CSV labels integers in [0, 2**63)             data.load_csv
     CSV feature count = the statistics'           data.load_csv (eval, quantize)
     CSV labels are exactly 0..C-1, C >= 2         train-teacher (cli._build_dataset)
+    CSV feature column, two rows per class        train-teacher (cli._build_dataset)
     CSV labels < the network's class count        cli.evaluate_network (eval, quantize)
     checkpoint sections, arrays, EMA decay        checkpoint.load_checkpoint
+    activation range order and width              checkpoint.load_checkpoint
     sample dump; student shape = teacher's        report-similarity
     checkpoint kind a command expects             cli._load
     one-hot labels; p_ds rows sum to 1            built so (sample_noise_and_labels, softmax)

@@ -57,8 +57,8 @@ per iteration. The worker runs the pair: two of each. Its life:
   raised later in the same iteration, as the in-process order would;
   a child that ends without a reply is a ``WorkerError``;
 * *reaping*: ``run_game`` closes the command pipe in a ``finally`` (the
-  child reads EOF and leaves through ``os._exit``) and waits for it, after
-  success, an error, or an error from ``row_callback``.
+  child reads EOF and leaves through ``os._exit``), drains its replies
+  and waits for it, after success, an error, or an error from ``row_callback``.
 
 The child ignores SIGINT (blocked across the fork, so a Ctrl-C cannot
 reach it before), writes nothing but its replies, imports nothing and
@@ -96,7 +96,7 @@ from .data import SeededRng, sample_noise_and_labels
 from .errors import AdadfqError, ContractError, NumericError, WorkerError
 from .nn import AdamOptimizer, ConditionalGenerator, MlpNetwork, SgdMomentum
 from .quant import QuantizedMlp, build_quantized_student
-from .tensor import Tensor, backward, cross_entropy_from_logits, no_grad, zero_grads
+from .tensor import Tensor, backward, cross_entropy_from_logits, no_grad
 
 
 @dataclass
@@ -215,7 +215,6 @@ class _TraceWorker:
 
     def __init__(self):
         self._pid: int | None = None  # forked at the first hand-off
-        self._in_flight = False  # handed over, not yet collected
 
     def hand_pre(self, state: GameState, z: Tensor, y: Tensor) -> None:
         """Hand over what h_info_pre_g reads (``_mirrored``); forks at the first call."""
@@ -225,7 +224,6 @@ class _TraceWorker:
         for view, (array, _) in zip(self._slot, self._mirror):
             np.copyto(view, array)
         self._send(b"a")
-        self._in_flight = True
 
     def hand_post(self) -> None:
         """Hand over the generator's parameters after its step."""
@@ -236,19 +234,17 @@ class _TraceWorker:
     def collect(self) -> tuple[float, float]:
         """h_info_pre_g and h_info_post_g of the iteration handed over."""
         self._receive(b"r")
-        self._in_flight = False
         return tuple(self._results.tolist())
 
     def close(self) -> None:
-        """End the child and reap it. With an iteration still in flight (the
-        parent raised), an error the child reported for it is raised here, in
-        place of the parent's: in-process, it would have come first."""
+        """End the child, drain its replies to EOF and reap it. A report on
+        an iteration still in flight (the parent raised) is raised here, in
+        place of the parent's error: in-process, it would have come first."""
         if self._pid is None:
             return
         os.close(self._commands)  # the child reads EOF and leaves
         try:
-            if self._in_flight:
-                self._receive(b"")
+            self._receive(b"")
         finally:
             os.close(self._replies)
             os.waitpid(self._pid, 0)
@@ -389,8 +385,8 @@ def game_iteration(state: GameState) -> TraceRow:
     p.eval()
     g.train()
     # The student is frozen for this step, as GameState freezes the teacher:
-    # gradients flow through it to x, and none is kept for its parameters,
-    # which step (b) would zero anyway.
+    # gradients flow through it to x, and none is kept for its parameters.
+    # No loop zeroes gradients, so this freeze keeps step (b)'s its own.
     q_params = state.cal_opt.params
     for param in q_params:
         param.requires_grad = False
@@ -418,7 +414,6 @@ def game_iteration(state: GameState) -> TraceRow:
             h_pre_g = _mean_disagreement_entropy(*_eval_sample(g, p, z1, y1), q)
         else:
             worker.hand_pre(state, z1, y1)
-        zero_grads(state.gen_opt.params)
         backward(gen_loss)
     finally:
         for param in q_params:
@@ -455,7 +450,6 @@ def game_iteration(state: GameState) -> TraceRow:
     # (see the module docstring), so the pre measurement reads their entropies.
     q.eval()
     h_pre_q = float(h_info2.data.mean())
-    zero_grads(q_params)
     backward(cal_loss)
     state.cal_opt.step()
     h_post_q = _mean_disagreement_entropy(x2, z_p2, q)

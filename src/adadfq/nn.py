@@ -295,21 +295,23 @@ def _own_storage(params: list[Tensor]) -> np.ndarray:
 
 
 def _gather_grads(params: list[Tensor], views: list[np.ndarray]) -> None:
-    """Copy every parameter's gradient into its view of an optimizer's
-    gradient buffer (``_views``), once each, whatever the gradient's memory
-    order; checks them all before anything is written."""
+    """Move every parameter's gradient into its view of an optimizer's
+    gradient buffer (``_views``): copied once, whatever its memory order, then
+    cleared from ``p.grad``. Checks them all before anything is written."""
     for p in params:
         if p.grad is None:
             raise ContractError("optimizer step with unpopulated gradient")
     for p, view in zip(params, views):
         view[...] = p.grad
+        p.grad = None
 
 
 class _Optimizer:
     """What both optimizers hold. An optimizer owns its parameters' storage:
     it copies them into one contiguous buffer and each ``p.data`` becomes a
     view of it, so a step is one in-place update over the buffer. Write into
-    ``p.data`` in place; rebinding it detaches the parameter from the optimizer."""
+    ``p.data`` in place; rebinding it detaches the parameter from the optimizer.
+    A step takes the gradients it applies, so none is held between steps."""
 
     def __init__(self, params: list[Tensor], lr: float):
         self.params = list(params)

@@ -7,8 +7,9 @@ records its parents and a closure that routes the incoming gradient to them,
 and ``backward`` replays those closures in reverse topological order.
 
 Gradients accumulate: calling ``backward`` twice without ``zero_grad`` doubles
-them. This is deliberate (it is what makes shared subexpressions work) and is
-relied on by the optimizers, which always zero before a step.
+them. This is deliberate (it is what makes shared subexpressions work). An
+optimizer step takes the gradients it applies and leaves each ``p.grad``
+``None`` (``nn._gather_grads``), so the next backward starts from nothing.
 
 Inside ``with no_grad():`` operations record nothing: every result is a
 constant, with the same bits. Forwards that are only read run there.
@@ -346,8 +347,3 @@ def backward(loss: Tensor) -> None:
     for node in topo:
         if node._backward_fn is not None:
             node.grad = None
-
-
-def zero_grads(params) -> None:
-    for p in params:
-        p.zero_grad()

@@ -185,9 +185,12 @@ STATE_MUTATIONS = {
     "non_dict_act_range": lambda d: d["quant"]["act_ranges"].__setitem__(0, [0.0, 1.0]),
     "other_act_ema_decay": lambda d: d["quant"].update(act_ema_decay=0.5),
     "oversized_act_range": lambda d: d["quant"]["act_ranges"][0].update(max=10 ** 400),
+    "swapped_act_range": lambda d: d["quant"]["act_ranges"][1].update(
+        min=d["quant"]["act_ranges"][1]["max"], max=d["quant"]["act_ranges"][1]["min"]),
+    "overwide_act_range": lambda d: d["quant"]["act_ranges"][0].update(min=-1e308, max=1e308),
 }
 STUDENT_MUTATIONS = {"missing_quant_bits", "non_dict_act_range", "other_act_ema_decay",
-                     "oversized_act_range"}
+                     "oversized_act_range", "swapped_act_range", "overwide_act_range"}
 
 
 @pytest.mark.parametrize("mutation", sorted(STATE_MUTATIONS))

@@ -727,6 +727,25 @@ class TestExitCodes:
         assert str(data) in line and fault in line
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("text, fault", [
+        ("label\n" + "0\n1\n" * 10, "no feature column besides 'label'"),
+        ("x0,label\n0.5,0\n1.5,1\n2.5,2\n", "class 0 has one row"),
+        ("x0,label\n0.5,0\n" + "".join(f"{i}.5,1\n" for i in range(5)),
+         "class 0 has one row"),
+    ], ids=["label_only", "one_row_each", "one_row_in_one_class"])
+    def test_csv_too_thin_to_split_is_runtime_error(self, tmp_path, capsys, text, fault):
+        """The split needs a feature and two rows of each class, one per half."""
+        data = tmp_path / "data.csv"
+        data.write_text(text)
+        p = tmp_path / "c.cfg"
+        p.write_text(f"dataset = csv\ncsv_path = {data}\nteacher_epochs = 2\n"
+                     "teacher_hidden = 8,8\n")
+        rc = main(["train-teacher", "--config", str(p), "--out-dir", str(tmp_path / "out")])
+        assert rc == 3
+        line = error_line(capsys)
+        assert str(data) in line and fault in line
+        assert not (tmp_path / "out").exists()
+
     def test_single_class_dataset_is_usage_error(self, tmp_path, capsys):
         p = tmp_path / "c.cfg"
         p.write_text("classes = 1\n")

@@ -320,6 +320,15 @@ class TestHotPath:
             assert row.h_info_pre_q.hex() == recomputed[-1].hex()
         assert len(recomputed) == 3
 
+    def test_an_iteration_leaves_no_gradient(self):
+        """Each optimizer step takes the gradients it applies, so no player
+        holds one between iterations and no loop has to zero them."""
+        config = RunConfig()
+        state = GameState(*desk_networks(config), config)
+        game_iteration(state)
+        assert all(param.grad is None
+                   for param in (*state.g.parameters(), *state.q.parameters()))
+
     def test_step_a_keeps_no_student_gradient(self, monkeypatch):
         config = RunConfig()
         state = GameState(*desk_networks(config), config)
@@ -590,6 +599,22 @@ class TestTraceWorker:
 
         monkeypatch.setattr(game, "calibration_objective", failing_objective)
         with pytest.raises(NumericError, match="third step"):
+            worker_game(short())
+        assert len(forks) == 1 and reaped(forks[0])
+
+    @pytest.mark.parametrize("child_fails", [True, False],
+                             ids=["child_error_wins", "parent_error_stands"])
+    def test_child_is_reaped_after_step_a_backward_raises(self, monkeypatch, forks,
+                                                          child_fails):
+        """Between ``hand_pre`` and ``hand_post`` the child has the pre state.
+        In-process, its measurement error would have come before the backward's."""
+        def failing_backward(loss):
+            raise NumericError("backward failed")
+
+        if child_fails:
+            in_child_only(monkeypatch, raise_numeric_error)
+        monkeypatch.setattr(game, "backward", failing_backward)
+        with pytest.raises(NumericError, match="injected" if child_fails else "backward"):
             worker_game(short())
         assert len(forks) == 1 and reaped(forks[0])
 

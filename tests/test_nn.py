@@ -17,7 +17,7 @@ from adadfq.nn import (
     bn_relu_linear,
     make_mlp,
 )
-from adadfq.tensor import Tensor, backward, zero_grads
+from adadfq.tensor import Tensor, backward
 
 
 def small_net(seed=0):
@@ -174,7 +174,6 @@ class TestOptimizers:
         for _ in range(2):
             w.grad = np.array([1.0])
             opt.step()
-            zero_grads([w])
             v = 0.9 * v + 1.0
             expected -= 0.1 * (1.0 + 0.9 * v)
         np.testing.assert_allclose(w.data, [expected])
@@ -299,8 +298,8 @@ class TestOneBufferOptimizers:
         params[3].grad = rng.normal(size=(3, 2)).T
         assert params[0].grad.flags.f_contiguous and not params[0].grad.flags.c_contiguous
         out = np.empty(sum(p.data.size for p in params))
-        _gather_grads(params, _views(out, params))
         want = np.concatenate([p.grad.ravel() for p in params])
+        _gather_grads(params, _views(out, params))
         assert out.tobytes() == want.tobytes()
 
     def test_gather_checks_every_gradient_before_writing(self):
@@ -311,6 +310,14 @@ class TestOneBufferOptimizers:
         with pytest.raises(ContractError, match="unpopulated gradient"):
             _gather_grads(params, _views(out, params))
         assert np.all(out == -1.0)
+
+    @each_optimizer
+    def test_step_takes_the_gradients_it_applies(self, make):
+        params = mixed_params(7)
+        opt = make(params)
+        self.set_grads(8, params)
+        opt.step()
+        assert all(p.grad is None for p in params)
 
     @each_optimizer
     def test_no_parameters_rejected(self, make):
@@ -324,3 +331,9 @@ def test_teacher_converges_on_separable_data():
     cfg = RunConfig(seed=0, teacher_epochs=60, teacher_lr=1e-2, teacher_hidden="16")
     net = train_teacher_network(train, cfg)
     assert evaluate_network(net, train)["accuracy"] == 1.0
+
+
+def test_trained_teacher_holds_no_gradient():
+    train, _ = standardize(make_blobs(3, 20, 4, 1.3, seed=0)[0])
+    net = train_teacher_network(train, RunConfig(seed=0, teacher_epochs=2))
+    assert all(p.grad is None for p in net.parameters())

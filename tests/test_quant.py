@@ -21,7 +21,7 @@ from adadfq.quant import (
     fake_quant,
     quantize_array,
 )
-from adadfq.tensor import Tensor, backward, zero_grads
+from adadfq.tensor import Tensor, backward
 
 
 class TestQuantizeValue:
@@ -255,7 +255,7 @@ class TestWeightMemo:
         np.testing.assert_array_equal(out.data, expected.data)
         grads = []
         for root in (out, expected):
-            zero_grads([w])
+            w.zero_grad()
             backward((root * root).sum())
             grads.append(w.grad)
         np.testing.assert_array_equal(grads[0], grads[1])

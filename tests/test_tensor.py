@@ -15,7 +15,6 @@ from adadfq.tensor import (
     cross_entropy_from_logits,
     no_grad,
     softmax,
-    zero_grads,
 )
 
 
@@ -154,12 +153,6 @@ class TestMisc:
         backward((concat_cols([a, b]) * 2.0).sum())
         np.testing.assert_allclose(a.grad, 2.0)
         np.testing.assert_allclose(b.grad, 2.0)
-
-    def test_zero_grads(self):
-        w = Tensor([1.0], requires_grad=True)
-        backward(w.sum())
-        zero_grads([w])
-        assert w.grad is None
 
     def test_entropy_rows_values(self):
         out = info_entropy(Tensor([[0.25, 0.25, 0.25, 0.25], [1.0, 0.0, 0.0, 0.0]]))
