@@ -35,7 +35,7 @@ import numpy as np
 
 from .config import RunConfig
 from .nn import BN_EPS, BatchNormLayer, _backprop_batch_moments, _batch_moments
-from .tensor import Tensor, cross_entropy_from_logits, softmax, softmax_entropy
+from .tensor import Tensor, _shifted_exp, cross_entropy_from_logits, softmax_entropy
 
 DISAGREEMENT = "disagreement"
 AGREEMENT = "agreement"
@@ -45,7 +45,9 @@ _DEGENERATE_EPS = 1e-12
 
 
 def disagreement_vector(z_p: Tensor, z_q: Tensor) -> Tensor:
-    return softmax(z_p - z_q)
+    """``p_ds = softmax(z_p - z_q)`` row by row, as a constant (no graph)."""
+    _, e, s = _shifted_exp(z_p - z_q, "softmax")
+    return Tensor(e / s)
 
 
 def info_entropy(p: Tensor) -> Tensor:
@@ -82,7 +84,7 @@ def normalize_entropy(h_info: Tensor, num_classes: int) -> Tensor:
 
 
 def disagreement_entropy(z_p: Tensor, z_q: Tensor) -> Tensor:
-    """``info_entropy(disagreement_vector(z_p, z_q))`` as one node."""
+    """The entropy of each row of ``softmax(z_p - z_q)``, as one node."""
     return softmax_entropy(z_p - z_q)
 
 

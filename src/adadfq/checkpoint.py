@@ -60,10 +60,17 @@ def atomic_writer(path):
     locale, as every reader expects. On success the temp file replaces
     ``path``; on failure it is removed and ``path`` is left as it was. Lines
     end as written (``newline=""``), so CSV rows keep their ``\r\n``
-    terminators."""
-    tmp = os.fspath(path) + ".tmp"
+    terminators. Each writer creates its own temp file, ``path.<hex>.tmp``,
+    exclusively and with the mode ``open(path, "w")`` would give, so two
+    writers of one path never write into one file."""
+    while True:
+        tmp = f"{os.fspath(path)}.{os.urandom(4).hex()}.tmp"
+        with contextlib.suppress(FileExistsError):
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL
+                         | getattr(os, "O_BINARY", 0), 0o666)  # Windows: no newline mapping
+            break
     try:
-        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+        with open(fd, "w", newline="", encoding="utf-8") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -154,8 +161,8 @@ def save_student(path, net: QuantizedMlp, norm_stats=None, metadata: dict | None
     quant = {
         "bits": bits.pop(),
         "act_ema_decay": ACT_EMA_DECAY,
-        "act_ranges": [{"min": st.observed_min, "max": st.observed_max}
-                       for st in net.act_states()],
+        "act_ranges": [{"min": layer.act_min, "max": layer.act_max}
+                       for layer in net.linears],
     }
     _save(path, "student", net, norm_stats, metadata, quant=quant)
 
@@ -239,12 +246,11 @@ def load_checkpoint(path):
         if doc["kind"] == "student":
             quant = doc["quant"]
             net = build_quantized_student(net, quant["bits"])
-            states = net.act_states()
-            if len(quant["act_ranges"]) != len(states):
+            if len(quant["act_ranges"]) != len(net.linears):
                 raise CheckpointFormatError("activation range count mismatch")
-            for st, rg in zip(states, quant["act_ranges"]):
+            for layer, rg in zip(net.linears, quant["act_ranges"]):
                 if rg["min"] is not None:
-                    st.observed_min, st.observed_max = float(rg["min"]), float(rg["max"])
+                    layer.act_min, layer.act_max = float(rg["min"]), float(rg["max"])
         _load_state(net, arrays)
     except CheckpointFormatError as e:
         raise CheckpointFormatError(f"{path}: {e}") from None

@@ -13,6 +13,7 @@ opens any dataset file.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import logging
 import os
@@ -225,6 +226,11 @@ def _l1_similarity(pds: np.ndarray) -> np.ndarray:
     return np.abs(pds[:, None, :] - pds[None, :, :]).sum(axis=2)
 
 
+def _dump_header(width: int) -> list[str]:
+    """The sample dump's columns, in the order ``cmd_dfq`` writes them."""
+    return ["sample_index", "label"] + [f"x{i}" for i in range(width)]
+
+
 def cmd_dfq(args) -> int:
     cfg = _command_config(args)
     teacher, doc = _load(args.ckpt, "teacher")
@@ -257,7 +263,7 @@ def cmd_dfq(args) -> int:
     labels = np.argmax(y.data, axis=1).tolist()
     ckpt.write_csv(os.path.join(args.out_dir, "samples.csv"),
                    ([i, labels[i], *row] for i, row in enumerate(samples)),
-                   header=["sample_index", "label"] + [f"x{i}" for i in range(input_dim)])
+                   header=_dump_header(input_dim))
 
     pds = _pds_matrix(teacher, student, samples)
     ckpt.write_csv(os.path.join(args.out_dir, "similarity.csv"), _l1_similarity(pds))
@@ -289,10 +295,12 @@ def cmd_report_similarity(args) -> int:
         raise ContractError(f"{args.student_ckpt}: student (input_dim, classes) {shapes[1]} "
                             f"does not match the teacher's {shapes[0]}")
     features = load_csv(args.samples, "label").features[:, 1:]  # drop sample_index
-    if features.shape[1] != teacher.input_dim:
-        raise ContractError(
-            f"sample dump width {features.shape[1]} does not match network input {teacher.input_dim}"
-        )
+    # The columns are read by position, so the header must be the writer's.
+    with open(args.samples, newline="", encoding="utf-8-sig") as fh:
+        header = [name.strip() for name in next(csv.reader(fh))]
+    if header != _dump_header(teacher.input_dim):
+        raise DataError(f"{args.samples}: the header must be sample_index,label,"
+                        f"x0,...,x{teacher.input_dim - 1}, as dfq writes it")
     pds = _pds_matrix(teacher, student, features)
     ckpt.write_csv(args.out, _l1_similarity(pds))
     print(json.dumps({"samples": int(features.shape[0]), "out": args.out}))

@@ -185,13 +185,13 @@ def _mirrored(state: GameState, z: Tensor, y: Tensor) -> list[tuple[np.ndarray, 
 
     def set_quant(rows):
         for layer, (lo, hi, bits) in zip(layers, rows.tolist()):
-            layer.act_state.observed_min, layer.act_state.observed_max = lo, hi
+            layer.act_min, layer.act_max = lo, hi
             layer.bits = int(bits)
 
     # Each student layer's activation range and bit width. A range of None is
-    # NaN here, which has_range rejects as it does None.
-    quant = [(layer.act_state.observed_min, layer.act_state.observed_max, layer.bits)
-             for layer in layers]
+    # NaN here, which QuantLinear passes through as it does None (NaN < NaN
+    # is False).
+    quant = [(layer.act_min, layer.act_max, layer.bits) for layer in layers]
     return [(state.gen_opt.storage, None),
             *((a, None) for bn in state.g.bn_layers for a in (bn.running_mean, bn.running_var)),
             (z.data, None), (y.data, None), (state.cal_opt.storage, None),

@@ -38,13 +38,12 @@ and a FixedStatsBatchNorm always normalizes with the running statistics
 copied from the teacher, never with batch statistics. A QuantLinear is one
 graph node (fake-quantized weight, linear and activation fake-quant), and so
 is each batch norm -> ReLU -> QuantLinear block; both are built by
-``nn.bn_relu_linear``. Each QuantLinear holds its own bit width, and the
-student has no other copy of it: a checkpoint reads the width off the layers.
+``nn.bn_relu_linear``. Each QuantLinear holds its own bit width and
+activation range (``act_min``, ``act_max``: None until a training forward
+observes a batch), and the student has no other copy: a checkpoint reads them.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -132,31 +131,6 @@ def fake_quant(x: Tensor, lo: float, hi: float, bits: int) -> Tensor:
     return _ste(x, *_fake_quant_arrays(x.data, lo, hi, bits))
 
 
-@dataclass
-class FakeQuantState:
-    """Observed activation range at one quantization site."""
-
-    observed_min: float | None = None
-    observed_max: float | None = None
-
-    def observe(self, batch: np.ndarray) -> None:
-        lo = float(np.minimum.reduce(batch, axis=None))
-        hi = float(np.maximum.reduce(batch, axis=None))
-        if self.observed_min is None:
-            self.observed_min, self.observed_max = lo, hi
-        else:
-            self.observed_min = ACT_EMA_DECAY * self.observed_min + (1.0 - ACT_EMA_DECAY) * lo
-            self.observed_max = ACT_EMA_DECAY * self.observed_max + (1.0 - ACT_EMA_DECAY) * hi
-
-    @property
-    def has_range(self) -> bool:
-        return (
-            self.observed_min is not None
-            and self.observed_max is not None
-            and self.observed_min < self.observed_max
-        )
-
-
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and bool(
         np.logical_and.reduce(a.view(np.int64) == b.view(np.int64), axis=None))
@@ -166,16 +140,17 @@ class QuantLinear(LinearLayer):
     """Linear layer holding latent full-precision weights.
 
     Forward fake-quantizes the weights over their dynamic per-tensor range and
-    the output activations over the EMA-tracked range, in one graph node whose
-    backward applies the activation mask; the weight's gradient passes
-    straight through. The bias stays full precision.
+    the output activations over the EMA-tracked range ``[act_min, act_max]``,
+    in one graph node whose backward applies the activation mask; the
+    weight's gradient passes straight through. The bias stays full precision.
     """
 
     def __init__(self, source: LinearLayer, bits: int):
         self.weight = Tensor(source.weight.data.copy(), requires_grad=True)
         self.bias = Tensor(source.bias.data.copy(), requires_grad=True)
         self.bits = bits
-        self.act_state = FakeQuantState()
+        self.act_min: float | None = None  # the activation range, once observed
+        self.act_max: float | None = None
         self._memo: tuple | None = None  # (latent copy, bit width, weight in use)
 
     def _weight_array(self) -> np.ndarray:
@@ -192,16 +167,21 @@ class QuantLinear(LinearLayer):
 
     def _activate(self, out: np.ndarray, training: bool,
                   recording: bool) -> tuple[np.ndarray, np.ndarray | None]:
-        """Observes ``out`` in training, then fake-quantizes it over the
-        activation range once there is one; the STE mask only if the node
-        is ``recording``."""
-        state = self.act_state
+        """In training, folds ``out``'s min and max into the range's EMA (the
+        first batch sets it); then fake-quantizes ``out`` over a range with
+        min < max, or passes it through. The STE mask only if ``recording``."""
         if training:
-            state.observe(out)
-        if not state.has_range:
+            lo = float(np.minimum.reduce(out, axis=None))
+            hi = float(np.maximum.reduce(out, axis=None))
+            if self.act_min is None:
+                self.act_min, self.act_max = lo, hi
+            else:
+                self.act_min = ACT_EMA_DECAY * self.act_min + (1.0 - ACT_EMA_DECAY) * lo
+                self.act_max = ACT_EMA_DECAY * self.act_max + (1.0 - ACT_EMA_DECAY) * hi
+        lo, hi = self.act_min, self.act_max
+        if lo is None or hi is None or not lo < hi:
             return out, None
-        return _fake_quant_arrays(out, state.observed_min, state.observed_max, self.bits,
-                                  with_mask=recording)
+        return _fake_quant_arrays(out, lo, hi, self.bits, with_mask=recording)
 
 
 class FixedStatsBatchNorm(BatchNormLayer):
@@ -226,9 +206,6 @@ class QuantizedMlp(MlpNetwork):
     # The walk itself, not a super() call, so a per-method profile
     # (perfbench/layers.py) counts a student forward once, under its own name.
     forward = MlpNetwork.forward
-
-    def act_states(self) -> list[FakeQuantState]:
-        return [layer.act_state for layer in self.linears]
 
 
 def build_quantized_student(teacher: MlpNetwork, bits: int) -> QuantizedMlp:

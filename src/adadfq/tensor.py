@@ -15,9 +15,9 @@ Inside ``with no_grad():`` operations record nothing: every result is a
 constant, with the same bits. Forwards that are only read run there.
 
 The engine keeps the operations the package records: ``+``, ``-`` (and
-negation), ``*``, ``/``, ``exp``, ``relu``, ``matmul``, ``sum`` and
-``mean``, ``concat_cols``, ``softmax`` and the fused nodes below. A
-broadcast operand's gradient is summed back to its shape (``_unbroadcast``).
+negation), ``*``, ``/``, ``relu``, ``matmul``, ``sum`` and ``mean``,
+``concat_cols`` and the fused nodes below. A broadcast operand's gradient is
+summed back to its shape (``_unbroadcast``).
 
 Fused nodes. The hot composites are single nodes with a hand-written
 backward: ``softmax_entropy`` (the entropy of ``softmax(.)``,
@@ -31,7 +31,7 @@ on the same operands and in the same order, and accumulates into each parent
 in the order the composite did, so every output byte is the composite's. The
 composites stay in the tests as the reference (``tests/test_fused.py``),
 built from this engine and the unfused operations of ``tests/reference.py``
-(transpose, power, log, sqrt and log-softmax), and are compared bit for bit.
+(transpose, power, exp, log, sqrt, softmax, log-softmax), compared bit for bit.
 
 Hot-path numpy calls skip numpy's Python-level wrappers: ``np.add.reduce``
 stands for ``ndarray.sum``, ``np.maximum.reduce`` for ``.max``, ``[..., None]``
@@ -193,14 +193,6 @@ class Tensor:
 
         return Tensor._op(self.data / other.data, (self, other), bw)
 
-    def exp(self):
-        out_data = np.exp(self.data)
-
-        def bw(g):
-            self._accum(g * out_data)
-
-        return Tensor._op(out_data, (self,), bw)
-
     def relu(self):
         # Subgradient is 0 exactly at the kink; gradient checks stay away
         # from it.
@@ -259,15 +251,6 @@ def concat_cols(tensors: list[Tensor]) -> Tensor:
             start += w
 
     return Tensor._op(out_data, tuple(tensors), bw)
-
-
-def softmax(logits: Tensor) -> Tensor:
-    """Row-wise (last-axis) softmax with max-subtraction for overflow safety."""
-    if not np.all(np.isfinite(logits.data)):
-        raise NumericError("softmax received non-finite logits")
-    shift = logits - Tensor(logits.data.max(axis=-1, keepdims=True))
-    e = shift.exp()
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _shifted_exp(logits: Tensor, name: str):

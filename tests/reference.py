@@ -11,6 +11,7 @@ composite's bytes, so the fused nodes are compared with them bit for bit.
 
 import numpy as np
 
+from adadfq.errors import NumericError
 from adadfq.tensor import Tensor
 
 
@@ -29,6 +30,15 @@ def power(x: Tensor, exponent: float) -> Tensor:
     return Tensor._op(x.data ** exponent, (x,), bw)
 
 
+def exp(x: Tensor) -> Tensor:
+    out_data = np.exp(x.data)
+
+    def bw(g):
+        x._accum(g * out_data)
+
+    return Tensor._op(out_data, (x,), bw)
+
+
 def log(x: Tensor) -> Tensor:
     def bw(g):
         x._accum(g / x.data)
@@ -45,7 +55,16 @@ def sqrt(x: Tensor) -> Tensor:
     return Tensor._op(out_data, (x,), bw)
 
 
+def softmax(logits: Tensor) -> Tensor:
+    """Row-wise (last-axis) softmax with max-subtraction for overflow safety."""
+    if not np.all(np.isfinite(logits.data)):
+        raise NumericError("softmax received non-finite logits")
+    shift = logits - Tensor(logits.data.max(axis=-1, keepdims=True))
+    e = exp(shift)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def log_softmax(logits: Tensor) -> Tensor:
     """Row-wise log-softmax from the max-shifted logits, as separate nodes."""
     shift = logits - Tensor(logits.data.max(axis=-1, keepdims=True))
-    return shift - log(shift.exp().sum(axis=-1, keepdims=True))
+    return shift - log(exp(shift).sum(axis=-1, keepdims=True))

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import argmin_entropy_row, check_gradients, fd_check_skip_rows
+from reference import softmax
 
 from adadfq.adaptability import (
     calibration_objective,
@@ -42,7 +43,7 @@ from adadfq.quant import (
     dequantize_array,
     quantize_array,
 )
-from adadfq.tensor import Tensor, softmax
+from adadfq.tensor import Tensor
 
 SEEDS = (0, 1, 2)
 BITS = 3

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import argmin_entropy_row, check_gradients, fd_check_skip_rows
+from reference import softmax
 
 from adadfq.adaptability import (
     AGREEMENT,
@@ -26,7 +27,7 @@ from adadfq.adaptability import (
 from adadfq.config import RunConfig
 from adadfq.errors import ConfigError
 from adadfq.nn import BatchNormLayer
-from adadfq.tensor import Tensor, softmax
+from adadfq.tensor import Tensor
 
 
 def rand_logits(rng, rows=6, cols=4):

@@ -1,5 +1,6 @@
 import base64
 import json
+import os
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from conftest import error_line
 from adadfq.checkpoint import (
     FORMAT_VERSION,
     _encode_array,
+    atomic_writer,
     load_checkpoint,
     norm_stats_from,
     save_student,
@@ -80,13 +82,13 @@ class TestStudentRoundTrip:
         loaded, doc = load_checkpoint(path)
         assert doc["kind"] == "student"
         assert [layer.bits for layer in loaded.linears] == [3, 3]
-        for a, b in zip(loaded.act_states(), student.act_states()):
-            assert (a.observed_min, a.observed_max) == (b.observed_min, b.observed_max)
-        ranges = [(st.observed_min, st.observed_max) for st in student.act_states()]
+        for a, b in zip(loaded.linears, student.linears):
+            assert (a.act_min, a.act_max) == (b.act_min, b.act_max)
+        ranges = [(layer.act_min, layer.act_max) for layer in student.linears]
         x = Tensor(train.features[64:128] * 10.0)  # far outside the observed ranges
         np.testing.assert_array_equal(loaded.forward(x).data, student.forward(x).data)
         for net in (student, loaded):
-            assert [(st.observed_min, st.observed_max) for st in net.act_states()] == ranges
+            assert [(layer.act_min, layer.act_max) for layer in net.linears] == ranges
 
     def test_bit_width_is_read_off_the_layers(self, teacher, tmp_path):
         net, _, train = teacher
@@ -212,3 +214,35 @@ def test_malformed_state_is_a_format_error(teacher, tmp_path, capsys, mutation):
     rc = main(["eval", "--ckpt", str(path), "--dataset", str(tmp_path / "absent.csv")])
     assert rc == 3
     assert error_line(capsys).startswith(f"error: {path}: ")
+
+
+class TestAtomicWriter:
+    def test_failure_leaves_the_old_file_and_no_temp_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old")
+        with pytest.raises(RuntimeError):
+            with atomic_writer(path) as fh:
+                fh.write("half")
+                raise RuntimeError("cut")
+        assert path.read_text() == "old"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_nested_writers_of_one_path_both_succeed(self, tmp_path):
+        """Each writer has a temp file of its own, so the one that closes last
+        replaces the file with its full text."""
+        path = tmp_path / "out.txt"
+        with atomic_writer(path) as outer:
+            outer.write("0123456789")
+            with atomic_writer(path) as inner:
+                inner.write("abc")
+            assert path.read_text() == "abc"
+        assert path.read_text() == "0123456789"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_mode_is_that_of_a_plain_open(self, tmp_path):
+        with open(tmp_path / "plain.txt", "w"):
+            pass
+        with atomic_writer(tmp_path / "atomic.txt") as fh:
+            fh.write("x")
+        modes = {os.stat(tmp_path / name).st_mode for name in ("plain.txt", "atomic.txt")}
+        assert len(modes) == 1

@@ -449,8 +449,12 @@ class TestExitCodes:
          ":3: expected 6 fields, got 4"),
         ("sample_index,label,x0,x1,x2,label\n0,1,0.5,-0.5,1.0,0\n",
          ": column 'label' appears twice in the header"),
+        ("label,x0,x1,x2,x3,sample_index\n1,0.5,-0.5,1.0,0.0,0\n",
+         ": the header must be sample_index,label,x0,...,x3"),
+        ("id,label,x0,x1,x2,x3\n0,1,0.5,-0.5,1.0,0.0\n",
+         ": the header must be sample_index,label,x0,...,x3"),
     ], ids=["empty", "header_only", "non_numeric", "nan", "overflow", "ragged",
-            "repeated_column"])
+            "repeated_column", "reordered_header", "no_sample_index"])
     def test_malformed_sample_dump_is_runtime_error(self, workdir, dfq_out, tmp_path,
                                                     capsys, dump, message):
         """Each ends in one line that names the file, and the row if there is one."""

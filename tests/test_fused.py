@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from conftest import check_gradients
-from reference import log_softmax, power, sqrt, transpose
+from reference import log_softmax, power, softmax, sqrt, transpose
 
 from adadfq.adaptability import info_entropy, loss_bns
 from adadfq.nn import (
@@ -31,6 +31,7 @@ from adadfq.nn import (
     make_mlp,
 )
 from adadfq.quant import (
+    ACT_EMA_DECAY,
     FixedStatsBatchNorm,
     QuantLinear,
     _fake_quant_arrays,
@@ -44,7 +45,6 @@ from adadfq.tensor import (
     backward,
     cross_entropy_from_logits,
     no_grad,
-    softmax,
     softmax_entropy,
 )
 
@@ -94,11 +94,15 @@ def composite_linear_layer(layer, x, training):
     if lo < hi:
         weight = _ste(weight, *reference_fake_quant_arrays(w, lo, hi, layer.bits))
     out = composite_linear(x, weight, layer.bias)
-    state = layer.act_state
-    if training:
-        state.observe(out.data)
-    if state.has_range:
-        out = fake_quant(out, state.observed_min, state.observed_max, layer.bits)
+    if training:  # the range's exponential moving average, spelled out
+        lo, hi = float(out.data.min()), float(out.data.max())
+        if layer.act_min is None:
+            layer.act_min, layer.act_max = lo, hi
+        else:
+            layer.act_min = ACT_EMA_DECAY * layer.act_min + (1.0 - ACT_EMA_DECAY) * lo
+            layer.act_max = ACT_EMA_DECAY * layer.act_max + (1.0 - ACT_EMA_DECAY) * hi
+    if layer.act_min is not None and layer.act_min < layer.act_max:
+        out = fake_quant(out, layer.act_min, layer.act_max, layer.bits)
     return out
 
 
@@ -187,8 +191,7 @@ def assert_block_same_bits(bn, layer, training, rng, x_requires_grad=True):
         grads = [t.grad for t in [x, *bn_params, *layer_params]]
         state = [] if bn_copy is None else [bn_copy.running_mean, bn_copy.running_var]
         if isinstance(layer_copy, QuantLinear):
-            act = layer_copy.act_state
-            state.append(np.array([act.observed_min, act.observed_max], dtype=float))
+            state.append(np.array([layer_copy.act_min, layer_copy.act_max], dtype=float))
         results.append((out.data, grads, state))
     (out_f, grads_f, state_f), (out_c, grads_c, state_c) = results
     np.testing.assert_array_equal(out_f, out_c)
@@ -353,7 +356,7 @@ class TestBlock:
         rng = np.random.default_rng(seed)
         bn, layer = self.layers(rng, "student")
         if act_range is not None:  # narrow enough to clip some outputs
-            layer.act_state.observed_min, layer.act_state.observed_max = act_range
+            layer.act_min, layer.act_max = act_range
         bn_params, layer_params = block_params(bn, layer)
         for p in bn_params + layer_params:
             p.requires_grad = not frozen
@@ -366,7 +369,7 @@ class TestBlock:
         rng = np.random.default_rng(9)
         bn, layer = self.layers(rng, "student")
         layer.weight.data[...] = 0.25
-        layer.act_state.observed_min, layer.act_state.observed_max = -0.5, 0.5
+        layer.act_min, layer.act_max = -0.5, 0.5
         assert_block_same_bits(bn if with_bn else None, layer, True, rng)
 
     @pytest.mark.parametrize("bits", [2, 3, 32])
@@ -375,7 +378,7 @@ class TestBlock:
         on a constant input (step (b)'s samples)."""
         rng = np.random.default_rng(10)
         _, layer = self.layers(rng, "student", bits)
-        layer.act_state.observed_min, layer.act_state.observed_max = -1.0, 1.2
+        layer.act_min, layer.act_max = -1.0, 1.2
         assert_block_same_bits(None, layer, True, rng, x_requires_grad=False)
 
     @pytest.mark.parametrize("bits", [2, 3, 32])
@@ -384,7 +387,7 @@ class TestBlock:
         so its gradient goes back through the fake-quantized weight."""
         rng = np.random.default_rng(12)
         _, layer = self.layers(rng, "student", bits)
-        layer.act_state.observed_min, layer.act_state.observed_max = -1.0, 1.2
+        layer.act_min, layer.act_max = -1.0, 1.2
         assert_block_same_bits(None, layer, True, rng)
 
     @pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
@@ -451,13 +454,13 @@ class TestNoMaskWithoutRecording:
         rng = np.random.default_rng(16)
         layers = [QuantLinear(LinearLayer(5, 4, rng), 3) for _ in range(2)]
         for layer in layers:
-            layer.act_state.observed_min, layer.act_state.observed_max = -0.8, 0.9
+            layer.act_min, layer.act_max = -0.8, 0.9
         out = rng.normal(size=(6, 4))
         got, mask = layers[0]._activate(out, training, False)
         want, recorded_mask = layers[1]._activate(out, training, True)
         assert mask is None and recorded_mask is not None
         assert got.tobytes() == want.tobytes()
-        assert layers[0].act_state == layers[1].act_state
+        assert (layers[0].act_min, layers[0].act_max) == (layers[1].act_min, layers[1].act_max)
 
     @pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
     @pytest.mark.parametrize("kind", ["teacher", "student", "quant_linear"])
@@ -470,7 +473,7 @@ class TestNoMaskWithoutRecording:
         if kind == "quant_linear":
             bn = None
         if kind != "teacher":
-            layer.act_state.observed_min, layer.act_state.observed_max = -0.8, 0.9
+            layer.act_min, layer.act_max = -0.8, 0.9
         x_data = rng.normal(0.3, 1.5, size=(6, 5))
         results = []
         for recording, (bn_copy, layer_copy) in ((True, (bn, layer)),
@@ -481,8 +484,7 @@ class TestNoMaskWithoutRecording:
             assert out.requires_grad == recording
             state = [] if bn_copy is None else [bn_copy.running_mean, bn_copy.running_var]
             if kind != "teacher":
-                act = layer_copy.act_state
-                state.append(np.array([act.observed_min, act.observed_max]))
+                state.append(np.array([layer_copy.act_min, layer_copy.act_max]))
             results.append([out.data, *state])
         for recorded, bare in zip(*results):
             assert recorded.tobytes() == bare.tobytes()

@@ -27,7 +27,7 @@ from adadfq.game import (
     run_game,
 )
 from adadfq.nn import ConditionalGenerator, MlpNetwork, make_mlp
-from adadfq.quant import FakeQuantState, QuantizedMlp
+from adadfq.quant import QuantizedMlp
 from adadfq.tensor import Tensor
 
 
@@ -175,7 +175,7 @@ class TestRunGame:
                     mine.data[...] = theirs.data  # in place: the optimizer owns the storage
                 for layer in q.linears:
                     layer.bits = 32
-                    layer.act_state = FakeQuantState()
+                    layer.act_min = layer.act_max = None
             student_after[row.iter] = [p.data.copy() for p in q.parameters()]
 
         trace = run_game(g, teacher, q, config, row_callback=make_student_exact)
@@ -391,6 +391,14 @@ def widen_after_row_1(row, q):
             layer.bits = 8
 
 
+def clear_ranges_after_row_1(row, q):
+    """A ``row_callback`` that clears every student layer's activation range
+    after row 1; the next training forward observes it afresh."""
+    if row.iter == 1:
+        for layer in q.linears:
+            layer.act_min = layer.act_max = None
+
+
 def short(**kw):
     return RunConfig(**{"epochs": 1, "iterations_per_epoch": 4, **kw})
 
@@ -460,7 +468,9 @@ class TestTraceWorker:
     @pytest.mark.parametrize("kw, mutate", [
         ({}, None), ({"aux_ce": 0.5}, None), ({"beta": 0.0}, None), ({"gamma": 0.0}, None),
         ({"bits": 2}, None), ({"bits": 4}, None), ({}, widen_after_row_1),
-    ], ids=["desk", "aux_ce", "beta0", "gamma0", "bits2", "bits4", "callback_sets_bits"])
+        ({}, clear_ranges_after_row_1),
+    ], ids=["desk", "aux_ce", "beta0", "gamma0", "bits2", "bits4", "callback_sets_bits",
+            "callback_clears_ranges"])
     def test_rows_and_student_bytes_match_the_in_process_path(self, kw, mutate, forks,
                                                               tmp_path):
         config = short(**kw)

@@ -29,7 +29,7 @@ ALLOWED = {
     "quant.round_half_away": "the quantizer's reference rounding",
     "quant.quantize_array": "the quantizer's reference mapping",
     "quant.dequantize_array": "the quantizer's reference inverse",
-    "tensor._unbroadcast": "softmax's gradient needs it; no command broadcasts a gradient",
+    "tensor._unbroadcast": "the tests' composites broadcast; no command does",
     "tensor.Tensor.__repr__": "for a reader at the prompt or in a failing test",
     # runs, but only in the forked child, where the profiler does not see it
     "game._TraceWorker._serve": "the trace worker's loop, run in the forked child only",

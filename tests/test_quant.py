@@ -14,7 +14,6 @@ from adadfq.data import apply_standardization, make_blobs, standardize
 from adadfq.errors import ContractError, DegenerateRangeError
 from adadfq.nn import LinearLayer, SgdMomentum, bn_relu_linear
 from adadfq.quant import (
-    FakeQuantState,
     QuantLinear,
     build_quantized_student,
     dequantize_array,
@@ -151,14 +150,15 @@ class TestFakeQuant:
         assert out is x
 
 
-class TestFakeQuantState:
+class TestActivationRange:
     def test_ema_tracking(self):
-        st_ = FakeQuantState()
-        st_.observe(np.array([0.0, 1.0]))
-        assert st_.observed_min == 0.0 and st_.observed_max == 1.0
-        st_.observe(np.array([-1.0, 2.0]))
-        assert st_.observed_min == pytest.approx(0.9 * 0.0 + 0.1 * -1.0)
-        assert st_.observed_max == pytest.approx(0.9 * 1.0 + 0.1 * 2.0)
+        layer = QuantLinear(LinearLayer(2, 2, np.random.default_rng(0)), 4)
+        assert layer.act_min is None and layer.act_max is None
+        layer._activate(np.array([0.0, 1.0]), True, False)
+        assert layer.act_min == 0.0 and layer.act_max == 1.0
+        layer._activate(np.array([-1.0, 2.0]), True, False)
+        assert layer.act_min == pytest.approx(0.9 * 0.0 + 0.1 * -1.0)
+        assert layer.act_max == pytest.approx(0.9 * 1.0 + 0.1 * 2.0)
 
 
 @pytest.fixture(scope="module")
@@ -216,10 +216,10 @@ class TestBuildQuantizedStudent:
         train_logits = student.forward(x).data  # moves them, then quantizes
         for name, buf in student.named_buffers().items():
             assert buf.tobytes() == before[name].tobytes(), name
-        ranges = [(s.observed_min, s.observed_max) for s in student.act_states()]
+        ranges = [(layer.act_min, layer.act_max) for layer in student.linears]
         eval_logits = student.eval().forward(x).data
         assert train_logits.tobytes() == eval_logits.tobytes()
-        assert [(s.observed_min, s.observed_max) for s in student.act_states()] == ranges
+        assert [(layer.act_min, layer.act_max) for layer in student.linears] == ranges
 
     def test_bn_running_stats_copied_not_shared(self, trained_teacher):
         net, _, _ = trained_teacher

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import check_gradients
-from reference import log_softmax, power, transpose
+from reference import log_softmax, power, softmax, transpose
 
 from adadfq.adaptability import info_entropy
 from adadfq.errors import ContractError, DimensionError, NumericError
@@ -14,7 +14,6 @@ from adadfq.tensor import (
     concat_cols,
     cross_entropy_from_logits,
     no_grad,
-    softmax,
 )
 
 
