@@ -167,10 +167,19 @@ def save_student(path, net: QuantizedMlp, norm_stats=None, metadata: dict | None
     _save(path, "student", net, norm_stats, metadata, quant=quant)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """``json.load``'s object hook: a key given twice is an error, not its last value."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        key = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
+        raise CheckpointFormatError(f"key {key!r} appears twice")
+    return doc
+
+
 def _read(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise CheckpointFormatError(f"not a valid checkpoint: {e}") from None
     if not isinstance(doc, dict) or "version" not in doc:

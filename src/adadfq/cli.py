@@ -2,7 +2,7 @@
 
 Subcommands: train-teacher, quantize, dfq, eval, report-similarity.
 Exit codes: 0 success, 2 usage/config errors (a path that is missing or of
-the wrong kind too), 3 runtime/numeric errors.
+the wrong kind too), 3 runtime/numeric errors and allocations that fail.
 Verbosity via the ADADFQ_LOG environment variable (DEBUG/INFO/WARNING).
 
 The dfq command is structurally data-free: it reads only the teacher
@@ -26,7 +26,6 @@ from .adaptability import disagreement_vector
 from .config import RunConfig, read_config
 from .data import (
     Dataset,
-    SeededRng,
     apply_standardization,
     load_csv,
     make_blobs,
@@ -35,6 +34,7 @@ from .data import (
     save_csv,
     standardize,
     stratified_split,
+    substream,
 )
 from .errors import AdadfqError, CheckpointFormatError, ConfigError, ContractError, DataError
 from .game import TRACE_FIELDS, equilibrium_report, make_players, run_game
@@ -78,8 +78,8 @@ def _build_dataset(cfg: RunConfig) -> tuple[Dataset, Dataset]:
         raise DataError(f"{cfg.csv_path}: class {counts.argmin()} has one row, "
                         "the train/test split needs two")
     # deterministic stratified split on the file's rows
-    rng = SeededRng(cfg.seed).substream("data")
-    return stratified_split(full.features, full.labels, full.provenance, rng)
+    return stratified_split(full.features, full.labels, full.provenance,
+                            substream(cfg.seed, "data"))
 
 
 def _forward_batched(net, features: np.ndarray) -> np.ndarray:
@@ -123,12 +123,11 @@ def evaluate_network(net, ds: Dataset) -> dict:
 def train_teacher_network(train: Dataset, cfg: RunConfig) -> MlpNetwork:
     """Supervised pretraining of the full-precision network with label
     cross-entropy and Adam."""
-    rng = SeededRng(cfg.seed)
     num_classes = int(train.labels.max()) + 1  # labels are 0..C-1, by _build_dataset
     net = make_mlp(train.dim, cfg.hidden_widths(cfg.teacher_hidden), num_classes,
-                   rng.substream("teacher_init"))
+                   substream(cfg.seed, "teacher_init"))
     opt = AdamOptimizer(net.parameters(), lr=cfg.teacher_lr)
-    order_rng = rng.substream("teacher_order")
+    order_rng = substream(cfg.seed, "teacher_order")
     onehot = np.eye(num_classes)[train.labels]
     n = train.num_samples
     net.train()
@@ -256,8 +255,9 @@ def cmd_dfq(args) -> int:
     # final generated-sample dump plus their pairwise p_ds distances
     generator.eval()
     student.eval()
-    dump_rng = SeededRng(cfg.seed ^ 0x5A5A5A5A)
-    z, y = sample_noise_and_labels(dump_rng, cfg.sample_dump, cfg.noise_dim, num_classes)
+    dump_seed = cfg.seed ^ 0x5A5A5A5A  # streams of their own, apart from the game's
+    z, y = sample_noise_and_labels(substream(dump_seed, "noise"), substream(dump_seed, "labels"),
+                                   cfg.sample_dump, cfg.noise_dim, num_classes)
     with no_grad():
         samples = generator.forward(z, y).data
     labels = np.argmax(y.data, axis=1).tolist()
@@ -375,8 +375,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except AdadfqError as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (AdadfqError, MemoryError) as e:  # numpy's failed allocation is a MemoryError
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 3
 
 

@@ -1,11 +1,11 @@
 """Deterministic synthetic datasets, CSV ingestion, and seeded randomness.
 
 All constructors are pure functions of (params, seed). Randomness comes from
-counter-based Philox streams keyed by (seed, substream name), so the data,
-noise, label, and init streams are independent and reproducible. Standard
+counter-based Philox streams: ``substream(seed, name)`` is a fresh generator
+keyed by both, so the data, noise, label and init streams are independent and
+reproducible; a caller that draws across calls holds its generator. Standard
 normals are drawn via the Box-Muller transform from the uniform stream; a
-reimplementation that adopts the same transform and key derivation can match
-these streams bit-for-bit.
+reimplementation with the same transform and key derivation matches them bit-for-bit.
 """
 
 from __future__ import annotations
@@ -26,24 +26,11 @@ RINGS_NOISE = 0.1  # std of the rings' radial noise
 TEST_FRACTION = 0.2  # share of each class held out by stratified_split
 
 
-class SeededRng:
-    """Named, independent random substreams derived from one 64-bit seed."""
-
-    def __init__(self, seed: int):
-        self.seed = int(seed)
-        self._streams: dict[str, np.random.Generator] = {}
-
-    def substream(self, name: str) -> np.random.Generator:
-        """Return the generator for ``name``, creating it on first use.
-
-        The stream is stateful: repeated calls continue where the last draw
-        left off. Two SeededRng objects with the same seed replay identically.
-        """
-        if name not in self._streams:
-            digest = hashlib.sha256(f"{self.seed}:{name}".encode()).digest()
-            key = int.from_bytes(digest[:16], "little")
-            self._streams[name] = np.random.Generator(np.random.Philox(key=key))
-        return self._streams[name]
+def substream(seed: int, name: str) -> np.random.Generator:
+    """A fresh Philox generator keyed by the first 16 bytes, little-endian, of
+    sha256("{seed}:{name}"), so one (seed, name) pair always replays one stream."""
+    digest = hashlib.sha256(f"{seed}:{name}".encode()).digest()
+    return np.random.Generator(np.random.Philox(key=int.from_bytes(digest[:16], "little")))
 
 
 def box_muller(gen: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -98,7 +85,7 @@ def make_blobs(num_classes: int, per_class: int, dim: int, spread: float,
     ``RunConfig`` checks the ranges: ``num_classes >= 2``, ``per_class >= 5``
     (for the 80/20 split), ``dim >= 2`` and a finite ``spread > 0``.
     """
-    gen = SeededRng(seed).substream("data")
+    gen = substream(seed, "data")
     centers = np.zeros((num_classes, dim))
     angles = 2.0 * np.pi * np.arange(num_classes) / num_classes
     centers[:, 0] = 4.0 * np.cos(angles)
@@ -116,7 +103,7 @@ def make_rings(num_classes: int, per_class: int, seed: int) -> tuple[Dataset, Da
     """Concentric 2-D annuli; radius grows with class index, so the class is
     recoverable from the norm but not by any linear classifier. ``RunConfig``
     checks ``num_classes >= 2`` and ``per_class >= 5``."""
-    gen = SeededRng(seed).substream("data")
+    gen = substream(seed, "data")
     rows = []
     for c in range(num_classes):
         radius = 1.0 + c
@@ -211,11 +198,11 @@ def load_csv(path, label_column: str = "label",
     return ds if stats is None else apply_standardization(ds, stats)
 
 
-def sample_noise_and_labels(rng: SeededRng, batch: int, noise_dim: int,
-                            num_classes: int) -> tuple[Tensor, Tensor]:
-    """Draw z ~ N(0,1) and uniform one-hot labels from dedicated substreams."""
-    z = box_muller(rng.substream("noise"), (batch, noise_dim))
-    classes = rng.substream("labels").integers(0, num_classes, size=batch)
+def sample_noise_and_labels(noise: np.random.Generator, labels: np.random.Generator,
+                            batch: int, noise_dim: int, num_classes: int) -> tuple[Tensor, Tensor]:
+    """Draw z ~ N(0,1) from ``noise`` and uniform one-hot labels from ``labels``."""
+    z = box_muller(noise, (batch, noise_dim))
+    classes = labels.integers(0, num_classes, size=batch)
     y = np.zeros((batch, num_classes))
     y[np.arange(batch), classes] = 1.0
     return Tensor(z), Tensor(y)

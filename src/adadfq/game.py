@@ -92,7 +92,7 @@ from .adaptability import (
     normalize_entropy,
 )
 from .config import RunConfig
-from .data import SeededRng, sample_noise_and_labels
+from .data import sample_noise_and_labels, substream
 from .errors import AdadfqError, ContractError, NumericError, WorkerError
 from .nn import AdamOptimizer, ConditionalGenerator, MlpNetwork, SgdMomentum
 from .quant import QuantizedMlp, build_quantized_student
@@ -133,7 +133,7 @@ def make_players(teacher: MlpNetwork,
     """The generator (``noise_dim``, ``embed_dim``, ``gen_hidden``, drawn from
     ``seed``) and the ``bits``-wide student of a game against ``teacher``."""
     g = ConditionalGenerator(config.noise_dim, teacher.output_dim, teacher.input_dim,
-                             SeededRng(config.seed).substream("generator_init"),
+                             substream(config.seed, "generator_init"),
                              embed_dim=config.embed_dim,
                              hidden=config.hidden_widths(config.gen_hidden))
     return g, build_quantized_student(teacher, config.bits)
@@ -141,7 +141,7 @@ def make_players(teacher: MlpNetwork,
 
 class GameState:
     """Generator ``g`` and student ``q`` against teacher ``p``: the players,
-    ``config``, both optimizers, the noise and label streams, the next
+    ``config``, both optimizers, the ``noise`` and ``labels`` streams, the next
     iteration's index and the trace worker (None: measure in-process).
     Making one freezes the teacher's parameters for good."""
 
@@ -152,7 +152,8 @@ class GameState:
         self.cal_opt = SgdMomentum(q.parameters(), lr=config.cal_lr,
                                    momentum=config.cal_momentum,
                                    weight_decay=config.cal_weight_decay)
-        self.rng = SeededRng(config.seed)
+        self.noise = substream(config.seed, "noise")
+        self.labels = substream(config.seed, "labels")
         self.iteration = 0
         p.eval()
         for param in p.parameters():
@@ -374,12 +375,13 @@ def game_iteration(state: GameState) -> TraceRow:
     one student calibration step) and advance the index. With a worker on
     the state, the generator's measurement pair runs in it; without one, in
     this process."""
-    g, p, q, config, rng = state.g, state.p, state.q, state.config, state.rng
+    g, p, q, config = state.g, state.p, state.q, state.config
     worker, iteration = state.worker, state.iteration
     num_classes = p.output_dim
 
     # ---- (a) generator step ------------------------------------------------
-    z1, y1 = sample_noise_and_labels(rng, config.batch_size, config.noise_dim, num_classes)
+    z1, y1 = sample_noise_and_labels(state.noise, state.labels, config.batch_size,
+                                     config.noise_dim, num_classes)
 
     q.eval()
     p.eval()
@@ -429,7 +431,8 @@ def game_iteration(state: GameState) -> TraceRow:
     h = h_prime.data
 
     # ---- (b) student calibration step --------------------------------------
-    z2, y2 = sample_noise_and_labels(rng, config.batch_size, config.noise_dim, num_classes)
+    z2, y2 = sample_noise_and_labels(state.noise, state.labels, config.batch_size,
+                                     config.noise_dim, num_classes)
     x2, z_p2 = _eval_sample(g, p, z2, y2)  # shared with the measurement pair
     if not np.logical_and.reduce(np.isfinite(x2.data), axis=None):
         raise NumericError(f"non-finite generated samples at iteration {iteration}")

@@ -1,6 +1,7 @@
 import base64
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from adadfq.checkpoint import (
     save_teacher,
 )
 from adadfq.cli import RunConfig, main, train_teacher_network
-from adadfq.data import make_blobs, standardize
+from adadfq.data import make_blobs, save_csv, standardize
 from adadfq.errors import CheckpointFormatError, ContractError
 from adadfq.nn import make_mlp
 from adadfq.quant import build_quantized_student
@@ -158,6 +159,26 @@ class TestFormatErrors:
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointFormatError, match="quant"):
             load_checkpoint(path)
+
+    # A key given twice in the text. A plain json.load keeps its last value,
+    # so each file would load; a parsed dict (STATE_MUTATIONS) cannot hold one.
+    @pytest.mark.parametrize("key, mutate", [
+        ("kind", lambda text: text.replace('"kind": "teacher"',
+                                           '"kind": "student", "kind": "teacher"')),
+        ("layers.0.bias", lambda text: re.sub(r'("layers\.0\.bias": \{[^}]*\})', r"\1, \1", text)),
+    ], ids=["kind", "parameter"])
+    def test_repeated_key(self, teacher, tmp_path, capsys, key, mutate):
+        net, stats, train = teacher
+        path, data = tmp_path / "t.json", tmp_path / "d.csv"
+        save_teacher(path, net, norm_stats=stats)
+        save_csv(train, data)
+        text = path.read_text()
+        path.write_text(mutate(text))
+        assert path.read_text() != text
+        with pytest.raises(CheckpointFormatError, match="appears twice"):
+            load_checkpoint(path)
+        assert main(["eval", "--ckpt", str(path), "--dataset", str(data)]) == 3
+        assert error_line(capsys) == f"error: {path}: key {key!r} appears twice"
 
 
 # Mutations of a saved checkpoint (hidden=(16,): layers 0 linear, 1 BN, 3

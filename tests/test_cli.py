@@ -413,16 +413,15 @@ class TestEval:
 
 
 class TestReportSimilarity:
-    def test_round_trip_matches_dfq_output(self, workdir):
+    def test_round_trip_matches_dfq_output(self, workdir, dfq_out):
         root, cfg_path, out = workdir
-        ddir = root / "dfq"
         out_path = root / "sim_again.csv"
-        rc = main(["report-similarity", "--samples", str(ddir / "samples.csv"),
+        rc = main(["report-similarity", "--samples", str(dfq_out / "samples.csv"),
                    "--ckpt", str(out / "teacher.json"),
-                   "--student-ckpt", str(ddir / "student_dfq_3bit.json"),
+                   "--student-ckpt", str(dfq_out / "student_dfq_3bit.json"),
                    "--out", str(out_path)])
         assert rc == 0
-        assert out_path.read_text() == (ddir / "similarity.csv").read_text()
+        assert out_path.read_text() == (dfq_out / "similarity.csv").read_text()
 
     def test_dump_with_byte_order_mark(self, workdir, dfq_out, tmp_path):
         _, _, out = workdir
@@ -502,6 +501,31 @@ class TestExitCodes:
         assert rc == 2
         error_line(capsys)
         assert not (tmp_path / "out").exists()
+
+    # Each size is above every address space and below 2**63 bytes, so numpy
+    # fails at the allocation without touching memory.
+    @pytest.mark.parametrize("command, line", [
+        ("dfq", f"batch_size = {10 ** 17}"),  # 5.55 EiB of noise
+        ("train-teacher", f"per_class = {10 ** 17}"),  # 1.39 EiB of blob rows
+    ], ids=["dfq_batch_size", "train_teacher_per_class"])
+    def test_size_that_cannot_be_allocated_is_runtime_error(self, workdir, tmp_path, capsys,
+                                                             command, line):
+        _, _, out = workdir
+        p = tmp_path / "c.cfg"
+        p.write_text(with_settings(SMALL_CONFIG, line + "\n"))
+        args = ["--config", str(p), "--out-dir", str(tmp_path / "out")]
+        if command == "dfq":
+            args += ["--ckpt", str(out / "teacher.json")]
+        assert main([command] + args) == 3
+        assert "allocate" in error_line(capsys)
+
+    def test_bare_memory_error_is_named(self, tmp_path, capsys, monkeypatch):
+        def no_memory(*args):
+            raise MemoryError()
+
+        monkeypatch.setattr(adadfq.cli, "make_blobs", no_memory)
+        assert main(["train-teacher", "--out-dir", str(tmp_path / "out")]) == 3
+        assert error_line(capsys) == "error: MemoryError"
 
     @pytest.mark.parametrize("config, key", [
         ("dataset = rings\ndim = 4\n", "dim"),

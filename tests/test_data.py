@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adadfq.data import (
-    SeededRng,
     box_muller,
     apply_standardization,
     load_csv,
@@ -13,53 +12,59 @@ from adadfq.data import (
     sample_noise_and_labels,
     save_csv,
     standardize,
+    substream,
 )
 from adadfq.errors import ConfigError, DataError
 
 
-class TestSeededRng:
+class TestSubstream:
     def test_same_seed_replays(self):
-        a = SeededRng(7).substream("noise").random(5)
-        b = SeededRng(7).substream("noise").random(5)
+        a = substream(7, "noise").random(5)
+        b = substream(7, "noise").random(5)
         np.testing.assert_array_equal(a, b)
 
     def test_substreams_independent(self):
-        rng = SeededRng(7)
-        a = rng.substream("noise").random(5)
-        b = rng.substream("labels").random(5)
+        a = substream(7, "noise").random(5)
+        b = substream(7, "labels").random(5)
         assert not np.array_equal(a, b)
-
-    def test_substream_is_stateful(self):
-        rng = SeededRng(7)
-        first = rng.substream("noise").random(5)
-        second = rng.substream("noise").random(5)
-        assert not np.array_equal(first, second)
 
     def test_different_seeds_differ(self):
-        a = SeededRng(0).substream("noise").random(5)
-        b = SeededRng(1).substream("noise").random(5)
+        a = substream(0, "noise").random(5)
+        b = substream(1, "noise").random(5)
         assert not np.array_equal(a, b)
+
+    # The first two draws of three streams. The golden test checks the key
+    # derivation only on the numpy its hashes were recorded with; these
+    # literals check it on any numpy.
+    @pytest.mark.parametrize("seed, name, first, second", [
+        (0, "noise", "0x1.9c69697a93570p-2", "0x1.b35f07a1db6b8p-4"),
+        (0, "labels", "0x1.63bcbfb2b906cp-1", "0x1.63002aeedc500p-7"),
+        (7, "generator_init", "0x1.b3fe986858d4bp-1", "0x1.440b5c0d34e28p-1"),
+    ])
+    def test_first_draws_are_pinned(self, seed, name, first, second):
+        draws = substream(seed, name).random(2).tolist()
+        assert draws == [float.fromhex(first), float.fromhex(second)]
 
 
 class TestBoxMuller:
     def test_shape_and_dtype(self):
-        z = box_muller(SeededRng(0).substream("x"), (3, 5))
+        z = box_muller(substream(0, "x"), (3, 5))
         assert z.shape == (3, 5) and z.dtype == np.float64
 
     def test_odd_count(self):
-        assert box_muller(SeededRng(0).substream("x"), (7,)).shape == (7,)
+        assert box_muller(substream(0, "x"), (7,)).shape == (7,)
 
     def test_moments(self):
-        z = box_muller(SeededRng(0).substream("x"), (200_000,))
+        z = box_muller(substream(0, "x"), (200_000,))
         assert abs(z.mean()) < 0.01
         assert abs(z.std() - 1.0) < 0.01
 
     def test_known_transform_values(self):
         # feed a generator and recompute the transform by hand on the same
         # uniform draws
-        gen = SeededRng(3).substream("probe")
+        gen = substream(3, "probe")
         z = box_muller(gen, (2,))
-        gen2 = SeededRng(3).substream("probe")
+        gen2 = substream(3, "probe")
         u = gen2.random(1)
         u2 = gen2.random(1)
         r = np.sqrt(-2.0 * np.log(1.0 - u))
@@ -224,20 +229,21 @@ class TestCsvRoundTrip:
 
 class TestSampleNoiseAndLabels:
     def test_shapes_and_one_hot(self):
-        z, y = sample_noise_and_labels(SeededRng(0), 16, 64, 4)
+        z, y = sample_noise_and_labels(substream(0, "noise"), substream(0, "labels"), 16, 64, 4)
         assert z.data.shape == (16, 64)
         assert y.data.shape == (16, 4)
         np.testing.assert_array_equal(y.data.sum(axis=1), 1.0)
         assert set(np.unique(y.data)) <= {0.0, 1.0}
 
     def test_deterministic_given_seed(self):
-        z1, y1 = sample_noise_and_labels(SeededRng(9), 8, 16, 3)
-        z2, y2 = sample_noise_and_labels(SeededRng(9), 8, 16, 3)
+        z1, y1 = sample_noise_and_labels(substream(9, "noise"), substream(9, "labels"), 8, 16, 3)
+        z2, y2 = sample_noise_and_labels(substream(9, "noise"), substream(9, "labels"), 8, 16, 3)
         np.testing.assert_array_equal(z1.data, z2.data)
         np.testing.assert_array_equal(y1.data, y2.data)
 
     @given(st.integers(2, 6), st.integers(2, 32))
     @settings(max_examples=20, deadline=None)
     def test_labels_in_range_property(self, num_classes, batch):
-        _, y = sample_noise_and_labels(SeededRng(1), batch, 4, num_classes)
+        _, y = sample_noise_and_labels(substream(1, "noise"), substream(1, "labels"),
+                                       batch, 4, num_classes)
         assert y.data.argmax(axis=1).max() < num_classes

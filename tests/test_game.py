@@ -14,7 +14,7 @@ from adadfq import adaptability, game, tensor
 from adadfq.checkpoint import save_student
 from adadfq.cli import RunConfig, main, train_teacher_network
 from adadfq.config import read_config
-from adadfq.data import SeededRng, make_blobs, standardize
+from adadfq.data import box_muller, make_blobs, standardize, substream
 from adadfq.errors import ConfigError, ContractError, NumericError, WorkerError
 from adadfq.game import (
     TRACE_FIELDS,
@@ -196,7 +196,7 @@ class TestRunGame:
 def desk_networks(config):
     """The desk game's generator, teacher and student at ``config``'s sizes,
     with an untrained teacher (4 classes in 8-d, 64x64)."""
-    teacher = make_mlp(8, (64, 64), 4, SeededRng(config.seed).substream("teacher_init")).eval()
+    teacher = make_mlp(8, (64, 64), 4, substream(config.seed, "teacher_init")).eval()
     g, q = make_players(teacher, config)
     return g, teacher, q
 
@@ -208,6 +208,20 @@ class TestGameState:
         rows = [game_iteration(state) for _ in range(3)]
         assert [(r.iter, r.epoch) for r in rows] == [(0, 0), (1, 0), (2, 1)]
         assert state.iteration == 3
+
+    def test_an_iteration_draws_twice_from_each_stream(self):
+        """Each of the two steps draws one batch of noise and one of labels
+        from the game's own generators, and nothing else draws from them."""
+        config = RunConfig(seed=3)
+        state = GameState(*desk_networks(config), config)
+        game_iteration(state)
+        noise, labels = substream(3, "noise"), substream(3, "labels")
+        for _ in range(2):
+            box_muller(noise, (config.batch_size, config.noise_dim))
+            labels.integers(0, state.p.output_dim, size=config.batch_size)
+        # Philox's state holds arrays; assert_equal compares the dicts deeply
+        np.testing.assert_equal(state.noise.bit_generator.state, noise.bit_generator.state)
+        np.testing.assert_equal(state.labels.bit_generator.state, labels.bit_generator.state)
 
     def test_players_come_from_the_config(self, teacher):
         config = small_config(bits=4, embed_dim=5)
