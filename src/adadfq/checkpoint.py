@@ -5,7 +5,8 @@ Parameter and buffer arrays are serialized as base64-wrapped little-endian
 logits round-trip without drift. Loads are strict: a checkpoint must hold
 exactly the network's parameters and buffers, with its shapes and finite
 values, and well-formed architecture, quant and norm_stats sections, or
-loading raises a CheckpointFormatError that names the file. The
+loading raises a CheckpointFormatError that names the file. A save runs
+the same checks first and writes no file that a load would refuse. The
 architecture is checked against the arrays' shapes before a network is
 built from it, so a load allocates no more than the file holds. The
 architecture section is written from the network itself: the hidden widths
@@ -147,6 +148,12 @@ def _save(path, kind: str, net, norm_stats, metadata, **sections) -> None:
     if norm_stats is not None:
         mean, std = norm_stats
         doc["norm_stats"] = {"mean": _encode_array(mean), "std": _encode_array(std)}
+    try:  # the loader's own checks: no file is written that a load would refuse
+        _check_sections(doc)
+        norm_stats_from(doc)
+        _decoded(doc)
+    except CheckpointFormatError as e:
+        raise CheckpointFormatError(f"{path}: not written: {e}") from None
     atomic_write_text(path, json.dumps(doc, sort_keys=True))
 
 
@@ -197,13 +204,14 @@ def _count(v, least: int = 1) -> bool:
 
 
 def _act_range(rg, bits: int) -> bool:
-    """Numbers finite as float64 (an int is compared exactly, so 10**400 is
-    not), with min <= max and a width that stays finite times the ``bits``
-    grid's 2**bits - 1 levels (the fake-quant's largest intermediate value);
-    or both None for a site that never observed a batch."""
-    if not isinstance(rg, dict):
+    """Exactly the keys min and max: numbers finite as float64 (an int is
+    compared exactly, so 10**400 is not), with min <= max and a width that
+    stays finite times the ``bits`` grid's 2**bits - 1 levels (the
+    fake-quant's largest intermediate value); or both None for a site that
+    never observed a batch."""
+    if not isinstance(rg, dict) or rg.keys() != {"min", "max"}:
         return False
-    pair = [rg.get("min"), rg.get("max")]
+    pair = [rg["min"], rg["max"]]
     if pair == [None, None]:
         return True
     if not all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in pair):

@@ -157,6 +157,9 @@ def _write_json(path, obj) -> None:
 def cmd_train_teacher(args) -> int:
     cfg = _command_config(args)
     train_raw, test_raw = _build_dataset(cfg)
+    if cfg.label_column in [f"x{i}" for i in range(train_raw.dim)]:  # save_csv's names
+        raise ConfigError(f"label_column {cfg.label_column!r} is the name of a feature "
+                          f"column train-teacher writes (x0 to x{train_raw.dim - 1})")
     os.makedirs(args.out_dir, exist_ok=True)
     save_csv(train_raw, os.path.join(args.out_dir, "train.csv"), cfg.label_column)
     save_csv(test_raw, os.path.join(args.out_dir, "test.csv"), cfg.label_column)

@@ -33,7 +33,9 @@ behind that boundary:
     CSV feature column, two rows per class        train-teacher (cli._build_dataset)
     CSV labels < the network's class count        cli.evaluate_network (eval, quantize)
     checkpoint sections, arrays, EMA decay        checkpoint.load_checkpoint
-    activation range order and width              checkpoint.load_checkpoint
+    activation range keys, order and width        checkpoint.load_checkpoint
+    a checkpoint written is one that loads        checkpoint._save (the loader's checks)
+    label_column is no feature name x0..x{d-1}    train-teacher
     sample dump; student shape = teacher's        report-similarity
     checkpoint kind a command expects             cli._load
     one-hot labels; p_ds rows sum to 1            built so (sample_noise_and_labels, softmax)

@@ -48,9 +48,9 @@ per iteration. The worker runs the pair: two of each. Its life:
 * *hand-off*: each iteration the parent copies what the game moved since
   (``_mirrored``) into one shared anonymous ``mmap`` and writes a command
   byte on a pipe. After the generator's step it copies in the new
-  parameters, once the child has taken the old ones out. The child runs
-  the same functions on the same state, so every output byte is the
-  in-process path's;
+  parameters, which the child keeps as the next pre parameters: each
+  state crosses once. The child runs the same functions on the same
+  state, so every output byte is the in-process path's;
 * *collect*: the parent reads the two floats back before it builds the
   row. An ``AdadfqError`` the child raised is raised in the parent with
   its class and message, and it takes the place of an error the parent
@@ -72,8 +72,8 @@ Otherwise the pair is measured in-process, as it is by any state without
 a worker; that is the reference the worker is tested against. The rows
 match it as long as ``row_callback`` changes only what the worker mirrors;
 a callback that changes the teacher, the student's copied batch-norm
-statistics, or swaps a parameter's array for another is not seen by the
-worker.
+statistics or the generator's parameters in place, or swaps a parameter's
+array for another, is not seen by the worker.
 """
 
 from __future__ import annotations
@@ -180,8 +180,9 @@ def _mirrored(state: GameState, z: Tensor, y: Tensor) -> list[tuple[np.ndarray, 
     """What the trace worker mirrors, in slot order, as (the parent's array,
     the setter that puts a copy into the child's players, or None to copy
     into that array). The slot's layout and every hand-off read this one
-    list, so a player state the game changes belongs here. The generator's
-    parameters come first: after its step, they alone are handed over."""
+    list, so a player state the game changes belongs here. Entry 0, the
+    generator's parameters, crosses after its step (the fork's image holds
+    the first); the rest cross before it."""
     layers = state.q.linears
 
     def set_quant(rows):
@@ -209,26 +210,24 @@ _REPLY_BYTES = 4096
 class _TraceWorker:
     """The forked child that measures h_info_pre_g and h_info_post_g (see the
     module docstring). Commands on the pipe: ``a`` (the pre state is in the
-    slot) and ``b`` (the generator's parameters after its step are). Replies:
-    ``k`` (the child has copied the pre state out), ``r`` (both floats are in
-    the slot), or ``e`` and a report, after which the child ignores commands
-    until EOF."""
+    slot) and ``b`` (the generator's parameters after its step are). One
+    reply per iteration: ``r`` (both floats are in the slot), or ``e`` and a
+    report, after which the child ignores commands until EOF."""
 
     def __init__(self):
         self._pid: int | None = None  # forked at the first hand-off
 
     def hand_pre(self, state: GameState, z: Tensor, y: Tensor) -> None:
-        """Hand over what h_info_pre_g reads (``_mirrored``); forks at the first call."""
+        """Hand over ``_mirrored`` but entry 0, which the child has; forks at the first call."""
         self._mirror = _mirrored(state, z, y)
         if self._pid is None:
             self._start(state, z, y)
-        for view, (array, _) in zip(self._slot, self._mirror):
+        for view, (array, _) in zip(self._slot[1:], self._mirror[1:]):
             np.copyto(view, array)
         self._send(b"a")
 
     def hand_post(self) -> None:
         """Hand over the generator's parameters after its step."""
-        self._receive(b"k")  # the slot's pre parameters are no longer read
         np.copyto(self._slot[0], self._mirror[0][0])
         self._send(b"b")
 
@@ -296,7 +295,7 @@ class _TraceWorker:
             reply += more
         if reply == expected:
             return
-        report = reply.lstrip(b"kr")  # replies the parent had not waited for
+        report = reply.lstrip(b"r")  # a reply the parent had not waited for
         if report[:1] == b"e":
             module, name, message = report[1:].decode("utf-8", "replace").split("\0", 2)
             error = getattr(sys.modules.get(module), name, None)
@@ -308,10 +307,9 @@ class _TraceWorker:
 
     def _serve(self, signal, mask, state: GameState, z: Tensor, y: Tensor,
                commands: int, replies: int) -> None:
-        """The child's loop. The players and the first hand-off's ``z``,
-        ``y`` are its copy-on-write image; ``a`` copies every entry of
-        ``_mirrored`` out of the slot into them, ``b`` the first, and each
-        measures as the in-process path does."""
+        """The child's loop, on its copy-on-write image of the players and of
+        the first hand-off's ``z``, ``y``: ``a`` copies entries 1 onward of the
+        slot into them, ``b`` entry 0, and each measures as in-process."""
         status = 1
         try:
             signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -324,14 +322,12 @@ class _TraceWorker:
                     continue  # the parent has the report; wait for its EOF
                 try:
                     pre = command == b"a"
-                    handed = len(self._slot) if pre else 1  # ``b``: the first entry alone
-                    for view, (array, put) in zip(self._slot[:handed], self._mirror):
+                    handed = slice(1, None) if pre else slice(1)
+                    for view, (array, put) in zip(self._slot[handed], self._mirror[handed]):
                         if put is None:
                             np.copyto(array, view)
                         else:
                             put(view)
-                    if pre:
-                        os.write(replies, b"k")
                     self._results[0 if pre else 1] = _mean_disagreement_entropy(
                         *_eval_sample(state.g, state.p, z, y), state.q)
                     if not pre:

@@ -1,10 +1,15 @@
 import base64
+import contextlib
+import copy
+import io
 import json
 import os
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import error_line
 
@@ -211,9 +216,13 @@ STATE_MUTATIONS = {
     "swapped_act_range": lambda d: d["quant"]["act_ranges"][1].update(
         min=d["quant"]["act_ranges"][1]["max"], max=d["quant"]["act_ranges"][1]["min"]),
     "overwide_act_range": lambda d: d["quant"]["act_ranges"][0].update(min=-1e308, max=1e308),
+    "empty_act_range": lambda d: d["quant"]["act_ranges"].__setitem__(0, {}),
+    "act_range_with_only_max": lambda d: d["quant"]["act_ranges"].__setitem__(
+        0, {"max": None}),
 }
 STUDENT_MUTATIONS = {"missing_quant_bits", "non_dict_act_range", "other_act_ema_decay",
-                     "oversized_act_range", "swapped_act_range", "overwide_act_range"}
+                     "oversized_act_range", "swapped_act_range", "overwide_act_range",
+                     "empty_act_range", "act_range_with_only_max"}
 
 
 @pytest.mark.parametrize("mutation", sorted(STATE_MUTATIONS))
@@ -235,6 +244,85 @@ def test_malformed_state_is_a_format_error(teacher, tmp_path, capsys, mutation):
     rc = main(["eval", "--ckpt", str(path), "--dataset", str(tmp_path / "absent.csv")])
     assert rc == 3
     assert error_line(capsys).startswith(f"error: {path}: ")
+
+
+@pytest.mark.parametrize("kind", ["teacher", "student"])
+@pytest.mark.parametrize("fault, entry", [
+    ("weights", "'layers.0.bias' holds non-finite values"),
+    ("norm_stats", "norm_stats need finite mean and positive finite std"),
+])
+def test_a_network_no_load_would_accept_is_not_saved(teacher, tmp_path, kind, fault, entry):
+    """A save runs the loader's checks: a failure names the path and the
+    entry, and no file is written."""
+    net, (mean, std), _ = teacher
+    bad = (build_quantized_student(net, 3) if kind == "student"
+           else make_mlp(4, (16,), 3, np.random.default_rng(0)))
+    if fault == "weights":
+        bad.linears[0].bias.data[1] = np.inf
+    else:
+        std = np.zeros_like(std)
+    path = tmp_path / f"{kind}.json"
+    save = save_student if kind == "student" else save_teacher
+    with pytest.raises(CheckpointFormatError, match=re.escape(f"{path}: not written: {entry}")):
+        save(path, bad, norm_stats=(mean, std))
+    assert list(tmp_path.iterdir()) == []
+
+
+# A fuzzed node takes one of these values or is deleted; each breaks a type,
+# a range, a shape or a section that a load checks.
+FUZZ_VALUES = [None, True, 0, -1, 33, 1e308, 10 ** 400, "", [], [8, 8], {},
+               {"shape": [-1], "data": ""}, {"min": 2.0, "max": 1.0}]
+
+
+def json_nodes(node, path=()):
+    """The path of every node below ``node``, in document order."""
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield path + (key,)
+            yield from json_nodes(child, path + (key,))
+
+
+@pytest.fixture(scope="module")
+def saved_texts(teacher, tmp_path_factory):
+    """A dataset and the text of a saved teacher and of a saved 3-bit student."""
+    net, stats, train = teacher
+    root = tmp_path_factory.mktemp("fuzz")
+    student = build_quantized_student(net, 3).train()
+    student.forward(Tensor(train.features[:32]))
+    save_teacher(root / "teacher.json", net, norm_stats=stats)
+    save_student(root / "student.json", student.eval(), norm_stats=stats)
+    save_csv(train, root / "data.csv")
+    return root, {kind: (root / f"{kind}.json").read_text() for kind in ("teacher", "student")}
+
+
+@given(st.sampled_from(["teacher", "student"]),
+       st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(-1, len(FUZZ_VALUES) - 1)),
+                min_size=1, max_size=3))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_fuzzed_checkpoint_ends_in_an_exit_code(saved_texts, kind, edits):
+    """Replace (a FUZZ_VALUES index) or delete (-1) one to three nodes of a
+    saved checkpoint: eval returns 0, 2 or 3, a failure with one error line,
+    and never raises."""
+    root, texts = saved_texts
+    doc = json.loads(texts[kind])
+    for node, value in edits:
+        nodes = list(json_nodes(doc))
+        *parents, key = nodes[node % len(nodes)]
+        container = doc
+        for parent in parents:
+            container = container[parent]
+        if value < 0:
+            del container[key]
+        else:
+            container[key] = copy.deepcopy(FUZZ_VALUES[value])
+    path = root / "fuzzed.json"
+    path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main(["eval", "--ckpt", str(path), "--dataset", str(root / "data.csv")])
+    lines = err.getvalue().splitlines()
+    assert rc in (0, 2, 3), (edits, lines)
+    assert lines == [] if rc == 0 else len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
 class TestAtomicWriter:

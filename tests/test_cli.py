@@ -41,6 +41,9 @@ cal_lr = 0.001
 sample_dump = 12
 """
 
+# the smallest teacher run: for tests of train-teacher itself
+TINY_TEACHER = "classes = 3\nper_class = 20\ndim = 4\nteacher_hidden = 8,8\nteacher_epochs = 2\n"
+
 
 def with_settings(config: str, settings: str) -> str:
     """``config`` with the lines of ``settings`` in place of its own lines
@@ -541,6 +544,30 @@ class TestExitCodes:
         assert rc == 2
         assert key in error_line(capsys)
         assert not (tmp_path / "out").exists()
+
+    # At these settings training overflows (numpy warns) and would write a
+    # teacher.json that every later command refuses.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("line, entry", [
+        ("teacher_lr = 1e300", "'layers.0.weight' holds non-finite values"),
+        ("spread = 1e300", "norm_stats need finite mean and positive finite std"),
+    ], ids=["diverging_teacher", "overflowing_spread"])
+    def test_teacher_no_load_would_accept_is_not_written(self, tmp_path, capsys, line, entry):
+        p, out = tmp_path / "c.cfg", tmp_path / "out"
+        p.write_text(TINY_TEACHER + line + "\n")
+        assert main(["train-teacher", "--config", str(p), "--out-dir", str(out)]) == 3
+        assert error_line(capsys).startswith(
+            f"error: {out / 'teacher.json'}: not written: {entry}")
+        assert not (out / "teacher.json").exists()
+
+    def test_label_column_named_as_a_feature_is_usage_error(self, tmp_path, capsys):
+        """The written CSVs would name x0 twice, which every reader refuses."""
+        p, out = tmp_path / "c.cfg", tmp_path / "out"
+        p.write_text(TINY_TEACHER + "label_column = x0\n")
+        assert main(["train-teacher", "--config", str(p), "--out-dir", str(out)]) == 2
+        assert "label_column 'x0'" in error_line(capsys)
+        assert not out.exists()
 
     def test_student_of_another_class_count_is_runtime_error(self, tmp_path, capsys):
         teachers = {}

@@ -521,6 +521,20 @@ class TestTraceWorker:
         assert len(forks) == 1
         assert calls == {"generator": 2 * 4, "teacher": 2 * 4, "student": 3 * 4}
 
+    def test_the_parent_reads_one_reply_per_iteration(self, monkeypatch, forks):
+        """Each state crosses once, so the parent waits only for each
+        iteration's ``r``, then reads to EOF in ``close``."""
+        receive, waited_for = game._TraceWorker._receive, []
+
+        def recorded(worker, expected):
+            waited_for.append(expected)
+            return receive(worker, expected)
+
+        monkeypatch.setattr(game._TraceWorker, "_receive", recorded)
+        worker_game(short())
+        assert len(forks) == 1
+        assert waited_for == [b"r"] * 4 + [b""]
+
     def test_child_error_reaches_the_caller(self, monkeypatch, forks):
         in_child_only(monkeypatch, raise_numeric_error)
         with pytest.raises(NumericError) as raised:
