@@ -45,12 +45,12 @@ per iteration. The worker runs the pair: two of each. Its life:
 
 * *fork*: lazily, at the first hand-off inside ``game_iteration``, so the
   child is a copy-on-write image of the players and no network is pickled;
-* *hand-off*: each iteration the parent copies what the game moved since
-  (``_mirrored``) into one shared anonymous ``mmap`` and writes a command
-  byte on a pipe. After the generator's step it copies in the new
-  parameters, which the child keeps as the next pre parameters: each
-  state crosses once. The child runs the same functions on the same
-  state, so every output byte is the in-process path's;
+* *hand-off*: each state crosses once. Before the generator's step the
+  parent copies the rest of what the game moved (``_mirrored``) into one
+  shared anonymous ``mmap`` and writes a command byte on a pipe; after it,
+  the new parameters, which the child keeps as the next pre parameters.
+  The child runs the same functions on the same state, so every output
+  byte is the in-process path's;
 * *collect*: the parent reads the two floats back before it builds the
   row. An ``AdadfqError`` the child raised is raised in the parent with
   its class and message, and it takes the place of an error the parent

@@ -322,7 +322,7 @@ def test_fuzzed_checkpoint_ends_in_an_exit_code(saved_texts, kind, edits):
         rc = main(["eval", "--ckpt", str(path), "--dataset", str(root / "data.csv")])
     lines = err.getvalue().splitlines()
     assert rc in (0, 2, 3), (edits, lines)
-    assert lines == [] if rc == 0 else len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert len(lines) == (rc != 0) and all(ln.startswith("error: ") for ln in lines), lines
 
 
 class TestAtomicWriter:
