@@ -8,6 +8,13 @@ Verbosity via the ADADFQ_LOG environment variable (DEBUG/INFO/WARNING).
 The dfq command is structurally data-free: it reads only the teacher
 checkpoint (class count, input dimension, weights, BN statistics) and never
 opens any dataset file.
+
+train-teacher writes its train.csv and test.csv, which training never
+reads, from a child forked onto a spare core while the teacher trains
+(``game.on_spare_core``, under the trace worker's guard), and in-process
+first elsewhere; the bytes are the same either way. It waits for the child
+before it evaluates and saves, and writes in-process if the child failed,
+so a write error still comes first, with its exit code and message.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ from .data import (
     substream,
 )
 from .errors import AdadfqError, CheckpointFormatError, ConfigError, ContractError, DataError
-from .game import TRACE_FIELDS, equilibrium_report, make_players, run_game
+from .game import TRACE_FIELDS, equilibrium_report, make_players, on_spare_core, run_game
 from .nn import AdamOptimizer, MlpNetwork, make_mlp
 from .quant import QuantizedMlp, build_quantized_student
 from .tensor import Tensor, backward, cross_entropy_from_logits, no_grad
@@ -154,6 +161,9 @@ def _write_json(path, obj) -> None:
 # subcommands
 
 
+# A diverging run overflows; the save's loader checks refuse what it trained,
+# in one line, so numpy's warnings would only add to it.
+@np.errstate(over="ignore", invalid="ignore")
 def cmd_train_teacher(args) -> int:
     cfg = _command_config(args)
     train_raw, test_raw = _build_dataset(cfg)
@@ -161,12 +171,15 @@ def cmd_train_teacher(args) -> int:
         raise ConfigError(f"label_column {cfg.label_column!r} is the name of a feature "
                           f"column train-teacher writes (x0 to x{train_raw.dim - 1})")
     os.makedirs(args.out_dir, exist_ok=True)
-    save_csv(train_raw, os.path.join(args.out_dir, "train.csv"), cfg.label_column)
-    save_csv(test_raw, os.path.join(args.out_dir, "test.csv"), cfg.label_column)
 
-    train_std, stats = standardize(train_raw)
-    test_std = apply_standardization(test_raw, stats)
-    net = train_teacher_network(train_std, cfg)
+    def write_split():
+        save_csv(train_raw, os.path.join(args.out_dir, "train.csv"), cfg.label_column)
+        save_csv(test_raw, os.path.join(args.out_dir, "test.csv"), cfg.label_column)
+
+    with on_spare_core(write_split):  # training never reads the CSVs
+        train_std, stats = standardize(train_raw)
+        test_std = apply_standardization(test_raw, stats)
+        net = train_teacher_network(train_std, cfg)
 
     metrics = {
         "train": evaluate_network(net, train_std),
@@ -239,8 +252,8 @@ def cmd_dfq(args) -> int:
     num_classes, input_dim = teacher.output_dim, teacher.input_dim
 
     generator, student = make_players(teacher, cfg)
-    os.makedirs(args.out_dir, exist_ok=True)
     trace = run_game(generator, teacher, student, cfg)
+    os.makedirs(args.out_dir, exist_ok=True)  # a failed game leaves no directory
     ckpt.write_csv(os.path.join(args.out_dir, "trace.csv"),
                    (r.as_dict().values() for r in trace), header=TRACE_FIELDS)
 

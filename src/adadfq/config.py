@@ -21,6 +21,7 @@ behind that boundary:
     step sizes, loss weights in [0, inf)          RunConfig
     2 <= bits <= quant.MAX_BITS                   RunConfig; the loader, for a student
     batch_size >= 2 (batch statistics)            RunConfig
+    sizes, counts, hidden widths < 2**63 (numpy)  RunConfig
     dataset keys in range, none ignored           RunConfig
     dataset CSV exists and parses                 train-teacher, data.load_csv
     CSV standardized once, from the train split   train-teacher
@@ -49,6 +50,11 @@ from dataclasses import dataclass, fields
 
 from .errors import ConfigError, utf8_only
 from .quant import MAX_BITS
+
+# Above every size, count and hidden width: numpy's largest array dimension
+# (``np.intp``'s maximum) + 1. A size past it fails in numpy as a ValueError,
+# not as a failed allocation.
+SIZE_LIMIT = 2**63
 
 # The dataset keys each dataset kind reads. A key the chosen kind does not
 # read must keep its default, so no setting is silently ignored.
@@ -106,8 +112,8 @@ class RunConfig:
                            ("teacher_epochs", 1), ("teacher_batch", 2), ("epochs", 1),
                            ("iterations_per_epoch", 1), ("batch_size", 2), ("noise_dim", 1),
                            ("embed_dim", 1), ("sample_dump", 1)):
-            if getattr(self, key) < least:
-                raise ConfigError(f"{key} must be >= {least}, got {getattr(self, key)}")
+            if not least <= getattr(self, key) < SIZE_LIMIT:
+                raise ConfigError(f"{key} must be in [{least}, 2**63), got {getattr(self, key)}")
         if not 0.0 < self.spread < math.inf:  # NaN fails too
             raise ConfigError(f"spread must be finite and > 0, got {self.spread}")
         for key in ("teacher_lr", "gen_lr", "cal_lr", "cal_weight_decay",
@@ -139,8 +145,8 @@ class RunConfig:
             widths = tuple(int(w) for w in raw.split(",") if w.strip())
         except ValueError:
             raise ConfigError(f"bad hidden-width list {raw!r}") from None
-        if any(w < 1 for w in widths):
-            raise ConfigError(f"hidden widths must be positive, got {raw!r}")
+        if not all(1 <= w < SIZE_LIMIT for w in widths):
+            raise ConfigError(f"hidden widths must be in [1, 2**63), got {raw!r}")
         return widths
 
     def config_hash(self) -> str:

@@ -74,10 +74,16 @@ match it as long as ``row_callback`` changes only what the worker mirrors;
 a callback that changes the teacher, the student's copied batch-norm
 statistics or the generator's parameters in place, or swaps a parameter's
 array for another, is not seen by the worker.
+
+One guard, ``_spare_core``, and one fork, ``_forked``, serve both of the
+package's forks: this worker and ``on_spare_core``, which runs a piece of
+file writing (``train-teacher``'s two CSVs) in a child while the caller's
+block runs, and redoes it in-process if the child fails.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -250,10 +256,8 @@ class _TraceWorker:
             os.waitpid(self._pid, 0)
 
     def _start(self, state: GameState, z: Tensor, y: Tensor) -> None:
-        """Make the shared slot and both pipes, then fork. The child serves
-        and leaves through ``os._exit``; it never returns from here."""
-        import mmap  # only a forked game needs these; the package does not
-        import signal
+        """Make the shared slot and both pipes, then fork a child that serves."""
+        import mmap  # only a forked game needs it; the package does not
 
         layout = [array for array, _ in self._mirror] + [np.empty(2)]
         sizes = [a.size for a in layout]
@@ -262,21 +266,15 @@ class _TraceWorker:
             v.reshape(a.shape) for v, a in zip(np.split(flat, np.cumsum(sizes)[:-1]), layout)]
         commands, self._commands = os.pipe()
         self._replies, replies = os.pipe()
-        # A SIGINT that lands during the fork waits: the child ignores it
-        # before it unblocks it, and the parent takes it once its side is set.
-        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
         try:
-            self._pid = os.fork()
+            with _forked(lambda: self._serve(state, z, y, commands, replies)) as self._pid:
+                os.close(commands)
+                os.close(replies)
         except OSError:
-            for fd in (commands, self._commands, self._replies, replies):
-                os.close(fd)
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            if self._pid is None:  # the fork failed
+                for fd in (commands, self._commands, self._replies, replies):
+                    os.close(fd)
             raise
-        if self._pid == 0:
-            self._serve(signal, mask, state, z, y, commands, replies)
-        os.close(commands)
-        os.close(replies)
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
     def _send(self, command: bytes) -> None:
         try:
@@ -305,41 +303,35 @@ class _TraceWorker:
         if expected:
             raise WorkerError(_ENDED.format(self._pid))
 
-    def _serve(self, signal, mask, state: GameState, z: Tensor, y: Tensor,
+    def _serve(self, state: GameState, z: Tensor, y: Tensor,
                commands: int, replies: int) -> None:
         """The child's loop, on its copy-on-write image of the players and of
         the first hand-off's ``z``, ``y``: ``a`` copies entries 1 onward of the
-        slot into them, ``b`` entry 0, and each measures as in-process."""
-        status = 1
-        try:
-            signal.signal(signal.SIGINT, signal.SIG_IGN)
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-            os.close(self._commands)
-            os.close(self._replies)
-            failed = False
-            while command := os.read(commands, 1):
-                if failed:
-                    continue  # the parent has the report; wait for its EOF
-                try:
-                    pre = command == b"a"
-                    handed = slice(1, None) if pre else slice(1)
-                    for view, (array, put) in zip(self._slot[handed], self._mirror[handed]):
-                        if put is None:
-                            np.copyto(array, view)
-                        else:
-                            put(view)
-                    self._results[0 if pre else 1] = _mean_disagreement_entropy(
-                        *_eval_sample(state.g, state.p, z, y), state.q)
-                    if not pre:
-                        os.write(replies, b"r")
-                except Exception as e:
-                    failed = True
-                    kind = type(e)
-                    report = "\0".join((kind.__module__, kind.__qualname__, str(e)))
-                    os.write(replies, (b"e" + report.encode("utf-8", "replace"))[:_REPLY_BYTES])
-            status = 0
-        finally:
-            os._exit(status)
+        slot into them, ``b`` entry 0, and each measures as in-process. It
+        returns at the parent's EOF."""
+        os.close(self._commands)
+        os.close(self._replies)
+        failed = False
+        while command := os.read(commands, 1):
+            if failed:
+                continue  # the parent has the report; wait for its EOF
+            try:
+                pre = command == b"a"
+                handed = slice(1, None) if pre else slice(1)
+                for view, (array, put) in zip(self._slot[handed], self._mirror[handed]):
+                    if put is None:
+                        np.copyto(array, view)
+                    else:
+                        put(view)
+                self._results[0 if pre else 1] = _mean_disagreement_entropy(
+                    *_eval_sample(state.g, state.p, z, y), state.q)
+                if not pre:
+                    os.write(replies, b"r")
+            except Exception as e:
+                failed = True
+                kind = type(e)
+                report = "\0".join((kind.__module__, kind.__qualname__, str(e)))
+                os.write(replies, (b"e" + report.encode("utf-8", "replace"))[:_REPLY_BYTES])
 
 
 # One entry per OS thread of this process, on Linux. Native threads count
@@ -349,21 +341,71 @@ _THREADS_DIR = "/proc/self/task"
 _LOADAVG = "/proc/loadavg"
 
 
-def _trace_worker() -> _TraceWorker | None:
-    """A worker where the fork is safe and the child has a core of its own:
-    on Linux, whose OS threads a process can count, in a process of one
+def _spare_core() -> bool:
+    """Whether a fork is safe here and its child has a core of its own: on
+    Linux, whose OS threads a process can count, in a process of one
     thread, with fewer tasks runnable now than CPUs in its affinity mask.
-    None elsewhere. Two runs sharing two CPUs thus measure in-process."""
+    False elsewhere, so two runs sharing two CPUs each keep to one process.
+    The one guard of both forks, the trace worker's and ``on_spare_core``'s."""
     if sys.platform != "linux" or not hasattr(os, "fork"):
-        return None
+        return False
     try:
         threads = len(os.listdir(_THREADS_DIR))
         with open(_LOADAVG, "rb") as f:
             running = int(f.read().split()[3].split(b"/")[0])
     except (OSError, ValueError, IndexError):  # no /proc: nothing can be counted
-        return None
-    return (_TraceWorker() if threads == 1 and running < len(os.sched_getaffinity(0))
-            else None)
+        return False
+    return threads == 1 and running < len(os.sched_getaffinity(0))
+
+
+@contextlib.contextmanager
+def _forked(child):
+    """Fork a child that runs ``child()`` and leaves through ``os._exit``:
+    status 0 if it returned, 1 if it raised, with nothing printed, so it
+    never returns into the caller's code. The parent gets the child's pid
+    with SIGINT still blocked, so the block can take charge of the child
+    before a Ctrl-C lands; the block's end unblocks it. The child ignores
+    SIGINT before it unblocks it, so a Ctrl-C, which reaches the whole
+    process group, reaches only the parent."""
+    import signal  # only a fork needs it; the package does not
+
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                child()
+                status = 0
+            finally:
+                os._exit(status)
+        yield pid
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+
+@contextlib.contextmanager
+def on_spare_core(work):
+    """Run ``work()``, which must only write files, while the block runs:
+    in a child forked onto a spare core where ``_spare_core`` finds one,
+    in-process before the block otherwise. The block's end, or its error,
+    reaps the child. A child that did not exit 0 (it raised, or was killed)
+    is followed by ``work()`` in-process, the one writer of its error, which
+    thus comes ahead of any error the block raised, as in-process."""
+    if not _spare_core():
+        work()
+        yield
+        return
+    pid = None
+    try:
+        with _forked(work) as pid:
+            pass  # pid is set before a Ctrl-C can land, so the finally reaps
+        yield
+    finally:
+        if pid is not None and os.waitpid(pid, 0)[1] != 0:
+            work()
 
 
 def game_iteration(state: GameState) -> TraceRow:
@@ -483,10 +525,10 @@ def run_game(g: ConditionalGenerator, p: MlpNetwork, q: QuantizedMlp,
     ``GameState``; deterministic given the config seed. The game reads its
     settings straight off ``config``; the players' own are the caller's
     (``make_players``). ``row_callback``, when given, receives each TraceRow
-    as it is produced. Owns the trace worker: one where ``_trace_worker``
+    as it is produced. Owns the trace worker: one where ``_spare_core``
     finds the fork safe, forked at the first iteration and reaped on any
     exit; none otherwise."""
-    state = GameState(g, p, q, config, _trace_worker())
+    state = GameState(g, p, q, config, _TraceWorker() if _spare_core() else None)
     trace: list[TraceRow] = []
     try:
         for _ in range(config.epochs * config.iterations_per_epoch):

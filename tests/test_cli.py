@@ -482,7 +482,9 @@ class TestExitCodes:
                                       "dataset = moons", "bits = 2000", "teacher_lr = inf",
                                       "gen_lr = inf", "cal_lr = inf", "cal_weight_decay = inf",
                                       "alpha_ds = inf", "alpha_as = inf", "beta = inf",
-                                      "gamma = inf", "aux_ce = inf"],
+                                      "gamma = inf", "aux_ce = inf",
+                                      f"batch_size = {10 ** 20}",
+                                      f"teacher_hidden = 8,{10 ** 20}"],
                              ids=["teacher_hidden", "gen_hidden", "bits", "batch_size",
                                   "teacher_batch", "teacher_epochs", "sample_dump",
                                   "noise_dim", "embed_dim", "teacher_lr", "gen_lr", "cal_lr",
@@ -491,7 +493,8 @@ class TestExitCodes:
                                   "classes", "per_class", "dim", "dataset", "bits_2000",
                                   "teacher_lr_inf", "gen_lr_inf", "cal_lr_inf",
                                   "cal_weight_decay_inf", "alpha_ds_inf", "alpha_as_inf",
-                                  "beta_inf", "gamma_inf", "aux_ce_inf"])
+                                  "beta_inf", "gamma_inf", "aux_ce_inf",
+                                  "batch_size_past_numpy", "teacher_hidden_past_numpy"])
     def test_out_of_range_config_is_usage_error(self, workdir, tmp_path, capsys,
                                                 command, line):
         _, _, out = workdir
@@ -545,14 +548,14 @@ class TestExitCodes:
         assert key in error_line(capsys)
         assert not (tmp_path / "out").exists()
 
-    # At these settings training overflows (numpy warns) and would write a
-    # teacher.json that every later command refuses.
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                                "ignore:invalid value encountered:RuntimeWarning")
-    @pytest.mark.parametrize("line, entry", [
+    # At these settings training overflows and would write a teacher.json
+    # that every later command refuses.
+    UNLOADABLE_TEACHERS = pytest.mark.parametrize("line, entry", [
         ("teacher_lr = 1e300", "'layers.0.weight' holds non-finite values"),
         ("spread = 1e300", "norm_stats need finite mean and positive finite std"),
     ], ids=["diverging_teacher", "overflowing_spread"])
+
+    @UNLOADABLE_TEACHERS
     def test_teacher_no_load_would_accept_is_not_written(self, tmp_path, capsys, line, entry):
         p, out = tmp_path / "c.cfg", tmp_path / "out"
         p.write_text(TINY_TEACHER + line + "\n")
@@ -560,6 +563,20 @@ class TestExitCodes:
         assert error_line(capsys).startswith(
             f"error: {out / 'teacher.json'}: not written: {entry}")
         assert not (out / "teacher.json").exists()
+
+    @UNLOADABLE_TEACHERS
+    def test_teacher_no_load_would_accept_prints_one_line(self, tmp_path, line, entry):
+        """Outside pytest, which records warnings, numpy's overflow warnings
+        would go to stderr ahead of the error."""
+        p = tmp_path / "c.cfg"
+        p.write_text(TINY_TEACHER + line + "\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(adadfq.__file__)))
+        done = subprocess.run(
+            [sys.executable, "-m", "adadfq", "train-teacher", "--config", str(p),
+             "--out-dir", str(tmp_path / "out")],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
+        assert done.returncode == 3
+        assert len(done.stderr.splitlines()) == 1 and entry in done.stderr, done.stderr
 
     def test_label_column_named_as_a_feature_is_usage_error(self, tmp_path, capsys):
         """The written CSVs would name x0 twice, which every reader refuses."""

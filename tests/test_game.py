@@ -10,7 +10,9 @@ import warnings
 import numpy as np
 import pytest
 
-from adadfq import adaptability, game, tensor
+from conftest import error_line
+
+from adadfq import adaptability, cli, game, tensor
 from adadfq.checkpoint import save_student
 from adadfq.cli import RunConfig, main, train_teacher_network
 from adadfq.config import read_config
@@ -417,6 +419,12 @@ def short(**kw):
     return RunConfig(**{"epochs": 1, "iterations_per_epoch": 4, **kw})
 
 
+# A whole pipeline in well under a second.
+TINY_RUN = ("classes = 3\nper_class = 20\ndim = 4\nteacher_hidden = 8,8\n"
+            "teacher_epochs = 2\ngen_hidden = 8,8\nepochs = 1\n"
+            "iterations_per_epoch = 3\nbatch_size = 4\nnoise_dim = 4\n")
+
+
 def runnable(path, tasks):
     """A ``/proc/loadavg`` stand-in with ``tasks`` runnable now."""
     path.write_text(f"0.50 0.40 0.30 {tasks}/120 4242\n")
@@ -451,16 +459,17 @@ def forks(monkeypatch):
     return pids
 
 
-def in_child_only(monkeypatch, act):
-    """Make the trace measurement call ``act()`` in any process but this one."""
-    parent, measure = os.getpid(), game._mean_disagreement_entropy
+def in_child_only(monkeypatch, act, owner=game, name="_mean_disagreement_entropy"):
+    """Make ``owner.name``, the trace measurement unless named, call ``act()``
+    first in any process but this one."""
+    parent, original = os.getpid(), getattr(owner, name)
 
-    def measured(*args):
+    def called(*args):
         if os.getpid() != parent:
             act()
-        return measure(*args)
+        return original(*args)
 
-    monkeypatch.setattr(game, "_mean_disagreement_entropy", measured)
+    monkeypatch.setattr(owner, name, called)
 
 
 def raise_numeric_error():
@@ -577,12 +586,11 @@ class TestTraceWorker:
     def test_dfq_exits_3_with_one_line(self, monkeypatch, forks, tmp_path, capsys, act,
                                        message):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("classes = 3\nper_class = 20\ndim = 4\nteacher_hidden = 8,8\n"
-                       "teacher_epochs = 2\ngen_hidden = 8,8\nepochs = 1\n"
-                       "iterations_per_epoch = 3\nbatch_size = 4\nnoise_dim = 4\n")
+        cfg.write_text(TINY_RUN)
         assert main(["train-teacher", "--config", str(cfg), "--out-dir",
                      str(tmp_path / "t")]) == 0
         capsys.readouterr()
+        forks.clear()  # train-teacher's CSV writer
         in_child_only(monkeypatch, act)
         rc = main(["dfq", "--ckpt", str(tmp_path / "t" / "teacher.json"), "--config",
                    str(cfg), "--out-dir", str(tmp_path / "dfq")])
@@ -590,6 +598,7 @@ class TestTraceWorker:
         assert rc == 3
         assert len(lines) == 1 and message in lines[0], lines
         assert len(forks) == 1 and reaped(forks[0])
+        assert not (tmp_path / "dfq").exists()
 
     def test_child_ignores_sigint(self, monkeypatch, forks):
         """A Ctrl-C reaches the whole process group; the parent handles it."""
@@ -687,70 +696,107 @@ def start_native_thread():
     return stop
 
 
+TEACHER_FILES = ("train.csv", "test.csv", "teacher.json", "teacher_metrics.json")
+
+
+def train_teacher(root, *settings, code=0):
+    """Run ``train-teacher`` on ``TINY_RUN`` plus ``settings`` lines into a
+    fresh directory under ``root``, check its exit code, return the directory."""
+    cfg = root / f"teacher{len(list(root.glob('teacher*.cfg')))}.cfg"
+    out = cfg.with_suffix("")
+    cfg.write_text(TINY_RUN + "".join(line + "\n" for line in settings))
+    assert main(["train-teacher", "--config", str(cfg), "--out-dir", str(out)]) == code
+    return out
+
+
+def written(out):
+    """The files ``train-teacher`` left in ``out``, by name, as bytes."""
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+def in_process_teacher(root, *settings, code=0):
+    """``train-teacher`` with the CSVs written in-process: the reference path."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(game, "_spare_core", lambda: False)
+        return written(train_teacher(root, *settings, code=code))
+
+
 class TestWorkerSelection:
     """``run_game`` forks only on Linux, from a process of one OS thread,
-    with a second CPU; otherwise it measures in-process, with the same rows."""
+    with a second CPU; otherwise it measures in-process, with the same rows.
+    Each case runs ``run`` under the guard and compares it with
+    ``reference``, the in-process path; ``TestWriterSelection`` runs the
+    same cases on the other fork under the same guard."""
 
-    def test_without_fork_the_game_runs_in_process(self, monkeypatch, alone):
-        config = short()
-        reference, _ = in_process_game(config)
+    @staticmethod
+    def reference(tmp_path):
+        return hex_rows(in_process_game(short())[0])
+
+    @staticmethod
+    def run(tmp_path):
+        return hex_rows(worker_game(short())[0])
+
+    @staticmethod
+    def command(tmp_path):
+        """The argv of a run whose one possible fork is this class's."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TINY_RUN)
+        teacher = train_teacher(tmp_path)
+        return ["dfq", "--ckpt", str(teacher / "teacher.json"), "--config", str(cfg),
+                "--out-dir", str(tmp_path / "dfq")]
+
+    def test_without_fork_the_game_runs_in_process(self, monkeypatch, alone, tmp_path):
+        reference = self.reference(tmp_path)
         monkeypatch.delattr(os, "fork")
-        trace, _ = worker_game(config)
-        assert hex_rows(trace) == hex_rows(reference)
+        assert self.run(tmp_path) == reference
 
-    def test_with_one_cpu_the_game_runs_in_process(self, monkeypatch, alone, forks):
-        config = short()
-        reference, _ = in_process_game(config)
+    def test_with_one_cpu_the_game_runs_in_process(self, monkeypatch, alone, forks, tmp_path):
+        reference = self.reference(tmp_path)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        trace, _ = worker_game(config)
+        assert self.run(tmp_path) == reference
         assert forks == []
-        assert hex_rows(trace) == hex_rows(reference)
 
     def test_beside_another_busy_task_the_game_runs_in_process(self, monkeypatch, tmp_path,
                                                                   alone, forks):
         """Two tasks runnable on two CPUs: the child would take a core
         from the other one (two dfq runs side by side, say)."""
-        config = short()
-        reference, _ = in_process_game(config)
+        reference = self.reference(tmp_path)
         monkeypatch.setattr(game, "_LOADAVG", runnable(tmp_path / "busy", 2))
-        trace, _ = worker_game(config)
+        assert self.run(tmp_path) == reference
         assert forks == []
-        assert hex_rows(trace) == hex_rows(reference)
 
     @pytest.mark.parametrize("text", ["", "0.50 0.40 0.30\n", "0.50 0.40 0.30 x/120 1\n"])
     def test_an_unreadable_load_runs_in_process(self, monkeypatch, tmp_path, alone, forks,
                                                text):
         (tmp_path / "odd").write_text(text)
         monkeypatch.setattr(game, "_LOADAVG", str(tmp_path / "odd"))
-        worker_game(short())
+        self.run(tmp_path)
         monkeypatch.setattr(game, "_LOADAVG", str(tmp_path / "missing"))
-        worker_game(short())
+        self.run(tmp_path)
         assert forks == []
 
     def test_with_a_second_thread_the_game_runs_in_process(self, monkeypatch, tmp_path,
                                                            forks):
-        config = short()
-        reference, _ = in_process_game(config)
+        reference = self.reference(tmp_path)
         monkeypatch.setattr(game, "_LOADAVG", runnable(tmp_path / "loadavg", 1))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         done = threading.Event()
         other = threading.Thread(target=done.wait)
         other.start()
         try:
-            trace, _ = worker_game(config)
+            outputs = self.run(tmp_path)
         finally:
             done.set()
             other.join(timeout=10)
         assert not other.is_alive()
         assert forks == []
-        assert hex_rows(trace) == hex_rows(reference)
+        assert outputs == reference
 
     def test_with_a_second_native_thread_the_game_runs_in_process(self, monkeypatch, tmp_path,
                                                                   forks):
         """``threading.active_count()`` is 1 here; the process has two OS
         threads, and Python 3.12 would warn about a fork."""
-        config = short()
-        reference, _ = in_process_game(config)
+        reference = self.reference(tmp_path)
         monkeypatch.setattr(game, "_LOADAVG", runnable(tmp_path / "loadavg", 1))
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         stop = start_native_thread()
@@ -758,25 +804,20 @@ class TestWorkerSelection:
             assert threading.active_count() == 1
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
-                trace, _ = worker_game(config)
+                outputs = self.run(tmp_path)
         finally:
             stop()
         assert forks == []
         assert not [w for w in caught if "fork" in str(w.message)]
-        assert hex_rows(trace) == hex_rows(reference)
+        assert outputs == reference
 
     def test_a_process_of_one_thread_forks_without_a_warning(self, tmp_path):
-        """The real thread count, in a process whose BLAS runs no pool: ``dfq``
-        forks its worker where the affinity mask holds a second CPU (with
-        the machine's load read as one runnable task, so other work on it
-        does not decide), and Python (3.12 on) raises no fork-with-threads
+        """The real thread count, in a process whose BLAS runs no pool: the
+        command forks where the affinity mask holds a second CPU (with the
+        machine's load read as one runnable task, so other work on it does
+        not decide), and Python (3.12 on) raises no fork-with-threads
         warning."""
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("classes = 3\nper_class = 20\ndim = 4\nteacher_hidden = 8,8\n"
-                       "teacher_epochs = 2\ngen_hidden = 8,8\nepochs = 1\n"
-                       "iterations_per_epoch = 3\nbatch_size = 4\nnoise_dim = 4\n")
-        assert main(["train-teacher", "--config", str(cfg), "--out-dir",
-                     str(tmp_path / "t")]) == 0
+        argv = self.command(tmp_path)
         script = "\n".join([
             "import os, sys, warnings",
             "from adadfq import game",
@@ -794,13 +835,90 @@ class TestWorkerSelection:
         env = dict(os.environ, PYTHONPATH=src)
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             env[var] = "1"
-        done = subprocess.run(
-            [sys.executable, "-c", script, "dfq", "--ckpt", str(tmp_path / "t" / "teacher.json"),
-             "--config", str(cfg), "--out-dir", str(tmp_path / "dfq")],
-            env=env, capture_output=True, text=True, timeout=120)
+        done = subprocess.run([sys.executable, "-c", script, *argv],
+                              env=env, capture_output=True, text=True, timeout=120)
         rc, forked, cpus, warned = map(int, done.stdout.splitlines()[-1].split())
         assert (rc, warned) == (0, 0), done.stderr
         assert forked == (1 if cpus > 1 else 0)
+
+
+class TestWriterSelection(TestWorkerSelection):
+    """``train-teacher``'s CSV writer under the same guard: where it finds
+    no spare core, the CSVs are written in-process, and every file holds
+    the bytes of the in-process path."""
+
+    @staticmethod
+    def reference(tmp_path):
+        return in_process_teacher(tmp_path)
+
+    @staticmethod
+    def run(tmp_path):
+        return written(train_teacher(tmp_path))
+
+    @staticmethod
+    def command(tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(TINY_RUN)
+        return ["train-teacher", "--config", str(cfg), "--out-dir", str(tmp_path / "t")]
+
+
+def raise_os_error():
+    raise OSError("disk full (injected)")
+
+
+@pytest.mark.usefixtures("alone")
+class TestSplitWriter:
+    """``train-teacher`` writes its CSVs from one forked child while the
+    teacher trains, reaps it on every exit, and writes in-process if the
+    child fails; no process outlives the command."""
+
+    def test_one_child_writes_the_in_process_bytes(self, forks, tmp_path):
+        reference = in_process_teacher(tmp_path)
+        assert forks == []
+        outputs = written(train_teacher(tmp_path))
+        assert len(forks) == 1 and reaped(forks[0])
+        assert sorted(outputs) == sorted(TEACHER_FILES)
+        assert outputs == reference
+
+    @pytest.mark.parametrize("act", [raise_os_error, kill_this_process])
+    def test_a_failed_child_is_redone_in_process(self, monkeypatch, forks, tmp_path, capsys,
+                                                 act):
+        reference = in_process_teacher(tmp_path)
+        capsys.readouterr()
+        in_child_only(monkeypatch, act, cli, "save_csv")
+        outputs = written(train_teacher(tmp_path))
+        assert len(forks) == 1 and reaped(forks[0])
+        assert outputs == reference  # and no temp file is left
+        assert capsys.readouterr().err == ""
+
+    def test_a_write_that_fails_in_process_too_exits_2(self, forks, tmp_path, capsys):
+        out = tmp_path / "teacher0"
+        (out / "train.csv").mkdir(parents=True)
+        train_teacher(tmp_path, code=2)
+        assert len(forks) == 1 and reaped(forks[0])
+        assert str(out / "train.csv") in error_line(capsys)
+        assert sorted(p.name for p in out.iterdir()) == ["train.csv"]
+
+    def test_a_diverging_teacher_exits_3(self, forks, tmp_path, capsys):
+        reference = in_process_teacher(tmp_path, "teacher_lr = 1e300", code=3)
+        capsys.readouterr()
+        out = train_teacher(tmp_path, "teacher_lr = 1e300", code=3)
+        assert len(forks) == 1 and reaped(forks[0])
+        assert "holds non-finite values" in error_line(capsys)
+        assert written(out) == reference  # the CSVs, as before training
+
+    def test_an_interrupted_training_reaps_the_child(self, monkeypatch, forks, tmp_path):
+        reference = in_process_teacher(tmp_path)
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "train_teacher_network", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            train_teacher(tmp_path)
+        assert len(forks) == 1 and reaped(forks[0])
+        out = tmp_path / "teacher1"
+        assert written(out) == {name: reference[name] for name in ("test.csv", "train.csv")}
 
 
 def fake_row(i, **kw):

@@ -112,15 +112,18 @@ def called(tmp_path_factory):
         if event == "call":
             seen.add(frame.f_code)
 
-    # dfq forks its trace worker as in a process of one OS thread with two
-    # idle CPUs, whatever threads (a BLAS pool, say) this test process runs
+    # dfq forks its trace worker, and train-teacher its CSV writer, as in a
+    # process of one OS thread with two idle CPUs, whatever threads (a BLAS
+    # pool, say) this test process runs. The rings run sees one CPU, so its
+    # CSVs are written in-process, where the profiler sees them.
     (root / "task" / "1").mkdir(parents=True)
     (root / "loadavg").write_text("0.50 0.40 0.30 1/120 4242\n")
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(game, "_THREADS_DIR", str(root / "task"))
         patch.setattr(game, "_LOADAVG", str(root / "loadavg"))
-        patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         for argv in runs:
+            cpus = {0} if argv[-1] == str(root / "rings") else {0, 1}
+            patch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
             sys.setprofile(profile)
             try:
                 rc = main(argv)
