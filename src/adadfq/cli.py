@@ -12,9 +12,11 @@ opens any dataset file.
 train-teacher writes its train.csv and test.csv, which training never
 reads, from a child forked onto a spare core while the teacher trains
 (``game.on_spare_core``, under the trace worker's guard), and in-process
-first elsewhere; the bytes are the same either way. It waits for the child
-before it evaluates and saves, and writes in-process if the child failed,
-so a write error still comes first, with its exit code and message.
+first elsewhere; the bytes are the same either way. The child runs at a
+lower priority (nice 10), so the training keeps its CPU if other work
+arrives. It waits for the child before it evaluates and saves, and writes
+in-process if the child failed, so a write error still comes first, with
+its exit code and message.
 """
 
 from __future__ import annotations

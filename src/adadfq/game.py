@@ -78,7 +78,8 @@ array for another, is not seen by the worker.
 One guard, ``_spare_core``, and one fork, ``_forked``, serve both of the
 package's forks: this worker and ``on_spare_core``, which runs a piece of
 file writing (``train-teacher``'s two CSVs) in a child while the caller's
-block runs, and redoes it in-process if the child fails.
+block runs, and redoes it in-process if the child fails. That child, unlike
+this worker, is background work, so it runs at a lower priority.
 """
 
 from __future__ import annotations
@@ -393,14 +394,26 @@ def on_spare_core(work):
     in-process before the block otherwise. The block's end, or its error,
     reaps the child. A child that did not exit 0 (it raised, or was killed)
     is followed by ``work()`` in-process, the one writer of its error, which
-    thus comes ahead of any error the block raised, as in-process."""
+    thus comes ahead of any error the block raised, as in-process.
+
+    The child runs at nice 10. The guard sees the machine only at the
+    fork; where a task it could not foresee then shares the CPUs with both,
+    the block keeps its CPU and the child gets about a tenth of one. At
+    equal priority the block would run at half speed there; at the lowest
+    (nice 19), the block could wait seconds for a child that two such tasks
+    starve."""
     if not _spare_core():
         work()
         yield
         return
+
+    def child():
+        os.nice(10)
+        work()
+
     pid = None
     try:
-        with _forked(work) as pid:
+        with _forked(child) as pid:
             pass  # pid is set before a Ctrl-C can land, so the finally reaps
         yield
     finally:

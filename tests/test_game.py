@@ -891,6 +891,18 @@ class TestSplitWriter:
         assert outputs == reference  # and no temp file is left
         assert capsys.readouterr().err == ""
 
+    def test_the_child_yields_to_the_training(self, monkeypatch, forks, tmp_path):
+        """Nice 10: where a third task shares the two CPUs, the training
+        keeps its own and the writer gets about a tenth of one."""
+        niceness = tmp_path / "niceness"
+        in_child_only(monkeypatch, lambda: niceness.write_text(
+            str(os.getpriority(os.PRIO_PROCESS, 0))), cli, "save_csv")
+        ours = os.getpriority(os.PRIO_PROCESS, 0)
+        assert written(train_teacher(tmp_path)) == in_process_teacher(tmp_path)
+        assert len(forks) == 1 and reaped(forks[0])
+        assert int(niceness.read_text()) == min(ours + 10, 19)
+        assert os.getpriority(os.PRIO_PROCESS, 0) == ours
+
     def test_a_write_that_fails_in_process_too_exits_2(self, forks, tmp_path, capsys):
         out = tmp_path / "teacher0"
         (out / "train.csv").mkdir(parents=True)
