@@ -66,8 +66,9 @@ never returns into the caller's code. ``run_game`` forks only where the
 fork is safe and has a core to run on: on Linux, in a process of one OS
 thread (native threads such as a BLAS pool count; ``perfbench`` pins BLAS
 to one thread, an unpinned numpy starts a pool), when fewer tasks are
-runnable than there are CPUs in its affinity mask (on one CPU, or beside
-another busy run, the fork only adds work). It decides once per run.
+runnable than there are CPUs it may use: its affinity mask, cut to its
+cgroup's CPU quota (on one CPU, or beside another busy run, the fork only
+adds work). It decides once per run.
 Otherwise the pair is measured in-process, as it is by any state without
 a worker; that is the reference the worker is tested against. The rows
 match it as long as ``row_callback`` changes only what the worker mirrors;
@@ -340,23 +341,51 @@ class _TraceWorker:
 _THREADS_DIR = "/proc/self/task"
 # Its fourth field, "running/total", counts the tasks runnable now, this one too.
 _LOADAVG = "/proc/loadavg"
+# The CPU quota of the cgroup mounted here (a container's own): cgroup v2's
+# "quota period" or "max period", in microseconds.
+_CPU_MAX = "/sys/fs/cgroup/cpu.max"
+# cgroup v1's quota (-1 for none) and period, in microseconds.
+_CFS_QUOTA = "/sys/fs/cgroup/cpu/cpu.cfs_quota_us"
+_CFS_PERIOD = "/sys/fs/cgroup/cpu/cpu.cfs_period_us"
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on: those in its affinity mask, or as
+    many whole CPUs as its cgroup's quota grants, if fewer. A missing quota
+    file is no quota; a quota file that cannot be parsed raises."""
+    cpus = len(os.sched_getaffinity(0))
+    try:
+        with open(_CPU_MAX, "rb") as f:
+            quota, period = f.read().split()
+    except FileNotFoundError:  # cgroup v1, or no cgroup at all
+        try:
+            with open(_CFS_QUOTA, "rb") as f, open(_CFS_PERIOD, "rb") as g:
+                quota, period = f.read().strip(), g.read()
+        except FileNotFoundError:
+            return cpus
+    if quota in (b"max", b"-1"):
+        return cpus
+    return min(cpus, int(quota) // int(period))
 
 
 def _spare_core() -> bool:
     """Whether a fork is safe here and its child has a core of its own: on
     Linux, whose OS threads a process can count, in a process of one
-    thread, with fewer tasks runnable now than CPUs in its affinity mask.
-    False elsewhere, so two runs sharing two CPUs each keep to one process.
-    The one guard of both forks, the trace worker's and ``on_spare_core``'s."""
+    thread, with fewer tasks runnable now than CPUs it may run on (its
+    affinity mask, cut to its cgroup's CPU quota). False elsewhere, so two
+    runs sharing two CPUs each keep to one process, and False where a quota
+    file cannot be read. The one guard of both forks, the trace worker's
+    and ``on_spare_core``'s."""
     if sys.platform != "linux" or not hasattr(os, "fork"):
         return False
     try:
         threads = len(os.listdir(_THREADS_DIR))
         with open(_LOADAVG, "rb") as f:
             running = int(f.read().split()[3].split(b"/")[0])
-    except (OSError, ValueError, IndexError):  # no /proc: nothing can be counted
+        cpus = _cpus()
+    except (OSError, ValueError, IndexError, ZeroDivisionError):  # nothing can be counted
         return False
-    return threads == 1 and running < len(os.sched_getaffinity(0))
+    return threads == 1 and running < cpus
 
 
 @contextlib.contextmanager

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import ctypes
 import dataclasses
 import hashlib
 import io
@@ -7,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 from conftest import error_line
 
 import adadfq
+from adadfq import cli
 from adadfq.checkpoint import load_checkpoint, norm_stats_from
 from adadfq.cli import RunConfig, evaluate_network, main
 from adadfq.config import read_config
@@ -438,6 +441,47 @@ class TestReportSimilarity:
         assert rc == 0
         assert out_path.read_bytes() == (dfq_out / "similarity.csv").read_bytes()
 
+    # A mutant's edits: a data cell, a data row or a header name, picked by
+    # index (modulo their count), replaced with a DUMP_VALUES entry or
+    # deleted (-1).
+    DUMP_VALUES = ["", "nan", "inf", "-1e308", "1e308", "-1", "0.5", "7", "2e19", "x",
+                   "1,2", '"', "label", "x0", "sample_index", "\u00e9", " 3 "]
+
+    @given(st.lists(st.tuples(st.sampled_from(["cell", "row", "header"]),
+                              st.integers(0, 10 ** 6),
+                              st.integers(-1, len(DUMP_VALUES) - 1)),
+                    min_size=1, max_size=3))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_fuzzed_dump_ends_in_an_exit_code(self, workdir, dfq_out, edits):
+        """One to three cells, rows or header names of a dump dfq wrote,
+        replaced or deleted: report-similarity returns 0, 2 or 3, a failure
+        with one error line, and never raises."""
+        root, _, out = workdir
+        header, *rows = read_rows(dfq_out / "samples.csv")
+        for target, index, value in edits:
+            if target == "row":
+                cells, index = rows, index % len(rows)
+            else:
+                cells = header if target == "header" else rows[index % len(rows)]
+                index %= len(cells)
+            if value < 0:
+                del cells[index]
+            else:
+                cells[index] = [self.DUMP_VALUES[value]] if target == "row" \
+                    else self.DUMP_VALUES[value]
+        mutant = root / "fuzzed_samples.csv"
+        mutant.write_text("".join(",".join(r) + "\r\n" for r in [header, *rows]),
+                          encoding="utf-8", newline="")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(["report-similarity", "--samples", str(mutant),
+                       "--ckpt", str(out / "teacher.json"),
+                       "--student-ckpt", str(dfq_out / "student_dfq_3bit.json"),
+                       "--out", str(root / "fuzzed_sim.csv")])
+        lines = err.getvalue().splitlines()
+        assert rc in (0, 2, 3), (edits, lines)
+        assert len(lines) == (rc != 0) and all(ln.startswith("error: ") for ln in lines), lines
+
 
 class TestExitCodes:
     @pytest.mark.parametrize("dump, message", [
@@ -563,6 +607,8 @@ class TestExitCodes:
         assert error_line(capsys).startswith(
             f"error: {out / 'teacher.json'}: not written: {entry}")
         assert not (out / "teacher.json").exists()
+        assert not (out / "train.csv").exists() and not (out / "test.csv").exists()
+        assert not out.exists()  # this run made it
 
     @UNLOADABLE_TEACHERS
     def test_teacher_no_load_would_accept_prints_one_line(self, tmp_path, line, entry):
@@ -1039,3 +1085,85 @@ class TestEncoding:
                 *argv, flags=("-X", "warn_default_encoding", "-W", "error::EncodingWarning"))
             assert done.returncode == 0, (argv[0], done.stderr)
             assert "EncodingWarning" not in done.stderr
+
+
+def on_glibc() -> bool:
+    try:
+        return sys.platform == "linux" and bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (ValueError, OSError, AttributeError):
+        return False
+
+
+def raise_value_error(*args):
+    raise ValueError("unrecognized configuration name")
+
+
+def raise_os_error(*args):
+    raise OSError(22, "Invalid argument")
+
+
+class TestAllocatorSetting:
+    """``main`` sets glibc's trim and mmap thresholds with two ``mallopt``
+    calls; where the C library is not glibc, or cannot be found, it makes
+    none, and a value glibc refuses changes nothing. The output is the same
+    bytes either way."""
+
+    @pytest.fixture
+    def libc(self, monkeypatch):
+        """The C library as ``main`` finds it (the real lookup, which may
+        fail), with each ``mallopt`` recorded, not made, and answered with
+        ``libc.answer``: 1, success, unless a test sets it."""
+        fake = types.SimpleNamespace(names=[], calls=[], answer=1)
+        fake.mallopt = lambda param, value: fake.calls.append((param, value)) or fake.answer
+        lookup = ctypes.CDLL
+
+        def cdll(name):
+            fake.names.append(name)
+            lookup(name)
+            return fake
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        return fake
+
+    @staticmethod
+    def command(workdir, tmp_path, capsys):
+        """``eval`` of the shared teacher: exit code, stdout, stderr and report bytes."""
+        _, _, out = workdir
+        report = tmp_path / "eval.json"
+        rc = main(["eval", "--ckpt", str(out / "teacher.json"),
+                   "--dataset", str(out / "test.csv"), "--out", str(report)])
+        captured = capsys.readouterr()
+        return rc, captured.out, captured.err, report.read_bytes()
+
+    @pytest.mark.skipif(not on_glibc(), reason="the setting is made on glibc only")
+    def test_a_command_makes_the_two_calls(self, workdir, tmp_path, capsys, libc):
+        rc, _, err, _ = self.command(workdir, tmp_path, capsys)
+        assert (rc, err) == (0, "")
+        assert libc.names == [cli._LIBC]
+        assert libc.calls == [(-1, cli.TRIM_THRESHOLD), (-3, cli.MMAP_THRESHOLD)]
+
+    @pytest.mark.parametrize("name, value", [
+        ("confstr", raise_value_error),
+        ("confstr", raise_os_error),
+        ("confstr", lambda name: None),
+        ("_LIBC", "libadadfq-no-such-library.so.0"),
+        ("platform", "darwin"),
+    ], ids=["confstr_value_error", "confstr_os_error", "confstr_none", "no_library",
+            "not_linux"])
+    def test_no_glibc_no_call(self, monkeypatch, workdir, tmp_path, capsys, libc,
+                              name, value):
+        reference = self.command(workdir, tmp_path, capsys)
+        assert reference[0] == 0 and reference[2] == ""
+        libc.calls.clear()
+        owner = {"confstr": os, "_LIBC": cli, "platform": sys}[name]
+        monkeypatch.setattr(owner, name, value)
+        assert self.command(workdir, tmp_path, capsys) == reference
+        assert libc.calls == []
+
+    @pytest.mark.skipif(not on_glibc(), reason="the setting is made on glibc only")
+    def test_a_refused_value_changes_nothing(self, workdir, tmp_path, capsys, libc):
+        reference = self.command(workdir, tmp_path, capsys)
+        libc.calls.clear()
+        libc.answer = 0
+        assert self.command(workdir, tmp_path, capsys) == reference
+        assert len(libc.calls) == 2

@@ -433,14 +433,22 @@ def runnable(path, tasks):
 
 @pytest.fixture
 def alone(monkeypatch, tmp_path):
-    """``run_game`` sees one OS thread, one runnable task and two CPUs, so it
-    forks its worker whatever threads (a BLAS pool, say) this test process
-    runs and whatever else the machine runs."""
+    """``run_game`` sees one OS thread, one runnable task, two CPUs and no
+    CPU quota, so it forks its worker whatever threads (a BLAS pool, say)
+    this test process runs and whatever else the machine runs."""
     tasks = tmp_path / "task"
     (tasks / "1").mkdir(parents=True)
     monkeypatch.setattr(game, "_THREADS_DIR", str(tasks))
     monkeypatch.setattr(game, "_LOADAVG", runnable(tmp_path / "loadavg", 1))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    no_quota(monkeypatch, tmp_path)
+
+
+def no_quota(patch, root):
+    """Point the guard's cgroup quota files at ``root``, where none is yet,
+    so the host's quota does not decide; a test writes the ones it needs."""
+    for name in ("_CPU_MAX", "_CFS_QUOTA", "_CFS_PERIOD"):
+        patch.setattr(game, name, str(root / getattr(game, name).rsplit("/", 1)[1]))
 
 
 @pytest.fixture
@@ -775,6 +783,30 @@ class TestWorkerSelection:
         self.run(tmp_path)
         assert forks == []
 
+    @pytest.mark.parametrize("files, forked", [
+        ({"cpu.max": "100000 100000\n"}, False),
+        ({"cpu.max": "max 100000\n"}, True),
+        ({"cpu.max": "250000 100000\n"}, True),
+        ({"cpu.cfs_quota_us": "100000\n", "cpu.cfs_period_us": "100000\n"}, False),
+        ({"cpu.cfs_quota_us": "-1\n", "cpu.cfs_period_us": "100000\n"}, True),
+        ({"cpu.max": "1 CPU\n"}, False),
+        ({"cpu.max": ""}, False),
+        ({"cpu.max": "100000 0\n"}, False),
+        ({"cpu.cfs_quota_us": "half\n", "cpu.cfs_period_us": "100000\n"}, False),
+    ], ids=["v2_one_cpu", "v2_max", "v2_two_and_a_half", "v1_one_cpu", "v1_none",
+            "v2_malformed", "v2_empty", "v2_zero_period", "v1_malformed"])
+    def test_a_cgroup_quota_caps_the_cpus(self, monkeypatch, tmp_path, alone, forks,
+                                          files, forked):
+        """Two CPUs in the mask, one task runnable: a quota of one whole CPU
+        leaves no spare core, and a quota file that cannot be parsed means no
+        fork, as an unreadable load does; no quota, or one of two CPUs or
+        more, forks."""
+        reference = self.reference(tmp_path)
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        assert self.run(tmp_path) == reference
+        assert len(forks) == int(forked)
+
     def test_with_a_second_thread_the_game_runs_in_process(self, monkeypatch, tmp_path,
                                                            forks):
         reference = self.reference(tmp_path)
@@ -814,15 +846,16 @@ class TestWorkerSelection:
     def test_a_process_of_one_thread_forks_without_a_warning(self, tmp_path):
         """The real thread count, in a process whose BLAS runs no pool: the
         command forks where the affinity mask holds a second CPU (with the
-        machine's load read as one runnable task, so other work on it does
-        not decide), and Python (3.12 on) raises no fork-with-threads
-        warning."""
+        machine's load read as one runnable task and no CPU quota, so other
+        work on it and its cgroup do not decide), and Python (3.12 on)
+        raises no fork-with-threads warning."""
         argv = self.command(tmp_path)
         script = "\n".join([
             "import os, sys, warnings",
             "from adadfq import game",
             "from adadfq.cli import main",
             f"game._LOADAVG = {runnable(tmp_path / 'loadavg', 1)!r}",
+            f"game._CPU_MAX = game._CFS_QUOTA = {str(tmp_path / 'no-quota')!r}",
             "pids, fork = [], os.fork",
             "os.fork = lambda: pids.append(fork()) or pids[-1]",
             "with warnings.catch_warnings(record=True) as caught:",
@@ -870,7 +903,8 @@ def raise_os_error():
 class TestSplitWriter:
     """``train-teacher`` writes its CSVs from one forked child while the
     teacher trains, reaps it on every exit, and writes in-process if the
-    child fails; no process outlives the command."""
+    child fails; no process outlives the command, and a failed one leaves
+    no file it wrote."""
 
     def test_one_child_writes_the_in_process_bytes(self, forks, tmp_path):
         reference = in_process_teacher(tmp_path)
@@ -912,15 +946,26 @@ class TestSplitWriter:
         assert sorted(p.name for p in out.iterdir()) == ["train.csv"]
 
     def test_a_diverging_teacher_exits_3(self, forks, tmp_path, capsys):
-        reference = in_process_teacher(tmp_path, "teacher_lr = 1e300", code=3)
-        capsys.readouterr()
         out = train_teacher(tmp_path, "teacher_lr = 1e300", code=3)
         assert len(forks) == 1 and reaped(forks[0])
         assert "holds non-finite values" in error_line(capsys)
-        assert written(out) == reference  # the CSVs, as before training
+        assert not out.exists()  # nor the CSVs the child wrote into it
+
+    def test_a_failed_run_removes_only_what_it_wrote(self, forks, tmp_path, capsys):
+        """An out dir that was there stays, with every file this run did not
+        write; the CSVs it replaced are gone."""
+        out = tmp_path / "teacher0"
+        out.mkdir()
+        (out / "notes.txt").write_text("kept")
+        (out / "teacher.json").write_text("an earlier run's")
+        (out / "train.csv").write_text("an earlier run's")
+        train_teacher(tmp_path, "teacher_lr = 1e300", code=3)
+        assert len(forks) == 1 and reaped(forks[0])
+        assert "holds non-finite values" in error_line(capsys)
+        assert written(out) == {"notes.txt": b"kept", "teacher.json": b"an earlier run's"}
 
     def test_an_interrupted_training_reaps_the_child(self, monkeypatch, forks, tmp_path):
-        reference = in_process_teacher(tmp_path)
+        in_process_teacher(tmp_path)
 
         def interrupted(*args):
             raise KeyboardInterrupt
@@ -929,8 +974,7 @@ class TestSplitWriter:
         with pytest.raises(KeyboardInterrupt):
             train_teacher(tmp_path)
         assert len(forks) == 1 and reaped(forks[0])
-        out = tmp_path / "teacher1"
-        assert written(out) == {name: reference[name] for name in ("test.csv", "train.csv")}
+        assert not (tmp_path / "teacher1").exists()
 
 
 def fake_row(i, **kw):

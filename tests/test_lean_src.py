@@ -114,13 +114,16 @@ def called(tmp_path_factory):
 
     # dfq forks its trace worker, and train-teacher its CSV writer, as in a
     # process of one OS thread with two idle CPUs, whatever threads (a BLAS
-    # pool, say) this test process runs. The rings run sees one CPU, so its
-    # CSVs are written in-process, where the profiler sees them.
+    # pool, say) this test process runs and whatever CPU quota its cgroup
+    # has. The rings run sees one CPU, so its CSVs are written in-process,
+    # where the profiler sees them.
     (root / "task" / "1").mkdir(parents=True)
     (root / "loadavg").write_text("0.50 0.40 0.30 1/120 4242\n")
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(game, "_THREADS_DIR", str(root / "task"))
         patch.setattr(game, "_LOADAVG", str(root / "loadavg"))
+        for name in ("_CPU_MAX", "_CFS_QUOTA", "_CFS_PERIOD"):  # no CPU quota
+            patch.setattr(game, name, str(root / "no-quota"))
         for argv in runs:
             cpus = {0} if argv[-1] == str(root / "rings") else {0, 1}
             patch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
