@@ -2,7 +2,9 @@
 
 Subcommands: train-teacher, quantize, dfq, eval, report-similarity.
 Exit codes: 0 success, 2 usage/config errors (a path that is missing or of
-the wrong kind too), 3 runtime/numeric errors and allocations that fail.
+the wrong kind too), 3 runtime/numeric errors and allocations that fail
+(numpy's ``ValueError`` for a size past its limits among them; any other
+``ValueError`` is a bug and keeps its traceback).
 Verbosity via the ADADFQ_LOG environment variable (DEBUG/INFO/WARNING).
 
 The dfq command is structurally data-free: it reads only the teacher
@@ -16,8 +18,11 @@ first elsewhere; the bytes are the same either way. The child runs at a
 lower priority (nice 10), so the training keeps its CPU if other work
 arrives. It waits for the child before it evaluates and saves, and writes
 in-process if the child failed, so a write error still comes first, with
-its exit code and message. A run that fails after it made its out dir
-removes every file it wrote there, and the out dir if it made it.
+its exit code and message.
+
+A train-teacher, quantize or dfq that fails after it made its out dir
+removes every file it wrote there, and the out dir if it made it
+(``_undone_on_error``); dfq makes it only after its game.
 
 On Linux with glibc, ``main`` first asks the allocator to keep what a
 command frees for reuse (``mallopt``). By default glibc gives each block of
@@ -76,6 +81,10 @@ TRIM_THRESHOLD = 4 << 20
 MMAP_THRESHOLD = 1 << 20
 # glibc's soname, looked up only where os.confstr names glibc.
 _LIBC = "libc.so.6"
+# numpy's ValueError for a size past its limits (a product of sizes that
+# RunConfig bounds one by one), which is an allocation that cannot succeed.
+NUMPY_SIZE_LIMITS = ("array is too big; `arr.size * arr.dtype.itemsize` is larger than "
+                     "the maximum possible size.", "Maximum allowed dimension exceeded")
 
 
 def _command_config(args) -> RunConfig:
@@ -181,30 +190,28 @@ def _write_json(path, obj) -> None:
     ckpt.atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _inode(path):
-    try:
-        return os.stat(path).st_ino
-    except OSError:
-        return None
+def _inodes(out_dir: str) -> dict:
+    """Each entry of ``out_dir``, by name, with its inode."""
+    return {entry.name: entry.inode() for entry in os.scandir(out_dir)}
 
 
 @contextlib.contextmanager
-def _undone_on_error(out_dir: str, names):
-    """Make ``out_dir`` for the block. On any error in it, remove each of
-    ``names`` the block wrote there, and ``out_dir`` if this made it. Every
-    write puts a new file in place (``atomic_writer``), so a name whose
-    inode changed is one the block wrote, whichever process wrote it."""
+def _undone_on_error(out_dir: str):
+    """Make ``out_dir`` for the block. On any error in it, remove each file
+    the block wrote there, and ``out_dir`` if this made it. Every write puts
+    a new file in place (``atomic_writer``), so an entry that is new, or
+    whose inode changed, is one the block wrote, whichever process wrote
+    it; every other entry stays."""
     made = not os.path.isdir(out_dir)
     os.makedirs(out_dir, exist_ok=True)
-    paths = [os.path.join(out_dir, name) for name in names]
-    before = [_inode(path) for path in paths]
+    before = _inodes(out_dir)
     try:
         yield
     except BaseException:
-        for path, inode in zip(paths, before):
-            if _inode(path) not in (None, inode):
+        for name, inode in _inodes(out_dir).items():
+            if before.get(name) != inode:
                 with contextlib.suppress(OSError):
-                    os.remove(path)
+                    os.remove(os.path.join(out_dir, name))
         if made:
             with contextlib.suppress(OSError):  # not empty: left as it is
                 os.rmdir(out_dir)
@@ -230,8 +237,7 @@ def cmd_train_teacher(args) -> int:
         save_csv(test_raw, os.path.join(args.out_dir, "test.csv"), cfg.label_column)
 
     # a failed run leaves none of its files behind
-    with _undone_on_error(args.out_dir, ("train.csv", "test.csv", "teacher.json",
-                                         "teacher_metrics.json")):
+    with _undone_on_error(args.out_dir):
         with on_spare_core(write_split):  # training never reads the CSVs
             train_std, stats = standardize(train_raw)
             test_std = apply_standardization(test_raw, stats)
@@ -273,13 +279,13 @@ def cmd_quantize(args) -> int:
         "naive_quantized": evaluate_network(student, ds),
         "teacher": evaluate_network(teacher, ds),
     }
-    os.makedirs(args.out_dir, exist_ok=True)
-    ckpt.save_student(
-        os.path.join(args.out_dir, f"student_naive_{bits}bit.json"),
-        student, norm_stats=ckpt.norm_stats_from(doc),
-        metadata={"source": "naive", "bits": bits},
-    )
-    _write_json(os.path.join(args.out_dir, "quantize_report.json"), report)
+    with _undone_on_error(args.out_dir):  # a failed run leaves none of its files behind
+        ckpt.save_student(
+            os.path.join(args.out_dir, f"student_naive_{bits}bit.json"),
+            student, norm_stats=ckpt.norm_stats_from(doc),
+            metadata={"source": "naive", "bits": bits},
+        )
+        _write_json(os.path.join(args.out_dir, "quantize_report.json"), report)
     print(json.dumps({
         "teacher_accuracy": report["teacher"]["accuracy"],
         "naive_accuracy": report["naive_quantized"]["accuracy"],
@@ -309,36 +315,37 @@ def cmd_dfq(args) -> int:
 
     generator, student = make_players(teacher, cfg)
     trace = run_game(generator, teacher, student, cfg)
-    os.makedirs(args.out_dir, exist_ok=True)  # a failed game leaves no directory
-    ckpt.write_csv(os.path.join(args.out_dir, "trace.csv"),
-                   (r.as_dict().values() for r in trace), header=TRACE_FIELDS)
+    # a failed game leaves no directory, and a failed run none of its files
+    with _undone_on_error(args.out_dir):
+        ckpt.write_csv(os.path.join(args.out_dir, "trace.csv"),
+                       (r.as_dict().values() for r in trace), header=TRACE_FIELDS)
 
-    window = max(1, len(trace) // 4)
-    report = equilibrium_report(trace, window)
-    _write_json(os.path.join(args.out_dir, "equilibrium.json"), report.as_dict())
+        window = max(1, len(trace) // 4)
+        report = equilibrium_report(trace, window)
+        _write_json(os.path.join(args.out_dir, "equilibrium.json"), report.as_dict())
 
-    ckpt.save_student(
-        os.path.join(args.out_dir, f"student_dfq_{cfg.bits}bit.json"),
-        student, norm_stats=ckpt.norm_stats_from(doc),
-        metadata={"source": "dfq", "bits": cfg.bits, "seed": cfg.seed,
-                  "config_hash": cfg.config_hash()},
-    )
+        ckpt.save_student(
+            os.path.join(args.out_dir, f"student_dfq_{cfg.bits}bit.json"),
+            student, norm_stats=ckpt.norm_stats_from(doc),
+            metadata={"source": "dfq", "bits": cfg.bits, "seed": cfg.seed,
+                      "config_hash": cfg.config_hash()},
+        )
 
-    # final generated-sample dump plus their pairwise p_ds distances
-    generator.eval()
-    student.eval()
-    dump_seed = cfg.seed ^ 0x5A5A5A5A  # streams of their own, apart from the game's
-    z, y = sample_noise_and_labels(substream(dump_seed, "noise"), substream(dump_seed, "labels"),
-                                   cfg.sample_dump, cfg.noise_dim, num_classes)
-    with no_grad():
-        samples = generator.forward(z, y).data
-    labels = np.argmax(y.data, axis=1).tolist()
-    ckpt.write_csv(os.path.join(args.out_dir, "samples.csv"),
-                   ([i, labels[i], *row] for i, row in enumerate(samples)),
-                   header=_dump_header(input_dim))
+        # final generated-sample dump plus their pairwise p_ds distances, from
+        # the players as run_game leaves them: in eval mode
+        dump_seed = cfg.seed ^ 0x5A5A5A5A  # streams of their own, apart from the game's
+        z, y = sample_noise_and_labels(substream(dump_seed, "noise"),
+                                       substream(dump_seed, "labels"),
+                                       cfg.sample_dump, cfg.noise_dim, num_classes)
+        with no_grad():
+            samples = generator.forward(z, y).data
+        labels = np.argmax(y.data, axis=1).tolist()
+        ckpt.write_csv(os.path.join(args.out_dir, "samples.csv"),
+                       ([i, labels[i], *row] for i, row in enumerate(samples)),
+                       header=_dump_header(input_dim))
 
-    pds = _pds_matrix(teacher, student, samples)
-    ckpt.write_csv(os.path.join(args.out_dir, "similarity.csv"), _l1_similarity(pds))
+        pds = _pds_matrix(teacher, student, samples)
+        ckpt.write_csv(os.path.join(args.out_dir, "similarity.csv"), _l1_similarity(pds))
 
     print(json.dumps({
         "iterations": len(trace),
@@ -447,9 +454,10 @@ def _keep_freed_memory() -> None:
             return
         import ctypes  # only this call needs it; the package does not
 
-        libc = ctypes.CDLL(_LIBC)
-        libc.mallopt(-1, TRIM_THRESHOLD)  # M_TRIM_THRESHOLD in malloc.h
-        libc.mallopt(-3, MMAP_THRESHOLD)  # M_MMAP_THRESHOLD
+        mallopt = ctypes.CDLL(_LIBC).mallopt  # int mallopt(int param, int value)
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(-1, TRIM_THRESHOLD)  # M_TRIM_THRESHOLD in malloc.h
+        mallopt(-3, MMAP_THRESHOLD)  # M_MMAP_THRESHOLD
     except (ValueError, OSError, AttributeError):  # no such name, library or symbol
         pass
 
@@ -466,7 +474,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (AdadfqError, MemoryError) as e:  # numpy's failed allocation is a MemoryError
+    except (AdadfqError, MemoryError, ValueError) as e:  # a failed allocation, or a size
+        if isinstance(e, ValueError) and str(e) not in NUMPY_SIZE_LIMITS:
+            raise  # a bug, not a size: its traceback is the report
         print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 3
 

@@ -9,8 +9,23 @@ player gets its own draw. The teacher is never touched: a game's state
 freezes its parameters, so gradients flow through it to the samples but no
 teacher weight gradient is computed.
 
-One game is one ``GameState``, whose players ``make_players`` builds;
-``game_iteration(state)`` plays one iteration and ``run_game`` them all.
+One game is one ``GameState``, whose players ``make_players`` builds. Each
+player's move is one function on a state and a batch (z, y):
+``generator_step`` plays step (a) and ``student_step`` step (b).
+``game_iteration(state)`` draws a batch for each, plays them in that order
+and builds the row, and ``run_game`` plays them all. A half-step reads the
+iteration index for its messages; only ``game_iteration`` advances it.
+
+Train and eval modes. The teacher is in eval mode throughout: ``GameState``
+sets it and the game never changes it. In ``generator_step`` the student is
+in eval mode, its parameters frozen for the step's forward and backward; the
+generator is in train mode for its training forward, which folds the batch
+into its batch-norm running statistics, then in eval mode for the
+measurement pair, and it stays there. In ``student_step`` the generator is
+in eval mode (its samples come from an eval forward under ``no_grad``, which
+folds nothing); the student is in train mode for its training forward,
+which observes each activation range, then in eval mode for its pair and
+after.
 
 The trajectory gains are measured on unnormalized disagreement entropy
 H_info(p_ds): delta_g is the change in the batch mean across the generator's
@@ -38,12 +53,18 @@ built on.
 
 Where the forwards run. The generator's pair, h_info_pre_g and
 h_info_post_g, feeds only the trace, so ``run_game`` hands it to a worker
-on another core: a child process forked from the game, ``_TraceWorker``.
-The parent runs the training forwards, step (b)'s sample and the student's
-post measurement: two generator, two teacher and three student forwards
-per iteration. The worker runs the pair: two of each. Its life:
+on another core: a child process forked from the game, ``_TraceWorker``,
+which ``run_game`` makes, passes to each ``game_iteration`` and reaps. The
+worker's three seams are where the pair would be measured in-process:
+``generator_step`` hands the pre state over before the generator's backward
+and the post state after its step, and ``game_iteration`` collects the
+pair after step (b). Without a worker each seam measures in this process,
+so a half-step called on its own never forks. With one, the parent runs
+the training forwards, step (b)'s sample and the student's post
+measurement: two generator, two teacher and three student forwards per
+iteration. The worker runs the pair: two of each. Its life:
 
-* *fork*: lazily, at the first hand-off inside ``game_iteration``, so the
+* *fork*: lazily, at the first hand-off inside ``generator_step``, so the
   child is a copy-on-write image of the players and no network is pickled;
 * *hand-off*: each state crosses once. Before the generator's step the
   parent copies the rest of what the game moved (``_mirrored``) into one
@@ -68,13 +89,13 @@ thread (native threads such as a BLAS pool count; ``perfbench`` pins BLAS
 to one thread, an unpinned numpy starts a pool), when fewer tasks are
 runnable than there are CPUs it may use: its affinity mask, cut to its
 cgroup's CPU quota (on one CPU, or beside another busy run, the fork only
-adds work). It decides once per run.
-Otherwise the pair is measured in-process, as it is by any state without
-a worker; that is the reference the worker is tested against. The rows
-match it as long as ``row_callback`` changes only what the worker mirrors;
-a callback that changes the teacher, the student's copied batch-norm
-statistics or the generator's parameters in place, or swaps a parameter's
-array for another, is not seen by the worker.
+adds work). It decides once per run. Otherwise the pair is measured
+in-process, as it is by any ``game_iteration`` called without a worker;
+that is the reference the worker is tested against. The rows match it as
+long as ``row_callback`` changes only what the worker mirrors; a callback
+that changes the teacher, the student's copied batch-norm statistics or
+the generator's parameters in place, or swaps a parameter's array for
+another, is not seen by the worker.
 
 One guard, ``_spare_core``, and one fork, ``_forked``, serve both of the
 package's forks: this worker and ``on_spare_core``, which runs a piece of
@@ -149,13 +170,13 @@ def make_players(teacher: MlpNetwork,
 
 class GameState:
     """Generator ``g`` and student ``q`` against teacher ``p``: the players,
-    ``config``, both optimizers, the ``noise`` and ``labels`` streams, the next
-    iteration's index and the trace worker (None: measure in-process).
-    Making one freezes the teacher's parameters for good."""
+    ``config``, both optimizers, the ``noise`` and ``labels`` streams and the
+    next iteration's index. Making one puts the teacher in eval mode and
+    freezes its parameters for good."""
 
     def __init__(self, g: ConditionalGenerator, p: MlpNetwork, q: QuantizedMlp,
-                 config: RunConfig, worker: _TraceWorker | None = None):
-        self.g, self.p, self.q, self.config, self.worker = g, p, q, config, worker
+                 config: RunConfig):
+        self.g, self.p, self.q, self.config = g, p, q, config
         self.gen_opt = AdamOptimizer(g.parameters(), lr=config.gen_lr)
         self.cal_opt = SgdMomentum(q.parameters(), lr=config.cal_lr,
                                    momentum=config.cal_momentum,
@@ -450,21 +471,24 @@ def on_spare_core(work):
             work()
 
 
-def game_iteration(state: GameState) -> TraceRow:
-    """Play iteration ``state.iteration`` (one generator ascent step plus
-    one student calibration step) and advance the index. With a worker on
-    the state, the generator's measurement pair runs in it; without one, in
-    this process."""
+def _finite_samples(x: Tensor, iteration: int) -> Tensor:
+    """``x``, once every generated sample in it is finite: each step checks
+    its own batch, so a generator its step made non-finite fails on step
+    (b)'s batch, before the student calibrates on it."""
+    if not np.logical_and.reduce(np.isfinite(x.data), axis=None):
+        raise NumericError(f"non-finite generated samples at iteration {iteration}")
+    return x
+
+
+def generator_step(state: GameState, z: Tensor, y: Tensor,
+                   worker: _TraceWorker | None = None) -> tuple[float, list, np.ndarray, tuple]:
+    """Step (a) on the batch (z, y): one ascent step of the generator against
+    the frozen student. Returns the generator's loss, the batch's sample
+    kinds (``classify_samples``), its h' and the pair (h_info_pre_g,
+    h_info_post_g), which is (None, None) with a ``worker``: its
+    ``collect()`` gives the pair after step (b)."""
     g, p, q, config = state.g, state.p, state.q, state.config
-    worker, iteration = state.worker, state.iteration
-    num_classes = p.output_dim
-
-    # ---- (a) generator step ------------------------------------------------
-    z1, y1 = sample_noise_and_labels(state.noise, state.labels, config.batch_size,
-                                     config.noise_dim, num_classes)
-
     q.eval()
-    p.eval()
     g.train()
     # The student is frozen for this step, as GameState freezes the teacher:
     # gradients flow through it to x, and none is kept for its parameters.
@@ -473,78 +497,84 @@ def game_iteration(state: GameState) -> TraceRow:
     for param in q_params:
         param.requires_grad = False
     try:
-        x = g.forward(z1, y1)
-        if not np.logical_and.reduce(np.isfinite(x.data), axis=None):
-            raise NumericError(f"non-finite generated samples at iteration {iteration}")
+        x = _finite_samples(g.forward(z, y), state.iteration)
         bn_inputs: list[Tensor] = []
         z_p = p.forward(x, bn_inputs)
         z_q = q.forward(x)
-        h_prime = normalize_entropy(disagreement_entropy(z_p, z_q), num_classes)
-        score = generator_objective(h_prime, z_p, z_q, y1, bn_inputs, p.bn_layers, config)
+        h_prime = normalize_entropy(disagreement_entropy(z_p, z_q), p.output_dim)
+        score = generator_objective(h_prime, z_p, z_q, y, bn_inputs, p.bn_layers, config)
         gen_loss = -score
         if not np.isfinite(gen_loss.data):
-            raise NumericError(
-                f"non-finite generator loss at iteration {iteration}: {float(gen_loss.data)}"
-            )
+            raise NumericError(f"non-finite generator loss at iteration {state.iteration}: "
+                               f"{float(gen_loss.data)}")
 
         # The pre/post pair brackets only the optimizer step: the training
         # forward above has already folded this batch into the generator's
         # running statistics, so the difference below is purely the parameter
         # update (and is exactly zero at a zero learning rate).
         g.eval()
-        if worker is None:
-            h_pre_g = _mean_disagreement_entropy(*_eval_sample(g, p, z1, y1), q)
-        else:
-            worker.hand_pre(state, z1, y1)
+        h_pre = (_mean_disagreement_entropy(*_eval_sample(g, p, z, y), q) if worker is None
+                 else worker.hand_pre(state, z, y))
         backward(gen_loss)
     finally:
         for param in q_params:
             param.requires_grad = True
     state.gen_opt.step()
-    if worker is None:
-        h_post_g = _mean_disagreement_entropy(*_eval_sample(g, p, z1, y1), q)
-    else:
-        worker.hand_post()
-
+    h_post = (_mean_disagreement_entropy(*_eval_sample(g, p, z, y), q) if worker is None
+              else worker.hand_post())
     # per-sample diagnostics from the training batch, before the student moves
-    kinds = classify_samples(z_p.data, z_q.data, y1.data)
-    h = h_prime.data
+    kinds = classify_samples(z_p.data, z_q.data, y.data)
+    return float(gen_loss.data), kinds, h_prime.data, (h_pre, h_post)
 
-    # ---- (b) student calibration step --------------------------------------
-    z2, y2 = sample_noise_and_labels(state.noise, state.labels, config.batch_size,
-                                     config.noise_dim, num_classes)
-    x2, z_p2 = _eval_sample(g, p, z2, y2)  # shared with the measurement pair
-    if not np.logical_and.reduce(np.isfinite(x2.data), axis=None):
-        raise NumericError(f"non-finite generated samples at iteration {iteration}")
+
+def student_step(state: GameState, z: Tensor, y: Tensor) -> tuple[float, float, float]:
+    """Step (b) on the batch (z, y): one calibration step of the student on
+    the frozen generator's samples. Returns the calibration loss,
+    h_info_pre_q and h_info_post_q."""
+    g, p, q, config = state.g, state.p, state.q, state.config
+    g.eval()
+    x, z_p = _eval_sample(g, p, z, y)  # shared with the measurement pair
+    _finite_samples(x, state.iteration)
 
     q.train()
-    z_q2 = q.forward(x2)  # observes this batch into the activation-range EMAs
-    h_info2 = disagreement_entropy(z_p2, z_q2)
-    cal_loss = calibration_objective(normalize_entropy(h_info2, num_classes))
+    z_q = q.forward(x)  # observes this batch into the activation-range EMAs
+    h_info = disagreement_entropy(z_p, z_q)
+    cal_loss = calibration_objective(normalize_entropy(h_info, p.output_dim))
     if config.aux_ce != 0.0:
-        cal_loss = cal_loss + config.aux_ce * cross_entropy_from_logits(z_q2, y2)
+        cal_loss = cal_loss + config.aux_ce * cross_entropy_from_logits(z_q, y)
     if not np.isfinite(cal_loss.data):
-        raise NumericError(
-            f"non-finite calibration loss at iteration {iteration}: {float(cal_loss.data)}"
-        )
+        raise NumericError(f"non-finite calibration loss at iteration {state.iteration}: "
+                           f"{float(cal_loss.data)}")
 
-    # As above: ranges are already observed, so the pair isolates the descent
-    # step on the latent weights. The training logits are the eval-mode ones
-    # (see the module docstring), so the pre measurement reads their entropies.
+    # As in step (a): ranges are already observed, so the pair isolates the
+    # descent step on the latent weights. The training logits are the
+    # eval-mode ones (see the module docstring), so the pre measurement reads
+    # their entropies.
     q.eval()
-    h_pre_q = float(h_info2.data.mean())
+    h_pre = float(h_info.data.mean())
     backward(cal_loss)
     state.cal_opt.step()
-    h_post_q = _mean_disagreement_entropy(x2, z_p2, q)
-    if worker is not None:
-        h_pre_g, h_post_g = worker.collect()
+    return float(cal_loss.data), h_pre, _mean_disagreement_entropy(x, z_p, q)
+
+
+def game_iteration(state: GameState, worker: _TraceWorker | None = None) -> TraceRow:
+    """Play iteration ``state.iteration``, step (a) then step (b) on a fresh
+    batch each, and advance the index. With a ``worker``, the generator's
+    measurement pair runs in it; without one, in this process."""
+    config, iteration = state.config, state.iteration
+    batch = (config.batch_size, config.noise_dim, state.p.output_dim)
+    z1, y1 = sample_noise_and_labels(state.noise, state.labels, *batch)
+    z2, y2 = sample_noise_and_labels(state.noise, state.labels, *batch)
+    loss_gen, kinds, h, pair = generator_step(state, z1, y1, worker)
+    loss_cal, h_pre_q, h_post_q = student_step(state, z2, y2)
+    h_pre_g, h_post_g = pair if worker is None else worker.collect()
 
     state.iteration = iteration + 1
     return TraceRow(
         iter=iteration,
         epoch=iteration // config.iterations_per_epoch,
-        loss_gen=float(gen_loss.data),
-        loss_cal=float(cal_loss.data),
+        loss_gen=loss_gen,
+        loss_cal=loss_cal,
         h_info_pre_g=h_pre_g,
         h_info_post_g=h_post_g,
         delta_g=h_post_g - h_pre_g,
@@ -569,18 +599,19 @@ def run_game(g: ConditionalGenerator, p: MlpNetwork, q: QuantizedMlp,
     (``make_players``). ``row_callback``, when given, receives each TraceRow
     as it is produced. Owns the trace worker: one where ``_spare_core``
     finds the fork safe, forked at the first iteration and reaped on any
-    exit; none otherwise."""
-    state = GameState(g, p, q, config, _TraceWorker() if _spare_core() else None)
+    exit; none otherwise. Leaves every player in eval mode."""
+    state = GameState(g, p, q, config)
+    worker = _TraceWorker() if _spare_core() else None
     trace: list[TraceRow] = []
     try:
         for _ in range(config.epochs * config.iterations_per_epoch):
-            row = game_iteration(state)
+            row = game_iteration(state, worker)
             trace.append(row)
             if row_callback is not None:
                 row_callback(row)
     finally:
-        if state.worker is not None:
-            state.worker.close()
+        if worker is not None:
+            worker.close()
     return trace
 
 

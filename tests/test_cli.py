@@ -6,13 +6,14 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import error_line
@@ -203,6 +204,20 @@ class TestQuantize:
         assert report["bits"] == 3
         assert report["naive_quantized"]["accuracy"] <= report["teacher"]["accuracy"]
         assert (qdir / "student_naive_3bit.json").exists()
+
+    def test_a_failed_write_removes_only_what_it_wrote(self, workdir, tmp_path, capsys):
+        """The student is saved, then the report fails: the student goes, and
+        the out dir, which was there, stays with what this run did not write."""
+        _, _, out = workdir
+        qdir = tmp_path / "q"
+        (qdir / "quantize_report.json").mkdir(parents=True)
+        (qdir / "notes.txt").write_text("kept")
+        rc = main(["quantize", "--ckpt", str(out / "teacher.json"),
+                   "--bits", "3", "--dataset", str(out / "test.csv"),
+                   "--out-dir", str(qdir)])
+        assert rc == 2
+        assert str(qdir / "quantize_report.json") in error_line(capsys)
+        assert sorted(p.name for p in qdir.iterdir()) == ["notes.txt", "quantize_report.json"]
 
     def test_rejects_student_checkpoint(self, workdir, dfq_out, tmp_path):
         _, _, out = workdir
@@ -568,6 +583,33 @@ class TestExitCodes:
             args += ["--ckpt", str(out / "teacher.json")]
         assert main([command] + args) == 3
         assert "allocate" in error_line(capsys)
+
+    # Each is below the per-key bound, and its product with noise_dim = 16 is
+    # past numpy's limits, which numpy reports as a ValueError.
+    @pytest.mark.parametrize("size, message", [
+        (2 * 10 ** 17, "array is too big"),
+        (2 ** 63 - 1, "Maximum allowed dimension exceeded"),
+    ], ids=["too_big", "past_the_dimension_limit"])
+    def test_size_past_numpy_limits_is_runtime_error(self, workdir, tmp_path, capsys,
+                                                     size, message):
+        _, _, out = workdir
+        p = tmp_path / "c.cfg"
+        p.write_text(with_settings(SMALL_CONFIG, f"batch_size = {size}\n"))
+        assert main(["dfq", "--config", str(p), "--ckpt", str(out / "teacher.json"),
+                     "--out-dir", str(tmp_path / "out")]) == 3
+        assert message in error_line(capsys)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("message", ["planted", "planted: Maximum allowed dimension exceeded"])
+    def test_any_other_value_error_is_raised(self, tmp_path, monkeypatch, message):
+        """A ``ValueError`` that is not one of numpy's two size-limit
+        messages is a bug: it keeps its traceback."""
+        def planted(*args):
+            raise ValueError(message)
+
+        monkeypatch.setattr(adadfq.cli, "make_blobs", planted)
+        with pytest.raises(ValueError, match=message):
+            main(["train-teacher", "--out-dir", str(tmp_path / "out")])
 
     def test_bare_memory_error_is_named(self, tmp_path, capsys, monkeypatch):
         def no_memory(*args):
@@ -989,6 +1031,72 @@ class TestFuzzEval:
         assert "Traceback" not in err.getvalue()
 
 
+class TestFuzzConfig:
+    # Keys, values and whole lines a mutant may hold. Every number is small
+    # or past a bound, so no mutant is a valid run that takes long; a lone
+    # surrogate is written as the byte 0xff, which is not UTF-8.
+    TOKENS = ["", " ", "=", "#", ",", ".", "0", "1", "2", "3", "-1", "0.5", "1e-300", "1e300",
+              "-1e300", "nan", "inf", "-inf", "x", "x0", "8,8", "8,", "0,8", "label", "rings",
+              "csv", "blobs", "\u00e9", "\x00", "\udcff", "classes", "per_class", "dim",
+              "spread", "dataset", "csv_path", "label_column", "teacher_hidden",
+              "teacher_epochs", "teacher_lr", "teacher_batch", "bits", "seed", "epochs",
+              "unknown"]
+
+    # A tiny valid config that sets every key train-teacher reads.
+    BASE = TINY_TEACHER + ("dataset = blobs\nspread = 1.3\nteacher_lr = 0.001\n"
+                           "teacher_batch = 8\nlabel_column = label\nseed = 0\n")
+
+    @staticmethod
+    def mutant(edits) -> str:
+        """``BASE`` with each edit applied in turn: a line, picked by index
+        (modulo the line count), deleted, duplicated, or replaced in whole,
+        in its key or in its value by a token, or a ``key = value`` line of
+        two tokens inserted."""
+        tokens, lines = TestFuzzConfig.TOKENS, TestFuzzConfig.BASE.splitlines()
+        for op, index, a, b in edits:
+            if op == "insert":
+                lines.insert(index % (len(lines) + 1), f"{tokens[a]} = {tokens[b]}")
+                continue
+            if not lines:
+                continue
+            i = index % len(lines)
+            key, _, value = lines[i].partition("=")
+            if op == "delete":
+                del lines[i]
+            elif op == "duplicate":
+                lines.insert(i, lines[i])
+            else:
+                lines[i] = {"line": tokens[a], "key": f"{tokens[a]} ={value}",
+                            "value": f"{key}= {tokens[a]}"}[op]
+        return "".join(line + "\n" for line in lines)
+
+    @given(st.lists(st.tuples(st.sampled_from(["delete", "duplicate", "line", "key", "value",
+                                               "insert"]),
+                              st.integers(0, 10 ** 6), st.integers(0, len(TOKENS) - 1),
+                              st.integers(0, len(TOKENS) - 1)),
+                    min_size=1, max_size=3))
+    # Random mutants seldom reach training; these diverge there, exit 3.
+    @example([("value", BASE.splitlines().index("teacher_lr = 0.001"), TOKENS.index("1e300"), 0)])
+    @example([("value", BASE.splitlines().index("spread = 1.3"), TOKENS.index("1e300"), 0)])
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_fuzzed_config_ends_in_an_exit_code(self, workdir, edits):
+        """``train-teacher`` on a mutant of a tiny valid config returns 0, 2
+        or 3 and never raises; a failure prints one error line and leaves no
+        out dir."""
+        root = workdir[0] / "fuzz_config"
+        root.mkdir(exist_ok=True)
+        cfg, out = root / "run.cfg", root / "out"
+        cfg.write_text(self.mutant(edits), encoding="utf-8", errors="surrogateescape")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(["train-teacher", "--config", str(cfg), "--out-dir", str(out)])
+        lines = err.getvalue().splitlines()
+        assert rc in (0, 2, 3), (edits, lines)
+        assert len(lines) == (rc != 0) and all(ln.startswith("error: ") for ln in lines), lines
+        assert out.exists() == (rc == 0), (edits, lines)
+        shutil.rmtree(out, ignore_errors=True)
+
+
 def test_round_trip_with_no_teacher_hidden_layer_and_three_generator_blocks(tmp_path):
     """The layer walk at its extremes: a teacher that is one linear layer (no
     batch norm, so no statistics loss) and a generator with three blocks."""
@@ -1112,9 +1220,17 @@ class TestAllocatorSetting:
     def libc(self, monkeypatch):
         """The C library as ``main`` finds it (the real lookup, which may
         fail), with each ``mallopt`` recorded, not made, and answered with
-        ``libc.answer``: 1, success, unless a test sets it."""
-        fake = types.SimpleNamespace(names=[], calls=[], answer=1)
-        fake.mallopt = lambda param, value: fake.calls.append((param, value)) or fake.answer
+        ``libc.answer``: 1, success, unless a test sets it. ``libc.declared``
+        holds its ``argtypes`` and ``restype`` as each call found them."""
+        fake = types.SimpleNamespace(names=[], calls=[], declared=[], answer=1)
+
+        def mallopt(param, value):
+            fake.calls.append((param, value))
+            fake.declared.append((getattr(mallopt, "argtypes", None),
+                                  getattr(mallopt, "restype", None)))
+            return fake.answer
+
+        fake.mallopt = mallopt
         lookup = ctypes.CDLL
 
         def cdll(name):
@@ -1141,6 +1257,8 @@ class TestAllocatorSetting:
         assert (rc, err) == (0, "")
         assert libc.names == [cli._LIBC]
         assert libc.calls == [(-1, cli.TRIM_THRESHOLD), (-3, cli.MMAP_THRESHOLD)]
+        # int mallopt(int param, int value), declared before each call
+        assert libc.declared == [((ctypes.c_int, ctypes.c_int), ctypes.c_int)] * 2
 
     @pytest.mark.parametrize("name, value", [
         ("confstr", raise_value_error),

@@ -1,5 +1,6 @@
 import ctypes
 import dataclasses
+import inspect
 import os
 import signal
 import subprocess
@@ -16,7 +17,7 @@ from adadfq import adaptability, cli, game, tensor
 from adadfq.checkpoint import save_student
 from adadfq.cli import RunConfig, main, train_teacher_network
 from adadfq.config import read_config
-from adadfq.data import box_muller, make_blobs, standardize, substream
+from adadfq.data import box_muller, make_blobs, sample_noise_and_labels, standardize, substream
 from adadfq.errors import ConfigError, ContractError, NumericError, WorkerError
 from adadfq.game import (
     TRACE_FIELDS,
@@ -25,8 +26,10 @@ from adadfq.game import (
     TraceRow,
     equilibrium_report,
     game_iteration,
+    generator_step,
     make_players,
     run_game,
+    student_step,
 )
 from adadfq.nn import ConditionalGenerator, MlpNetwork, make_mlp
 from adadfq.quant import QuantizedMlp
@@ -118,6 +121,12 @@ class TestRunGame:
         run_game(g, teacher, q, config)
         assert any(not np.array_equal(p.data, b) for p, b in zip(g.parameters(), g_before))
         assert any(not np.array_equal(p.data, b) for p, b in zip(q.parameters(), q_before))
+
+    def test_the_players_end_in_eval_mode(self, teacher):
+        """``dfq`` dumps samples and their distances from the players as the
+        game leaves them: a student in train mode would move its ranges."""
+        _, g, q = play(teacher, small_config())
+        assert not g.training and not q.training
 
     def test_row_callback_streams_all_rows(self, teacher):
         seen = []
@@ -232,6 +241,118 @@ class TestGameState:
         assert [layer.weight.shape for layer in g.linears] == [(16, 21), (16, 16), (4, 16)]
         assert all(np.array_equal(a.data, b.data)
                    for a, b in zip(g.parameters(), again.parameters()))
+
+
+def draw(state):
+    """One batch of (noise, labels) from the game's own streams."""
+    config = state.config
+    return sample_noise_and_labels(state.noise, state.labels, config.batch_size,
+                                   config.noise_dim, state.p.output_dim)
+
+
+def generator_arrays(state):
+    """The bytes of every array of the generator's side: its parameters and
+    Adam's buffers (the parameters are views of ``storage``), its step count
+    and its batch-norm statistics."""
+    opt = state.gen_opt
+    return [a.tobytes() for a in (opt.storage, opt.m, opt.v, np.array(opt.t),
+                                  *(s for bn in state.g.bn_layers
+                                    for s in (bn.running_mean, bn.running_var)))]
+
+
+def student_arrays(state):
+    """The bytes of every array of the student's side: its parameters and
+    velocity, its copied batch-norm statistics, and each layer's activation
+    range (None as NaN) and bit width."""
+    opt, q = state.cal_opt, state.q
+    ranges = [(np.nan if layer.act_min is None else layer.act_min,
+               np.nan if layer.act_max is None else layer.act_max, layer.bits)
+              for layer in q.linears]
+    return [a.tobytes() for a in (opt.storage, opt.velocity, np.array(ranges),
+                                  *(s for bn in q.bn_layers
+                                    for s in (bn.running_mean, bn.running_var)))]
+
+
+class TestHalfSteps:
+    @pytest.mark.parametrize("kw", [{}, {"aux_ce": 0.5, "bits": 2}], ids=["desk", "aux_ce_bits2"])
+    def test_the_half_steps_are_the_iteration(self, kw):
+        """``generator_step`` then ``student_step``, each on its own batch,
+        give every field of ``game_iteration``'s row and leave every player
+        array as it does, bit for bit."""
+        config = RunConfig(iterations_per_epoch=2, **kw)
+        played, stepped = (GameState(*desk_networks(config), config) for _ in range(2))
+        for i in range(3):
+            row = game_iteration(played)
+            (z1, y1), (z2, y2) = draw(stepped), draw(stepped)
+            loss_gen, kinds, h, (pre_g, post_g) = generator_step(stepped, z1, y1)
+            loss_cal, pre_q, post_q = student_step(stepped, z2, y2)
+            stepped.iteration += 1
+            fields = dict(
+                iter=i, epoch=i // 2, loss_gen=loss_gen, loss_cal=loss_cal,
+                h_info_pre_g=pre_g, h_info_post_g=post_g, delta_g=post_g - pre_g,
+                h_info_pre_q=pre_q, h_info_post_q=post_q, delta_q=post_q - pre_q,
+                n_disagree=kinds.count("disagreement"), n_agree=kinds.count("agreement"),
+                n_teacher_wrong=kinds.count("teacher_wrong"), hprime_min=float(h.min()),
+                hprime_mean=float(h.mean()), hprime_max=float(h.max()),
+                hprime_frac_in=float(((h >= config.lambda_l) & (h <= config.lambda_u)).mean()))
+            assert hex_rows([TraceRow(**fields)]) == hex_rows([row])
+            assert generator_arrays(stepped) == generator_arrays(played)
+            assert student_arrays(stepped) == student_arrays(played)
+            for stream in ("noise", "labels"):
+                np.testing.assert_equal(getattr(stepped, stream).bit_generator.state,
+                                        getattr(played, stream).bit_generator.state)
+
+    def test_a_game_state_holds_only_the_game(self):
+        config = RunConfig()
+        assert list(inspect.signature(GameState).parameters) == ["g", "p", "q", "config"]
+        assert not hasattr(GameState(*desk_networks(config), config), "worker")
+
+    def test_each_half_step_leaves_the_other_player_as_it_was(self):
+        """Step (b) alone, on a generator fresh from ``make_players`` (train
+        mode), folds nothing into its batch-norm statistics; step (a) moves no
+        student array, its activation ranges included. Every player ends in
+        eval mode."""
+        config = RunConfig()
+        state = GameState(*desk_networks(config), config)
+        assert state.g.training
+        before = generator_arrays(state)
+        student_step(state, *draw(state))
+        assert generator_arrays(state) == before
+        before = student_arrays(state)
+        generator_step(state, *draw(state))
+        assert student_arrays(state) == before
+        assert not any(net.training for net in (state.g, state.p, state.q))
+        assert state.iteration == 0
+
+    def test_a_half_step_alone_measures_in_process(self, alone, forks):
+        """Where ``run_game`` would fork, a half-step on its own does not."""
+        config = RunConfig()
+        state = GameState(*desk_networks(config), config)
+        *_, (pre, post) = generator_step(state, *draw(state))
+        assert isinstance(pre, float) and isinstance(post, float)
+        assert forks == []
+
+    def test_step_b_refuses_non_finite_samples(self):
+        """Step (b) checks its own batch: the student does not calibrate on
+        samples of a generator that has gone non-finite."""
+        config = RunConfig()
+        state = GameState(*desk_networks(config), config)
+        state.g.linears[-1].bias.data[...] = np.inf  # in place: the optimizer owns it
+        before = student_arrays(state)
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(NumericError, match="non-finite generated samples at iteration 0"):
+            student_step(state, *draw(state))
+        assert student_arrays(state) == before
+
+    def test_a_generator_step_that_overflows_fails_its_own_iteration(self):
+        """At this step size the generator's first step makes its samples
+        non-finite. Step (b) of the same iteration says so, so not even the
+        last iteration of a game returns a row built on them."""
+        config = RunConfig(gen_lr=1e300)
+        state = GameState(*desk_networks(config), config)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(NumericError, match="non-finite generated samples at iteration 0"):
+            game_iteration(state)
 
 
 class TestHotPath:
@@ -975,6 +1096,45 @@ class TestSplitWriter:
             train_teacher(tmp_path)
         assert len(forks) == 1 and reaped(forks[0])
         assert not (tmp_path / "teacher1").exists()
+
+
+@pytest.mark.usefixtures("alone")
+class TestFailedDfq:
+    """A ``dfq`` that fails after its game, with the trace worker forked and
+    reaped, removes every file it wrote, and its out dir if it made it; a
+    file it did not write stays."""
+
+    @staticmethod
+    def dfq(root, forks, *settings):
+        """``dfq`` on a ``train-teacher`` run of ``TINY_RUN``, with
+        ``settings`` lines added, into ``root / "dfq"``; its exit code."""
+        teacher = train_teacher(root)
+        forks.clear()  # train-teacher's CSV writer
+        cfg = root / "dfq.cfg"
+        cfg.write_text(TINY_RUN + "".join(line + "\n" for line in settings))
+        return main(["dfq", "--ckpt", str(teacher / "teacher.json"), "--config", str(cfg),
+                     "--out-dir", str(root / "dfq")])
+
+    def test_an_allocation_that_cannot_succeed_leaves_no_out_dir(self, forks, tmp_path,
+                                                                  capsys):
+        """The sample dump comes after the trace, the report and the student."""
+        assert self.dfq(tmp_path, forks, f"sample_dump = {10 ** 17}") == 3
+        assert "allocate" in error_line(capsys)
+        assert len(forks) == 1 and reaped(forks[0])
+        assert not (tmp_path / "dfq").exists()
+
+    def test_a_failed_write_removes_only_what_it_wrote(self, forks, tmp_path, capsys):
+        out = tmp_path / "dfq"
+        (out / "samples.csv").mkdir(parents=True)
+        (out / "notes.txt").write_text("kept")
+        (out / "trace.csv").write_text("an earlier run's")
+        (out / "similarity.csv").write_text("an earlier run's")
+        assert self.dfq(tmp_path, forks) == 2
+        assert str(out / "samples.csv") in error_line(capsys)
+        assert len(forks) == 1 and reaped(forks[0])
+        assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "samples.csv",
+                                                         "similarity.csv"]
+        assert (out / "similarity.csv").read_text() == "an earlier run's"
 
 
 def fake_row(i, **kw):
